@@ -148,6 +148,220 @@ class TestConfigParsing:
         assert cfg.ablation.gammas == [0.0, 0.01, 0.8]
 
 
+class Ok:
+    """An accepted config value, compared by repr so 2 and 2.0 differ."""
+
+    def __init__(self, value):
+        self.value = value
+
+
+# One value of each YAML type: int, float, bool, str, null, list, mapping.
+YAML_VALUES = (2, 2.5, True, "abc", None, [1], {"a": 1})
+
+
+def _outcomes(text: str, other: dict | None = None) -> tuple:
+    """One outcome per YAML_VALUES entry: the message ``text``, or ``other[i]``."""
+    return tuple(
+        (other or {}).get(i, text.format(p="{p}", v=v, t=type(v).__name__))
+        for i, v in enumerate(YAML_VALUES)
+    )
+
+
+INT = _outcomes("{p} must be an integer, got {t}", {0: Ok(2)})
+OPT_INT = _outcomes("{p} must be an integer, got {t}", {0: Ok(2), 4: Ok(None)})
+NUMBER = _outcomes("{p} must be a number, got {t}", {0: Ok(2.0), 1: Ok(2.5)})
+BOOL = _outcomes("{p} must be true or false, got {v!r}", {2: Ok(True)})
+OPT_STR = _outcomes(
+    "{p} must be a non-empty string, got {v!r}", {3: Ok("abc"), 4: Ok(None)}
+)
+INT_LIST = _outcomes("{p} must be a list of integers", {5: Ok([1])})
+NUMBER_LIST = _outcomes("{p} must be a non-empty list of numbers", {5: Ok([1.0])})
+SHOPS = _outcomes(
+    "{p} must be a list of shop ids",
+    {4: Ok(None), 5: "{p}[0] must be a non-empty string, got 1"},
+)
+# synthetic values are not checked when the config is read
+SYNTH = tuple(Ok(v) for v in YAML_VALUES)
+
+
+def _choice(options: str, none=None) -> tuple:
+    other = {3: f"{{p}} must be one of {options}; got 'abc'"}
+    if none is not None:
+        other[4] = none
+    return _outcomes("{p} must be a non-empty string, got {v!r}", other)
+
+
+CONFIG_KEYS = {
+    "seed": INT,
+    "output_dir": OPT_STR,
+    "data.train": OPT_STR,
+    "data.test": OPT_STR,
+    "data.latents": OPT_STR,
+    "data.user_attrs": OPT_STR,
+    "data.item_attrs": OPT_STR,
+    "data.min_interactions": INT,
+    "data.support_size": INT,
+    "data.negative_strategy": _choice("none, n0, n1, n2", Ok("none")),
+    "data.negative_ratio": NUMBER,
+    "model.kind": _choice("mesh, mesh_i, wide_deep, baseline"),
+    "model.hidden_dims": INT_LIST,
+    "model.embedding_dim": INT,
+    "model.sigmoid_output": BOOL,
+    "model.margin": NUMBER,
+    "model.negative_weight": NUMBER,
+    "train.trainer": _choice("meta, fmst, nonmeta, one_shop, baseline"),
+    "train.alpha": NUMBER,
+    "train.beta": NUMBER,
+    "train.local_steps": INT,
+    "train.gamma": NUMBER,
+    "train.regularizer": _choice("option1, option2"),
+    "train.shop_batch_size": INT,
+    "train.query_batch_size": OPT_INT,
+    "train.steps": INT,
+    "train.epochs": INT,
+    "train.batch_size": OPT_INT,
+    "train.loss": _choice("auto, squared, bce"),
+    "train.outer_optimizer": _choice("sgd, adam"),
+    "train.task_unit": _choice("shop, item, user"),
+    "train.early_stop_patience": OPT_INT,
+    "train.shop_id": OPT_STR,
+    "eval.checkpoint": OPT_STR,
+    "eval.adapt": BOOL,
+    "eval.recall_ks": NUMBER_LIST,
+    "eval.ndcg_ks": INT_LIST,
+    "eval.recall_mode": _choice("standard, topk_fraction"),
+    "eval.include_mae": BOOL,
+    "eval.thresholds": NUMBER_LIST,
+    "eval.rating_positive_threshold": NUMBER,
+    "eval.candidate_pool": _choice("all_users, observed"),
+    "eval.query_mode": _choice("item, user_shop", Ok(None)),
+    "synthetic.n_users": SYNTH,
+    "synthetic.n_items": SYNTH,
+    "synthetic.n_shops": SYNTH,
+    "synthetic.latent_dim": SYNTH,
+    "synthetic.pareto_exponent": SYNTH,
+    "synthetic.noise_std": SYNTH,
+    "synthetic.seed": SYNTH,
+    "synthetic.interactions_per_shop": SYNTH,
+    "synthetic.n_new_shops": SYNTH,
+    "synthetic.shop_effect_std": SYNTH,
+    "synthetic.label_threshold": SYNTH,
+    "synthetic.test_fraction": SYNTH,
+    "synthetic.n_genres": SYNTH,
+    "synthetic.min_shop_size": SYNTH,
+    "ablation.study": _choice(
+        "one_shop, negative_sampling, debias_gamma, task_unit"
+    ),
+    "ablation.n_shops": INT,
+    "ablation.gammas": NUMBER_LIST,
+    "adapt.checkpoint": OPT_STR,
+    "adapt.support": OPT_STR,
+    "adapt.shops": SHOPS,
+}
+
+# Values past the type check: ranges, element types and empty lists.
+EDGE_CASES = [
+    ("model.hidden_dims", [], "model.hidden_dims must be positive integers"),
+    ("model.hidden_dims", [4, 0], "model.hidden_dims must be positive integers"),
+    ("model.hidden_dims", [1.5], "model.hidden_dims[0] must be an integer, got float"),
+    ("model.sigmoid_output", "auto", Ok("auto")),
+    ("eval.ndcg_ks", [], Ok([])),
+    ("eval.recall_ks", [], "eval.recall_ks must be a non-empty list of numbers"),
+    ("eval.thresholds", [0.5, "x"], "eval.thresholds[1] must be a number, got str"),
+    ("ablation.gammas", [], "ablation.gammas must be a non-empty list of numbers"),
+    ("ablation.gammas", [0, 1], Ok([0.0, 1.0])),
+    ("adapt.shops", ["s1", ""], "adapt.shops[1] must be a non-empty string, got ''"),
+    ("data.train", "", "data.train must be a non-empty string, got ''"),
+    ("train.loss", "", "train.loss must be a non-empty string, got ''"),
+]
+
+
+def _raw_config(path: str, value) -> dict:
+    if "." not in path:
+        return {"seed": 1, path: value}
+    section, key = path.split(".")
+    return {"seed": 1, section: {key: value}}
+
+
+def _parsed_value(cfg, path: str):
+    if "." not in path:
+        return getattr(cfg, path)
+    section, key = path.split(".")
+    if section == "synthetic":
+        return cfg.synthetic[key]
+    return getattr(getattr(cfg, section), key)
+
+
+def _check_outcome(path: str, value, expected) -> None:
+    raw = _raw_config(path, value)
+    if isinstance(expected, Ok):
+        assert repr(_parsed_value(parse_config(raw), path)) == repr(expected.value)
+        return
+    with pytest.raises(ConfigError) as info:
+        parse_config(raw)
+    assert str(info.value) == expected.replace("{p}", path)
+
+
+class TestConfigSchema:
+    """Every key's outcome for one value of each YAML type, message for message."""
+
+    @pytest.mark.parametrize(
+        "path,value,expected",
+        [
+            (path, value, outcome)
+            for path, outcomes in CONFIG_KEYS.items()
+            for value, outcome in zip(YAML_VALUES, outcomes)
+        ],
+        ids=lambda x: x if isinstance(x, str) else type(x).__name__,
+    )
+    def test_each_yaml_type(self, path, value, expected):
+        _check_outcome(path, value, expected)
+
+    @pytest.mark.parametrize("path,value,expected", EDGE_CASES)
+    def test_edge_values(self, path, value, expected):
+        _check_outcome(path, value, expected)
+
+    def test_every_section_key_is_covered(self):
+        cfg = parse_config({"seed": 1})
+        keys = {"seed", "output_dir"}
+        for section in ("data", "model", "train", "eval", "ablation", "adapt"):
+            keys |= {f"{section}.{k}" for k in vars(getattr(cfg, section))}
+        from metashop.datapipe import SyntheticSpec
+
+        keys |= {f"synthetic.{k}" for k in SyntheticSpec.__dataclass_fields__}
+        assert keys == set(CONFIG_KEYS)
+
+    def test_section_must_be_a_mapping(self):
+        with pytest.raises(ConfigError) as info:
+            parse_config({"seed": 1, "eval": [1]})
+        assert str(info.value) == "config section eval must be a mapping"
+
+    def test_unknown_synthetic_key(self):
+        with pytest.raises(ConfigError) as info:
+            parse_config({"seed": 1, "synthetic": {"n_planets": 3}})
+        assert str(info.value) == "unknown config key synthetic.n_planets"
+
+    def test_integer_rate_is_a_float_in_the_manifest(self, workspace):
+        cfg_path, out = workspace
+        code = main(
+            [
+                "train", "--config", str(cfg_path),
+                "--set", "train.alpha=1", "--set", "train.local_steps=0",
+            ]
+        )
+        assert code == 0
+        assert read_manifest(out / "train.manifest")["config.alpha"] == "1.0"
+
+    def test_synthetic_values_reach_the_manifest_unchanged(self, tmp_path):
+        out = tmp_path / "run"
+        cfg = base_config(out)
+        cfg["synthetic"]["pareto_exponent"] = 2
+        path = write_config(tmp_path / "run.yaml", cfg)
+        assert main(["gen-data", "--config", str(path)]) == 0
+        manifest = read_manifest(out / "gen-data.manifest")
+        assert manifest["synthetic.pareto_exponent"] == "2"
+
+
 class TestExitCodes:
     def test_success_is_zero(self, workspace):
         cfg_path, _ = workspace
