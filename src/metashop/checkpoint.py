@@ -16,7 +16,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from . import numcore
-from .errors import DataError
+from .errors import DataError, NumericError, ShapeError
 from .models import (
     BaselineModel,
     BaselineParams,
@@ -35,14 +35,25 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write via a temp file + rename so readers never see partial output."""
+    """Write via a temp file + rename so readers never see partial output.
+
+    The file gets the mode a plain ``open`` would give it (0666 less the
+    process umask), not the owner-only mode of the temp file.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+        os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -143,6 +154,7 @@ def model_to_json(model: RecModel | BaselineModel) -> dict:
 
 
 def model_from_json(obj: Mapping) -> RecModel | BaselineModel:
+    """Rebuild a model; malformed, misshapen or non-finite input is a DataError."""
     try:
         cls = obj["model_class"]
         if cls == "baseline":
@@ -162,8 +174,10 @@ def model_from_json(obj: Mapping) -> RecModel | BaselineModel:
                 _scorer_from_json(obj["scorer"]),
                 bool(obj["sigmoid_output"]),
             )
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise DataError(f"unreadable checkpoint near field {exc!r}") from exc
+    except (ShapeError, NumericError) as exc:
+        raise DataError(f"unusable checkpoint: {exc}") from exc
     raise DataError(f"unknown model_class {obj.get('model_class')!r}")
 
 
@@ -189,12 +203,20 @@ def load_checkpoint(path: str | Path) -> tuple[RecModel | BaselineModel, dict]:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"checkpoint {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"checkpoint {path} does not hold a JSON object")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise DataError(
-            f"checkpoint format_version {version!r} not supported "
+            f"checkpoint {path} format_version {version!r} not supported "
             f"(expected {FORMAT_VERSION})"
         )
     if "model" not in doc:
-        raise DataError("checkpoint has no 'model' field")
-    return model_from_json(doc["model"]), dict(doc.get("meta", {}))
+        raise DataError(f"checkpoint {path} has no 'model' field")
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict):
+        raise DataError(f"checkpoint {path} has a 'meta' field that is not an object")
+    try:
+        return model_from_json(doc["model"]), dict(meta)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc

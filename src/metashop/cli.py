@@ -56,7 +56,7 @@ unless a command needs them):
       candidate_pool: all_users    # all_users | observed
       query_mode: null             # null (infer) | item | user_shop
 
-    synthetic:                     # gen-data knobs, see SyntheticSpec
+    synthetic:                     # gen-data knobs: SyntheticSpec fields
       n_users: 400
       ...
 
@@ -74,17 +74,34 @@ unless a command needs them):
 `--set train.steps=50` and `--set eval.recall_ks=[1,3]` both work); flags
 beat the file. Unknown keys fail validation before anything is written.
 
-Exit codes: 0 success, 1 config error, 2 data error, 3 numeric failure.
+Each section's keys and types come from its dataclass below (`synthetic`
+from SyntheticSpec, whose values are type-checked but passed on as
+written), and the allowed strings of each choice key from its enum.
+
+Exit codes: 0 success, 1 config error, 2 data error (any malformed input
+file, checkpoints and feature widths included), 3 numeric failure (a
+non-finite loss or gradient).
 """
 
 from __future__ import annotations
 
 import argparse
+import enum
 import sys
 import time
+import types
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import (
+    Any,
+    Literal,
+    Mapping,
+    Sequence,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 import numpy as np
 import yaml
@@ -173,9 +190,13 @@ class ModelConfig:
     kind: str = "mesh"
     hidden_dims: list[int] = field(default_factory=lambda: [32])
     embedding_dim: int = 16
-    sigmoid_output: Any = "auto"
+    sigmoid_output: bool | Literal["auto"] = "auto"
     margin: float = 1.0
     negative_weight: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not self.hidden_dims or any(d < 1 for d in self.hidden_dims):
+            raise ConfigError("model.hidden_dims must be positive integers")
 
 
 @dataclass
@@ -214,7 +235,7 @@ class EvalConfig:
 
 @dataclass
 class AblationConfig:
-    study: str | None = None
+    study: str = ""  # empty until a config names one
     n_shops: int = 6
     gammas: list[float] = field(default_factory=lambda: [0.0, 0.01, 0.8])
 
@@ -239,212 +260,120 @@ class RunConfig:
     adapt: AdaptConfig
 
 
-_SECTIONS = ("data", "model", "train", "eval", "synthetic", "ablation", "adapt")
+def _values(kinds: type[enum.Enum]) -> tuple[str, ...]:
+    return tuple(k.value for k in kinds)
 
 
-def _type_name(v: Any) -> str:
-    return type(v).__name__
+# The allowed strings of every choice key. "none" and "auto" have no enum
+# member: they mean no negative sampling and the label-derived loss.
+_CHOICES = {
+    "data.negative_strategy": ("none", *_values(NegativeStrategy)),
+    "model.kind": _values(ModelKind),
+    "train.trainer": ("meta", "fmst", "nonmeta", "one_shop", "baseline"),
+    "train.regularizer": _values(RegularizerKind),
+    "train.loss": ("auto", *_values(numcore.LossKind)),
+    "train.outer_optimizer": _values(OuterOptimizer),
+    "train.task_unit": _values(TaskUnit),
+    "eval.recall_mode": _values(RecallMode),
+    "eval.candidate_pool": _values(CandidatePool),
+    "eval.query_mode": _values(QueryMode),
+    "ablation.study": ("one_shop", "negative_sampling", "debias_gamma", "task_unit"),
+}
+
+_SECTIONS = {
+    "data": DataConfig,
+    "model": ModelConfig,
+    "train": TrainConfig,
+    "eval": EvalConfig,
+    "synthetic": SyntheticSpec,
+    "ablation": AblationConfig,
+    "adapt": AdaptConfig,
+}
+_HINTS = {name: get_type_hints(cls) for name, cls in _SECTIONS.items()}
+
+# List wording by element type; adapt.shops is the one list of strings.
+_LIST_OF = {
+    int: "a list of integers",
+    float: "a non-empty list of numbers",
+    str: "a list of shop ids",
+}
 
 
-def _check_int(path: str, v: Any) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{path} must be an integer, got {_type_name(v)}")
+def _cast(path: str, hint: Any, v: Any) -> Any:
+    """Check ``v`` against the type hint of the field at ``path``.
+
+    Returns the value with ints widened where a float is declared.
+    """
+    if get_origin(hint) in (Union, types.UnionType):
+        members = get_args(hint)
+        if v is None and type(None) in members:
+            return None
+        literals = [a for m in members if get_origin(m) is Literal for a in get_args(m)]
+        if isinstance(v, str) and v in literals:
+            return v
+        (hint,) = [
+            m for m in members if m is not type(None) and get_origin(m) is not Literal
+        ]
+    if get_origin(hint) is list:
+        (item,) = get_args(hint)
+        if not isinstance(v, (list, tuple)) or (item is float and not v):
+            raise ConfigError(f"{path} must be {_LIST_OF[item]}")
+        return [_cast(f"{path}[{i}]", item, x) for i, x in enumerate(v)]
+    if hint is bool:
+        if not isinstance(v, bool):
+            raise ConfigError(f"{path} must be true or false, got {v!r}")
+    elif hint is int:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ConfigError(f"{path} must be an integer, got {type(v).__name__}")
+    elif hint is float:
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ConfigError(f"{path} must be a number, got {type(v).__name__}")
+        try:
+            return float(v)
+        except OverflowError:
+            raise ConfigError(f"{path} is too large for a number") from None
+    else:
+        choices = _CHOICES.get(path, ())
+        if v is None and "none" in choices:
+            v = "none"  # YAML null and the word none mean the same
+        if not isinstance(v, str) or not v:
+            raise ConfigError(f"{path} must be a non-empty string, got {v!r}")
+        if choices and v not in choices:
+            raise ConfigError(f"{path} must be one of {', '.join(choices)}; got {v!r}")
     return v
-
-
-def _check_float(path: str, v: Any) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path} must be a number, got {_type_name(v)}")
-    return float(v)
-
-
-def _check_bool(path: str, v: Any) -> bool:
-    if not isinstance(v, bool):
-        raise ConfigError(f"{path} must be true or false, got {v!r}")
-    return v
-
-
-def _check_str(path: str, v: Any) -> str:
-    if not isinstance(v, str) or not v:
-        raise ConfigError(f"{path} must be a non-empty string, got {v!r}")
-    return v
-
-
-def _check_opt_int(path: str, v: Any) -> int | None:
-    return None if v is None else _check_int(path, v)
-
-
-def _check_opt_str(path: str, v: Any) -> str | None:
-    return None if v is None else _check_str(path, v)
-
-
-def _check_number_list(path: str, v: Any) -> list[float]:
-    if not isinstance(v, (list, tuple)) or not v:
-        raise ConfigError(f"{path} must be a non-empty list of numbers")
-    return [_check_float(f"{path}[{i}]", x) for i, x in enumerate(v)]
-
-
-def _check_int_list(path: str, v: Any) -> list[int]:
-    if not isinstance(v, (list, tuple)):
-        raise ConfigError(f"{path} must be a list of integers")
-    return [_check_int(f"{path}[{i}]", x) for i, x in enumerate(v)]
-
-
-def _check_choice(path: str, v: Any, choices: Sequence[str]) -> str:
-    s = _check_str(path, v)
-    if s not in choices:
-        raise ConfigError(f"{path} must be one of {', '.join(choices)}; got {s!r}")
-    return s
-
-
-def _apply_section(target: Any, raw: Mapping, name: str, casters: Mapping) -> None:
-    for key, value in raw.items():
-        if key not in casters:
-            raise ConfigError(f"unknown config key {name}.{key}")
-        setattr(target, key, casters[key](f"{name}.{key}", value))
 
 
 def parse_config(raw: Mapping[str, Any]) -> RunConfig:
-    """Validate the raw config mapping into a RunConfig (fail fast)."""
+    """Validate the raw config mapping into a RunConfig (fail fast).
+
+    Section keys and types come from the section dataclasses; synthetic
+    values are checked against SyntheticSpec but kept as written.
+    """
     if not isinstance(raw, Mapping):
         raise ConfigError("config file must hold a mapping at the top level")
-    unknown = set(raw) - set(_SECTIONS) - {"seed", "output_dir"}
+    unknown = set(raw) - set(RunConfig.__dataclass_fields__)
     if unknown:
-        raise ConfigError(f"unknown config key {sorted(unknown)[0]}")
+        raise ConfigError(f"unknown config key {sorted(unknown, key=str)[0]}")
     if "seed" not in raw:
         raise ConfigError("config needs a top-level seed")
-    seed = _check_int("seed", raw["seed"])
-    output_dir = _check_opt_str("output_dir", raw.get("output_dir"))
+    seed = _cast("seed", int, raw["seed"])
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    output_dir = _cast("output_dir", str | None, raw.get("output_dir"))
     for section in _SECTIONS:
         if section in raw and not isinstance(raw[section], Mapping):
             raise ConfigError(f"config section {section} must be a mapping")
-
-    data = DataConfig()
-    _apply_section(
-        data, raw.get("data", {}), "data",
-        {
-            "train": _check_opt_str,
-            "test": _check_opt_str,
-            "latents": _check_opt_str,
-            "user_attrs": _check_opt_str,
-            "item_attrs": _check_opt_str,
-            "min_interactions": _check_int,
-            "support_size": _check_int,
-            "negative_strategy": lambda p, v: _check_choice(
-                p, "none" if v is None else v, ("none", "n0", "n1", "n2")
-            ),
-            "negative_ratio": _check_float,
-        },
-    )
-
-    model = ModelConfig()
-    _apply_section(
-        model, raw.get("model", {}), "model",
-        {
-            "kind": lambda p, v: _check_choice(
-                p, v, ("mesh", "mesh_i", "wide_deep", "baseline")
-            ),
-            "hidden_dims": lambda p, v: _check_int_list(p, v),
-            "embedding_dim": _check_int,
-            "sigmoid_output": lambda p, v: (
-                v if v == "auto" else _check_bool(p, v)
-            ),
-            "margin": _check_float,
-            "negative_weight": _check_float,
-        },
-    )
-    if not model.hidden_dims or any(d < 1 for d in model.hidden_dims):
-        raise ConfigError("model.hidden_dims must be positive integers")
-
-    train = TrainConfig()
-    _apply_section(
-        train, raw.get("train", {}), "train",
-        {
-            "trainer": lambda p, v: _check_choice(
-                p, v, ("meta", "fmst", "nonmeta", "one_shop", "baseline")
-            ),
-            "alpha": _check_float,
-            "beta": _check_float,
-            "local_steps": _check_int,
-            "gamma": _check_float,
-            "regularizer": lambda p, v: _check_choice(p, v, ("option1", "option2")),
-            "shop_batch_size": _check_int,
-            "query_batch_size": _check_opt_int,
-            "steps": _check_int,
-            "epochs": _check_int,
-            "batch_size": _check_opt_int,
-            "loss": lambda p, v: _check_choice(p, v, ("auto", "squared", "bce")),
-            "outer_optimizer": lambda p, v: _check_choice(p, v, ("sgd", "adam")),
-            "task_unit": lambda p, v: _check_choice(p, v, ("shop", "item", "user")),
-            "early_stop_patience": _check_opt_int,
-            "shop_id": _check_opt_str,
-        },
-    )
-
-    eval_cfg = EvalConfig()
-    _apply_section(
-        eval_cfg, raw.get("eval", {}), "eval",
-        {
-            "checkpoint": _check_opt_str,
-            "adapt": _check_bool,
-            "recall_ks": _check_number_list,
-            "ndcg_ks": _check_int_list,
-            "recall_mode": lambda p, v: _check_choice(
-                p, v, ("standard", "topk_fraction")
-            ),
-            "include_mae": _check_bool,
-            "thresholds": _check_number_list,
-            "rating_positive_threshold": _check_float,
-            "candidate_pool": lambda p, v: _check_choice(
-                p, v, ("all_users", "observed")
-            ),
-            "query_mode": lambda p, v: (
-                None if v is None else _check_choice(p, v, ("item", "user_shop"))
-            ),
-        },
-    )
-
-    synth_raw = dict(raw.get("synthetic", {}))
-    synth_fields = {f.name for f in SyntheticSpec.__dataclass_fields__.values()}
-    for key in synth_raw:
-        if key not in synth_fields:
-            raise ConfigError(f"unknown config key synthetic.{key}")
-
-    ablation = AblationConfig()
-    _apply_section(
-        ablation, raw.get("ablation", {}), "ablation",
-        {
-            "study": lambda p, v: _check_choice(
-                p, v, ("one_shop", "negative_sampling", "debias_gamma", "task_unit")
-            ),
-            "n_shops": _check_int,
-            "gammas": _check_number_list,
-        },
-    )
-
-    adapt = AdaptConfig()
-    _apply_section(
-        adapt, raw.get("adapt", {}), "adapt",
-        {
-            "checkpoint": _check_opt_str,
-            "support": _check_opt_str,
-            "shops": lambda p, v: (
-                None
-                if v is None
-                else [_check_str(f"{p}[{i}]", s) for i, s in enumerate(v)]
-                if isinstance(v, (list, tuple))
-                else _raise_config(f"{p} must be a list of shop ids")
-            ),
-        },
-    )
-
-    return RunConfig(
-        seed, output_dir, data, model, train, eval_cfg, synth_raw, ablation, adapt
-    )
-
-
-def _raise_config(msg: str):
-    raise ConfigError(msg)
+    sections: dict[str, Any] = {}
+    for name, cls in _SECTIONS.items():
+        hints = _HINTS[name]
+        values = {}
+        for key, value in raw.get(name, {}).items():
+            if key not in hints:
+                raise ConfigError(f"unknown config key {name}.{key}")
+            cast = _cast(f"{name}.{key}", hints[key], value)
+            values[key] = value if cls is SyntheticSpec else cast
+        sections[name] = values if cls is SyntheticSpec else cls(**values)
+    return RunConfig(seed, output_dir, **sections)
 
 
 def load_config(path: str | Path, overrides: Sequence[str] = ()) -> RunConfig:
@@ -483,7 +412,7 @@ def load_config(path: str | Path, overrides: Sequence[str] = ()) -> RunConfig:
 
 
 def _require(value: Any, what: str) -> Any:
-    if value is None:
+    if value is None or value == "":
         raise ConfigError(f"this command needs {what}")
     return value
 

@@ -633,6 +633,8 @@ class SyntheticSpec:
             raise ConfigError("need at least two genres")
         if self.min_shop_size < 2:
             raise ConfigError("min_shop_size must be >= 2")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

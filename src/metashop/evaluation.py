@@ -39,12 +39,10 @@ from .metrics import (
 )
 from .models import (
     BaselineModel,
-    EncoderMode,
-    FeatureEncoder,
     FeatureSource,
     RecModel,
-    encode_indices,
-    resolve_indices,
+    encode_rows,
+    feature_rows,
 )
 
 _JOINT_CHUNK_ROWS = 4096
@@ -112,21 +110,6 @@ def infer_query_mode(tasks: Sequence[ShopTask]) -> QueryMode:
 # ---------------------------------------------------------------------------
 
 
-def _encode_ids(
-    encoder: FeatureEncoder, ids: Sequence[str], features: FeatureSource, side: str
-) -> np.ndarray:
-    getter = features.user_raw if side == "user" else features.item_raw
-    if encoder.mode is EncoderMode.PRETRAINED:
-        mat = np.stack([np.asarray(getter(i), dtype=np.float64).ravel() for i in ids])
-        if mat.shape[1] != encoder.dim:
-            raise DataError(
-                f"{side} features have {mat.shape[1]} dims, expected {encoder.dim}"
-            )
-        return mat
-    idx = np.stack([resolve_indices(encoder, getter(i)) for i in ids])
-    return encode_indices(encoder, idx)
-
-
 def score_matrix(
     model: RecModel,
     user_ids: Sequence[str],
@@ -134,8 +117,10 @@ def score_matrix(
     features: FeatureSource,
 ) -> np.ndarray:
     """Scores for every (user, item) pair, shape (n_users, n_items)."""
-    u = _encode_ids(model.user_encoder, user_ids, features, "user")
-    v = _encode_ids(model.item_encoder, item_ids, features, "item")
+    users = feature_rows(model.user_encoder, map(features.user_raw, user_ids), "user")
+    items = feature_rows(model.item_encoder, map(features.item_raw, item_ids), "item")
+    u = encode_rows(model.user_encoder, users)
+    v = encode_rows(model.item_encoder, items)
     if model.scorer.variant is numcore.ModelVariant.TWO_TOWER:
         hu, _ = numcore.mlp_forward_trace(model.scorer.user_tower, u)
         hi, _ = numcore.mlp_forward_trace(model.scorer.item_tower, v)
@@ -164,8 +149,10 @@ def baseline_user_reps(
     catalog = sorted({i for items in histories.values() for i in items})
     if not catalog:
         raise DataError("baseline evaluation needs at least one purchase history")
-    feats = _encode_ids(model.item_encoder, catalog, features, "item")
-    reps, _ = numcore.mlp_forward_trace(model.params.item_mapper, feats)
+    rows = feature_rows(model.item_encoder, map(features.item_raw, catalog), "item")
+    reps, _ = numcore.mlp_forward_trace(
+        model.params.item_mapper, encode_rows(model.item_encoder, rows)
+    )
     row_of = {i: r for r, i in enumerate(catalog)}
     fallback = reps.mean(axis=0)
     out = {}
@@ -186,8 +173,10 @@ def baseline_score_matrix(
     features: FeatureSource,
 ) -> np.ndarray:
     """Negated user-item distances, shape (n_users, n_items)."""
-    feats = _encode_ids(model.item_encoder, item_ids, features, "item")
-    reps, _ = numcore.mlp_forward_trace(model.params.item_mapper, feats)
+    rows = feature_rows(model.item_encoder, map(features.item_raw, item_ids), "item")
+    reps, _ = numcore.mlp_forward_trace(
+        model.params.item_mapper, encode_rows(model.item_encoder, rows)
+    )
     u = np.stack([np.asarray(user_reps[uid], dtype=np.float64) for uid in user_ids])
     sq = (
         np.sum(u * u, axis=1)[:, None]

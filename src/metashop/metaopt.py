@@ -309,15 +309,8 @@ def _subsample_query(task: ShopTask, size: int, rng: np.random.Generator) -> Sho
     )
 
 
-def _slice_batch(batch: Batch, rows: np.ndarray) -> Batch:
-    pick = lambda a: None if a is None else a[rows]
-    return Batch(
-        labels=batch.labels[rows],
-        user_feats=pick(batch.user_feats),
-        item_feats=pick(batch.item_feats),
-        user_idx=pick(batch.user_idx),
-        item_idx=pick(batch.item_idx),
-    )
+def _slice_batch(batch: Batch, picks: np.ndarray) -> Batch:
+    return Batch(batch.labels[picks], batch.user_rows[picks], batch.item_rows[picks])
 
 
 def nonmeta_train(

@@ -26,6 +26,7 @@ import numpy as np
 from . import numcore
 from .errors import (
     ColdUserError,
+    DataError,
     EmptyBatchError,
     OutOfVocabularyError,
     ShapeError,
@@ -181,23 +182,38 @@ def resolve_indices(encoder: FeatureEncoder, raw: Any) -> np.ndarray:
     return idx
 
 
-def encode_indices(encoder: FeatureEncoder, idx: np.ndarray) -> np.ndarray:
-    """Gather and concatenate table rows for an (n, n_fields) index matrix."""
-    parts = [encoder.tables[f.name][idx[:, j]] for j, f in enumerate(encoder.fields)]
+def feature_rows(encoder: FeatureEncoder, raws: Iterable[Any], side: str) -> np.ndarray:
+    """Stack raw per-id features into one row per id.
+
+    A pretrained encoder gets float rows, checked against its width (a
+    mismatch is a DataError naming ``side``); a categorical encoder gets
+    table-row indices, one column per field.
+    """
+    if encoder.mode is EncoderMode.PRETRAINED:
+        mat = np.stack([np.asarray(r, dtype=np.float64).ravel() for r in raws])
+        if mat.shape[1] != encoder.dim:
+            raise DataError(
+                f"{side} features have {mat.shape[1]} dims, expected {encoder.dim}"
+            )
+        return mat
+    return np.stack([resolve_indices(encoder, r) for r in raws])
+
+
+def encode_rows(encoder: FeatureEncoder, rows: np.ndarray) -> np.ndarray:
+    """Float features for feature_rows output.
+
+    Index rows gather and concatenate table rows; pretrained rows already
+    are the features.
+    """
+    if encoder.mode is EncoderMode.PRETRAINED:
+        return rows
+    parts = [encoder.tables[f.name][rows[:, j]] for j, f in enumerate(encoder.fields)]
     return np.concatenate(parts, axis=1)
 
 
 def encode(encoder: FeatureEncoder, raw: Any) -> np.ndarray:
     """Encode one user or item into its float feature vector."""
-    if encoder.mode is EncoderMode.PRETRAINED:
-        vec = np.asarray(raw, dtype=np.float64).ravel()
-        if vec.shape != (encoder.dim,):
-            raise ShapeError(
-                f"pretrained feature has {vec.shape[0]} dims, expected {encoder.dim}"
-            )
-        return vec
-    idx = resolve_indices(encoder, raw)
-    return encode_indices(encoder, idx[None, :])[0]
+    return encode_rows(encoder, feature_rows(encoder, [raw], "pretrained"))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -270,14 +286,6 @@ def build_model(
     return RecModel(kind, user_encoder, item_encoder, scorer, sigmoid_output)
 
 
-def encode_user(model: RecModel, raw: Any) -> np.ndarray:
-    return encode(model.user_encoder, raw)
-
-
-def encode_item(model: RecModel, raw: Any) -> np.ndarray:
-    return encode(model.item_encoder, raw)
-
-
 # ---------------------------------------------------------------------------
 # batches
 # ---------------------------------------------------------------------------
@@ -287,15 +295,14 @@ def encode_item(model: RecModel, raw: Any) -> np.ndarray:
 class Batch:
     """Labelled examples with features resolved as far as possible.
 
-    Pretrained encoders give float matrices; categorical encoders keep the
-    index matrices so gradients can be scattered back into the tables.
+    The rows come from feature_rows: float matrices for pretrained encoders,
+    index matrices for categorical ones, so that gradients can be scattered
+    back into the tables.
     """
 
     labels: np.ndarray
-    user_feats: np.ndarray | None = None
-    item_feats: np.ndarray | None = None
-    user_idx: np.ndarray | None = None
-    item_idx: np.ndarray | None = None
+    user_rows: np.ndarray
+    item_rows: np.ndarray
 
     @property
     def size(self) -> int:
@@ -316,41 +323,24 @@ def prepare_batch(
     if not recs:
         raise EmptyBatchError("prepare_batch on zero records")
     labels = np.asarray([float(r.label) for r in recs])
-    kwargs: dict[str, Any] = {}
-    for side, enc, getter in (
-        ("user", user_encoder, lambda r: features.user_raw(r.user_id)),
-        ("item", item_encoder, lambda r: features.item_raw(r.item_id)),
-    ):
-        if enc.mode is EncoderMode.PRETRAINED:
-            mat = np.stack(
-                [np.asarray(getter(r), dtype=np.float64).ravel() for r in recs]
-            )
-            if mat.shape[1] != enc.dim:
-                raise ShapeError(
-                    f"{side} features have {mat.shape[1]} dims, expected {enc.dim}"
-                )
-            kwargs[f"{side}_feats"] = mat
-        else:
-            kwargs[f"{side}_idx"] = np.stack(
-                [resolve_indices(enc, getter(r)) for r in recs]
-            )
-    return Batch(labels=labels, **kwargs)
+    users = [features.user_raw(r.user_id) for r in recs]
+    items = [features.item_raw(r.item_id) for r in recs]
+    return Batch(
+        labels,
+        feature_rows(user_encoder, users, "user"),
+        feature_rows(item_encoder, items, "item"),
+    )
 
 
 def _feature_matrices(model: RecModel, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
-    if batch.user_feats is not None:
-        u = batch.user_feats
-    else:
-        u = encode_indices(model.user_encoder, batch.user_idx)
-    if batch.item_feats is not None:
-        v = batch.item_feats
-    else:
-        v = encode_indices(model.item_encoder, batch.item_idx)
-    return u, v
+    return (
+        encode_rows(model.user_encoder, batch.user_rows),
+        encode_rows(model.item_encoder, batch.item_rows),
+    )
 
 
 def _encoder_grad(
-    encoder: FeatureEncoder, idx: np.ndarray | None, d_feats: np.ndarray
+    encoder: FeatureEncoder, idx: np.ndarray, d_feats: np.ndarray
 ) -> FeatureEncoder:
     if encoder.mode is EncoderMode.PRETRAINED:
         return encoder  # no parameters; the grad tree reuses the empty encoder
@@ -405,8 +395,8 @@ def model_loss_and_grad(
     scorer_grads, d_u, d_v = numcore.model_backward(model.scorer, trace, d_raw)
     grads = RecModel(
         model.kind,
-        _encoder_grad(model.user_encoder, batch.user_idx, d_u),
-        _encoder_grad(model.item_encoder, batch.item_idx, d_v),
+        _encoder_grad(model.user_encoder, batch.user_rows, d_u),
+        _encoder_grad(model.item_encoder, batch.item_rows, d_v),
         scorer_grads,
         model.sigmoid_output,
     )
@@ -457,60 +447,6 @@ def build_baseline(
     return BaselineModel(item_encoder, BaselineParams(mapper, margin, negative_weight))
 
 
-def baseline_item_reps(model: BaselineModel, item_feats: np.ndarray) -> np.ndarray:
-    """Map encoded item features (n, d) to representations (n, h)."""
-    out, _ = numcore.mlp_forward_trace(model.params.item_mapper, item_feats)
-    return out
-
-
-def baseline_user_representation(
-    params: BaselineParams, purchased_feats: Sequence[np.ndarray] | np.ndarray
-) -> np.ndarray:
-    """Mean of the mapped purchased items; no history raises ColdUserError."""
-    feats = np.asarray(purchased_feats, dtype=np.float64)
-    if feats.size == 0:
-        raise ColdUserError("user has no purchase history")
-    if feats.ndim == 1:
-        feats = feats[None, :]
-    out, _ = numcore.mlp_forward_trace(params.item_mapper, feats)
-    return out.mean(axis=0)
-
-
-def baseline_contrastive_loss(
-    params: BaselineParams,
-    positives: Sequence[tuple[np.ndarray, np.ndarray]],
-    negatives: Sequence[tuple[np.ndarray, np.ndarray]],
-) -> float:
-    """Sum of positive distances plus hinged negative terms.
-
-    Each pair is (user representation, encoded item features). The negative
-    term is ``negative_weight * max(0, margin - dist)`` per pair; with no
-    negatives the loss is just the sum of positive distances.
-    """
-    if not positives and not negatives:
-        raise EmptyBatchError("contrastive loss on zero pairs")
-    total = 0.0
-    for u, x in positives:
-        rep, _ = numcore.mlp_forward_trace(params.item_mapper, np.asarray(x)[None, :])
-        total += float(np.linalg.norm(u - rep[0]))
-    for u, x in negatives:
-        rep, _ = numcore.mlp_forward_trace(params.item_mapper, np.asarray(x)[None, :])
-        total += params.negative_weight * max(
-            0.0, params.margin - float(np.linalg.norm(u - rep[0]))
-        )
-    return total
-
-
-def baseline_predict(
-    params: BaselineParams, user_rep: np.ndarray, item_feats: np.ndarray
-) -> float:
-    """Negated distance, so that higher scores mean better matches."""
-    rep, _ = numcore.mlp_forward_trace(
-        params.item_mapper, np.asarray(item_feats, dtype=np.float64)[None, :]
-    )
-    return -float(np.linalg.norm(np.asarray(user_rep) - rep[0]))
-
-
 def baseline_loss_and_grad(
     model: BaselineModel,
     pos_pairs: Sequence[tuple[str, str]],
@@ -546,15 +482,10 @@ def baseline_loss_and_grad(
     )
     row_of = {i: r for r, i in enumerate(item_ids)}
     enc = model.item_encoder
-    if enc.mode is EncoderMode.PRETRAINED:
-        feats = np.stack(
-            [np.asarray(features.item_raw(i), dtype=np.float64) for i in item_ids]
-        )
-        idx = None
-    else:
-        idx = np.stack([resolve_indices(enc, features.item_raw(i)) for i in item_ids])
-        feats = encode_indices(enc, idx)
-    reps, caches = numcore.mlp_forward_trace(model.params.item_mapper, feats)
+    rows = feature_rows(enc, [features.item_raw(i) for i in item_ids], "item")
+    reps, caches = numcore.mlp_forward_trace(
+        model.params.item_mapper, encode_rows(enc, rows)
+    )
 
     user_rep = {
         u: reps[[row_of[i] for i in histories[u]]].mean(axis=0) for u in users
@@ -590,31 +521,8 @@ def baseline_loss_and_grad(
         model.params.item_mapper, caches, d_reps
     )
     grads = BaselineModel(
-        _encoder_grad(enc, idx, d_feats),
+        _encoder_grad(enc, rows, d_feats),
         BaselineParams(mapper_grads, model.params.margin, model.params.negative_weight),
     )
     numcore.tree_check_finite(grads, "baseline_loss_and_grad")
     return loss, grads
-
-
-# ---------------------------------------------------------------------------
-# generic prediction dispatch
-# ---------------------------------------------------------------------------
-
-
-def predict(
-    kind: ModelKind,
-    params: numcore.ModelParameters | BaselineParams,
-    user_feat: np.ndarray,
-    item_feat: np.ndarray,
-) -> float:
-    """Score one encoded (user, item) pair for any model kind.
-
-    For BASELINE, ``user_feat`` is the user representation (mapped-history
-    mean) and ``item_feat`` the encoded item features.
-    """
-    if kind is ModelKind.MESH:
-        return float(numcore.score_two_tower(params, user_feat, item_feat))
-    if kind in (ModelKind.MESH_I, ModelKind.WIDE_DEEP):
-        return float(numcore.score_joint(params, user_feat, item_feat))
-    return baseline_predict(params, user_feat, item_feat)

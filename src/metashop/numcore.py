@@ -255,16 +255,6 @@ def _activation_deriv(kind: Activation, z: np.ndarray) -> np.ndarray:
     return np.ones_like(z)
 
 
-def _as_batch(x: Any, dim: int, name: str) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=np.float64)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
-    if arr.ndim != 2 or arr.shape[1] != dim:
-        raise ShapeError(f"{name} has shape {np.shape(x)}, expected (*, {dim})")
-    return arr, single
-
-
 def mlp_forward_trace(
     params: MlpParams, x: np.ndarray
 ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
@@ -286,13 +276,6 @@ def mlp_forward_trace(
         caches.append((h, z))
         h = _apply_activation(act, z)
     return h, caches
-
-
-def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Run the MLP on a single vector (in_dim,) or a batch (n, in_dim)."""
-    xb, single = _as_batch(x, params.in_dim, "x")
-    out, _ = mlp_forward_trace(params, xb)
-    return out[0] if single else out
 
 
 def mlp_backward(
@@ -322,42 +305,6 @@ def mlp_backward(
 # ---------------------------------------------------------------------------
 # scoring
 # ---------------------------------------------------------------------------
-
-
-def score_two_tower(params: ModelParameters, user: np.ndarray, item: np.ndarray):
-    """Dot product of tower outputs. Vectors give a float, batches an (n,) array."""
-    if params.variant is not ModelVariant.TWO_TOWER:
-        raise ShapeError("score_two_tower needs two-tower parameters")
-    u, su = _as_batch(user, params.user_tower.in_dim, "user")
-    v, sv = _as_batch(item, params.item_tower.in_dim, "item")
-    if u.shape[0] != v.shape[0]:
-        raise ShapeError(f"batch sizes differ: {u.shape[0]} vs {v.shape[0]}")
-    hu, _ = mlp_forward_trace(params.user_tower, u)
-    hi, _ = mlp_forward_trace(params.item_tower, v)
-    out = np.sum(hu * hi, axis=1)
-    return float(out[0]) if (su and sv) else out
-
-
-def score_joint(params: ModelParameters, user: np.ndarray, item: np.ndarray):
-    """Joint MLP on the concatenation [user; item]; item may be 0-dimensional."""
-    if params.variant is not ModelVariant.JOINT:
-        raise ShapeError("score_joint needs joint parameters")
-    total = params.joint.in_dim
-    u = np.asarray(user, dtype=np.float64)
-    v = np.asarray(item, dtype=np.float64)
-    single = u.ndim == 1 and v.ndim == 1
-    if u.ndim == 1:
-        u = u[None, :]
-    if v.ndim == 1:
-        v = v[None, :]
-    if u.shape[1] + v.shape[1] != total:
-        raise ShapeError(
-            f"user dim {u.shape[1]} + item dim {v.shape[1]} != joint input {total}"
-        )
-    x = np.concatenate([u, v], axis=1)
-    out, _ = mlp_forward_trace(params.joint, x)
-    out = out[:, 0]
-    return float(out[0]) if single else out
 
 
 @dataclass
@@ -473,26 +420,9 @@ def loss_and_pred_grad(
     return loss, grad
 
 
-def _coerce_batch(batch: Any) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if isinstance(batch, tuple) and len(batch) == 3 and hasattr(batch[0], "ndim"):
-        u, v, y = batch
-        return (
-            np.asarray(u, dtype=np.float64),
-            np.asarray(v, dtype=np.float64),
-            np.asarray(y, dtype=np.float64).ravel(),
-        )
-    rows = list(batch)
-    if not rows:
-        raise EmptyBatchError("gradient on an empty batch")
-    u = np.stack([np.asarray(r[0], dtype=np.float64) for r in rows])
-    v = np.stack([np.asarray(r[1], dtype=np.float64) for r in rows])
-    y = np.asarray([float(r[2]) for r in rows])
-    return u, v, y
-
-
 def loss_gradient(
     params: ModelParameters,
-    batch: Any,
+    batch: tuple[Any, Any, Any],
     loss_kind: LossKind,
     sigmoid_output: bool = False,
 ) -> tuple[float, GradientSet]:
@@ -500,15 +430,16 @@ def loss_gradient(
 
     Args:
         params: scoring parameters.
-        batch: either a sequence of (user_features, item_features, label)
-            triples or a tuple of stacked arrays (U, V, y).
+        batch: stacked arrays (U, V, y) of user features, item features
+            and labels.
         loss_kind: squared error or binary cross-entropy.
         sigmoid_output: squash raw scores through a sigmoid before the loss.
 
     Returns:
         (loss, gradients) with gradients in a parameter-shaped tree.
     """
-    u, v, y = _coerce_batch(batch)
+    u, v, y = (np.asarray(a, dtype=np.float64) for a in batch)
+    y = y.ravel()
     if u.shape[0] == 0:
         raise EmptyBatchError("gradient on an empty batch")
     raw, trace = model_forward_trace(params, u, v)
@@ -634,14 +565,6 @@ def tree_leaves(tree: Any) -> list[np.ndarray]:
 
 def tree_add(a: Any, b: Any) -> Any:
     return tree_map(lambda x, y: x + y, a, b)
-
-
-def tree_scale(tree: Any, factor: float) -> Any:
-    return tree_map(lambda x: factor * x, tree)
-
-
-def tree_zeros_like(tree: Any) -> Any:
-    return tree_map(np.zeros_like, tree)
 
 
 def tree_check_finite(tree: Any, op_name: str) -> None:

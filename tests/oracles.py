@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from metashop.numcore import Activation, MlpParams, tree_leaves, tree_map, tree_zeros_like
+from metashop.numcore import Activation, MlpParams, tree_leaves, tree_map
 
 
 def _act(kind: Activation, z: float) -> float:
@@ -57,7 +57,7 @@ def central_fd_grad(loss_fn, tree, h: float = 1e-4):
     returned tree has the same shape as ``tree`` and holds the FD gradients.
     """
     work = tree_map(lambda a: a.copy(), tree)
-    grads = tree_zeros_like(work)
+    grads = tree_map(np.zeros_like, work)
     for p_leaf, g_leaf in zip(tree_leaves(work), tree_leaves(grads)):
         flat_p = p_leaf.reshape(-1)
         flat_g = g_leaf.reshape(-1)

@@ -8,10 +8,14 @@ pipeline: synthetic data in, checkpoints and reports out.
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metashop.checkpoint import load_checkpoint
 from metashop.cli import load_config, main, parse_config
@@ -180,8 +184,8 @@ SHOPS = _outcomes(
     "{p} must be a list of shop ids",
     {4: Ok(None), 5: "{p}[0] must be a non-empty string, got 1"},
 )
-# synthetic values are not checked when the config is read
-SYNTH = tuple(Ok(v) for v in YAML_VALUES)
+# synthetic numbers are checked against SyntheticSpec but kept as written
+NUMBER_AS_IS = _outcomes("{p} must be a number, got {t}", {0: Ok(2), 1: Ok(2.5)})
 
 
 def _choice(options: str, none=None) -> tuple:
@@ -235,20 +239,20 @@ CONFIG_KEYS = {
     "eval.rating_positive_threshold": NUMBER,
     "eval.candidate_pool": _choice("all_users, observed"),
     "eval.query_mode": _choice("item, user_shop", Ok(None)),
-    "synthetic.n_users": SYNTH,
-    "synthetic.n_items": SYNTH,
-    "synthetic.n_shops": SYNTH,
-    "synthetic.latent_dim": SYNTH,
-    "synthetic.pareto_exponent": SYNTH,
-    "synthetic.noise_std": SYNTH,
-    "synthetic.seed": SYNTH,
-    "synthetic.interactions_per_shop": SYNTH,
-    "synthetic.n_new_shops": SYNTH,
-    "synthetic.shop_effect_std": SYNTH,
-    "synthetic.label_threshold": SYNTH,
-    "synthetic.test_fraction": SYNTH,
-    "synthetic.n_genres": SYNTH,
-    "synthetic.min_shop_size": SYNTH,
+    "synthetic.n_users": INT,
+    "synthetic.n_items": INT,
+    "synthetic.n_shops": INT,
+    "synthetic.latent_dim": INT,
+    "synthetic.pareto_exponent": NUMBER_AS_IS,
+    "synthetic.noise_std": NUMBER_AS_IS,
+    "synthetic.seed": INT,
+    "synthetic.interactions_per_shop": INT,
+    "synthetic.n_new_shops": INT,
+    "synthetic.shop_effect_std": NUMBER_AS_IS,
+    "synthetic.label_threshold": NUMBER_AS_IS,
+    "synthetic.test_fraction": NUMBER_AS_IS,
+    "synthetic.n_genres": INT,
+    "synthetic.min_shop_size": INT,
     "ablation.study": _choice(
         "one_shop, negative_sampling, debias_gamma, task_unit"
     ),
@@ -273,6 +277,7 @@ EDGE_CASES = [
     ("adapt.shops", ["s1", ""], "adapt.shops[1] must be a non-empty string, got ''"),
     ("data.train", "", "data.train must be a non-empty string, got ''"),
     ("train.loss", "", "train.loss must be a non-empty string, got ''"),
+    ("seed", -1, "seed must be >= 0, got -1"),
 ]
 
 
@@ -431,6 +436,54 @@ class TestExitCodes:
         assert code == 3
         assert "numeric error" in capsys.readouterr().err
 
+    def test_checkpoint_that_is_not_an_object_is_two(self, workspace, capsys):
+        cfg_path, out = workspace
+        (out / "checkpoint.json").write_text("[1,2]\n", encoding="utf-8")
+        assert main(["evaluate", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        assert str(out / "checkpoint.json") in err
+
+    @pytest.mark.parametrize("bad", ["shape", "nan"])
+    def test_checkpoint_with_bad_arrays_is_two(self, workspace, capsys, bad):
+        cfg_path, out = workspace
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        ckpt = out / "checkpoint.json"
+        doc = json.loads(ckpt.read_text(encoding="utf-8"))
+        layer = doc["model"]["scorer"]["user_tower"]["layers"][0]
+        if bad == "shape":
+            layer["biases"].append(0.0)
+        else:
+            layer["weights"][0][0] = float("nan")  # json writes a NaN literal
+        ckpt.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["evaluate", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        assert str(ckpt) in err
+
+    @pytest.mark.parametrize("adapt", ["false", "true"])
+    def test_feature_width_mismatch_is_two(self, tmp_path, capsys, adapt):
+        wide, narrow = tmp_path / "wide", tmp_path / "narrow"
+        for out, dim in ((wide, 4), (narrow, 3)):
+            cfg = base_config(out)
+            cfg["synthetic"]["latent_dim"] = dim
+            write_config(tmp_path / f"{out.name}.yaml", cfg)
+            assert main(["gen-data", "--config", str(tmp_path / f"{out.name}.yaml")]) == 0
+        cfg_path = tmp_path / "wide.yaml"
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        capsys.readouterr()
+        code = main(
+            [
+                "evaluate", "--config", str(cfg_path),
+                "--set", f"data.latents={narrow / 'latents.csv'}",
+                "--set", f"eval.adapt={adapt}",
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "data error: user features have 3 dims, expected 4\n"
+        )
+
 
 class TestGenData:
     def test_writes_data_and_manifest(self, workspace):
@@ -460,6 +513,17 @@ class TestGenData:
         assert main(["gen-data", "--config", str(cfg_path)]) == 0
         for name, blob in before.items():
             assert (out / name).read_bytes() == blob
+
+    def test_files_follow_the_umask(self, tmp_path):
+        out = tmp_path / "run"
+        path = write_config(tmp_path / "run.yaml", base_config(out))
+        old = os.umask(0o022)
+        try:
+            assert main(["gen-data", "--config", str(path)]) == 0
+        finally:
+            os.umask(old)
+        for name in ("train.csv", "test.csv", "latents.csv", "gen-data.manifest"):
+            assert (out / name).stat().st_mode & 0o777 == 0o644, name
 
     def test_seed_changes_the_data(self, workspace, tmp_path):
         cfg_path, out = workspace
@@ -932,3 +996,81 @@ class TestPrepMl1m:
             ]
         )
         assert code == 2
+
+
+def _yaml_text(value) -> str:
+    """``value`` as the flow-style YAML a user would type after ``--set key=``."""
+    text = yaml.safe_dump(value, default_flow_style=True, width=1000)
+    return text.removesuffix("\n...\n").removesuffix("\n")
+
+
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=8)
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_KEYS = st.sampled_from(
+    sorted(CONFIG_KEYS)
+    + ["data", "synthetic", "train.warmup", "eval.adapt.deep", "bogus", "seed.x"]
+) | st.text(alphabet="abtrin._", min_size=1, max_size=12)
+_OVERRIDES = st.lists(
+    st.builds(
+        lambda key, value: f"{key}={value}",
+        _KEYS,
+        _VALUES.map(_yaml_text) | st.text(max_size=10),
+    )
+    | st.text(max_size=12),
+    max_size=4,
+)
+
+# gen-data really runs, so sizes stay small enough to generate in milliseconds
+_SYNTH_VALUES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 40)
+    | st.floats(-3.0, 5.0)
+    | st.sampled_from([float("nan"), float("inf"), -float("inf")])
+    | st.text(max_size=5)
+    | st.lists(st.integers(0, 3), max_size=2)
+)
+_SYNTH_OVERRIDES = st.lists(
+    st.builds(
+        lambda key, value: f"{key}={_yaml_text(value)}",
+        st.sampled_from(
+            sorted(k for k in CONFIG_KEYS if k.startswith("synthetic."))
+            + ["synthetic.n_planets", "seed"]
+        ),
+        _SYNTH_VALUES,
+    ),
+    max_size=4,
+)
+
+
+class TestOverrideProperties:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(overrides=_OVERRIDES)
+    def test_load_config_returns_or_raises_config_error(self, overrides):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_config(Path(tmp) / "c.yaml", base_config(Path(tmp) / "run"))
+            try:
+                load_config(path, overrides)
+            except ConfigError:
+                pass
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(overrides=_SYNTH_OVERRIDES)
+    def test_gen_data_exits_with_a_documented_code(self, overrides):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_config(Path(tmp) / "c.yaml", base_config(Path(tmp) / "run"))
+            argv = ["gen-data", "--config", str(path)]
+            for item in overrides:
+                argv += ["--set", item]
+            assert main(argv) in (0, 1, 2)

@@ -25,7 +25,6 @@ from metashop.evaluation import (
 from metashop.metrics import RecallMode
 from metashop.models import (
     ModelKind,
-    baseline_predict,
     build_baseline,
     build_model,
     prepare_batch,
@@ -33,7 +32,14 @@ from metashop.models import (
     pretrained_encoder,
 )
 
+from metashop.numcore import mlp_forward_trace
+
 from oracles import ndcg_oracle
+
+
+def mapped(model, x) -> np.ndarray:
+    """One item's features through the baseline's item mapper."""
+    return mlp_forward_trace(model.params.item_mapper, np.asarray(x)[None, :])[0][0]
 
 
 @dataclass(frozen=True)
@@ -179,18 +185,12 @@ class TestScoreMatrix:
         mat = baseline_score_matrix(model, reps, ["u0", "u1", "cold"], items, feats)
         for r, u in enumerate(["u0", "u1", "cold"]):
             for c, i in enumerate(items):
-                want = baseline_predict(
-                    model.params, reps[u], feats.item_raw(i)
-                )
+                want = -np.linalg.norm(reps[u] - mapped(model, feats.item_raw(i)))
                 assert mat[r, c] == pytest.approx(want, rel=1e-10, abs=1e-12)
         # the cold user's representation is the catalog mean of mapped items
-        from metashop.numcore import mlp_forward
-
         catalog = sorted({i for h in histories.values() for i in h})
-        mapped = np.stack(
-            [mlp_forward(model.params.item_mapper, feats.item_raw(i)) for i in catalog]
-        )
-        np.testing.assert_allclose(reps["cold"], mapped.mean(axis=0), rtol=1e-12)
+        rows = np.stack([mapped(model, feats.item_raw(i)) for i in catalog])
+        np.testing.assert_allclose(reps["cold"], rows.mean(axis=0), rtol=1e-12)
 
     def test_baseline_requires_histories_in_pipeline(self):
         pool, tasks, _ = binary_world()

@@ -10,6 +10,7 @@ import pytest
 
 from metashop.errors import (
     ColdUserError,
+    DataError,
     EmptyBatchError,
     OutOfVocabularyError,
     ShapeError,
@@ -21,23 +22,21 @@ from metashop.models import (
     FeatureEncoder,
     FieldSpec,
     ModelKind,
-    baseline_contrastive_loss,
     baseline_loss_and_grad,
-    baseline_predict,
-    baseline_user_representation,
     build_baseline,
     build_categorical_encoder,
     build_model,
     encode,
     model_loss_and_grad,
-    predict,
     prepare_batch,
     pretrained_encoder,
 )
+from metashop.evaluation import baseline_score_matrix, baseline_user_reps, score_matrix
 from metashop.numcore import (
     LossKind,
+    ModelVariant,
     init_mlp,
-    mlp_forward,
+    mlp_forward_trace,
     sgd_step,
     tree_allclose,
 )
@@ -87,7 +86,7 @@ class TestEncoders:
     def test_pretrained_passthrough_and_dim_check(self):
         enc = pretrained_encoder(3)
         np.testing.assert_array_equal(encode(enc, [1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
-        with pytest.raises(ShapeError):
+        with pytest.raises(DataError, match="2 dims, expected 3"):
             encode(enc, [1.0, 2.0])
 
     def test_zero_dim_side_is_allowed(self):
@@ -139,10 +138,11 @@ class TestRecModel:
         recs = [Rec("u0", "i0", 1.0), Rec("u1", "i2", 0.0)]
         batch = prepare_batch(recs, feats, model.user_encoder, model.item_encoder)
         assert batch.size == 2
-        np.testing.assert_array_equal(batch.user_feats[1], feats.users["u1"])
-        assert batch.user_idx is None
+        np.testing.assert_array_equal(batch.user_rows[1], feats.users["u1"])
         with pytest.raises(EmptyBatchError):
             prepare_batch([], feats, model.user_encoder, model.item_encoder)
+        with pytest.raises(DataError, match="item features have 2 dims, expected 3"):
+            prepare_batch(recs, feats, model.user_encoder, pretrained_encoder(3))
 
     @pytest.mark.parametrize("kind", [ModelKind.MESH, ModelKind.MESH_I])
     def test_gradients_match_fd_with_embedding_tables(self, kind):
@@ -218,16 +218,18 @@ class TestBaseline:
     def test_user_representation_is_mean_of_mapped_items(self):
         model = self.setup_model()
         xs = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
-        rep = baseline_user_representation(model.params, xs)
+        feats = DictFeatures({}, {f"i{k}": x for k, x in enumerate(xs)})
+        reps = baseline_user_reps(model, {"u": ["i0", "i1", "i2"]}, feats, ["u"])
         mapped = np.stack(
-            [mlp_forward(model.params.item_mapper, x) for x in xs]
+            [mlp_forward_trace(model.params.item_mapper, x[None, :])[0][0] for x in xs]
         )
-        np.testing.assert_allclose(rep, mapped.mean(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(reps["u"], mapped.mean(axis=0), rtol=1e-12)
 
     def test_cold_user_raises(self):
         model = self.setup_model()
+        feats = DictFeatures({}, {"i0": np.zeros(2)})
         with pytest.raises(ColdUserError):
-            baseline_user_representation(model.params, np.zeros((0, 2)))
+            baseline_loss_and_grad(model, [("u0", "i0")], [], {"u0": ()}, feats)
 
     def test_contrastive_loss_closed_forms(self):
         # identity mapper so distances are plain Euclidean
@@ -235,34 +237,43 @@ class TestBaseline:
         eye = mapper.layers[0]
         object.__setattr__(eye, "weights", np.eye(2))
         object.__setattr__(eye, "biases", np.zeros(2))
-        params = BaselineParams(mapper, margin=1.0, negative_weight=2.0)
-        u = np.array([0.0, 0.0])
-        near = np.array([0.3, 0.4])  # distance 0.5
-        far = np.array([3.0, 4.0])  # distance 5
+        model = BaselineModel(
+            pretrained_encoder(2),
+            BaselineParams(mapper, margin=1.0, negative_weight=2.0),
+        )
+        # the user's only purchase sits at the origin
+        feats = DictFeatures(
+            {},
+            {
+                "origin": np.array([0.0, 0.0]),
+                "near": np.array([0.3, 0.4]),  # distance 0.5
+                "far": np.array([3.0, 4.0]),  # distance 5
+            },
+        )
+        hist = {"u": ("origin",)}
+
+        def loss(pos, neg):
+            return baseline_loss_and_grad(model, pos, neg, hist, feats)[0]
+
         # positives only: sum of distances
         assert math.isclose(
-            baseline_contrastive_loss(params, [(u, near), (u, far)], []),
-            5.5,
-            rel_tol=1e-12,
+            loss([("u", "near"), ("u", "far")], []), 5.5, rel_tol=1e-12
         )
         # negative inside the margin contributes weight * (margin - d)
-        assert math.isclose(
-            baseline_contrastive_loss(params, [], [(u, near)]), 2.0 * 0.5,
-            rel_tol=1e-12,
-        )
+        assert math.isclose(loss([], [("u", "near")]), 2.0 * 0.5, rel_tol=1e-12)
         # negative outside the margin contributes nothing
-        assert baseline_contrastive_loss(params, [], [(u, far)]) == 0.0
+        assert loss([], [("u", "far")]) == 0.0
         with pytest.raises(EmptyBatchError):
-            baseline_contrastive_loss(params, [], [])
+            loss([], [])
 
     def test_predict_is_negated_distance(self):
         model = self.setup_model()
         x = np.array([0.5, -0.2])
-        rep = mlp_forward(model.params.item_mapper, x)
+        rep = mlp_forward_trace(model.params.item_mapper, x[None, :])[0][0]
         u = rep + np.array([0.0, 0.1, 0.0])
-        assert math.isclose(
-            baseline_predict(model.params, u, x), -0.1, rel_tol=1e-9
-        )
+        feats = DictFeatures({}, {"x": x})
+        scores = baseline_score_matrix(model, {"u": u}, ["u"], ["x"], feats)
+        assert math.isclose(scores[0, 0], -0.1, rel_tol=1e-9)
 
     def test_gradient_matches_fd(self):
         rng = np.random.default_rng(31)
@@ -308,6 +319,7 @@ class TestPredictDispatch:
     def test_kinds_route_to_their_scorers(self):
         rng = np.random.default_rng(2)
         u, v = rng.normal(size=3), rng.normal(size=2)
+        feats = DictFeatures({"u": u}, {"v": v})
         mesh = build_model(
             ModelKind.MESH, pretrained_encoder(3), pretrained_encoder(2), [4], 1
         )
@@ -317,10 +329,12 @@ class TestPredictDispatch:
         wide = build_model(
             ModelKind.WIDE_DEEP, pretrained_encoder(3), pretrained_encoder(2), [4], 1
         )
-        assert isinstance(predict(ModelKind.MESH, mesh.scorer, u, v), float)
-        assert predict(ModelKind.MESH_I, joint.scorer, u, v) == predict(
-            ModelKind.WIDE_DEEP, wide.scorer, u, v
+        assert mesh.scorer.variant is ModelVariant.TWO_TOWER
+        assert joint.scorer.variant is wide.scorer.variant is ModelVariant.JOINT
+        assert score_matrix(mesh, ["u"], ["v"], feats).shape == (1, 1)
+        assert score_matrix(joint, ["u"], ["v"], feats) == score_matrix(
+            wide, ["u"], ["v"], feats
         )
         base = build_baseline(pretrained_encoder(2), [3], 5)
-        rep = baseline_user_representation(base.params, v[None, :])
-        assert predict(ModelKind.BASELINE, base.params, rep, v) <= 0.0
+        reps = baseline_user_reps(base, {"u": ["v"]}, feats, ["u"])
+        assert baseline_score_matrix(base, reps, ["u"], ["v"], feats)[0, 0] <= 0.0

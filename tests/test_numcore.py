@@ -23,9 +23,8 @@ from metashop.numcore import (
     init_mlp,
     init_two_tower,
     loss_gradient,
-    mlp_forward,
-    score_joint,
-    score_two_tower,
+    mlp_forward_trace,
+    model_forward_trace,
     sgd_step,
     sigmoid,
     squared_loss,
@@ -33,8 +32,6 @@ from metashop.numcore import (
     tree_allclose,
     tree_leaves,
     tree_map,
-    tree_scale,
-    tree_zeros_like,
 )
 
 from oracles import (
@@ -56,11 +53,23 @@ def one_param_model(theta: float) -> ModelParameters:
     )
 
 
+def forward_one(mlp: MlpParams, x) -> np.ndarray:
+    """One input vector through the batched forward pass."""
+    out, _ = mlp_forward_trace(mlp, np.asarray(x, dtype=np.float64)[None, :])
+    return out[0]
+
+
+def score(params: ModelParameters, u, v) -> float:
+    """The raw score of one (user, item) pair."""
+    raw, _ = model_forward_trace(params, np.atleast_2d(u), np.atleast_2d(v))
+    return float(raw[0])
+
+
 class TestForward:
     def test_single_linear_layer_example(self):
         layer = DenseLayerParams(np.array([[2.0]]), np.array([1.0]))
         mlp = MlpParams((layer,), (Activation.IDENTITY,))
-        out = mlp_forward(mlp, np.array([3.0]))
+        out = forward_one(mlp, np.array([3.0]))
         np.testing.assert_allclose(out, [7.0])
 
     def test_matches_loop_oracle(self):
@@ -70,7 +79,7 @@ class TestForward:
             final = rng.choice([Activation.IDENTITY, Activation.SIGMOID])
             mlp = init_mlp(dims, np.random.default_rng(trial), final_activation=final)
             x = rng.normal(size=dims[0])
-            got = mlp_forward(mlp, x)
+            got = forward_one(mlp, x)
             want = mlp_forward_loop(mlp, x)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
@@ -78,9 +87,9 @@ class TestForward:
         rng = np.random.default_rng(3)
         mlp = init_mlp([4, 5, 2], rng)
         xs = rng.normal(size=(6, 4))
-        batch = mlp_forward(mlp, xs)
+        batch, _ = mlp_forward_trace(mlp, xs)
         for i in range(6):
-            np.testing.assert_allclose(batch[i], mlp_forward(mlp, xs[i]))
+            np.testing.assert_allclose(batch[i], forward_one(mlp, xs[i]))
 
     def test_two_tower_is_dot_of_towers(self):
         rng = np.random.default_rng(5)
@@ -90,7 +99,7 @@ class TestForward:
         hu = mlp_forward_loop(params.user_tower, u)
         hi = mlp_forward_loop(params.item_tower, v)
         want = sum(a * b for a, b in zip(hu, hi))
-        assert math.isclose(score_two_tower(params, u, v), want, rel_tol=1e-12)
+        assert math.isclose(score(params, u, v), want, rel_tol=1e-12)
 
     def test_joint_is_mlp_on_concat(self):
         rng = np.random.default_rng(7)
@@ -98,17 +107,19 @@ class TestForward:
         u = rng.normal(size=3)
         v = rng.normal(size=2)
         want = mlp_forward_loop(params.joint, list(u) + list(v))[0]
-        assert math.isclose(score_joint(params, u, v), want, rel_tol=1e-12)
+        assert math.isclose(score(params, u, v), want, rel_tol=1e-12)
 
     def test_zero_width_item_side(self):
         model = one_param_model(2.0)
-        assert score_joint(model, np.array([3.0]), np.array([])) == 6.0
+        assert score(model, np.array([[3.0]]), np.zeros((1, 0))) == 6.0
 
     def test_shape_errors(self):
         rng = np.random.default_rng(0)
-        mlp = init_mlp([3, 2], rng)
+        joint = init_joint([3, 1], rng)
         with pytest.raises(ShapeError):
-            mlp_forward(mlp, np.zeros(4))
+            model_forward_trace(joint, np.zeros((1, 2)), np.zeros((1, 2)))
+        with pytest.raises(ShapeError):
+            model_forward_trace(joint, np.zeros((2, 2)), np.zeros((1, 1)))
         with pytest.raises(ShapeError):
             MlpParams((), ())
         with pytest.raises(ShapeError):
@@ -155,7 +166,8 @@ class TestLosses:
         with pytest.raises(EmptyBatchError):
             squared_loss([], [])
         with pytest.raises(EmptyBatchError):
-            loss_gradient(one_param_model(1.0), [], LossKind.SQUARED)
+            empty = (np.zeros((0, 1)), np.zeros((0, 0)), np.zeros(0))
+            loss_gradient(one_param_model(1.0), empty, LossKind.SQUARED)
 
     def test_length_mismatch_raises(self):
         with pytest.raises(ShapeError):
@@ -169,7 +181,7 @@ class TestLosses:
 class TestGradients:
     def test_one_param_closed_form(self):
         # y_hat = theta x, squared loss; d/dtheta = 2(theta x - y) x
-        batch = [(np.array([1.0]), np.array([]), 1.0)]
+        batch = (np.array([[1.0]]), np.zeros((1, 0)), np.array([1.0]))
         loss, grads = loss_gradient(one_param_model(0.0), batch, LossKind.SQUARED)
         assert loss == 1.0
         assert grads.joint.layers[0].weights[0, 0] == -2.0
@@ -203,19 +215,6 @@ class TestGradients:
 
             fd = central_fd_grad(fd_loss, params)
             assert grads_close(grads, fd), f"trial {trial}"
-
-    def test_triple_list_and_array_batches_agree(self):
-        rng = np.random.default_rng(9)
-        params = init_two_tower([2, 3], [2, 3], rng)
-        u = rng.normal(size=(4, 2))
-        v = rng.normal(size=(4, 2))
-        y = rng.uniform(size=4)
-        l1, g1 = loss_gradient(params, (u, v, y), LossKind.SQUARED)
-        l2, g2 = loss_gradient(
-            params, [(u[i], v[i], y[i]) for i in range(4)], LossKind.SQUARED
-        )
-        assert l1 == l2
-        assert tree_allclose(g1, g2)
 
 
 class TestOptimisers:
@@ -284,8 +283,8 @@ class TestTreeUtilities:
 
     def test_add_scale_zeros(self):
         params = init_mlp([2, 2, 1], np.random.default_rng(7))
-        total = tree_add(params, tree_scale(params, -1.0))
-        assert tree_allclose(total, tree_zeros_like(params), atol=0.0)
+        total = tree_add(params, tree_map(lambda x: -1.0 * x, params))
+        assert tree_allclose(total, tree_map(np.zeros_like, params), atol=0.0)
 
     def test_map_over_dicts(self):
         tree = {"a": np.ones(2), "b": {"c": np.zeros((2, 2))}}
