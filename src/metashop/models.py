@@ -60,14 +60,20 @@ class FeatureSource(Protocol):
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """One categorical field: name plus its ordered vocabulary."""
+    """One categorical field: name plus its ordered vocabulary.
+
+    ``positions`` maps each category to its table row.
+    """
 
     name: str
     categories: tuple[str, ...]
+    positions: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "categories", tuple(self.categories))
-        if len(set(self.categories)) != len(self.categories):
+        positions = {c: j for j, c in enumerate(self.categories)}
+        object.__setattr__(self, "positions", positions)
+        if len(positions) != len(self.categories):
             raise ShapeError(f"field {self.name!r} has duplicate categories")
         if not self.categories:
             raise ShapeError(f"field {self.name!r} has an empty vocabulary")
@@ -89,7 +95,10 @@ class FeatureEncoder:
 
     mode: EncoderMode
     dim: int
-    fields: tuple[FieldSpec, ...] = ()
+    # vocabularies hold no parameters; the tree utilities leave them alone
+    fields: tuple[FieldSpec, ...] = field(
+        default=(), metadata={numcore.STATIC: True}
+    )
     tables: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -160,8 +169,8 @@ def resolve_indices(encoder: FeatureEncoder, raw: Any) -> np.ndarray:
                 raise OutOfVocabularyError(f"missing field {f.name!r}")
             value = raw[f.name]
             try:
-                idx[j] = f.categories.index(value)
-            except ValueError:
+                idx[j] = f.positions[value]
+            except (KeyError, TypeError):
                 raise OutOfVocabularyError(
                     f"unknown category {value!r} for field {f.name!r}"
                 ) from None

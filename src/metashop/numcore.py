@@ -518,11 +518,18 @@ def adam_step(
 # ---------------------------------------------------------------------------
 
 
+# Dataclass field metadata key: the field holds no arrays, so the tree
+# utilities skip it and tree_map keeps the first tree's value.
+STATIC = "metashop_static"
+
+
 def tree_map(fn: Callable[..., np.ndarray], tree: Any, *rest: Any) -> Any:
     """Apply ``fn`` to every ndarray leaf of ``tree`` (zipped with ``rest``).
 
     Containers (dataclasses, dicts, tuples, lists) are rebuilt; non-array
-    leaves (enums, ints, strings, None) pass through from the first tree.
+    leaves (enums, ints, strings, None) pass through from the first tree, as
+    do dataclass fields marked ``STATIC`` (such as vocabularies), which are
+    not walked at all.
     """
     if isinstance(tree, np.ndarray):
         return fn(tree, *rest)
@@ -537,6 +544,7 @@ def tree_map(fn: Callable[..., np.ndarray], tree: Any, *rest: Any) -> Any:
                 fn, getattr(tree, f.name), *(getattr(r, f.name) for r in rest)
             )
             for f in dataclasses.fields(tree)
+            if not f.metadata.get(STATIC)
         }
         return dataclasses.replace(tree, **kwargs)
     return tree
@@ -557,7 +565,8 @@ def tree_leaves(tree: Any) -> list[np.ndarray]:
                 visit(v)
         elif dataclasses.is_dataclass(t) and not isinstance(t, type):
             for f in dataclasses.fields(t):
-                visit(getattr(t, f.name))
+                if not f.metadata.get(STATIC):
+                    visit(getattr(t, f.name))
 
     visit(tree)
     return out

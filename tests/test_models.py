@@ -39,6 +39,8 @@ from metashop.numcore import (
     mlp_forward_trace,
     sgd_step,
     tree_allclose,
+    tree_leaves,
+    tree_map,
 )
 
 from oracles import central_fd_grad, grads_close
@@ -82,6 +84,17 @@ class TestEncoders:
             encode(enc, (2,))
         with pytest.raises(OutOfVocabularyError):
             encode(enc, {"shade": "red"})
+        with pytest.raises(OutOfVocabularyError):
+            encode(enc, {"color": ["red"]})  # unhashable, so not a category
+
+    def test_tree_utilities_skip_the_vocabulary(self):
+        enc = build_categorical_encoder([("color", ["red", "blue"])], 2, 5)
+        doubled = tree_map(lambda a: 2.0 * a, enc)
+        assert doubled.fields is enc.fields
+        np.testing.assert_array_equal(
+            doubled.tables["color"], 2.0 * enc.tables["color"]
+        )
+        assert len(tree_leaves(enc)) == 1
 
     def test_pretrained_passthrough_and_dim_check(self):
         enc = pretrained_encoder(3)
