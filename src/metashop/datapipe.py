@@ -627,6 +627,9 @@ class SyntheticSpec:
             raise ConfigError("pareto_exponent must be positive")
         if self.noise_std < 0 or self.shop_effect_std < 0:
             raise ConfigError("std values must be >= 0")
+        for name in ("noise_std", "shop_effect_std", "label_threshold"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError("test_fraction must be in (0, 1)")
         if self.n_genres < 2:
@@ -687,6 +690,10 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticData:
     W = rng.normal(0.0, 1.0, (spec.n_shops, d)) * scale * spec.shop_effect_std
 
     raw = rng.pareto(spec.pareto_exponent, spec.n_shops) + 1.0
+    if not math.isfinite(raw.sum()):
+        raise ConfigError(
+            f"pareto_exponent {spec.pareto_exponent} draws non-finite shop sizes"
+        )
     sizes = np.maximum(
         spec.min_shop_size,
         np.round(raw / raw.sum() * spec.interactions_per_shop * spec.n_shops).astype(int),

@@ -319,6 +319,7 @@ def _item_queries(
         pool = sorted({r.user_id for r in task.query})
     items = sorted({r.item_id for r in task.query})
     pool_row = {u: i for i, u in enumerate(pool)}
+    item_col = {i: j for j, i in enumerate(items)}
     scores = _scores_for_task(model, pool, items, features, baseline_histories)
     positives: dict[str, set[str]] = {i: set() for i in items}
     observed: dict[str, tuple[list[float], list[float]]] = {i: ([], []) for i in items}
@@ -329,14 +330,13 @@ def _item_queries(
             )
         if r.label > 0:
             positives[r.item_id].add(r.user_id)
+        preds, labels = observed[r.item_id]
+        preds.append(float(scores[pool_row[r.user_id], item_col[r.item_id]]))
+        labels.append(r.label)
     out = []
     degenerate = 0
     for j, item in enumerate(items):
         col = scores[:, j]
-        for r in task.query:
-            if r.item_id == item:
-                observed[item][0].append(float(col[pool_row[r.user_id]]))
-                observed[item][1].append(r.label)
         score_map = {u: float(col[pool_row[u]]) for u in pool}
         relevance = {u: 1.0 for u in positives[item]}
         pred = RankedPrediction.from_scores(

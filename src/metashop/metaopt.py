@@ -13,6 +13,12 @@ option2 adds ``gamma * mean(scores)`` to LARGE tasks (hold large-shop scores
 down). The same term appears in a task's local update and its query-set
 gradient. With gamma == 0 the regularizer code path is skipped entirely, so
 the step is bit-identical to meta_train_step.
+
+meta_train resolves each task's support and query records into batches once
+per call, the first time the task is drawn, and hands the resolved tasks to
+the step functions; a per-step query subsample is a seeded pick of rows from
+the resolved query batch. The step functions also accept plain ShopTasks,
+which they resolve through the same helper.
 """
 
 from __future__ import annotations
@@ -118,7 +124,9 @@ def regularizer_option2(scores: np.ndarray) -> float:
     return float(np.mean(scores))
 
 
-def _penalty_for(task: ShopTask, cfg: MetaConfig) -> tuple[float, float] | None:
+def _penalty_for(
+    task: ShopTask | _ResolvedTask, cfg: MetaConfig
+) -> tuple[float, float] | None:
     """The (a, c) of ``a * mean(pred) + c`` this task's objective carries."""
     if cfg.gamma == 0.0:
         return None
@@ -151,15 +159,53 @@ def local_adapt(
 ) -> RecModel:
     """K full-batch SGD steps on the support set; the input model is unchanged."""
     batch = prepare_batch(support, features, model.user_encoder, model.item_encoder)
+    return _adapt(model, batch, cfg, pred_penalty)
+
+
+def _adapt(
+    model: RecModel,
+    batch: Batch,
+    cfg: MetaConfig,
+    pred_penalty: tuple[float, float] | None,
+) -> RecModel:
     for _ in range(cfg.local_steps):
         _, grads = model_loss_and_grad(model, batch, cfg.loss_kind, pred_penalty)
         model = numcore.sgd_step(model, grads, cfg.alpha)
     return model
 
 
+@dataclass(frozen=True)
+class _ResolvedTask:
+    """A task with its support and query records resolved into batches."""
+
+    shop_id: str
+    size_class: SizeClass | None
+    support: Batch
+    query: Batch
+
+
+def _resolve(
+    task: ShopTask | _ResolvedTask, features: FeatureSource, model: RecModel
+) -> _ResolvedTask:
+    """Resolve a task's records; an already resolved task comes back as is.
+
+    The batches depend only on the encoders' modes and vocabularies, which
+    training never changes, so they stay valid for every later step.
+    """
+    if isinstance(task, _ResolvedTask):
+        return task
+    enc = (model.user_encoder, model.item_encoder)
+    return _ResolvedTask(
+        task.shop_id,
+        task.size_class,
+        prepare_batch(task.support, features, *enc),
+        prepare_batch(task.query, features, *enc),
+    )
+
+
 def _meta_step(
     model: RecModel,
-    tasks: Sequence[ShopTask],
+    tasks: Sequence[ShopTask | _ResolvedTask],
     features: FeatureSource,
     cfg: MetaConfig,
     outer_state: numcore.AdamState | None,
@@ -171,12 +217,10 @@ def _meta_step(
     total_grads = None
     loss_sum = 0.0
     for task in ordered:
+        task = _resolve(task, features, model)
         penalty = _penalty_for(task, cfg) if regularized else None
-        adapted = local_adapt(model, task.support, features, cfg, penalty)
-        query = prepare_batch(
-            task.query, features, model.user_encoder, model.item_encoder
-        )
-        loss, grads = model_loss_and_grad(adapted, query, cfg.loss_kind, penalty)
+        adapted = _adapt(model, task.support, cfg, penalty)
+        loss, grads = model_loss_and_grad(adapted, task.query, cfg.loss_kind, penalty)
         loss_sum += loss
         total_grads = grads if total_grads is None else numcore.tree_add(total_grads, grads)
     if cfg.outer_optimizer is OuterOptimizer.SGD:
@@ -200,7 +244,8 @@ def meta_train_step(
     Returns (updated model, outer optimiser state, mean query loss). The
     query gradients are evaluated at each task's adapted parameters and
     summed in ascending task-id order; the global update starts from the
-    original shared parameters.
+    original shared parameters. Plain ShopTasks are resolved into batches
+    here; meta_train passes tasks it has already resolved.
     """
     return _meta_step(model, tasks, features, cfg, outer_state, regularized=False)
 
@@ -262,9 +307,12 @@ def meta_train(
 
     Task batches are drawn without replacement within an epoch and the order
     is reshuffled (seeded) at each epoch boundary; the final batch of an
-    epoch may be smaller. ``query_batch_size`` subsamples each task's query
-    set per step. ``early_stop_patience`` stops when the best mean query
-    loss has not improved for that many steps.
+    epoch may be smaller. Each task's support and query records are resolved
+    into batches the first time the task is drawn and reused for the rest of
+    the call. ``query_batch_size`` subsamples each task's query set per step
+    as a seeded pick of rows from its resolved query batch.
+    ``early_stop_patience`` stops when the best mean query loss has not
+    improved for that many steps.
     """
     if steps < 0:
         raise ConfigError(f"steps must be >= 0, got {steps}")
@@ -272,6 +320,7 @@ def meta_train(
         raise EmptyBatchError("meta_train with no tasks")
     rng = np.random.default_rng([cfg.seed, 23])
     queue: list[int] = []
+    resolved: dict[int, _ResolvedTask] = {}
     history = TrainHistory()
     state: numcore.AdamState | None = None
     best = math.inf
@@ -282,7 +331,10 @@ def meta_train(
             queue = list(rng.permutation(len(tasks)))
         take = queue[: cfg.shop_batch_size]
         queue = queue[cfg.shop_batch_size :]
-        batch_tasks = [tasks[i] for i in take]
+        for i in sorted(take, key=lambda j: tasks[j].shop_id):
+            if i not in resolved:
+                resolved[i] = _resolve(tasks[i], features, model)
+        batch_tasks = [resolved[i] for i in take]
         if cfg.query_batch_size is not None:
             batch_tasks = [
                 _subsample_query(t, cfg.query_batch_size, rng) for t in batch_tasks
@@ -297,15 +349,15 @@ def meta_train(
     return model, history
 
 
-def _subsample_query(task: ShopTask, size: int, rng: np.random.Generator) -> ShopTask:
-    if len(task.query) <= size:
+def _subsample_query(
+    task: _ResolvedTask, size: int, rng: np.random.Generator
+) -> _ResolvedTask:
+    """Keep ``size`` query rows, picked by the seeded rng, in record order."""
+    if task.query.size <= size:
         return task
-    picks = sorted(rng.choice(len(task.query), size=size, replace=False).tolist())
-    return ShopTask(
-        task.shop_id,
-        task.support,
-        tuple(task.query[i] for i in picks),
-        task.size_class,
+    picks = np.sort(rng.choice(task.query.size, size=size, replace=False))
+    return _ResolvedTask(
+        task.shop_id, task.size_class, task.support, _slice_batch(task.query, picks)
     )
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -523,13 +524,30 @@ def adam_step(
 STATIC = "metashop_static"
 
 
+@functools.cache
+def _tree_fields(cls: type) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
+    """(walked, static) init field names of a dataclass type, else None.
+
+    Fields with ``init=False`` are left out: the constructor derives them.
+    """
+    if not dataclasses.is_dataclass(cls):
+        return None
+    init = [f for f in dataclasses.fields(cls) if f.init]
+    return (
+        tuple(f.name for f in init if not f.metadata.get(STATIC)),
+        tuple(f.name for f in init if f.metadata.get(STATIC)),
+    )
+
+
 def tree_map(fn: Callable[..., np.ndarray], tree: Any, *rest: Any) -> Any:
     """Apply ``fn`` to every ndarray leaf of ``tree`` (zipped with ``rest``).
 
     Containers (dataclasses, dicts, tuples, lists) are rebuilt; non-array
     leaves (enums, ints, strings, None) pass through from the first tree, as
     do dataclass fields marked ``STATIC`` (such as vocabularies), which are
-    not walked at all.
+    not walked at all. A dataclass is rebuilt by calling its constructor
+    with every init field, so its ``__post_init__`` checks still run; the
+    field lists are looked up once per class.
     """
     if isinstance(tree, np.ndarray):
         return fn(tree, *rest)
@@ -538,20 +556,24 @@ def tree_map(fn: Callable[..., np.ndarray], tree: Any, *rest: Any) -> Any:
     if isinstance(tree, (tuple, list)):
         vals = [tree_map(fn, v, *(r[i] for r in rest)) for i, v in enumerate(tree)]
         return type(tree)(vals)
-    if dataclasses.is_dataclass(tree) and not isinstance(tree, type):
-        kwargs = {
-            f.name: tree_map(
-                fn, getattr(tree, f.name), *(getattr(r, f.name) for r in rest)
-            )
-            for f in dataclasses.fields(tree)
-            if not f.metadata.get(STATIC)
-        }
-        return dataclasses.replace(tree, **kwargs)
-    return tree
+    names = _tree_fields(type(tree))
+    if names is None:
+        return tree
+    walked, static = names
+    kwargs = {
+        n: tree_map(fn, getattr(tree, n), *(getattr(r, n) for r in rest))
+        for n in walked
+    }
+    for n in static:
+        kwargs[n] = getattr(tree, n)
+    return type(tree)(**kwargs)
 
 
 def tree_leaves(tree: Any) -> list[np.ndarray]:
-    """All ndarray leaves in deterministic (construction) order."""
+    """All ndarray leaves in deterministic (construction) order.
+
+    Dataclasses are walked by the same cached field lists as tree_map.
+    """
     out: list[np.ndarray] = []
 
     def visit(t: Any) -> None:
@@ -563,10 +585,11 @@ def tree_leaves(tree: Any) -> list[np.ndarray]:
         elif isinstance(t, (tuple, list)):
             for v in t:
                 visit(v)
-        elif dataclasses.is_dataclass(t) and not isinstance(t, type):
-            for f in dataclasses.fields(t):
-                if not f.metadata.get(STATIC):
-                    visit(getattr(t, f.name))
+        else:
+            names = _tree_fields(type(t))
+            if names is not None:
+                for n in names[0]:
+                    visit(getattr(t, n))
 
     visit(tree)
     return out

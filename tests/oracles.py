@@ -2,6 +2,9 @@
 
 Everything here is deliberately written the slow way (Python loops, scalar
 arithmetic, brute-force enumeration) so it shares no code with the package.
+The one exception is meta_train_per_step: it drives the package's own step
+functions, and checks only that meta_train's resolve-once cache changes
+nothing.
 """
 
 from __future__ import annotations
@@ -10,6 +13,8 @@ import math
 
 import numpy as np
 
+from metashop.datapipe import ShopTask
+from metashop.metaopt import fmst_train_step, meta_train_step
 from metashop.numcore import Activation, MlpParams, tree_leaves, tree_map
 
 
@@ -93,6 +98,41 @@ def adam_trace_scalar(p0: float, grad_seq, stepsize: float) -> list[float]:
         p = p - stepsize * mhat / (math.sqrt(vhat) + eps)
         out.append(p)
     return out
+
+
+def meta_train_per_step(model, tasks, features, cfg, steps, regularized=False):
+    """meta_train without its resolve-once cache, for comparison.
+
+    Draws the same seeded task batches and query subsamples, but builds each
+    subsample as a new ShopTask of the picked records and hands plain tasks
+    to the step function, which resolves every record again on every step.
+    Returns (model, per-step losses).
+    """
+    rng = np.random.default_rng([cfg.seed, 23])
+    step_fn = fmst_train_step if regularized else meta_train_step
+    queue: list = []
+    losses = []
+    state = None
+    for _ in range(steps):
+        if not queue:
+            queue = list(rng.permutation(len(tasks)))
+        take, queue = queue[: cfg.shop_batch_size], queue[cfg.shop_batch_size :]
+        batch = []
+        for i in take:
+            task = tasks[i]
+            size = cfg.query_batch_size
+            if size is not None and len(task.query) > size:
+                picks = sorted(rng.choice(len(task.query), size=size, replace=False))
+                task = ShopTask(
+                    task.shop_id,
+                    task.support,
+                    tuple(task.query[j] for j in picks),
+                    task.size_class,
+                )
+            batch.append(task)
+        model, state, loss = step_fn(model, batch, features, cfg, state)
+        losses.append(loss)
+    return model, losses
 
 
 # ---------------------------------------------------------------------------

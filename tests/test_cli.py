@@ -533,6 +533,23 @@ class TestGenData:
         assert main(["gen-data", "--config", str(path2)]) == 0
         assert (out / "train.csv").read_bytes() != (other / "train.csv").read_bytes()
 
+    @pytest.mark.parametrize(
+        "setting, named",
+        [
+            ("synthetic.pareto_exponent=0.001", "pareto_exponent"),
+            ("synthetic.shop_effect_std=.inf", "shop_effect_std"),
+            ("synthetic.noise_std=.nan", "noise_std"),
+            ("synthetic.label_threshold=.inf", "label_threshold"),
+        ],
+    )
+    def test_degenerate_knob_is_a_config_error(self, tmp_path, capsys, setting, named):
+        out = tmp_path / "run"
+        path = write_config(tmp_path / "run.yaml", base_config(out))
+        assert main(["gen-data", "--config", str(path), "--set", setting]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and named in err
+        assert not list(tmp_path.rglob("*.csv"))
+
 
 class TestTrain:
     def test_meta_checkpoint_round_trips(self, workspace):

@@ -48,7 +48,8 @@ from metashop.numcore import (
     tree_leaves,
 )
 
-from oracles import central_fd_grad
+import metashop.metaopt as metaopt
+from oracles import central_fd_grad, meta_train_per_step
 
 
 def bitwise_equal(a, b) -> bool:
@@ -372,6 +373,43 @@ class TestDrivers:
         assert hist.stopped_early
         assert len(hist.losses) == 2
         assert hist.losses[0] == hist.losses[1]
+
+    @pytest.mark.parametrize("steps, drawn", [(0, 0), (1, 2), (2, 4), (7, 5)])
+    def test_each_drawn_task_is_resolved_once(self, monkeypatch, steps, drawn):
+        feats, tasks = small_world(seed=39, n_shops=5)
+        calls = []
+
+        def counting(records, *args):
+            calls.append(records)
+            return prepare_batch(records, *args)
+
+        monkeypatch.setattr(metaopt, "prepare_batch", counting)
+        cfg = MetaConfig(
+            alpha=0.05, beta=0.1, local_steps=2, shop_batch_size=2,
+            query_batch_size=3,
+        )
+        meta_train(tiny_model(seed=40), tasks, feats, cfg, steps=steps)
+        assert len(calls) == 2 * drawn
+
+    @pytest.mark.parametrize("query_batch_size", [None, 3])
+    @pytest.mark.parametrize("outer", list(OuterOptimizer))
+    @pytest.mark.parametrize("regularized", [False, True])
+    def test_matches_per_step_resolution(self, query_batch_size, outer, regularized):
+        feats, tasks = small_world(seed=41, n_shops=5)
+        classes = (SizeClass.SMALL, SizeClass.LARGE)
+        tasks = [classed(t, classes[j % 2]) for j, t in enumerate(tasks)]
+        cfg = MetaConfig(
+            alpha=0.05, beta=0.02, local_steps=2, shop_batch_size=2,
+            query_batch_size=query_batch_size, outer_optimizer=outer,
+            gamma=0.4 if regularized else 0.0, seed=43,
+        )
+        model = tiny_model(seed=42)
+        got, hist = meta_train(model, tasks, feats, cfg, steps=7, regularized=regularized)
+        want, losses = meta_train_per_step(
+            model, tasks, feats, cfg, steps=7, regularized=regularized
+        )
+        assert bitwise_equal(got, want)
+        assert hist.losses == losses
 
     def test_zero_steps(self):
         feats, tasks = small_world(seed=31)

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
 from metashop.errors import EmptyBatchError, NumericError, ShapeError
 from metashop.numcore import (
+    STATIC,
     Activation,
     AdamState,
     DenseLayerParams,
@@ -51,6 +53,18 @@ def one_param_model(theta: float) -> ModelParameters:
         ModelVariant.JOINT,
         joint=MlpParams((layer,), (Activation.IDENTITY,)),
     )
+
+
+@dataclass(frozen=True)
+class _Tagged:
+    """A tree node with a static array, a walked array and a derived field."""
+
+    label: np.ndarray = field(metadata={STATIC: True})
+    values: np.ndarray
+    total: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "total", float(np.sum(self.values)))
 
 
 def forward_one(mlp: MlpParams, x) -> np.ndarray:
@@ -305,3 +319,35 @@ class TestTreeUtilities:
         for x, y in zip(tree_leaves(a), tree_leaves(b)):
             assert x.tobytes() == y.tobytes()
         assert not tree_allclose(a, c)
+
+    def test_rebuilt_node_is_validated_by_its_constructor(self):
+        params = init_mlp([2, 3, 1], np.random.default_rng(9))
+        with pytest.raises(NumericError, match="weights contains non-finite"):
+            tree_map(lambda a: np.full_like(a, np.nan) if a.ndim == 2 else a, params)
+
+    def test_static_field_is_carried_over_and_not_mapped(self):
+        node = _Tagged(np.array([7.0]), np.array([1.0, 2.0]))
+        seen = []
+
+        def double(a):
+            seen.append(a)
+            return 2.0 * a
+
+        out = tree_map(double, node)
+        assert len(seen) == 1 and seen[0] is node.values
+        assert out.label is node.label
+        np.testing.assert_array_equal(out.values, [2.0, 4.0])
+        assert out.total == 6.0  # derived again by the constructor
+        assert [id(x) for x in tree_leaves(node)] == [id(node.values)]
+
+    def test_leaves_follow_construction_order(self):
+        params = init_two_tower([2, 3, 2], [4, 2], np.random.default_rng(10))
+        expected = []
+        for tower in (params.user_tower, params.item_tower):
+            for layer in tower.layers:
+                expected += [layer.weights, layer.biases]
+        assert [id(x) for x in tree_leaves(params)] == [id(x) for x in expected]
+        tree = {"b": np.zeros(1), "a": (np.ones(1), [np.ones(2)])}
+        assert [id(x) for x in tree_leaves(tree)] == [
+            id(tree["b"]), id(tree["a"][0]), id(tree["a"][1][0])
+        ]
