@@ -74,6 +74,15 @@ unless a command needs them):
 `--set train.steps=50` and `--set eval.recall_ks=[1,3]` both work); flags
 beat the file. Unknown keys fail validation before anything is written.
 
+`ablation` runs one study as a grid of settings. Each row is what `train`
+then `evaluate` with `eval.adapt: true` write for that setting, and every
+other config value applies to every row: `debias_gamma` trains with
+`train.trainer: fmst` at each `train.gamma` in `ablation.gammas`;
+`negative_sampling` sets `data.negative_strategy` to n0, n1 and n2;
+`task_unit` sets `train.task_unit` to shop, item and user; `one_shop` scores
+one `meta` row on `ablation.n_shops` sampled shops next to a `one_shop`
+model per sampled shop, scored unadapted.
+
 Each section's keys and types come from its dataclass below (`synthetic`
 from SyntheticSpec, whose values are type-checked but passed on as
 written), and the allowed strings of each choice key from its enum.
@@ -110,11 +119,9 @@ from . import numcore
 from .checkpoint import atomic_write_text, load_checkpoint, save_checkpoint
 from .datapipe import (
     AttributeTable,
-    FeatureTable,
     InteractionRecord,
     NegativeStrategy,
     ShopStats,
-    ShopTask,
     SyntheticSpec,
     TaskUnit,
     attach_size_classes,
@@ -127,6 +134,7 @@ from .datapipe import (
     load_interactions,
     load_latents,
     negative_sample,
+    purchase_histories,
     save_interactions,
     save_latents,
     stable_hash64,
@@ -452,24 +460,15 @@ def _feature_source(cfg: RunConfig):
     )
 
 
-def _labels_are_binary(records: Sequence[InteractionRecord]) -> bool:
-    return all(r.label in (0.0, 1.0) for r in records)
-
-
-def _resolve_sigmoid(cfg: RunConfig, binary: bool) -> bool:
+def _resolve_sigmoid(cfg: RunConfig, records: Sequence[InteractionRecord]) -> bool:
+    """model.sigmoid_output, where auto means: the labels are all 0 or 1."""
     s = cfg.model.sigmoid_output
     if s == "auto":
-        return binary
+        return all(r.label in (0.0, 1.0) for r in records)
     return bool(s)
 
 
-def _resolve_loss(cfg: RunConfig) -> numcore.LossKind:
-    if cfg.train.loss == "auto":
-        return numcore.LossKind.SQUARED
-    return numcore.LossKind(cfg.train.loss)
-
-
-def _meta_config(cfg: RunConfig, loss: numcore.LossKind) -> MetaConfig:
+def _meta_config(cfg: RunConfig) -> MetaConfig:
     t = cfg.train
     return MetaConfig(
         alpha=t.alpha,
@@ -480,7 +479,9 @@ def _meta_config(cfg: RunConfig, loss: numcore.LossKind) -> MetaConfig:
         shop_batch_size=t.shop_batch_size,
         support_size=cfg.data.support_size,
         query_batch_size=t.query_batch_size,
-        loss_kind=loss,
+        loss_kind=(
+            numcore.LossKind.SQUARED if t.loss == "auto" else numcore.LossKind(t.loss)
+        ),
         model_kind=ModelKind(cfg.model.kind),
         task_unit=TaskUnit(t.task_unit),
         outer_optimizer=OuterOptimizer(t.outer_optimizer),
@@ -534,14 +535,6 @@ def _augmented_records(
         positives, strategy, stats, ratio=cfg.data.negative_ratio, seed=cfg.seed
     )
     return records + negatives
-
-
-def _train_histories(records: Sequence[InteractionRecord]) -> dict[str, list[str]]:
-    hist: dict[str, set[str]] = {}
-    for r in records:
-        if r.label > 0:
-            hist.setdefault(r.user_id, set()).add(r.item_id)
-    return {u: sorted(items) for u, items in hist.items()}
 
 
 def _eval_options(cfg: RunConfig) -> EvalOptions:
@@ -676,33 +669,47 @@ def _run_trainer(
     raise ConfigError(f"unknown trainer {trainer!r}")
 
 
-def cmd_train(cfg: RunConfig) -> int:
-    started = time.monotonic()
-    out = _out_dir(cfg)
+def _train_model(
+    cfg: RunConfig,
+    records: list[InteractionRecord],
+    features,
+    feature_mode: str,
+    seed_tag: list[int],
+):
+    """Train a fresh model on ``records`` as `train` does.
+
+    Returns (model, history, training records with any sampled negatives).
+    """
     trainer = cfg.train.trainer
     if (trainer == "baseline") != (cfg.model.kind == "baseline"):
         raise ConfigError("trainer=baseline and model.kind=baseline go together")
-    records = _load_train_records(cfg)
-    features, feature_mode = _feature_source(cfg)
-    binary = _labels_are_binary(records)
-    sigmoid = _resolve_sigmoid(cfg, binary)
-    loss = _resolve_loss(cfg)
-    meta_cfg = _meta_config(cfg, loss)
+    sigmoid = _resolve_sigmoid(cfg, records)
+    meta_cfg = _meta_config(cfg)
     stats = classify_shops(records, [])
     records = _augmented_records(cfg, records, stats)
-    model = _build_fresh_model(
-        cfg, features, feature_mode, sigmoid, [cfg.seed, _TAG_MODEL_INIT]
-    )
+    model = _build_fresh_model(cfg, features, feature_mode, sigmoid, seed_tag)
     model, history = _run_trainer(
         cfg, trainer, model, records, features, meta_cfg, stats
     )
+    return model, history, records
+
+
+def cmd_train(cfg: RunConfig) -> int:
+    started = time.monotonic()
+    out = _out_dir(cfg)
+    records = _load_train_records(cfg)
+    features, feature_mode = _feature_source(cfg)
+    model, history, records = _train_model(
+        cfg, records, features, feature_mode, [cfg.seed, _TAG_MODEL_INIT]
+    )
+    trainer = cfg.train.trainer
     ckpt = out / "checkpoint.json"
     save_checkpoint(
         ckpt, model,
         {"trainer": trainer, "model_kind": cfg.model.kind, "seed": str(cfg.seed)},
     )
     entries = [("command", "train"), ("trainer", trainer)]
-    entries += config_manifest_entries(meta_cfg)
+    entries += config_manifest_entries(_meta_config(cfg))
     entries += [
         ("train_records", len(records)),
         ("steps_run", len(history.losses)),
@@ -733,7 +740,7 @@ def cmd_adapt(cfg: RunConfig) -> int:
     for r in records:
         groups.setdefault(r.shop_id, []).append(r)
     shops = cfg.adapt.shops or sorted(groups)
-    meta_cfg = _meta_config(cfg, _resolve_loss(cfg))
+    meta_cfg = _meta_config(cfg)
     adapted_dir = out / "adapted"
     written = []
     for shop in shops:
@@ -753,7 +760,7 @@ def cmd_adapt(cfg: RunConfig) -> int:
 
 
 def _evaluation_pieces(cfg: RunConfig):
-    """Everything evaluate/ablation share: records, stats, tasks, options."""
+    """Everything evaluate/ablation share: records, features, stats, tasks, pool."""
     train_records = _load_train_records(cfg)
     test_records = _load_test_records(cfg)
     features, feature_mode = _feature_source(cfg)
@@ -770,23 +777,25 @@ def _evaluation_pieces(cfg: RunConfig):
     pool = sorted(
         {r.user_id for r in train_records} | {r.user_id for r in test_records}
     )
-    return train_records, test_records, features, feature_mode, stats, tasks, pool
+    return train_records, features, feature_mode, stats, tasks, pool
 
 
-def _evaluate_model(cfg, model, tasks, features, stats, pool, histories):
-    options = _eval_options(cfg)
+def _evaluate_model(cfg, model, tasks, features, stats, pool, train_records):
     models: Any = model
     if cfg.eval.adapt and isinstance(model, RecModel):
-        meta_cfg = _meta_config(cfg, _resolve_loss(cfg))
-        models = meta_inference(model, tasks, features, meta_cfg)
+        models = meta_inference(model, tasks, features, _meta_config(cfg))
     return evaluate_tasks(
         models,
         tasks,
         features,
-        options,
+        _eval_options(cfg),
         shop_classes=stats.taxonomy,
         user_pool=pool,
-        baseline_histories=histories if isinstance(model, BaselineModel) else None,
+        baseline_histories=(
+            purchase_histories(train_records)
+            if isinstance(model, BaselineModel)
+            else None
+        ),
     )
 
 
@@ -795,9 +804,8 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     ckpt_path = _require_path(cfg.eval.checkpoint, "eval.checkpoint")
     model, _ = load_checkpoint(ckpt_path)
-    train_records, _, features, _, stats, tasks, pool = _evaluation_pieces(cfg)
-    histories = _train_histories(train_records)
-    report = _evaluate_model(cfg, model, tasks, features, stats, pool, histories)
+    train_records, features, _, stats, tasks, pool = _evaluation_pieces(cfg)
+    report = _evaluate_model(cfg, model, tasks, features, stats, pool, train_records)
     save_report(out / "report.json", report)
     atomic_write_text(out / "tables.txt", report_tables(report))
     entries = [("command", "evaluate"), ("checkpoint", str(ckpt_path))]
@@ -850,83 +858,40 @@ def _write_grid(out: Path, study: str, rows: list[tuple[str, dict]]) -> None:
     atomic_write_text(out / f"ablation_{study}.tsv", "\n".join(lines) + "\n")
 
 
+def _with(cfg: RunConfig, **sections: Mapping[str, Any]) -> RunConfig:
+    """``cfg`` with keys replaced per section, e.g. ``train={"gamma": 0.8}``."""
+    changed = {s: replace(getattr(cfg, s), **keys) for s, keys in sections.items()}
+    return replace(cfg, **changed)
+
+
+def _study_settings(cfg: RunConfig, study: str) -> list[tuple[str, str, RunConfig]]:
+    """(row label, report file, config) for each adapted row of a study."""
+
+    def row(label: str, report: str | None = None, **sections: Mapping[str, Any]):
+        setting = _with(cfg, eval={"adapt": True}, **sections)
+        return label, f"report_{report or label}.json", setting
+
+    if study == "debias_gamma":
+        return [
+            row(f"gamma={g:g}", train={"trainer": "fmst", "gamma": g})
+            for g in cfg.ablation.gammas
+        ]
+    if study == "negative_sampling":
+        return [row(s, data={"negative_strategy": s}) for s in ("n0", "n1", "n2")]
+    if study == "task_unit":
+        return [row(u, train={"task_unit": u}) for u in ("shop", "item", "user")]
+    if study == "one_shop":
+        return [row("meta_adapted", "meta", train={"trainer": "meta"})]
+    raise ConfigError(f"unknown ablation study {study!r}")
+
+
 def cmd_ablation(cfg: RunConfig) -> int:
     started = time.monotonic()
     out = _out_dir(cfg)
     study = _require(cfg.ablation.study, "ablation.study")
-    train_records, _, features, feature_mode, stats, tasks, pool = (
-        _evaluation_pieces(cfg)
-    )
-    histories = _train_histories(train_records)
-    binary = _labels_are_binary(train_records)
-    sigmoid = _resolve_sigmoid(cfg, binary)
-    loss = _resolve_loss(cfg)
-    rows: list[tuple[str, dict]] = []
-
-    def fresh_model():
-        return _build_fresh_model(
-            cfg, features, feature_mode, sigmoid, [cfg.seed, _TAG_MODEL_INIT]
-        )
-
-    def evaluate(models):
-        report = evaluate_tasks(
-            models, tasks, features, _eval_options(cfg),
-            shop_classes=stats.taxonomy, user_pool=pool,
-            baseline_histories=histories,
-        )
-        return report, _grid_metrics(report)
-
-    def train_meta(meta_cfg: MetaConfig, regularized: bool, records):
-        train_tasks = build_tasks(
-            records,
-            min_interactions=cfg.data.min_interactions,
-            support_size=cfg.data.support_size,
-            seed=cfg.seed,
-            task_unit=meta_cfg.task_unit,
-        )
-        if regularized and meta_cfg.gamma != 0.0:
-            train_tasks = attach_size_classes(train_tasks, stats, use_taxonomy=False)
-        model, _ = meta_train(
-            fresh_model(), train_tasks, features, meta_cfg, cfg.train.steps,
-            regularized=regularized,
-            early_stop_patience=cfg.train.early_stop_patience,
-        )
-        return model
-
-    def adapted(model, meta_cfg: MetaConfig):
-        return meta_inference(model, tasks, features, meta_cfg)
-
-    if study == "debias_gamma":
-        for gamma in cfg.ablation.gammas:
-            meta_cfg = replace(_meta_config(cfg, loss), gamma=float(gamma))
-            model = train_meta(meta_cfg, regularized=True, records=train_records)
-            report, metrics = evaluate(adapted(model, meta_cfg))
-            label = f"gamma={gamma:g}"
-            save_report(out / f"report_{label}.json", report)
-            rows.append((label, metrics))
-    elif study == "negative_sampling":
-        for strategy in ("n0", "n1", "n2"):
-            meta_cfg = _meta_config(cfg, loss)
-            positives = [r for r in train_records if r.label > 0]
-            negatives = negative_sample(
-                positives, NegativeStrategy(strategy), stats,
-                ratio=cfg.data.negative_ratio, seed=cfg.seed,
-            )
-            model = train_meta(
-                meta_cfg, regularized=False, records=train_records + negatives
-            )
-            report, metrics = evaluate(adapted(model, meta_cfg))
-            save_report(out / f"report_{strategy}.json", report)
-            rows.append((strategy, metrics))
-    elif study == "task_unit":
-        for unit in ("shop", "item", "user"):
-            meta_cfg = replace(_meta_config(cfg, loss), task_unit=TaskUnit(unit))
-            model = train_meta(meta_cfg, regularized=False, records=train_records)
-            report, metrics = evaluate(adapted(model, meta_cfg))
-            save_report(out / f"report_{unit}.json", report)
-            rows.append((unit, metrics))
-    elif study == "one_shop":
-        meta_cfg = _meta_config(cfg, loss)
+    settings = _study_settings(cfg, study)
+    train_records, features, feature_mode, stats, tasks, pool = _evaluation_pieces(cfg)
+    if study == "one_shop":
         eligible = sorted(
             {t.shop_id for t in tasks}
             & {r.shop_id for r in train_records}
@@ -938,39 +903,33 @@ def cmd_ablation(cfg: RunConfig) -> int:
         picked = sorted(
             eligible[i] for i in rng.choice(len(eligible), n_sample, replace=False)
         )
-        sample_tasks = [t for t in tasks if t.shop_id in picked]
-        meta_model = train_meta(meta_cfg, regularized=False, records=train_records)
-        adapted_models = meta_inference(meta_model, sample_tasks, features, meta_cfg)
-        report = evaluate_tasks(
-            adapted_models, sample_tasks, features, _eval_options(cfg),
-            shop_classes=stats.taxonomy, user_pool=pool,
-            baseline_histories=histories,
+        tasks = [t for t in tasks if t.shop_id in picked]
+
+    rows: list[tuple[str, dict]] = []
+    for label, report_name, setting in settings:
+        model, _, _ = _train_model(
+            setting, train_records, features, feature_mode,
+            [cfg.seed, _TAG_MODEL_INIT],
         )
-        save_report(out / "report_meta.json", report)
-        rows.append(("meta_adapted", _grid_metrics(report)))
-        one_shop_models = {}
+        report = _evaluate_model(
+            setting, model, tasks, features, stats, pool, train_records
+        )
+        save_report(out / report_name, report)
+        rows.append((label, _grid_metrics(report)))
+    if study == "one_shop":
+        unadapted = _with(cfg, eval={"adapt": False})
+        models = {}
         for shop in picked:
-            subset = [r for r in train_records if r.shop_id == shop]
-            if not subset:
-                raise DataError(f"no training records for sampled shop {shop!r}")
-            fresh = _build_fresh_model(
-                cfg, features, feature_mode, sigmoid,
+            models[shop], _, _ = _train_model(
+                _with(unadapted, train={"trainer": "one_shop", "shop_id": shop}),
+                train_records, features, feature_mode,
                 [cfg.seed, _TAG_ONE_SHOP_INIT, stable_hash64(shop)],
             )
-            trained, _ = one_shop_train(
-                fresh, subset, features, meta_cfg, cfg.train.epochs,
-                cfg.train.batch_size,
-            )
-            one_shop_models[shop] = trained
-        report = evaluate_tasks(
-            one_shop_models, sample_tasks, features, _eval_options(cfg),
-            shop_classes=stats.taxonomy, user_pool=pool,
-            baseline_histories=histories,
+        report = _evaluate_model(
+            unadapted, models, tasks, features, stats, pool, train_records
         )
         save_report(out / "report_one_shop.json", report)
         rows.append(("one_shop", _grid_metrics(report)))
-    else:
-        raise ConfigError(f"unknown ablation study {study!r}")
 
     _write_grid(out, study, rows)
     entries = [("command", "ablation"), ("study", study), ("seed", cfg.seed)]

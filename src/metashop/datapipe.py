@@ -259,6 +259,17 @@ def build_tasks(
     return tasks
 
 
+def purchase_histories(
+    records: Sequence[InteractionRecord],
+) -> dict[str, tuple[str, ...]]:
+    """Each user's purchased items (label > 0), sorted and unique."""
+    hist: dict[str, set[str]] = {}
+    for r in records:
+        if r.label > 0:
+            hist.setdefault(r.user_id, set()).add(r.item_id)
+    return {u: tuple(sorted(items)) for u, items in hist.items()}
+
+
 # ---------------------------------------------------------------------------
 # shop classes
 # ---------------------------------------------------------------------------

@@ -33,7 +33,13 @@ import numpy as np
 
 from . import numcore
 from .checkpoint import atomic_write_text
-from .datapipe import InteractionRecord, ShopTask, SizeClass, TaskUnit
+from .datapipe import (
+    InteractionRecord,
+    ShopTask,
+    SizeClass,
+    TaskUnit,
+    purchase_histories,
+)
 from .errors import ConfigError, DataError, EmptyBatchError
 from .models import (
     BaselineModel,
@@ -441,11 +447,7 @@ def train_baseline(
     """
     if epochs < 0:
         raise ConfigError(f"epochs must be >= 0, got {epochs}")
-    histories: dict[str, list[str]] = {}
-    for r in records:
-        if r.label > 0:
-            histories.setdefault(r.user_id, []).append(r.item_id)
-    hist = {u: tuple(sorted(set(v))) for u, v in histories.items()}
+    hist = purchase_histories(records)
     pairs = [
         (r.user_id, r.item_id, r.label > 0)
         for r in sorted(records, key=lambda r: (r.user_id, r.item_id, -r.label))

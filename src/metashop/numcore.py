@@ -388,19 +388,6 @@ def _check_pred_label(predictions: Any, labels: Any) -> tuple[np.ndarray, np.nda
     return p, y
 
 
-def squared_loss(predictions: Any, labels: Any) -> float:
-    """Mean squared error ``mean((y - y_hat)^2)``."""
-    p, y = _check_pred_label(predictions, labels)
-    return float(np.mean((y - p) ** 2))
-
-
-def bce_loss(predictions: Any, labels: Any) -> float:
-    """Binary cross-entropy with predictions clamped to [1e-7, 1 - 1e-7]."""
-    p, y = _check_pred_label(predictions, labels)
-    pc = np.clip(p, BCE_CLAMP, 1.0 - BCE_CLAMP)
-    return float(-np.mean(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)))
-
-
 def loss_and_pred_grad(
     predictions: np.ndarray, labels: np.ndarray, kind: LossKind
 ) -> tuple[float, np.ndarray]:

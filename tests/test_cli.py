@@ -963,6 +963,106 @@ class TestAblation:
         assert main(["ablation", "--config", str(cfg_path)]) == 1
         assert "ablation.study" in capsys.readouterr().err
 
+    def test_baseline_model_is_a_config_error(self, workspace, capsys):
+        cfg_path, _ = workspace
+        code = main(
+            [
+                "ablation",
+                "--config",
+                str(cfg_path),
+                "--set",
+                "model.kind=baseline",
+                "--set",
+                "ablation.study=debias_gamma",
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
+
+    def test_fair_training_by_item_is_a_config_error(self, workspace, capsys):
+        cfg_path, _ = workspace
+        code = main(
+            [
+                "ablation",
+                "--config",
+                str(cfg_path),
+                "--set",
+                "ablation.study=debias_gamma",
+                "--set",
+                "ablation.gammas=[0.0, 0.8]",
+                "--set",
+                "train.task_unit=item",
+                "--set",
+                "train.gamma=0.5",
+                "--set",
+                "data.min_interactions=5",
+                "--set",
+                "data.support_size=3",
+                "--set",
+                "train.steps=4",
+            ]
+        )
+        assert code == 1
+        assert "fair training sizes tasks by shop sales" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "study, setting, report",
+        [
+            (
+                ["ablation.study=debias_gamma", "ablation.gammas=[0.0, 0.8]"],
+                ["train.trainer=fmst", "train.gamma=0.8"],
+                "report_gamma=0.8.json",
+            ),
+            (
+                ["ablation.study=negative_sampling"],
+                ["data.negative_strategy=n1"],
+                "report_n1.json",
+            ),
+            (
+                [
+                    "ablation.study=task_unit",
+                    "data.min_interactions=5",
+                    "data.support_size=3",
+                ],
+                [
+                    "train.task_unit=item",
+                    "data.min_interactions=5",
+                    "data.support_size=3",
+                ],
+                "report_item.json",
+            ),
+            (
+                [
+                    "ablation.study=debias_gamma",
+                    "ablation.gammas=[0.8]",
+                    "data.negative_strategy=n1",
+                ],
+                [
+                    "train.trainer=fmst",
+                    "train.gamma=0.8",
+                    "data.negative_strategy=n1",
+                ],
+                "report_gamma=0.8.json",
+            ),
+        ],
+        ids=["gamma", "negatives", "task_unit", "gamma_with_negatives"],
+    )
+    def test_row_is_train_then_evaluate(self, workspace, study, setting, report):
+        cfg_path, out = workspace
+
+        def run(command, sets):
+            argv = [command, "--config", str(cfg_path)]
+            for s in ["train.steps=4", "data.negative_ratio=0.5", *sets]:
+                argv += ["--set", s]
+            assert main(argv) == 0
+
+        run("ablation", study)
+        run("train", setting)
+        run("evaluate", ["eval.adapt=true", *setting])
+        assert (out / "report.json").read_bytes() == (out / report).read_bytes()
+
 
 class TestPrepMl1m:
     @pytest.fixture()

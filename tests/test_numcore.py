@@ -20,16 +20,15 @@ from metashop.numcore import (
     ModelVariant,
     adam_init,
     adam_step,
-    bce_loss,
     init_joint,
     init_mlp,
     init_two_tower,
+    loss_and_pred_grad,
     loss_gradient,
     mlp_forward_trace,
     model_forward_trace,
     sgd_step,
     sigmoid,
-    squared_loss,
     tree_add,
     tree_allclose,
     tree_leaves,
@@ -151,11 +150,16 @@ class TestForward:
 
 
 class TestLosses:
+    """The loss value is the first element of ``loss_and_pred_grad``."""
+
+    SQ, BCE = LossKind.SQUARED, LossKind.BCE
+
     def test_squared_example(self):
-        assert squared_loss([0.5], [1.0]) == 0.25
+        assert loss_and_pred_grad(np.array([0.5]), np.array([1.0]), self.SQ)[0] == 0.25
 
     def test_bce_example(self):
-        assert math.isclose(bce_loss([0.5], [1.0]), math.log(2.0), rel_tol=1e-12)
+        loss, _ = loss_and_pred_grad(np.array([0.5]), np.array([1.0]), self.BCE)
+        assert math.isclose(loss, math.log(2.0), rel_tol=1e-12)
 
     def test_against_loop_oracles(self):
         rng = np.random.default_rng(21)
@@ -164,28 +168,32 @@ class TestLosses:
             preds = rng.uniform(0.01, 0.99, size=n)
             labels = rng.integers(0, 2, size=n).astype(float)
             assert math.isclose(
-                squared_loss(preds, labels), squared_loss_loop(preds, labels),
+                loss_and_pred_grad(preds, labels, self.SQ)[0],
+                squared_loss_loop(preds, labels),
                 rel_tol=1e-12,
             )
             assert math.isclose(
-                bce_loss(preds, labels), bce_loss_loop(preds, labels), rel_tol=1e-12
+                loss_and_pred_grad(preds, labels, self.BCE)[0],
+                bce_loss_loop(preds, labels),
+                rel_tol=1e-12,
             )
 
     def test_bce_clamps_extreme_predictions(self):
-        val = bce_loss([0.0, 1.0], [0.0, 1.0])
+        ends = np.array([0.0, 1.0])
+        val, _ = loss_and_pred_grad(ends, ends, self.BCE)
         assert math.isfinite(val)
         assert math.isclose(val, bce_loss_loop([0.0, 1.0], [0.0, 1.0]), rel_tol=1e-9)
 
     def test_empty_batch_raises(self):
         with pytest.raises(EmptyBatchError):
-            squared_loss([], [])
+            loss_and_pred_grad(np.zeros(0), np.zeros(0), self.SQ)
         with pytest.raises(EmptyBatchError):
             empty = (np.zeros((0, 1)), np.zeros((0, 0)), np.zeros(0))
             loss_gradient(one_param_model(1.0), empty, LossKind.SQUARED)
 
     def test_length_mismatch_raises(self):
         with pytest.raises(ShapeError):
-            squared_loss([0.1, 0.2], [1.0])
+            loss_and_pred_grad(np.array([0.1, 0.2]), np.array([1.0]), self.SQ)
 
     def test_sigmoid_stable_at_extremes(self):
         out = sigmoid(np.array([-1000.0, 0.0, 1000.0]))
