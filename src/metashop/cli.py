@@ -79,7 +79,8 @@ then `evaluate` with `eval.adapt: true` write for that setting, and every
 other config value applies to every row: `debias_gamma` trains with
 `train.trainer: fmst` at each `train.gamma` in `ablation.gammas`;
 `negative_sampling` sets `data.negative_strategy` to n0, n1 and n2;
-`task_unit` sets `train.task_unit` to shop, item and user; `one_shop` scores
+`task_unit` sets `train.task_unit` to shop, item and user, and needs
+`train.trainer` meta or fmst, the trainers that build tasks; `one_shop` scores
 one `meta` row on `ablation.n_shops` sampled shops next to a `one_shop`
 model per sampled shop, scored unadapted.
 
@@ -100,6 +101,7 @@ import sys
 import time
 import types
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import (
     Any,
@@ -164,6 +166,8 @@ from .models import (
     BaselineModel,
     ModelKind,
     RecModel,
+    baseline_score_matrix,
+    baseline_user_reps,
     build_baseline,
     build_categorical_encoder,
     build_model,
@@ -442,11 +446,11 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 
 def _feature_source(cfg: RunConfig):
-    """Load the configured feature source; returns (source, mode)."""
+    """Load the configured feature source: latents, or user and item attributes."""
     data = cfg.data
     if data.latents is not None:
         table, _ = load_latents(_require_path(data.latents, "data.latents"))
-        return table, "pretrained"
+        return table
     if data.user_attrs is not None or data.item_attrs is not None:
         if data.user_attrs is None or data.item_attrs is None:
             raise ConfigError(
@@ -454,7 +458,7 @@ def _feature_source(cfg: RunConfig):
             )
         users = load_attributes(_require_path(data.user_attrs, "data.user_attrs"))
         items = load_attributes(_require_path(data.item_attrs, "data.item_attrs"))
-        return AttributeTable(users, items), "categorical"
+        return AttributeTable(users, items)
     raise ConfigError(
         "no feature source: set data.latents, or data.user_attrs plus data.item_attrs"
     )
@@ -489,22 +493,22 @@ def _meta_config(cfg: RunConfig) -> MetaConfig:
     )
 
 
-def _build_fresh_model(cfg: RunConfig, features, mode: str, sigmoid: bool, seed_tag):
+def _build_fresh_model(cfg: RunConfig, features, sigmoid: bool, seed_tag):
     """Initialise the configured model against the feature source."""
     rng = np.random.default_rng(seed_tag)
     kind = ModelKind(cfg.model.kind)
-    if mode == "pretrained":
-        user_dim = len(next(iter(features.users.values()))) if features.users else 0
-        item_dim = len(next(iter(features.items.values())))
-        user_enc = pretrained_encoder(user_dim)
-        item_enc = pretrained_encoder(item_dim)
-    else:
+    if isinstance(features, AttributeTable):
         user_enc = build_categorical_encoder(
             attribute_fields(features.users), cfg.model.embedding_dim, rng
         )
         item_enc = build_categorical_encoder(
             attribute_fields(features.items), cfg.model.embedding_dim, rng
         )
+    else:
+        user_dim = len(next(iter(features.users.values()))) if features.users else 0
+        item_dim = len(next(iter(features.items.values())))
+        user_enc = pretrained_encoder(user_dim)
+        item_enc = pretrained_encoder(item_dim)
     try:
         if kind is ModelKind.BASELINE:
             return build_baseline(
@@ -620,11 +624,9 @@ def _run_trainer(
     meta_cfg: MetaConfig,
     stats: ShopStats,
 ):
-    """Dispatch one training run; returns (model, history)."""
+    """Run a trainer already paired with its model kind; returns (model, history)."""
     t = cfg.train
     if trainer in ("meta", "fmst"):
-        if isinstance(model, BaselineModel):
-            raise ConfigError("the baseline model trains with trainer=baseline")
         tasks = build_tasks(
             records,
             min_interactions=cfg.data.min_interactions,
@@ -648,8 +650,6 @@ def _run_trainer(
             early_stop_patience=t.early_stop_patience,
         )
     if trainer == "nonmeta":
-        if isinstance(model, BaselineModel):
-            raise ConfigError("the baseline model trains with trainer=baseline")
         return nonmeta_train(
             model, records, features, meta_cfg, t.epochs, t.batch_size
         )
@@ -659,21 +659,17 @@ def _run_trainer(
         if not subset:
             raise DataError(f"no training records for shop {shop!r}")
         return one_shop_train(model, subset, features, meta_cfg, t.epochs, t.batch_size)
-    if trainer == "baseline":
-        if not isinstance(model, BaselineModel):
-            raise ConfigError("trainer=baseline needs model.kind=baseline")
-        return train_baseline(
-            model, records, features, meta_cfg, t.epochs,
-            t.batch_size if t.batch_size else 64,
-        )
-    raise ConfigError(f"unknown trainer {trainer!r}")
+    # the one trainer left after config parsing: baseline
+    return train_baseline(
+        model, records, features, meta_cfg, t.epochs,
+        t.batch_size if t.batch_size else 64,
+    )
 
 
 def _train_model(
     cfg: RunConfig,
     records: list[InteractionRecord],
     features,
-    feature_mode: str,
     seed_tag: list[int],
 ):
     """Train a fresh model on ``records`` as `train` does.
@@ -687,7 +683,7 @@ def _train_model(
     meta_cfg = _meta_config(cfg)
     stats = classify_shops(records, [])
     records = _augmented_records(cfg, records, stats)
-    model = _build_fresh_model(cfg, features, feature_mode, sigmoid, seed_tag)
+    model = _build_fresh_model(cfg, features, sigmoid, seed_tag)
     model, history = _run_trainer(
         cfg, trainer, model, records, features, meta_cfg, stats
     )
@@ -698,9 +694,9 @@ def cmd_train(cfg: RunConfig) -> int:
     started = time.monotonic()
     out = _out_dir(cfg)
     records = _load_train_records(cfg)
-    features, feature_mode = _feature_source(cfg)
+    features = _feature_source(cfg)
     model, history, records = _train_model(
-        cfg, records, features, feature_mode, [cfg.seed, _TAG_MODEL_INIT]
+        cfg, records, features, [cfg.seed, _TAG_MODEL_INIT]
     )
     trainer = cfg.train.trainer
     ckpt = out / "checkpoint.json"
@@ -734,7 +730,7 @@ def cmd_adapt(cfg: RunConfig) -> int:
     model, meta = load_checkpoint(ckpt_path)
     if not isinstance(model, RecModel):
         raise ConfigError("only the shared recommendation models can adapt")
-    features, _ = _feature_source(cfg)
+    features = _feature_source(cfg)
     records = load_interactions(support_path)
     groups: dict[str, list[InteractionRecord]] = {}
     for r in records:
@@ -763,7 +759,7 @@ def _evaluation_pieces(cfg: RunConfig):
     """Everything evaluate/ablation share: records, features, stats, tasks, pool."""
     train_records = _load_train_records(cfg)
     test_records = _load_test_records(cfg)
-    features, feature_mode = _feature_source(cfg)
+    features = _feature_source(cfg)
     stats = classify_shops(train_records, test_records)
     tasks = build_tasks(
         test_records,
@@ -777,12 +773,17 @@ def _evaluation_pieces(cfg: RunConfig):
     pool = sorted(
         {r.user_id for r in train_records} | {r.user_id for r in test_records}
     )
-    return train_records, features, feature_mode, stats, tasks, pool
+    return train_records, features, stats, tasks, pool
 
 
 def _evaluate_model(cfg, model, tasks, features, stats, pool, train_records):
     models: Any = model
-    if cfg.eval.adapt and isinstance(model, RecModel):
+    if isinstance(model, BaselineModel):
+        # bind the baseline once: one user representation per pool user
+        histories = purchase_histories(train_records)
+        reps = baseline_user_reps(model, histories, features, pool)
+        models = partial(baseline_score_matrix, model, reps, features=features)
+    elif cfg.eval.adapt and isinstance(model, RecModel):
         models = meta_inference(model, tasks, features, _meta_config(cfg))
     return evaluate_tasks(
         models,
@@ -791,11 +792,6 @@ def _evaluate_model(cfg, model, tasks, features, stats, pool, train_records):
         _eval_options(cfg),
         shop_classes=stats.taxonomy,
         user_pool=pool,
-        baseline_histories=(
-            purchase_histories(train_records)
-            if isinstance(model, BaselineModel)
-            else None
-        ),
     )
 
 
@@ -804,7 +800,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     ckpt_path = _require_path(cfg.eval.checkpoint, "eval.checkpoint")
     model, _ = load_checkpoint(ckpt_path)
-    train_records, features, _, stats, tasks, pool = _evaluation_pieces(cfg)
+    train_records, features, stats, tasks, pool = _evaluation_pieces(cfg)
     report = _evaluate_model(cfg, model, tasks, features, stats, pool, train_records)
     save_report(out / "report.json", report)
     atomic_write_text(out / "tables.txt", report_tables(report))
@@ -879,6 +875,11 @@ def _study_settings(cfg: RunConfig, study: str) -> list[tuple[str, str, RunConfi
     if study == "negative_sampling":
         return [row(s, data={"negative_strategy": s}) for s in ("n0", "n1", "n2")]
     if study == "task_unit":
+        if cfg.train.trainer not in ("meta", "fmst"):
+            raise ConfigError(
+                f"train.trainer={cfg.train.trainer} ignores train.task_unit; "
+                "the task_unit study needs trainer meta or fmst"
+            )
         return [row(u, train={"task_unit": u}) for u in ("shop", "item", "user")]
     if study == "one_shop":
         return [row("meta_adapted", "meta", train={"trainer": "meta"})]
@@ -890,7 +891,7 @@ def cmd_ablation(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     study = _require(cfg.ablation.study, "ablation.study")
     settings = _study_settings(cfg, study)
-    train_records, features, feature_mode, stats, tasks, pool = _evaluation_pieces(cfg)
+    train_records, features, stats, tasks, pool = _evaluation_pieces(cfg)
     if study == "one_shop":
         eligible = sorted(
             {t.shop_id for t in tasks}
@@ -908,8 +909,7 @@ def cmd_ablation(cfg: RunConfig) -> int:
     rows: list[tuple[str, dict]] = []
     for label, report_name, setting in settings:
         model, _, _ = _train_model(
-            setting, train_records, features, feature_mode,
-            [cfg.seed, _TAG_MODEL_INIT],
+            setting, train_records, features, [cfg.seed, _TAG_MODEL_INIT]
         )
         report = _evaluate_model(
             setting, model, tasks, features, stats, pool, train_records
@@ -922,7 +922,7 @@ def cmd_ablation(cfg: RunConfig) -> int:
         for shop in picked:
             models[shop], _, _ = _train_model(
                 _with(unadapted, train={"trainer": "one_shop", "shop_id": shop}),
-                train_records, features, feature_mode,
+                train_records, features,
                 [cfg.seed, _TAG_ONE_SHOP_INIT, stable_hash64(shop)],
             )
         report = _evaluate_model(

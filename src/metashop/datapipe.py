@@ -113,7 +113,7 @@ class ShopTask:
 # ---------------------------------------------------------------------------
 
 
-def load_interactions(path: str | Path, delimiter: str = ",") -> list[InteractionRecord]:
+def load_interactions(path: str | Path) -> list[InteractionRecord]:
     """Read and validate an interaction CSV.
 
     Malformed rows are collected and reported together with their line
@@ -128,7 +128,7 @@ def load_interactions(path: str | Path, delimiter: str = ",") -> list[Interactio
     records: list[InteractionRecord] = []
     seen: dict[tuple, int] = {}
     with fh:
-        reader = csv.reader(fh, delimiter=delimiter)
+        reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
@@ -192,23 +192,21 @@ def load_interactions(path: str | Path, delimiter: str = ",") -> list[Interactio
     return records
 
 
-def save_interactions(
-    path: str | Path, records: Sequence[InteractionRecord], delimiter: str = ","
-) -> None:
+def save_interactions(path: str | Path, records: Sequence[InteractionRecord]) -> None:
     """Write interactions; optional columns appear iff any record uses them."""
     cols = list(REQUIRED_COLUMNS)
     if any(r.timestamp is not None for r in records):
         cols.append("timestamp")
     if any(r.genre_l3 is not None for r in records):
         cols.append("genre_l3")
-    lines = [delimiter.join(cols)]
+    lines = [",".join(cols)]
     for r in records:
         row = [r.user_id, r.item_id, r.shop_id, repr(r.label)]
         if "timestamp" in cols:
             row.append("" if r.timestamp is None else str(r.timestamp))
         if "genre_l3" in cols:
             row.append("" if r.genre_l3 is None else r.genre_l3)
-        lines.append(delimiter.join(row))
+        lines.append(",".join(row))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -9,6 +9,13 @@ Two query shapes, picked automatically from the labels when not forced:
     rating as the nDCG gain (relevant for recall when at or above the
     rating threshold).
 
+Every query scores its candidates through one interface. A model is a
+RecModel, scored by ``score_matrix``, or a scorer: a callable taking
+(user ids, item ids) and returning an (n_users, n_items) score array. A
+model that needs more context to score binds it into a scorer first; the
+distance baseline, for one, computes its user representations once and
+scores with ``models.baseline_score_matrix``.
+
 Fractional recall cutoffs (0 < k < 1) resolve per query to
 ceil(k * n_candidates), so "recall@0.1" reads as recall at 10% of the pool.
 """
@@ -37,13 +44,7 @@ from .metrics import (
     ndcg_at_k,
     recall_at_k,
 )
-from .models import (
-    BaselineModel,
-    FeatureSource,
-    RecModel,
-    encode_rows,
-    feature_rows,
-)
+from .models import FeatureSource, RecModel, encode_rows, feature_rows
 
 _JOINT_CHUNK_ROWS = 4096
 
@@ -131,59 +132,13 @@ def score_matrix(
         per_chunk = max(1, _JOINT_CHUNK_ROWS // max(n_u, 1))
         for start in range(0, n_i, per_chunk):
             stop = min(start + per_chunk, n_i)
-            block_u = np.repeat(u, stop - start, axis=0)
-            block_v = np.tile(v[start:stop], (n_u, 1))
-            x = np.concatenate([block_u, block_v], axis=1)
-            out, _ = numcore.mlp_forward_trace(model.scorer.joint, x)
-            raw[:, start:stop] = out[:, 0].reshape(n_u, stop - start)
+            out, _ = numcore.model_forward_trace(
+                model.scorer,
+                np.repeat(u, stop - start, axis=0),
+                np.tile(v[start:stop], (n_u, 1)),
+            )
+            raw[:, start:stop] = out.reshape(n_u, stop - start)
     return numcore.sigmoid(raw) if model.sigmoid_output else raw
-
-
-def baseline_user_reps(
-    model: BaselineModel,
-    histories: Mapping[str, Sequence[str]],
-    features: FeatureSource,
-    users: Sequence[str],
-) -> dict[str, np.ndarray]:
-    """Mapped-history means; users without history get the catalog mean."""
-    catalog = sorted({i for items in histories.values() for i in items})
-    if not catalog:
-        raise DataError("baseline evaluation needs at least one purchase history")
-    rows = feature_rows(model.item_encoder, map(features.item_raw, catalog), "item")
-    reps, _ = numcore.mlp_forward_trace(
-        model.params.item_mapper, encode_rows(model.item_encoder, rows)
-    )
-    row_of = {i: r for r, i in enumerate(catalog)}
-    fallback = reps.mean(axis=0)
-    out = {}
-    for u in users:
-        hist = histories.get(u)
-        if hist:
-            out[u] = reps[[row_of[i] for i in hist]].mean(axis=0)
-        else:
-            out[u] = fallback
-    return out
-
-
-def baseline_score_matrix(
-    model: BaselineModel,
-    user_reps: Mapping[str, np.ndarray],
-    user_ids: Sequence[str],
-    item_ids: Sequence[str],
-    features: FeatureSource,
-) -> np.ndarray:
-    """Negated user-item distances, shape (n_users, n_items)."""
-    rows = feature_rows(model.item_encoder, map(features.item_raw, item_ids), "item")
-    reps, _ = numcore.mlp_forward_trace(
-        model.params.item_mapper, encode_rows(model.item_encoder, rows)
-    )
-    u = np.stack([np.asarray(user_reps[uid], dtype=np.float64) for uid in user_ids])
-    sq = (
-        np.sum(u * u, axis=1)[:, None]
-        + np.sum(reps * reps, axis=1)[None, :]
-        - 2.0 * (u @ reps.T)
-    )
-    return -np.sqrt(np.maximum(sq, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -200,24 +155,11 @@ def _model_for(models: Any, shop_id: str):
 
 
 def _scores_for_task(
-    model: Any,
-    pool: list[str],
-    items: list[str],
-    features: FeatureSource,
-    baseline_histories: Mapping[str, Sequence[str]] | None,
+    model: Any, pool: list[str], items: list[str], features: FeatureSource
 ) -> np.ndarray:
-    if isinstance(model, BaselineModel):
-        if baseline_histories is None:
-            raise DataError(
-                "baseline evaluation needs training histories "
-                "(pass baseline_histories)"
-            )
-        reps = baseline_user_reps(model, baseline_histories, features, pool)
-        return baseline_score_matrix(model, reps, pool, items, features)
     if isinstance(model, RecModel):
         return score_matrix(model, pool, items, features)
     if callable(model):
-        # diagnostic scorers: (user ids, item ids) -> (n_users, n_items)
         out = np.asarray(model(pool, items), dtype=np.float64)
         if out.shape != (len(pool), len(items)):
             raise DataError(
@@ -235,19 +177,18 @@ def evaluate_tasks(
     options: EvalOptions,
     shop_classes: Mapping[str, SizeClass] | None = None,
     user_pool: Sequence[str] | None = None,
-    baseline_histories: Mapping[str, Sequence[str]] | None = None,
 ) -> EvaluationReport:
     """Score every task's query records and aggregate the metrics.
 
     Args:
         models: one shared model, or a mapping shop id -> adapted model.
+            A model is a RecModel or a scorer: a callable taking (user ids,
+            item ids) and returning scores of shape (n_users, n_items).
         tasks: evaluation tasks; only the query records are scored here.
         features: raw feature lookup for encoding.
         options: metric set and conventions.
         shop_classes: optional taxonomy for per-class breakdowns.
         user_pool: candidate users for ITEM queries with the ALL_USERS pool.
-        baseline_histories: per-user purchased items (training positives),
-            required when a BaselineModel is evaluated.
 
     Returns:
         The two-level EvaluationReport.
@@ -260,13 +201,9 @@ def evaluate_tasks(
     for task in sorted(tasks, key=lambda t: t.shop_id):
         model = _model_for(models, task.shop_id)
         if mode is QueryMode.ITEM:
-            new_queries, deg = _item_queries(
-                model, task, features, options, user_pool, baseline_histories
-            )
+            new_queries, deg = _item_queries(model, task, features, options, user_pool)
         else:
-            new_queries, deg = _user_shop_queries(
-                model, task, features, options, baseline_histories
-            )
+            new_queries, deg = _user_shop_queries(model, task, features, options)
         queries.extend(new_queries)
         degenerate += deg
     return aggregate(
@@ -309,7 +246,6 @@ def _item_queries(
     features: FeatureSource,
     options: EvalOptions,
     user_pool: Sequence[str] | None,
-    baseline_histories: Mapping[str, Sequence[str]] | None,
 ) -> tuple[list[QueryMetrics], int]:
     if options.candidate_pool is CandidatePool.ALL_USERS:
         if user_pool is None:
@@ -320,7 +256,7 @@ def _item_queries(
     items = sorted({r.item_id for r in task.query})
     pool_row = {u: i for i, u in enumerate(pool)}
     item_col = {i: j for j, i in enumerate(items)}
-    scores = _scores_for_task(model, pool, items, features, baseline_histories)
+    scores = _scores_for_task(model, pool, items, features)
     positives: dict[str, set[str]] = {i: set() for i in items}
     observed: dict[str, tuple[list[float], list[float]]] = {i: ([], []) for i in items}
     for r in task.query:
@@ -336,11 +272,10 @@ def _item_queries(
     out = []
     degenerate = 0
     for j, item in enumerate(items):
-        col = scores[:, j]
-        score_map = {u: float(col[pool_row[u]]) for u in pool}
         relevance = {u: 1.0 for u in positives[item]}
         pred = RankedPrediction.from_scores(
-            f"{task.shop_id}:{item}", task.shop_id, score_map, relevance
+            f"{task.shop_id}:{item}", task.shop_id,
+            dict(zip(pool, scores[:, j].tolist())), relevance,
         )
         values, deg = _metric_values(pred, relevance, observed[item], options)
         degenerate += deg
@@ -353,7 +288,6 @@ def _user_shop_queries(
     task: ShopTask,
     features: FeatureSource,
     options: EvalOptions,
-    baseline_histories: Mapping[str, Sequence[str]] | None,
 ) -> tuple[list[QueryMetrics], int]:
     by_user: dict[str, list] = {}
     for r in task.query:
@@ -363,7 +297,7 @@ def _user_shop_queries(
     for user in sorted(by_user):
         recs = by_user[user]
         cands = sorted({r.item_id for r in recs})
-        row = _scores_for_task(model, [user], cands, features, baseline_histories)[0]
+        row = _scores_for_task(model, [user], cands, features)[0]
         col_of = {i: j for j, i in enumerate(cands)}
         relevance: dict[str, float] = {}
         preds_obs: list[float] = []
@@ -372,9 +306,9 @@ def _user_shop_queries(
             relevance[r.item_id] = max(relevance.get(r.item_id, 0.0), r.label)
             preds_obs.append(float(row[col_of[r.item_id]]))
             labels_obs.append(r.label)
-        score_map = {i: float(row[col_of[i]]) for i in cands}
         pred = RankedPrediction.from_scores(
-            f"{task.shop_id}:{user}", task.shop_id, score_map, relevance
+            f"{task.shop_id}:{user}", task.shop_id,
+            dict(zip(cands, row.tolist())), relevance,
         )
         recall_rel = {
             i: 1.0

@@ -378,12 +378,11 @@ def nonmeta_train(
     cfg: MetaConfig,
     epochs: int,
     batch_size: int | None = None,
-    shuffle: bool = True,
 ) -> tuple[RecModel, TrainHistory]:
     """Pooled mini-batch SGD at rate ``alpha`` (the conventional comparator).
 
-    Shuffling is seeded, so runs are bit-reproducible either way. With
-    ``epochs == 0`` the model comes back unchanged.
+    Each epoch visits the records in a seeded shuffle, so runs are
+    bit-reproducible. With ``epochs == 0`` the model comes back unchanged.
     """
     if epochs < 0:
         raise ConfigError(f"epochs must be >= 0, got {epochs}")
@@ -397,7 +396,7 @@ def nonmeta_train(
     rng = np.random.default_rng([cfg.seed, 29])
     history = TrainHistory()
     for _ in range(epochs):
-        order = rng.permutation(n) if shuffle else np.arange(n)
+        order = rng.permutation(n)
         epoch_loss = 0.0
         n_batches = 0
         for start in range(0, n, bs):

@@ -71,9 +71,9 @@ class RankedPrediction:
         relevance: Mapping[str, float],
     ) -> "RankedPrediction":
         """Rank by descending score; ties break toward the smaller id."""
-        ranked = tuple(
-            c for c, _ in sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-        )
+        ids = sorted(scores)
+        values = np.array([scores[c] for c in ids], dtype=np.float64)
+        ranked = [ids[i] for i in np.argsort(-values, kind="stable").tolist()]
         return RankedPrediction(query_id, shop_id, ranked, dict(relevance))
 
 
@@ -109,13 +109,18 @@ def dcg_at_k(gains_in_rank_order: Sequence[float], k: int) -> float:
 
 
 def ndcg_at_k(pred: RankedPrediction, k: int) -> float:
-    """DCG over ideal DCG; exactly 1.0 for a perfect ranking, 0 if IDCG is 0."""
+    """DCG over ideal DCG; exactly 1.0 for a perfect ranking, 0 if IDCG is 0.
+
+    Candidates without a relevance entry have gain 0; at most k of them can
+    reach the ideal top k, so only that many zeros join the ideal order.
+    """
     _check_k(k)
-    gains = [pred.relevance.get(c, 0.0) for c in pred.ranked]
-    idcg = dcg_at_k(sorted(gains, reverse=True), k)
+    unlisted = len(pred.ranked) - len(pred.relevance)
+    ideal = sorted([*pred.relevance.values(), *[0.0] * min(k, unlisted)], reverse=True)
+    idcg = dcg_at_k(ideal, k)
     if idcg == 0.0:
         return 0.0
-    return dcg_at_k(gains, k) / idcg
+    return dcg_at_k([pred.relevance.get(c, 0.0) for c in pred.ranked[:k]], k) / idcg
 
 
 def has_positive_gain(pred: RankedPrediction) -> bool:

@@ -341,13 +341,6 @@ def prepare_batch(
     )
 
 
-def _feature_matrices(model: RecModel, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
-    return (
-        encode_rows(model.user_encoder, batch.user_rows),
-        encode_rows(model.item_encoder, batch.item_rows),
-    )
-
-
 def _encoder_grad(
     encoder: FeatureEncoder, idx: np.ndarray, d_feats: np.ndarray
 ) -> FeatureEncoder:
@@ -362,13 +355,6 @@ def _encoder_grad(
         tables[f.name] = g
         offset += width
     return FeatureEncoder(EncoderMode.CATEGORICAL, encoder.dim, encoder.fields, tables)
-
-
-def predict_scores(model: RecModel, batch: Batch) -> np.ndarray:
-    """Model scores for a batch, sigmoid-squashed when the model says so."""
-    u, v = _feature_matrices(model, batch)
-    raw, _ = numcore.model_forward_trace(model.scorer, u, v)
-    return numcore.sigmoid(raw) if model.sigmoid_output else raw
 
 
 def model_loss_and_grad(
@@ -392,7 +378,8 @@ def model_loss_and_grad(
     """
     if batch.size == 0:
         raise EmptyBatchError("gradient on an empty batch")
-    u, v = _feature_matrices(model, batch)
+    u = encode_rows(model.user_encoder, batch.user_rows)
+    v = encode_rows(model.item_encoder, batch.item_rows)
     raw, trace = numcore.model_forward_trace(model.scorer, u, v)
     pred = numcore.sigmoid(raw) if model.sigmoid_output else raw
     loss, d_pred = numcore.loss_and_pred_grad(pred, batch.labels, loss_kind)
@@ -454,6 +441,53 @@ def build_baseline(
 ) -> BaselineModel:
     mapper = numcore.init_mlp([item_encoder.dim] + list(hidden_dims), rng)
     return BaselineModel(item_encoder, BaselineParams(mapper, margin, negative_weight))
+
+
+def baseline_user_reps(
+    model: BaselineModel,
+    histories: Mapping[str, Sequence[str]],
+    features: FeatureSource,
+    users: Sequence[str],
+) -> dict[str, np.ndarray]:
+    """Mapped-history means; users without history get the catalog mean."""
+    catalog = sorted({i for items in histories.values() for i in items})
+    if not catalog:
+        raise DataError("baseline evaluation needs at least one purchase history")
+    rows = feature_rows(model.item_encoder, map(features.item_raw, catalog), "item")
+    reps, _ = numcore.mlp_forward_trace(
+        model.params.item_mapper, encode_rows(model.item_encoder, rows)
+    )
+    row_of = {i: r for r, i in enumerate(catalog)}
+    fallback = reps.mean(axis=0)
+    out = {}
+    for u in users:
+        hist = histories.get(u)
+        if hist:
+            out[u] = reps[[row_of[i] for i in hist]].mean(axis=0)
+        else:
+            out[u] = fallback
+    return out
+
+
+def baseline_score_matrix(
+    model: BaselineModel,
+    user_reps: Mapping[str, np.ndarray],
+    user_ids: Sequence[str],
+    item_ids: Sequence[str],
+    features: FeatureSource,
+) -> np.ndarray:
+    """Negated user-item distances, shape (n_users, n_items)."""
+    rows = feature_rows(model.item_encoder, map(features.item_raw, item_ids), "item")
+    reps, _ = numcore.mlp_forward_trace(
+        model.params.item_mapper, encode_rows(model.item_encoder, rows)
+    )
+    u = np.stack([np.asarray(user_reps[uid], dtype=np.float64) for uid in user_ids])
+    sq = (
+        np.sum(u * u, axis=1)[:, None]
+        + np.sum(reps * reps, axis=1)[None, :]
+        - 2.0 * (u @ reps.T)
+    )
+    return -np.sqrt(np.maximum(sq, 0.0))
 
 
 def baseline_loss_and_grad(

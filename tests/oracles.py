@@ -2,9 +2,10 @@
 
 Everything here is deliberately written the slow way (Python loops, scalar
 arithmetic, brute-force enumeration) so it shares no code with the package.
-The one exception is meta_train_per_step: it drives the package's own step
-functions, and checks only that meta_train's resolve-once cache changes
-nothing.
+Two exceptions drive the package's own code: meta_train_per_step checks
+only that meta_train's resolve-once cache changes nothing, and
+predict_scores is the pairwise reference that score_matrix's batched
+scoring must reproduce.
 """
 
 from __future__ import annotations
@@ -15,7 +16,15 @@ import numpy as np
 
 from metashop.datapipe import ShopTask
 from metashop.metaopt import fmst_train_step, meta_train_step
-from metashop.numcore import Activation, MlpParams, tree_leaves, tree_map
+from metashop.models import Batch, RecModel, encode_rows
+from metashop.numcore import (
+    Activation,
+    MlpParams,
+    model_forward_trace,
+    sigmoid,
+    tree_leaves,
+    tree_map,
+)
 
 
 def _act(kind: Activation, z: float) -> float:
@@ -98,6 +107,14 @@ def adam_trace_scalar(p0: float, grad_seq, stepsize: float) -> list[float]:
         p = p - stepsize * mhat / (math.sqrt(vhat) + eps)
         out.append(p)
     return out
+
+
+def predict_scores(model: RecModel, batch: Batch) -> np.ndarray:
+    """Scores for a batch of pairs, sigmoid-squashed when the model says so."""
+    u = encode_rows(model.user_encoder, batch.user_rows)
+    v = encode_rows(model.item_encoder, batch.item_rows)
+    raw, _ = model_forward_trace(model.scorer, u, v)
+    return sigmoid(raw) if model.sigmoid_output else raw
 
 
 def meta_train_per_step(model, tasks, features, cfg, steps, regularized=False):

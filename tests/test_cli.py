@@ -17,6 +17,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import metashop.cli as cli
 from metashop.checkpoint import load_checkpoint
 from metashop.cli import load_config, main, parse_config
 from metashop.errors import ConfigError
@@ -832,6 +833,32 @@ class TestEvaluate:
         report = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert report["counts"]["queries"] > 0
 
+    @pytest.mark.parametrize(
+        "sets", [[], ["eval.query_mode=user_shop"]], ids=["item", "user_shop"]
+    )
+    def test_baseline_user_reps_computed_once(self, workspace, monkeypatch, sets):
+        cfg_path, out = workspace
+        baseline = ["train.trainer=baseline", "model.kind=baseline", "train.epochs=2"]
+        argv = ["train", "--config", str(cfg_path)]
+        for s in baseline:
+            argv += ["--set", s]
+        assert main(argv) == 0
+        calls = []
+        real = cli.baseline_user_reps
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "baseline_user_reps", counting)
+        argv = ["evaluate", "--config", str(cfg_path)]
+        for s in sets:
+            argv += ["--set", s]
+        assert main(argv) == 0
+        assert len(calls) == 1
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert report["counts"]["queries"] > 0
+
 
 class TestReportCommand:
     def test_prints_tables(self, workspace, capsys):
@@ -957,6 +984,34 @@ class TestAblation:
             (out / "ablation_task_unit.tsv").read_text(encoding="utf-8").splitlines()
         )
         assert [l.split("\t")[0] for l in lines[1:]] == ["shop", "item", "user"]
+
+    @pytest.mark.parametrize(
+        "trainer",
+        [["nonmeta"], ["one_shop"], ["baseline", "model.kind=baseline"]],
+        ids=["nonmeta", "one_shop", "baseline"],
+    )
+    def test_task_unit_with_a_taskless_trainer_is_a_config_error(
+        self, workspace, capsys, trainer
+    ):
+        cfg_path, out = workspace
+        import csv
+
+        with open(out / "train.csv", newline="", encoding="utf-8") as fh:
+            shop = next(csv.DictReader(fh))["shop_id"]
+        argv = ["ablation", "--config", str(cfg_path)]
+        for s in [
+            "ablation.study=task_unit",
+            f"train.trainer={trainer[0]}",
+            *trainer[1:],
+            f"train.shop_id={shop}",
+            "train.steps=4",
+            "train.epochs=2",
+        ]:
+            argv += ["--set", s]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: train.trainer={trainer[0]} ")
+        assert not (out / "ablation_task_unit.tsv").exists()
 
     def test_study_is_required(self, workspace, capsys):
         cfg_path, _ = workspace

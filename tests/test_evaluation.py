@@ -14,8 +14,6 @@ from metashop.evaluation import (
     CandidatePool,
     EvalOptions,
     QueryMode,
-    baseline_score_matrix,
-    baseline_user_reps,
     evaluate_tasks,
     infer_query_mode,
     recall_name,
@@ -25,16 +23,17 @@ from metashop.evaluation import (
 from metashop.metrics import RecallMode
 from metashop.models import (
     ModelKind,
+    baseline_score_matrix,
+    baseline_user_reps,
     build_baseline,
     build_model,
     prepare_batch,
-    predict_scores,
     pretrained_encoder,
 )
 
 from metashop.numcore import mlp_forward_trace
 
-from oracles import ndcg_oracle
+from oracles import ndcg_oracle, predict_scores
 
 
 def mapped(model, x) -> np.ndarray:
@@ -193,22 +192,14 @@ class TestScoreMatrix:
         np.testing.assert_allclose(reps["cold"], rows.mean(axis=0), rtol=1e-12)
 
     def test_baseline_requires_histories_in_pipeline(self):
+        # a baseline is evaluated through a scorer bound to its training
+        # histories (cli._evaluate_model); the bare model is not a scorer
         pool, tasks, _ = binary_world()
-        feats = self.features(20, 0, 2, 5)
-        feats.items.update(
-            {
-                r.item_id: np.random.default_rng(1).normal(size=2)
-                for t in tasks
-                for r in (*t.support, *t.query)
-            }
-        )
         model = build_baseline(pretrained_encoder(2), [3], 9)
-        # renumber pool users to match the binary_world naming
-        feats2 = DictFeatures({u: feats.users[f"u{k}"] for k, u in enumerate(pool)},
-                              feats.items)
         options = EvalOptions(recall_ks=(1,), ndcg_ks=())
-        with pytest.raises(DataError, match="histories"):
-            evaluate_tasks(model, tasks, feats2, options, user_pool=pool)
+        feats = self.features(20, 0, 2, 5)
+        with pytest.raises(DataError, match="^cannot score with a BaselineModel$"):
+            evaluate_tasks(model, tasks, feats, options, user_pool=pool)
 
 
 class TestItemMode:

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metashop.datapipe import SizeClass
 from metashop.errors import ConfigError, DataError
@@ -131,6 +133,38 @@ class TestOracleAgreement:
             assert ndcg_at_k(p, k) == pytest.approx(
                 ndcg_oracle(ranked, gains, k), abs=1e-12
             )
+
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_ties_and_signed_gains_match_the_oracles(self, data):
+        n = data.draw(st.integers(1, 14))
+        # ids whose string order is not their numeric order, inserted shuffled
+        cands = [f"c{j}" for j in data.draw(st.permutations(range(n)))]
+        # few distinct scores, so ties are common; 0.0 and -0.0 tie
+        score = st.one_of(
+            st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+            st.floats(allow_nan=False),
+        )
+        scores = {c: data.draw(score) for c in cands}
+        # half the queries have no positive gain, so zeros lead the ideal order
+        top = data.draw(st.sampled_from([0.0, 8.0]))
+        gain = st.one_of(
+            st.sampled_from([0.0, -0.0, -1.0, top]),
+            st.floats(min_value=-8.0, max_value=top),
+        )
+        listed = data.draw(st.lists(st.sampled_from(cands), unique=True))
+        relevance = {c: data.draw(gain) for c in listed}
+        k = data.draw(st.integers(1, n + 3))
+        p = RankedPrediction.from_scores("q", "s", scores, relevance)
+        ranked = rank_candidates(scores)
+        assert list(p.ranked) == ranked
+        relevant = {c for c, g in relevance.items() if g > 0}
+        assert recall_at_k(p, k) == recall_oracle(ranked, relevant, k, False)
+        assert recall_at_k(p, k, RecallMode.TOPK_FRACTION) == recall_oracle(
+            ranked, relevant, k, True
+        )
+        assert ndcg_at_k(p, k) == ndcg_oracle(ranked, relevance, k)
 
 
 def q(query, shop, **values):

@@ -23,6 +23,8 @@ from metashop.models import (
     FieldSpec,
     ModelKind,
     baseline_loss_and_grad,
+    baseline_score_matrix,
+    baseline_user_reps,
     build_baseline,
     build_categorical_encoder,
     build_model,
@@ -31,7 +33,7 @@ from metashop.models import (
     prepare_batch,
     pretrained_encoder,
 )
-from metashop.evaluation import baseline_score_matrix, baseline_user_reps, score_matrix
+from metashop.evaluation import score_matrix
 from metashop.numcore import (
     LossKind,
     ModelVariant,
@@ -43,7 +45,7 @@ from metashop.numcore import (
     tree_map,
 )
 
-from oracles import central_fd_grad, grads_close
+from oracles import central_fd_grad, grads_close, predict_scores
 
 
 @dataclass(frozen=True)
@@ -193,8 +195,6 @@ class TestRecModel:
         with_pen, grads = model_loss_and_grad(
             model, batch, LossKind.SQUARED, pred_penalty=(-gamma, gamma)
         )
-        from metashop.models import predict_scores
-
         mean_pred = float(np.mean(predict_scores(model, batch)))
         assert math.isclose(with_pen, base + gamma * (1.0 - mean_pred), rel_tol=1e-12)
 
