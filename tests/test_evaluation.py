@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metashop.datapipe import InteractionRecord, ShopTask, SizeClass
+from metashop import evaluation
 from metashop.errors import DataError
 from metashop.evaluation import (
     CandidatePool,
@@ -33,7 +37,13 @@ from metashop.models import (
 
 from metashop.numcore import mlp_forward_trace
 
-from oracles import ndcg_oracle, predict_scores
+from oracles import (
+    mae_loop,
+    ndcg_oracle,
+    predict_scores,
+    rank_candidates,
+    recall_oracle,
+)
 
 
 def mapped(model, x) -> np.ndarray:
@@ -349,3 +359,115 @@ class TestHelpers:
     def test_empty_tasks_rejected(self):
         with pytest.raises(DataError):
             evaluate_tasks(lambda u, i: None, [], None, EvalOptions())
+
+
+def oracle_k(k: float, n: int) -> int:
+    if k < 1:
+        return min(n, max(1, math.ceil(k * n)))
+    return min(n, int(k))
+
+
+class TestOracleAgreement:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_every_query_value_matches_the_oracles(self, data):
+        mode = data.draw(st.sampled_from(list(QueryMode)))
+        n_users = data.draw(st.integers(1, 12))
+        # string order of these ids is not their numeric order
+        users = [f"u{j}" for j in range(n_users)]
+        labels = [0.0, 1.0] if mode is QueryMode.ITEM else [0.0, 1.0, 2.5, 4.0, 5.0]
+        # few distinct scores, so ties are common; 0.0 and -0.0 tie
+        score = st.one_of(
+            st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+            st.floats(min_value=-10.0, max_value=10.0),
+        )
+        tasks, table = [], {}
+        for s in range(data.draw(st.integers(1, 3))):
+            shop = f"s{s}"
+            items = [f"i{s}_{j}" for j in range(data.draw(st.integers(1, 4)))]
+            records = data.draw(
+                st.lists(
+                    st.tuples(
+                        st.sampled_from(users),
+                        st.sampled_from(items),
+                        st.sampled_from(labels),
+                    ),
+                    min_size=1,
+                    max_size=16,
+                )
+            )
+            query = [irec(u, i, shop, y) for u, i, y in records]
+            support = [irec("support_user", "support_item", shop, 1.0)]
+            tasks.append(ShopTask(shop, support, query))
+            for u in users:
+                for i in items:
+                    table[u, i] = data.draw(score)
+
+        def scorer(us, its):
+            return np.array([[table[u, i] for i in its] for u in us])
+
+        recall_ks = (
+            data.draw(st.integers(1, n_users + 2)),
+            data.draw(st.sampled_from([0.1, 0.26, 0.5, 0.9])),
+        )
+        options = EvalOptions(
+            recall_ks=recall_ks,
+            ndcg_ks=(data.draw(st.integers(1, 5)),),
+            recall_mode=data.draw(st.sampled_from(list(RecallMode))),
+            rating_positive_threshold=data.draw(st.sampled_from([0.0, 2.5, 4.0])),
+            candidate_pool=data.draw(st.sampled_from(list(CandidatePool))),
+            query_mode=mode,
+        )
+        # unsorted, with one id repeated
+        user_pool = data.draw(st.permutations(users))
+        user_pool = [*user_pool, data.draw(st.sampled_from(users))]
+
+        with mock.patch.object(
+            evaluation, "aggregate", wraps=evaluation.aggregate
+        ) as spy:
+            report = evaluate_tasks(scorer, tasks, None, options, user_pool=user_pool)
+        got = spy.call_args.args[0]
+
+        want = []
+        for task in tasks:
+            if mode is QueryMode.ITEM:
+                if options.candidate_pool is CandidatePool.ALL_USERS:
+                    cands = set(user_pool)
+                else:
+                    cands = {r.user_id for r in task.query}
+                keys = sorted({r.item_id for r in task.query})
+                for item in keys:
+                    recs = [r for r in task.query if r.item_id == item]
+                    scores = {u: table[u, item] for u in cands}
+                    gains = {r.user_id: 1.0 for r in recs if r.label > 0}
+                    relevant = set(gains)
+                    want.append((f"{task.shop_id}:{item}", scores, gains, relevant, recs))
+            else:
+                for user in sorted({r.user_id for r in task.query}):
+                    recs = [r for r in task.query if r.user_id == user]
+                    scores = {r.item_id: table[user, r.item_id] for r in recs}
+                    gains = {i: 0.0 for i in scores}
+                    for r in recs:
+                        gains[r.item_id] = max(gains[r.item_id], r.label)
+                    relevant = {
+                        i for i, g in gains.items()
+                        if g >= options.rating_positive_threshold
+                    }
+                    want.append((f"{task.shop_id}:{user}", scores, gains, relevant, recs))
+
+        assert [q.query_id for q in got] == [w[0] for w in want]
+        divide_by_k = options.recall_mode is RecallMode.TOPK_FRACTION
+        for q, (_, scores, gains, relevant, recs) in zip(got, want):
+            ranked = rank_candidates(scores)
+            for k in recall_ks:
+                assert q.values[recall_name(k)] == recall_oracle(
+                    ranked, relevant, oracle_k(k, len(ranked)), divide_by_k
+                )
+            for k in options.ndcg_ks:
+                assert q.values[f"ndcg@{k}"] == ndcg_oracle(ranked, gains, k)
+            preds = [table[r.user_id, r.item_id] for r in recs]
+            assert q.values["mae"] == pytest.approx(
+                mae_loop(preds, [r.label for r in recs]), rel=0, abs=1e-12
+            )
+        degenerate = sum(1 for w in want if not any(g > 0 for g in w[2].values()))
+        assert report.counts["ndcg_degenerate"] == degenerate
