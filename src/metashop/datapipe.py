@@ -542,14 +542,14 @@ def load_latents(path: str | Path) -> tuple[FeatureTable, dict[str, np.ndarray]]
                 vec = np.asarray([float(v) for v in row[2:]], dtype=np.float64)
             except ValueError:
                 raise DataError(f"{path} line {line_no}: non-numeric value") from None
-            if kind == "user":
-                users[key] = vec
-            elif kind == "item":
-                items[key] = vec
-            elif kind == "shop_effect":
-                shops[key] = vec
-            else:
+            table = {"user": users, "item": items, "shop_effect": shops}.get(kind)
+            if table is None:
                 raise DataError(f"{path} line {line_no}: unknown kind {kind!r}")
+            if not np.isfinite(vec).all():
+                raise DataError(f"{path} line {line_no}: non-finite value")
+            if key in table:
+                raise DataError(f"{path} line {line_no}: repeated {kind} id {key!r}")
+            table[key] = vec
     if not users or not items:
         raise DataError(f"{path}: latent file needs user and item rows")
     return FeatureTable(users, items), shops
@@ -579,6 +579,8 @@ def load_attributes(path: str | Path) -> dict[str, dict[str, str]]:
         for line_no, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise DataError(f"{path} line {line_no}: wrong field count")
+            if row[0] in out:
+                raise DataError(f"{path} line {line_no}: repeated id {row[0]!r}")
             out[row[0]] = dict(zip(header[1:], row[1:]))
     return out
 

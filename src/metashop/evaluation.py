@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -36,13 +36,12 @@ from .metrics import (
     DEFAULT_THRESHOLDS,
     EvaluationReport,
     QueryMetrics,
-    RankedPrediction,
     RecallMode,
     aggregate,
-    has_positive_gain,
     mae,
-    ndcg_at_k,
-    recall_at_k,
+    ndcg_columns,
+    rank_order,
+    recall_columns,
 )
 from .models import FeatureSource, RecModel, encode_rows, feature_rows
 
@@ -201,11 +200,16 @@ def evaluate_tasks(
     for task in sorted(tasks, key=lambda t: t.shop_id):
         model = _model_for(models, task.shop_id)
         if mode is QueryMode.ITEM:
-            new_queries, deg = _item_queries(model, task, features, options, user_pool)
+            batches = [_item_queries(model, task, features, options, user_pool)]
         else:
-            new_queries, deg = _user_shop_queries(model, task, features, options)
-        queries.extend(new_queries)
-        degenerate += deg
+            batches = _user_shop_queries(model, task, features, options)
+        for keys, gains, recall_gains, observed in batches:
+            values, deg = _metric_values(gains, recall_gains, observed, options)
+            queries += [
+                QueryMetrics(f"{task.shop_id}:{key}", task.shop_id, v)
+                for key, v in zip(keys, values)
+            ]
+            degenerate += deg
     return aggregate(
         queries,
         shop_classes,
@@ -214,29 +218,30 @@ def evaluate_tasks(
     )
 
 
+# One batch of queries: their keys; nDCG gains and recall relevance, both in
+# rank order (candidates x queries); each query's (predictions, labels).
+Queries = tuple[list[str], np.ndarray, np.ndarray, list[tuple]]
+
+
 def _metric_values(
-    pred: RankedPrediction,
-    recall_relevance: dict[str, float],
-    observed: tuple[list[float], list[float]],
+    gains: np.ndarray,
+    recall_gains: np.ndarray,
+    observed: list[tuple],
     options: EvalOptions,
-) -> tuple[dict[str, float | None], int]:
-    values: dict[str, float | None] = {}
-    n = len(pred.ranked)
-    recall_pred = RankedPrediction(
-        pred.query_id, pred.shop_id, pred.ranked, recall_relevance
-    )
+) -> tuple[list[dict[str, float | None]], int]:
+    """Each query column's metric values, and how many have no gain > 0."""
+    n, n_queries = gains.shape
+    columns: dict[str, list] = {}
     for k in options.recall_ks:
-        values[recall_name(k)] = recall_at_k(
-            recall_pred, resolve_k(k, n), options.recall_mode
+        columns[recall_name(k)] = recall_columns(
+            recall_gains, resolve_k(k, n), options.recall_mode
         )
-    degenerate = 0
     for k in options.ndcg_ks:
-        values[f"ndcg@{k}"] = ndcg_at_k(pred, int(k))
-    if options.ndcg_ks and not has_positive_gain(pred):
-        degenerate = 1
+        columns[f"ndcg@{k}"] = ndcg_columns(gains, int(k))
     if options.include_mae:
-        preds, labels = observed
-        values["mae"] = mae(preds, labels) if preds else None
+        columns["mae"] = [mae(preds, labels) for preds, labels in observed]
+    values = [{name: c[j] for name, c in columns.items()} for j in range(n_queries)]
+    degenerate = int((~(gains > 0).any(axis=0)).sum()) if options.ndcg_ks else 0
     return values, degenerate
 
 
@@ -246,41 +251,31 @@ def _item_queries(
     features: FeatureSource,
     options: EvalOptions,
     user_pool: Sequence[str] | None,
-) -> tuple[list[QueryMetrics], int]:
+) -> Queries:
     if options.candidate_pool is CandidatePool.ALL_USERS:
         if user_pool is None:
             raise DataError("ITEM queries over ALL_USERS need a user_pool")
-        pool = list(user_pool)
+        pool = sorted(set(user_pool))
     else:
         pool = sorted({r.user_id for r in task.query})
     items = sorted({r.item_id for r in task.query})
     pool_row = {u: i for i, u in enumerate(pool)}
     item_col = {i: j for j, i in enumerate(items)}
     scores = _scores_for_task(model, pool, items, features)
-    positives: dict[str, set[str]] = {i: set() for i in items}
-    observed: dict[str, tuple[list[float], list[float]]] = {i: ([], []) for i in items}
+    gains = np.zeros(scores.shape)
+    observed: list[tuple] = [([], []) for _ in items]
     for r in task.query:
         if r.user_id not in pool_row:
             raise DataError(
                 f"test user {r.user_id!r} is missing from the candidate pool"
             )
+        row, col = pool_row[r.user_id], item_col[r.item_id]
         if r.label > 0:
-            positives[r.item_id].add(r.user_id)
-        preds, labels = observed[r.item_id]
-        preds.append(float(scores[pool_row[r.user_id], item_col[r.item_id]]))
-        labels.append(r.label)
-    out = []
-    degenerate = 0
-    for j, item in enumerate(items):
-        relevance = {u: 1.0 for u in positives[item]}
-        pred = RankedPrediction.from_scores(
-            f"{task.shop_id}:{item}", task.shop_id,
-            dict(zip(pool, scores[:, j].tolist())), relevance,
-        )
-        values, deg = _metric_values(pred, relevance, observed[item], options)
-        degenerate += deg
-        out.append(QueryMetrics(pred.query_id, task.shop_id, values))
-    return out, degenerate
+            gains[row, col] = 1.0
+        observed[col][0].append(scores[row, col])
+        observed[col][1].append(r.label)
+    ranked = np.take_along_axis(gains, rank_order(scores), axis=0)
+    return items, ranked, ranked, observed
 
 
 def _user_shop_queries(
@@ -288,36 +283,18 @@ def _user_shop_queries(
     task: ShopTask,
     features: FeatureSource,
     options: EvalOptions,
-) -> tuple[list[QueryMetrics], int]:
+) -> Iterator[Queries]:
     by_user: dict[str, list] = {}
     for r in task.query:
         by_user.setdefault(r.user_id, []).append(r)
-    out = []
-    degenerate = 0
     for user in sorted(by_user):
         recs = by_user[user]
         cands = sorted({r.item_id for r in recs})
-        row = _scores_for_task(model, [user], cands, features)[0]
-        col_of = {i: j for j, i in enumerate(cands)}
-        relevance: dict[str, float] = {}
-        preds_obs: list[float] = []
-        labels_obs: list[float] = []
-        for r in recs:
-            relevance[r.item_id] = max(relevance.get(r.item_id, 0.0), r.label)
-            preds_obs.append(float(row[col_of[r.item_id]]))
-            labels_obs.append(r.label)
-        pred = RankedPrediction.from_scores(
-            f"{task.shop_id}:{user}", task.shop_id,
-            dict(zip(cands, row.tolist())), relevance,
-        )
-        recall_rel = {
-            i: 1.0
-            for i, g in relevance.items()
-            if g >= options.rating_positive_threshold
-        }
-        values, deg = _metric_values(
-            pred, recall_rel, (preds_obs, labels_obs), options
-        )
-        degenerate += deg
-        out.append(QueryMetrics(pred.query_id, task.shop_id, values))
-    return out, degenerate
+        scores = _scores_for_task(model, [user], cands, features).T
+        rows = np.searchsorted(cands, [r.item_id for r in recs])
+        labels = [r.label for r in recs]
+        gains = np.zeros(scores.shape)
+        np.maximum.at(gains[:, 0], rows, labels)  # a rerated item keeps its best
+        ranked = np.take_along_axis(gains, rank_order(scores), axis=0)
+        relevant = ranked >= options.rating_positive_threshold
+        yield [user], ranked, relevant, [(scores[rows, 0], labels)]

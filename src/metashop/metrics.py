@@ -1,14 +1,22 @@
 """Ranking metrics and the two-level (item/shop) evaluation report.
 
-recall@k has two conventions, selected by RecallMode:
+One kernel ranks and scores every query: a score matrix holds a column per
+query and a row per candidate, rows sorted by id. ``rank_order`` sorts each
+column by descending score (ties go to the smaller id, 0.0 ties -0.0, NaN
+ranks last), and ``recall_columns`` and ``ndcg_columns`` score the gain
+matrix gathered in that order. ``recall_at_k`` and ``ndcg_at_k`` are
+one-column calls of it.
+
+recall@k counts a candidate as relevant when its gain is > 0, and has two
+conventions, selected by RecallMode:
   * STANDARD divides hits in the top k by the total number of relevant
     candidates (undefined when there are none: the query is skipped and
     counted).
   * TOPK_FRACTION divides by k itself, so its ceiling is min(1, R/k); some
     published shop-level numbers use this form, which is why both exist.
 
-nDCG@k uses gains 2^y - 1 and the log2(1 + rank) discount; a query whose
-ideal DCG is zero contributes 0 and is counted separately.
+nDCG@k uses gains 2^g - 1 and the log2(1 + rank) discount; a query whose
+ideal DCG is zero scores 0.
 
 Aggregation: item level is the unweighted mean over queries; shop level
 first averages within each shop, then across shops (so small shops count as
@@ -72,9 +80,18 @@ class RankedPrediction:
     ) -> "RankedPrediction":
         """Rank by descending score; ties break toward the smaller id."""
         ids = sorted(scores)
-        values = np.array([scores[c] for c in ids], dtype=np.float64)
-        ranked = [ids[i] for i in np.argsort(-values, kind="stable").tolist()]
+        order = rank_order(np.array([[scores[c]] for c in ids], dtype=np.float64))
+        ranked = [ids[i] for i in order[:, 0]]
         return RankedPrediction(query_id, shop_id, ranked, dict(relevance))
+
+
+def rank_order(scores: np.ndarray) -> np.ndarray:
+    """Row indices of each column by descending score.
+
+    Rows must be sorted by candidate id: the stable sort then breaks ties
+    toward the smaller id, 0.0 ties -0.0, and NaN ranks last.
+    """
+    return np.argsort(-scores, axis=0, kind="stable")
 
 
 def _check_k(k: int) -> None:
@@ -82,49 +99,49 @@ def _check_k(k: int) -> None:
         raise ConfigError(f"k must be a positive integer, got {k!r}")
 
 
+def recall_columns(
+    gains: np.ndarray, k: int, mode: RecallMode = RecallMode.STANDARD
+) -> list[float | None]:
+    """recall@k of each column of ``gains`` in rank order; None if no gain is > 0."""
+    _check_k(k)
+    relevant = gains > 0
+    hits = relevant[:k].sum(axis=0).tolist()
+    totals = relevant.sum(axis=0).tolist()
+    if mode is RecallMode.TOPK_FRACTION:
+        return [h / k if t else None for h, t in zip(hits, totals)]
+    return [h / t if t else None for h, t in zip(hits, totals)]
+
+
+def _dcg(gains: np.ndarray) -> list[float]:
+    # scalar terms added rank by rank: numpy's power and log2 can round differently
+    totals = [0.0] * gains.shape[1]
+    for r, row in enumerate(gains.tolist(), start=1):
+        discount = math.log2(1.0 + r)
+        totals = [t + (2.0 ** g - 1.0) / discount for t, g in zip(totals, row)]
+    return totals
+
+
+def ndcg_columns(gains: np.ndarray, k: int) -> list[float]:
+    """nDCG@k of each column of ``gains`` in rank order; 0.0 if the ideal DCG is 0."""
+    _check_k(k)
+    ideal = _dcg(np.sort(gains, axis=0)[::-1][:k])
+    return [d / i if i != 0.0 else 0.0 for d, i in zip(_dcg(gains[:k]), ideal)]
+
+
+def _gain_column(pred: RankedPrediction) -> np.ndarray:
+    return np.array([[pred.relevance.get(c, 0.0)] for c in pred.ranked])
+
+
 def recall_at_k(
     pred: RankedPrediction, k: int, mode: RecallMode = RecallMode.STANDARD
 ) -> float | None:
-    """Hits in the top k over relevant count (STANDARD) or over k itself.
-
-    Returns None when the query has no relevant candidate, in both modes;
-    such queries are skipped (and counted) by the aggregation.
-    """
-    _check_k(k)
-    relevant = {c for c, g in pred.relevance.items() if g > 0}
-    if not relevant:
-        return None
-    hits = sum(1 for c in pred.ranked[:k] if c in relevant)
-    if mode is RecallMode.TOPK_FRACTION:
-        return hits / k
-    return hits / len(relevant)
-
-
-def dcg_at_k(gains_in_rank_order: Sequence[float], k: int) -> float:
-    _check_k(k)
-    total = 0.0
-    for r, y in enumerate(gains_in_rank_order[:k], start=1):
-        total += (2.0 ** float(y) - 1.0) / math.log2(1.0 + r)
-    return total
+    """Hits in the top k over relevant count (STANDARD) or over k itself."""
+    return recall_columns(_gain_column(pred), k, mode)[0]
 
 
 def ndcg_at_k(pred: RankedPrediction, k: int) -> float:
-    """DCG over ideal DCG; exactly 1.0 for a perfect ranking, 0 if IDCG is 0.
-
-    Candidates without a relevance entry have gain 0; at most k of them can
-    reach the ideal top k, so only that many zeros join the ideal order.
-    """
-    _check_k(k)
-    unlisted = len(pred.ranked) - len(pred.relevance)
-    ideal = sorted([*pred.relevance.values(), *[0.0] * min(k, unlisted)], reverse=True)
-    idcg = dcg_at_k(ideal, k)
-    if idcg == 0.0:
-        return 0.0
-    return dcg_at_k([pred.relevance.get(c, 0.0) for c in pred.ranked[:k]], k) / idcg
-
-
-def has_positive_gain(pred: RankedPrediction) -> bool:
-    return any(g > 0 for g in pred.relevance.values())
+    """DCG over ideal DCG; exactly 1.0 for a perfect ranking, 0 if IDCG is 0."""
+    return ndcg_columns(_gain_column(pred), k)[0]
 
 
 def mae(predictions: Sequence[float], labels: Sequence[float]) -> float:

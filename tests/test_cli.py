@@ -437,6 +437,22 @@ class TestExitCodes:
         assert code == 3
         assert "numeric error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_non_finite_latent_is_two(self, workspace, capsys, command):
+        cfg_path, out = workspace
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        latents = out / "latents.csv"
+        lines = latents.read_text(encoding="utf-8").splitlines()
+        row = next(n for n, line in enumerate(lines) if line.startswith("user,"))
+        fields = lines[row].split(",")
+        lines[row] = ",".join(fields[:2] + ["nan"] + fields[3:])
+        latents.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {latents} line {row + 1}: non-finite value\n"
+        )
+
     def test_checkpoint_that_is_not_an_object_is_two(self, workspace, capsys):
         cfg_path, out = workspace
         (out / "checkpoint.json").write_text("[1,2]\n", encoding="utf-8")

@@ -4,6 +4,7 @@ synthetic generator."""
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -398,6 +399,28 @@ class TestLatentsAndAttributes:
         bad.write_text("kind,id,v0\nuser,u1,1.0\n")
         with pytest.raises(DataError, match="user and item"):
             load_latents(bad)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_latents_reject_non_finite_values(self, tmp_path, value):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"kind,id,v0\nitem,i1,1.0\nuser,u1,{value}\n")
+        where = re.escape(str(bad))
+        with pytest.raises(DataError, match=f"^{where} line 3: non-finite value$"):
+            load_latents(bad)
+
+    def test_latents_reject_repeated_ids(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("kind,id,v0\nuser,u1,1.0\nitem,u1,2.0\nuser,u1,3.0\n")
+        where = re.escape(str(bad))
+        with pytest.raises(DataError, match=f"^{where} line 4: repeated user id 'u1'$"):
+            load_latents(bad)
+
+    def test_attributes_reject_repeated_ids(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("user_id,age\nu1,25\nu2,25\nu1,30\n")
+        where = re.escape(str(bad))
+        with pytest.raises(DataError, match=f"^{where} line 4: repeated id 'u1'$"):
+            load_attributes(bad)
 
     def test_attributes_round_trip(self, tmp_path):
         table = {

@@ -441,7 +441,9 @@ class TestOracleAgreement:
                     scores = {u: table[u, item] for u in cands}
                     gains = {r.user_id: 1.0 for r in recs if r.label > 0}
                     relevant = set(gains)
-                    want.append((f"{task.shop_id}:{item}", scores, gains, relevant, recs))
+                    want.append(
+                        (f"{task.shop_id}:{item}", scores, gains, relevant, recs)
+                    )
             else:
                 for user in sorted({r.user_id for r in task.query}):
                     recs = [r for r in task.query if r.user_id == user]
@@ -453,7 +455,9 @@ class TestOracleAgreement:
                         i for i, g in gains.items()
                         if g >= options.rating_positive_threshold
                     }
-                    want.append((f"{task.shop_id}:{user}", scores, gains, relevant, recs))
+                    want.append(
+                        (f"{task.shop_id}:{user}", scores, gains, relevant, recs)
+                    )
 
         assert [q.query_id for q in got] == [w[0] for w in want]
         divide_by_k = options.recall_mode is RecallMode.TOPK_FRACTION

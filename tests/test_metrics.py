@@ -16,12 +16,12 @@ from metashop.metrics import (
     RankedPrediction,
     RecallMode,
     aggregate,
-    dcg_at_k,
-    has_positive_gain,
     load_report,
     mae,
     ndcg_at_k,
+    ndcg_columns,
     recall_at_k,
+    recall_columns,
     report_from_json,
     report_tables,
     report_to_json,
@@ -53,7 +53,7 @@ class TestWorkedExamples:
         p = pred(["a", "b"], {})
         assert recall_at_k(p, 1, RecallMode.STANDARD) is None
         assert recall_at_k(p, 1, RecallMode.TOPK_FRACTION) is None
-        assert not has_positive_gain(p)
+        assert recall_columns(np.zeros((2, 1)), 1) == [None]
 
     def test_perfect_ndcg_is_exactly_one(self):
         p = pred(["a", "b", "c"], {"a": 3.0, "b": 2.0, "c": 1.0})
@@ -63,9 +63,11 @@ class TestWorkedExamples:
     def test_dcg_hand_computation(self):
         # gains 3,0,2 at ranks 1,2,3:
         # (2^3-1)/log2(2) + 0 + (2^2-1)/log2(4) = 7 + 1.5
-        assert dcg_at_k([3.0, 0.0, 2.0], 3) == pytest.approx(8.5, rel=1e-12)
-        p = pred(["a", "b", "c"], {"a": 3.0, "c": 2.0})
         ideal = 7.0 + 3.0 / math.log2(3.0)
+        assert ndcg_columns(np.array([[3.0], [0.0], [2.0]]), 3) == [
+            pytest.approx(8.5 / ideal, rel=1e-12)
+        ]
+        p = pred(["a", "b", "c"], {"a": 3.0, "c": 2.0})
         assert ndcg_at_k(p, 3) == pytest.approx(8.5 / ideal, rel=1e-12)
 
     def test_zero_idcg_scores_zero(self):
