@@ -90,7 +90,7 @@ written), and the allowed strings of each choice key from its enum.
 
 Exit codes: 0 success, 1 config error, 2 data error (any malformed input
 file, checkpoints and feature widths included), 3 numeric failure (a
-non-finite loss or gradient).
+non-finite loss, gradient or parameter update).
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ The CLI maps these onto process exit codes: ConfigError -> 1,
 DataError (and subclasses) -> 2, NumericError / ShapeError -> 3.
 Malformed input files are DataErrors, including checkpoints with
 misshapen or non-finite arrays and feature files whose width does not
-match the model, so exit code 3 is left to non-finite losses and
-gradients.
+match the model, so exit code 3 is left to non-finite losses,
+gradients and parameter updates.
 """
 
 from __future__ import annotations

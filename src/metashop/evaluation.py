@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -195,12 +195,22 @@ def evaluate_tasks(
     if not tasks:
         raise DataError("no evaluation tasks")
     mode = options.query_mode or infer_query_mode(tasks)
+    shared_pool = None
+    if mode is QueryMode.ITEM and options.candidate_pool is CandidatePool.ALL_USERS:
+        if user_pool is None:
+            raise DataError("ITEM queries over ALL_USERS need a user_pool")
+        shared_pool = _indexed(user_pool)
     queries: list[QueryMetrics] = []
     degenerate = 0
     for task in sorted(tasks, key=lambda t: t.shop_id):
         model = _model_for(models, task.shop_id)
         if mode is QueryMode.ITEM:
-            batches = [_item_queries(model, task, features, options, user_pool)]
+            candidates = (
+                shared_pool
+                if shared_pool is not None
+                else _indexed(r.user_id for r in task.query)
+            )
+            batches = [_item_queries(model, task, features, candidates)]
         else:
             batches = _user_shop_queries(model, task, features, options)
         for keys, gains, recall_gains, observed in batches:
@@ -245,21 +255,21 @@ def _metric_values(
     return values, degenerate
 
 
+def _indexed(ids: Iterable[str]) -> tuple[list[str], dict[str, int]]:
+    """The distinct ids, sorted, and the row of each."""
+    pool = sorted(set(ids))
+    return pool, {u: i for i, u in enumerate(pool)}
+
+
 def _item_queries(
     model: Any,
     task: ShopTask,
     features: FeatureSource,
-    options: EvalOptions,
-    user_pool: Sequence[str] | None,
+    candidates: tuple[list[str], dict[str, int]],
 ) -> Queries:
-    if options.candidate_pool is CandidatePool.ALL_USERS:
-        if user_pool is None:
-            raise DataError("ITEM queries over ALL_USERS need a user_pool")
-        pool = sorted(set(user_pool))
-    else:
-        pool = sorted({r.user_id for r in task.query})
+    """One query per item over the candidate users, as ``_indexed`` gives them."""
+    pool, pool_row = candidates
     items = sorted({r.item_id for r in task.query})
-    pool_row = {u: i for i, u in enumerate(pool)}
     item_col = {i: j for j, i in enumerate(items)}
     scores = _scores_for_task(model, pool, items, features)
     gains = np.zeros(scores.shape)

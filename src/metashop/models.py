@@ -1,9 +1,15 @@
 """Model bundles: feature encoders, scoring networks, and the distance baseline.
 
 A RecModel ties together a user encoder, an item encoder, and a scoring
-network so that one gradient step can update embedding tables and dense
-layers together (the whole bundle is a parameter tree; gradients reuse the
-same containers).
+network so that one gradient step updates embedding tables and dense layers
+together. The bundle is one numcore.ParamTree: every table, weight and bias
+is a view of the model's single float64 ``vector`` (user tables, item
+tables, then the scorer's layers), validated once when the model is built
+or loaded. A gradient is a zeroed RecModel of the same layout; backprop
+writes the dense-layer gradients into it and ``np.add.at`` scatters the
+table gradients into its table slices, and the filled vector is checked for
+finiteness once. A BaselineModel is laid out the same way (item tables, then
+the mapper's layers).
 
 Model kinds:
   * MESH: two MLP towers joined by a dot product of their outputs.
@@ -84,7 +90,7 @@ class FieldSpec:
 
 
 @dataclass(frozen=True)
-class FeatureEncoder:
+class FeatureEncoder(numcore.ParamTree):
     """Maps raw user/item data to a float vector.
 
     PRETRAINED passes through a fixed-size float vector unchanged and owns no
@@ -93,12 +99,10 @@ class FeatureEncoder:
     rows, so its tables receive gradients like any other parameter.
     """
 
+    PARTS = ("tables",)
     mode: EncoderMode
     dim: int
-    # vocabularies hold no parameters; the tree utilities leave them alone
-    fields: tuple[FieldSpec, ...] = field(
-        default=(), metadata={numcore.STATIC: True}
-    )
+    fields: tuple[FieldSpec, ...] = ()
     tables: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -109,6 +113,7 @@ class FeatureEncoder:
             if self.dim < 0:
                 # dim 0 is allowed: a side that contributes no features
                 raise ShapeError(f"encoder dim must be >= 0, got {self.dim}")
+            self._pack()
             return
         if not self.fields:
             raise ShapeError("categorical encoders need at least one field")
@@ -128,6 +133,7 @@ class FeatureEncoder:
         object.__setattr__(self, "tables", coerced)
         if total != self.dim:
             raise ShapeError(f"encoder dim {self.dim} != sum of table dims {total}")
+        self._pack()
 
 
 def pretrained_encoder(dim: int) -> FeatureEncoder:
@@ -231,9 +237,10 @@ def encode(encoder: FeatureEncoder, raw: Any) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class RecModel:
+class RecModel(numcore.ParamTree):
     """Encoders plus scoring network, treated as one parameter tree."""
 
+    PARTS = ("user_encoder", "item_encoder", "scorer")
     kind: ModelKind
     user_encoder: FeatureEncoder
     item_encoder: FeatureEncoder
@@ -268,6 +275,7 @@ class RecModel:
                     f"joint MLP expects {self.scorer.joint.in_dim} dims, "
                     f"encoders give {total}"
                 )
+        self._pack()
 
 
 def build_model(
@@ -342,19 +350,18 @@ def prepare_batch(
 
 
 def _encoder_grad(
-    encoder: FeatureEncoder, idx: np.ndarray, d_feats: np.ndarray
-) -> FeatureEncoder:
-    if encoder.mode is EncoderMode.PRETRAINED:
-        return encoder  # no parameters; the grad tree reuses the empty encoder
-    tables = {}
+    encoder: FeatureEncoder, idx: np.ndarray, d_feats: np.ndarray, grads: FeatureEncoder
+) -> None:
+    """Scatter-add ``d_feats`` into the zeroed tables of ``grads``, field by field.
+
+    A pretrained encoder has no tables, so there is nothing to write.
+    """
     offset = 0
     for j, f in enumerate(encoder.fields):
-        width = encoder.tables[f.name].shape[1]
-        g = np.zeros_like(encoder.tables[f.name])
-        np.add.at(g, idx[:, j], d_feats[:, offset : offset + width])
-        tables[f.name] = g
+        table = grads.tables[f.name]
+        width = table.shape[1]
+        np.add.at(table, idx[:, j], d_feats[:, offset : offset + width])
         offset += width
-    return FeatureEncoder(EncoderMode.CATEGORICAL, encoder.dim, encoder.fields, tables)
 
 
 def model_loss_and_grad(
@@ -374,7 +381,7 @@ def model_loss_and_grad(
             same predictions the loss sees.
 
     Returns:
-        (objective value, gradients as a RecModel-shaped tree)
+        (objective value, gradients as a RecModel laid out like ``model``)
     """
     if batch.size == 0:
         raise EmptyBatchError("gradient on an empty batch")
@@ -388,14 +395,10 @@ def model_loss_and_grad(
         loss += a * float(np.mean(pred)) + c
         d_pred = d_pred + a / batch.size
     d_raw = d_pred * pred * (1.0 - pred) if model.sigmoid_output else d_pred
-    scorer_grads, d_u, d_v = numcore.model_backward(model.scorer, trace, d_raw)
-    grads = RecModel(
-        model.kind,
-        _encoder_grad(model.user_encoder, batch.user_rows, d_u),
-        _encoder_grad(model.item_encoder, batch.item_rows, d_v),
-        scorer_grads,
-        model.sigmoid_output,
-    )
+    grads = model.layout.zeros()
+    d_u, d_v = numcore.model_backward(model.scorer, trace, d_raw, grads.scorer)
+    _encoder_grad(model.user_encoder, batch.user_rows, d_u, grads.user_encoder)
+    _encoder_grad(model.item_encoder, batch.item_rows, d_v, grads.item_encoder)
     numcore.tree_check_finite(grads, "model_loss_and_grad")
     return loss, grads
 
@@ -406,9 +409,10 @@ def model_loss_and_grad(
 
 
 @dataclass(frozen=True)
-class BaselineParams:
+class BaselineParams(numcore.ParamTree):
     """Item-mapper MLP plus the contrastive-loss hyperparameters."""
 
+    PARTS = ("item_mapper",)
     item_mapper: numcore.MlpParams
     margin: float
     negative_weight: float
@@ -420,12 +424,19 @@ class BaselineParams:
             raise ShapeError(
                 f"negative_weight must be >= 0, got {self.negative_weight}"
             )
+        self._pack()
 
 
 @dataclass(frozen=True)
-class BaselineModel:
+class BaselineModel(numcore.ParamTree):
+    """Item encoder plus mapper, treated as one parameter tree."""
+
+    PARTS = ("item_encoder", "params")
     item_encoder: FeatureEncoder
     params: BaselineParams
+
+    def __post_init__(self) -> None:
+        self._pack()
 
     @property
     def kind(self) -> ModelKind:
@@ -510,7 +521,7 @@ def baseline_loss_and_grad(
         features: raw feature lookup.
 
     Returns:
-        (loss, gradients as a BaselineModel-shaped tree)
+        (loss, gradients as a BaselineModel laid out like ``model``)
     """
     if not pos_pairs and not neg_pairs:
         raise EmptyBatchError("gradient on zero pairs")
@@ -560,12 +571,10 @@ def baseline_loss_and_grad(
         share = d_user[u] / len(hist)
         for i in hist:
             d_reps[row_of[i]] += share
-    mapper_grads, d_feats = numcore.mlp_backward(
-        model.params.item_mapper, caches, d_reps
+    grads = model.layout.zeros()
+    d_feats = numcore.mlp_backward(
+        model.params.item_mapper, caches, d_reps, grads.params.item_mapper
     )
-    grads = BaselineModel(
-        _encoder_grad(enc, rows, d_feats),
-        BaselineParams(mapper_grads, model.params.margin, model.params.negative_weight),
-    )
+    _encoder_grad(enc, rows, d_feats, grads.item_encoder)
     numcore.tree_check_finite(grads, "baseline_loss_and_grad")
     return loss, grads

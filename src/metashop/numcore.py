@@ -1,9 +1,24 @@
 """Dense-network numerics: parameters, forward passes, losses, backprop, SGD/Adam.
 
-Everything is plain float64 numpy. Parameter containers are frozen dataclasses
-treated as immutable trees; gradients reuse the same containers so that the
-generic tree utilities (bottom of this module) can map elementwise updates over
-parameters and gradients together. No function mutates its inputs.
+Everything is plain float64 numpy. Parameter containers are frozen
+dataclasses (ParamTree subclasses) whose arrays are all views of one
+contiguous float64 ``vector`` per tree, in leaf order; nested containers
+hold views of consecutive slices of it. A ``Layout`` (leaf paths, offsets
+and shapes, computed once when a tree is first built) is shared by every
+tree derived from it, gradients included:
+
+  * the public constructors (init, checkpoint load, tests) validate shapes
+    and finiteness, then copy the arrays into a new vector;
+  * an update (sgd_step, adam_step, tree_add, tree_map) is one or two numpy
+    expressions over the vectors, one finiteness check of the result, and
+    ``Layout.build``, which wraps the new vector without re-running any
+    constructor check;
+  * a gradient is a zeroed tree of the model's layout that backprop fills
+    in place, checked for finiteness once.
+
+A non-finite value is reported as a NumericError naming the operation and
+the first bad leaf's path, for example ``scorer.user_tower.layers[0].weights``.
+No function mutates its inputs.
 
 Conventions:
   * dense layer computes ``act(W @ x + b)`` with ``W`` of shape (out, in)
@@ -14,11 +29,12 @@ Conventions:
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import enum
-import functools
+import math
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -47,36 +63,180 @@ class ModelVariant(enum.Enum):
 
 
 # ---------------------------------------------------------------------------
+# parameter vectors
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Layout:
+    """Where each leaf of one parameter-tree shape sits in its vector.
+
+    Leaf ``i`` is named ``paths[i]`` (for example
+    ``scorer.user_tower.layers[0].weights``) and fills
+    ``vector[offsets[i]:offsets[i + 1]]`` in C order, with shape
+    ``shapes[i]``. ``build`` wraps any float64 vector of ``size`` entries in a
+    tree of this shape whose leaves are views of it; it runs no constructor
+    check, so callers check the vector first.
+    """
+
+    paths: tuple[str, ...]
+    offsets: tuple[int, ...]
+    shapes: tuple[tuple[int, ...], ...]
+    build: Callable[[np.ndarray], Any] = dataclasses.field(repr=False, compare=False)
+    # zeros whose dot product with a vector is 0.0 exactly when it is finite
+    finite_probe: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "finite_probe", np.zeros(self.size))
+
+    @property
+    def size(self) -> int:
+        return self.offsets[-1]
+
+    def zeros(self) -> Any:
+        """A tree of this shape over a new zeroed vector (a gradient to fill)."""
+        return self.build(np.zeros(self.size))
+
+    def leaf_path(self, index: int) -> str:
+        """The path of the leaf that holds vector entry ``index``."""
+        return self.paths[bisect.bisect_right(self.offsets, index) - 1]
+
+
+class ParamTree:
+    """Base of the parameter containers: every array is a view of ``vector``.
+
+    ``PARTS`` names the fields that hold parameters; each holds an array,
+    None, a child ParamTree, a tuple of them, or a dict of arrays. The other
+    fields are carried over unchanged. The public constructor validates
+    shapes in ``__post_init__`` and then calls ``_pack``, which copies every
+    leaf, in ``PARTS`` order, into one new float64 ``vector``, checks that
+    it is finite and makes the parts views of it. ``layout`` is shared by
+    every tree derived from this one; ``Layout.build`` makes those trees
+    without calling any constructor.
+    """
+
+    PARTS: ClassVar[tuple[str, ...]] = ()
+    vector: np.ndarray
+    layout: Layout
+
+    def _pack(self) -> None:
+        layout, vector = _compile(self)
+        _check_finite(vector, layout, type(self).__name__)
+        object.__setattr__(self, "vector", vector)
+        object.__setattr__(self, "layout", layout)
+        if layout.paths:
+            vars(self).update(vars(layout.build(vector)))
+
+
+def _compile(node: ParamTree) -> tuple[Layout, np.ndarray]:
+    """The layout of ``node``'s shape, and its leaves copied into one vector.
+
+    Children keep their own layouts; the new one builds them from slices.
+    """
+    paths: list[str] = []
+    offsets = [0]
+    shapes: list[tuple[int, ...]] = []
+    segments: list[np.ndarray] = []
+    statics = {k: v for k, v in vars(node).items() if k not in node.PARTS}
+    leaves, kids, tuples, dicts = [], [], [], []
+
+    def leaf(path: str, arr: np.ndarray) -> tuple[int, int, tuple[int, ...] | None]:
+        paths.append(path)
+        shapes.append(arr.shape)
+        offsets.append(offsets[-1] + arr.size)
+        segments.append(arr.ravel())
+        return offsets[-2], offsets[-1], arr.shape if arr.ndim != 1 else None
+
+    def child(path: str, sub: ParamTree) -> tuple[int, int, Callable]:
+        start = offsets[-1]
+        paths.extend(f"{path}.{p}" for p in sub.layout.paths)
+        offsets.extend(start + o for o in sub.layout.offsets[1:])
+        shapes.extend(sub.layout.shapes)
+        segments.append(sub.vector)
+        return start, offsets[-1], sub.layout.build
+
+    for name in node.PARTS:
+        value = getattr(node, name)
+        if isinstance(value, np.ndarray):
+            leaves.append((name, *leaf(name, value)))
+        elif isinstance(value, ParamTree):
+            if value.layout.paths:
+                kids.append((name, *child(name, value)))
+            else:
+                statics[name] = value  # nothing to rebuild: share it
+        elif isinstance(value, tuple):
+            subs = [child(f"{name}[{i}]", v) for i, v in enumerate(value)]
+            tuples.append((name, subs))
+        elif value is None:
+            statics[name] = None
+        else:
+            entries = [(k, *leaf(f"{name}[{k!r}]", v)) for k, v in value.items()]
+            dicts.append((name, entries))
+    new = object.__new__
+    cls = type(node)
+
+    def build(vector: np.ndarray) -> ParamTree:
+        out = new(cls)
+        d = out.__dict__
+        d.update(statics)
+        for name, a, b, shape in leaves:
+            d[name] = vector[a:b] if shape is None else vector[a:b].reshape(shape)
+        for name, a, b, sub in kids:
+            d[name] = sub(vector[a:b])
+        for name, subs in tuples:
+            d[name] = tuple([sub(vector[a:b]) for a, b, sub in subs])
+        for name, entries in dicts:
+            d[name] = {
+                k: vector[a:b] if s is None else vector[a:b].reshape(s)
+                for k, a, b, s in entries
+            }
+        d["vector"] = vector
+        return out
+
+    if not paths:
+        build = lambda vector: node  # noqa: E731  (no leaves: share the node)
+    layout = Layout(tuple(paths), tuple(offsets), tuple(shapes), build)
+    statics["layout"] = layout
+    vector = np.concatenate(segments) if segments else np.zeros(0)
+    return layout, vector
+
+
+def _check_finite(vector: np.ndarray, layout: Layout, op_name: str) -> None:
+    """Raise NumericError naming ``op_name`` and the first non-finite leaf."""
+    # 0 * x is 0 for finite x and NaN for NaN or inf, so one dot product
+    # with zeros is the whole test on the common, finite path
+    if layout.finite_probe.dot(vector) == 0.0:
+        return
+    where = layout.leaf_path(int(np.argmin(np.isfinite(vector))))
+    raise NumericError(f"non-finite values in {op_name} at {where}")
+
+
+# ---------------------------------------------------------------------------
 # parameter containers
 # ---------------------------------------------------------------------------
 
 
-def _as_f64(a: Any, name: str) -> np.ndarray:
-    arr = np.asarray(a, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise NumericError(f"{name} contains non-finite values")
-    return arr
-
-
 @dataclass(frozen=True)
-class DenseLayerParams:
+class DenseLayerParams(ParamTree):
     """One dense layer: ``weights`` (out, in) and optional ``biases`` (out,)."""
 
+    PARTS = ("weights", "biases")
     weights: np.ndarray
     biases: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        w = _as_f64(self.weights, "weights")
+        w = np.asarray(self.weights, dtype=np.float64)
         if w.ndim != 2:
             raise ShapeError(f"weights must be 2-D, got shape {w.shape}")
         object.__setattr__(self, "weights", w)
         if self.biases is not None:
-            b = _as_f64(self.biases, "biases")
+            b = np.asarray(self.biases, dtype=np.float64)
             if b.shape != (w.shape[0],):
                 raise ShapeError(
                     f"biases shape {b.shape} does not match out_dim {w.shape[0]}"
                 )
             object.__setattr__(self, "biases", b)
+        self._pack()
 
     @property
     def in_dim(self) -> int:
@@ -88,9 +248,10 @@ class DenseLayerParams:
 
 
 @dataclass(frozen=True)
-class MlpParams:
+class MlpParams(ParamTree):
     """A stack of dense layers with one activation per layer."""
 
+    PARTS = ("layers",)
     layers: tuple[DenseLayerParams, ...]
     activations: tuple[Activation, ...]
 
@@ -109,6 +270,7 @@ class MlpParams:
                     f"layer input dim {nxt.in_dim} does not match previous "
                     f"output dim {prev.out_dim}"
                 )
+        self._pack()
 
     @property
     def in_dim(self) -> int:
@@ -120,7 +282,7 @@ class MlpParams:
 
 
 @dataclass(frozen=True)
-class ModelParameters:
+class ModelParameters(ParamTree):
     """Scoring-network parameters: either two towers or one joint MLP.
 
     TWO_TOWER joins the towers by a dot product of their outputs, so the
@@ -128,6 +290,7 @@ class ModelParameters:
     concatenation [user; item] and must end in a single output unit.
     """
 
+    PARTS = ("user_tower", "item_tower", "joint")
     variant: ModelVariant
     user_tower: MlpParams | None = None
     item_tower: MlpParams | None = None
@@ -153,9 +316,10 @@ class ModelParameters:
                 raise ShapeError(
                     f"joint MLP must end in one unit, got {self.joint.out_dim}"
                 )
+        self._pack()
 
 
-# Gradients reuse the parameter containers (same tree shape).
+# Gradients reuse the parameter containers, laid out like the parameters.
 GradientSet = ModelParameters
 
 
@@ -283,24 +447,26 @@ def mlp_backward(
     params: MlpParams,
     caches: list[tuple[np.ndarray, np.ndarray]],
     d_out: np.ndarray,
-) -> tuple[MlpParams, np.ndarray]:
+    grads: MlpParams,
+) -> np.ndarray:
     """Backpropagate ``d_out`` (n, out_dim) through the trace of a forward pass.
 
-    Returns (gradients in an MlpParams-shaped tree, gradient w.r.t. the input).
-    Gradient biases are None exactly where the layer has no biases.
+    Writes each layer's gradient into the matching leaves of ``grads``, an
+    MlpParams of the same shape, and returns the gradient w.r.t. the input.
     """
-    grads: list[DenseLayerParams] = []
     d = d_out
-    for layer, act, (x_in, z) in zip(
-        reversed(params.layers), reversed(params.activations), reversed(caches)
+    for layer, grad, act, (x_in, z) in zip(
+        reversed(params.layers),
+        reversed(grads.layers),
+        reversed(params.activations),
+        reversed(caches),
     ):
         dz = d * _activation_deriv(act, z)
-        gw = dz.T @ x_in
-        gb = dz.sum(axis=0) if layer.biases is not None else None
+        np.matmul(dz.T, x_in, out=grad.weights)
+        if layer.biases is not None:
+            dz.sum(axis=0, out=grad.biases)
         d = dz @ layer.weights
-        grads.append(DenseLayerParams(gw, gb))
-    grads.reverse()
-    return MlpParams(tuple(grads), params.activations), d
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -353,24 +519,23 @@ def model_forward_trace(
 
 
 def model_backward(
-    params: ModelParameters, trace: ModelTrace, d_raw: np.ndarray
-) -> tuple[GradientSet, np.ndarray, np.ndarray]:
+    params: ModelParameters, trace: ModelTrace, d_raw: np.ndarray, grads: GradientSet
+) -> tuple[np.ndarray, np.ndarray]:
     """Backpropagate d(loss)/d(raw score) through the scoring network.
 
-    Returns (gradients, d_user_x, d_item_x) where the input gradients have the
-    shapes of the feature matrices; they feed embedding-table updates upstream.
+    Writes the parameter gradients into ``grads`` (same shape as ``params``)
+    and returns (d_user_x, d_item_x), shaped like the feature matrices; they
+    feed embedding-table updates upstream.
     """
     if params.variant is ModelVariant.TWO_TOWER:
         d_hu = d_raw[:, None] * trace.hi
         d_hi = d_raw[:, None] * trace.hu
-        gu, dxu = mlp_backward(params.user_tower, trace.user_caches, d_hu)
-        gi, dxi = mlp_backward(params.item_tower, trace.item_caches, d_hi)
-        grads = ModelParameters(ModelVariant.TWO_TOWER, user_tower=gu, item_tower=gi)
-        return grads, dxu, dxi
-    gj, dx = mlp_backward(params.joint, trace.joint_caches, d_raw[:, None])
+        dxu = mlp_backward(params.user_tower, trace.user_caches, d_hu, grads.user_tower)
+        dxi = mlp_backward(params.item_tower, trace.item_caches, d_hi, grads.item_tower)
+        return dxu, dxi
+    dx = mlp_backward(params.joint, trace.joint_caches, d_raw[:, None], grads.joint)
     du = trace.user_x.shape[1]
-    grads = ModelParameters(ModelVariant.JOINT, joint=gj)
-    return grads, dx[:, :du], dx[:, du:]
+    return dx[:, :du], dx[:, du:]
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +589,7 @@ def loss_gradient(
         sigmoid_output: squash raw scores through a sigmoid before the loss.
 
     Returns:
-        (loss, gradients) with gradients in a parameter-shaped tree.
+        (loss, gradients) with gradients laid out like ``params``.
     """
     u, v, y = (np.asarray(a, dtype=np.float64) for a in batch)
     y = y.ravel()
@@ -434,7 +599,8 @@ def loss_gradient(
     pred = sigmoid(raw) if sigmoid_output else raw
     loss, d_pred = loss_and_pred_grad(pred, y, loss_kind)
     d_raw = d_pred * pred * (1.0 - pred) if sigmoid_output else d_pred
-    grads, _, _ = model_backward(params, trace, d_raw)
+    grads = params.layout.zeros()
+    model_backward(params, trace, d_raw, grads)
     if not np.isfinite(loss):
         raise NumericError(f"non-finite loss from {loss_kind.value}")
     tree_check_finite(grads, "loss_gradient")
@@ -446,59 +612,68 @@ def loss_gradient(
 # ---------------------------------------------------------------------------
 
 
-def sgd_step(params: Any, grads: Any, stepsize: float) -> Any:
-    """One plain gradient step ``p - stepsize * g`` over a parameter tree."""
-    if not np.isfinite(stepsize) or stepsize < 0:
+def _vector_like(tree: ParamTree, other: ParamTree) -> np.ndarray:
+    """``other``'s vector; a tree of another shape than ``tree`` is an error."""
+    if other.layout is not tree.layout and other.layout.shapes != tree.layout.shapes:
+        raise ShapeError(
+            f"parameter trees differ in shape: {tree.layout.shapes} vs "
+            f"{other.layout.shapes}"
+        )
+    return other.vector
+
+
+def _rebuilt(tree: ParamTree, vector: np.ndarray, op_name: str) -> Any:
+    """``tree``'s shape around ``vector``, which must be finite."""
+    _check_finite(vector, tree.layout, op_name)
+    return tree.layout.build(vector)
+
+
+def sgd_step(params: ParamTree, grads: ParamTree, stepsize: float) -> Any:
+    """One plain gradient step ``p - stepsize * g`` over the parameter vector."""
+    if not math.isfinite(stepsize) or stepsize < 0:
         raise NumericError(f"invalid stepsize {stepsize}")
     if stepsize == 0.0:
         return params
-    return tree_map(lambda p, g: p - stepsize * g, params, grads)
+    g = _vector_like(params, grads)
+    return _rebuilt(params, params.vector - stepsize * g, "sgd_step")
 
 
 @dataclass(frozen=True)
 class AdamState:
-    """Adam accumulator: step count plus parameter-shaped moment trees."""
+    """Adam accumulator: step count plus the two moment vectors.
+
+    The moments are laid out like the parameters' vector.
+    """
 
     step_count: int
-    first_moment: Any
-    second_moment: Any
+    first_moment: np.ndarray
+    second_moment: np.ndarray
 
 
-def adam_init(params: Any) -> AdamState:
-    zeros = tree_map(np.zeros_like, params)
-    return AdamState(0, zeros, tree_map(np.zeros_like, params))
+def adam_init(params: ParamTree) -> AdamState:
+    return AdamState(0, np.zeros(params.layout.size), np.zeros(params.layout.size))
 
 
 def adam_step(
-    state: AdamState, params: Any, grads: Any, stepsize: float
+    state: AdamState, params: ParamTree, grads: ParamTree, stepsize: float
 ) -> tuple[Any, AdamState]:
     """One Adam step (beta1=0.9, beta2=0.999, eps=1e-8, bias-corrected).
 
     Returns the updated parameters and the advanced state. The first step
     moves each coordinate by roughly ``stepsize`` against the gradient sign.
     """
-    if not np.isfinite(stepsize) or stepsize < 0:
+    if not math.isfinite(stepsize) or stepsize < 0:
         raise NumericError(f"invalid stepsize {stepsize}")
+    p, g = params.vector, _vector_like(params, grads)
     t = state.step_count + 1
-    m = tree_map(
-        lambda m_, g: ADAM_BETA1 * m_ + (1.0 - ADAM_BETA1) * g,
-        state.first_moment,
-        grads,
-    )
-    v = tree_map(
-        lambda v_, g: ADAM_BETA2 * v_ + (1.0 - ADAM_BETA2) * g * g,
-        state.second_moment,
-        grads,
-    )
+    m = ADAM_BETA1 * state.first_moment + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * state.second_moment + (1.0 - ADAM_BETA2) * g * g
+    _check_finite(m, params.layout, "adam_step")
+    _check_finite(v, params.layout, "adam_step")
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
-    new_params = tree_map(
-        lambda p, m_, v_: p - stepsize * (m_ / bc1) / (np.sqrt(v_ / bc2) + ADAM_EPS),
-        params,
-        m,
-        v,
-    )
-    return new_params, AdamState(t, m, v)
+    new_p = p - stepsize * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    return _rebuilt(params, new_p, "adam_step"), AdamState(t, m, v)
 
 
 # ---------------------------------------------------------------------------
@@ -506,94 +681,50 @@ def adam_step(
 # ---------------------------------------------------------------------------
 
 
-# Dataclass field metadata key: the field holds no arrays, so the tree
-# utilities skip it and tree_map keeps the first tree's value.
-STATIC = "metashop_static"
+def tree_leaves(tree: ParamTree) -> list[np.ndarray]:
+    """Every leaf, in vector order, as a view of the tree's vector."""
+    vector, layout = tree.vector, tree.layout
+    return [
+        vector[a:b].reshape(shape)
+        for a, b, shape in zip(layout.offsets, layout.offsets[1:], layout.shapes)
+    ]
 
 
-@functools.cache
-def _tree_fields(cls: type) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
-    """(walked, static) init field names of a dataclass type, else None.
+def tree_map(fn: Callable[..., np.ndarray], tree: ParamTree, *rest: ParamTree) -> Any:
+    """A tree of ``tree``'s shape with leaf i = ``fn(leaf i, *(leaf i of rest))``.
 
-    Fields with ``init=False`` are left out: the constructor derives them.
+    ``fn`` is called once per leaf, in leaf order; non-array fields carry
+    over from ``tree``. Each result must keep its leaf's shape, and the new
+    vector must be finite.
     """
-    if not dataclasses.is_dataclass(cls):
-        return None
-    init = [f for f in dataclasses.fields(cls) if f.init]
-    return (
-        tuple(f.name for f in init if not f.metadata.get(STATIC)),
-        tuple(f.name for f in init if f.metadata.get(STATIC)),
-    )
+    for other in rest:
+        _vector_like(tree, other)
+    layout = tree.layout
+    vector = np.empty(layout.size)
+    columns = zip(*(tree_leaves(t) for t in (tree, *rest)))
+    for i, leaves in enumerate(columns):
+        out = np.asarray(fn(*leaves), dtype=np.float64)
+        if out.shape != layout.shapes[i]:
+            raise ShapeError(
+                f"tree_map turned {layout.paths[i]} of shape {layout.shapes[i]} "
+                f"into shape {out.shape}"
+            )
+        vector[layout.offsets[i] : layout.offsets[i + 1]] = out.ravel()
+    return _rebuilt(tree, vector, "tree_map")
 
 
-def tree_map(fn: Callable[..., np.ndarray], tree: Any, *rest: Any) -> Any:
-    """Apply ``fn`` to every ndarray leaf of ``tree`` (zipped with ``rest``).
-
-    Containers (dataclasses, dicts, tuples, lists) are rebuilt; non-array
-    leaves (enums, ints, strings, None) pass through from the first tree, as
-    do dataclass fields marked ``STATIC`` (such as vocabularies), which are
-    not walked at all. A dataclass is rebuilt by calling its constructor
-    with every init field, so its ``__post_init__`` checks still run; the
-    field lists are looked up once per class.
-    """
-    if isinstance(tree, np.ndarray):
-        return fn(tree, *rest)
-    if isinstance(tree, dict):
-        return {k: tree_map(fn, v, *(r[k] for r in rest)) for k, v in tree.items()}
-    if isinstance(tree, (tuple, list)):
-        vals = [tree_map(fn, v, *(r[i] for r in rest)) for i, v in enumerate(tree)]
-        return type(tree)(vals)
-    names = _tree_fields(type(tree))
-    if names is None:
-        return tree
-    walked, static = names
-    kwargs = {
-        n: tree_map(fn, getattr(tree, n), *(getattr(r, n) for r in rest))
-        for n in walked
-    }
-    for n in static:
-        kwargs[n] = getattr(tree, n)
-    return type(tree)(**kwargs)
+def tree_add(a: ParamTree, b: ParamTree) -> Any:
+    return _rebuilt(a, a.vector + _vector_like(a, b), "tree_add")
 
 
-def tree_leaves(tree: Any) -> list[np.ndarray]:
-    """All ndarray leaves in deterministic (construction) order.
-
-    Dataclasses are walked by the same cached field lists as tree_map.
-    """
-    out: list[np.ndarray] = []
-
-    def visit(t: Any) -> None:
-        if isinstance(t, np.ndarray):
-            out.append(t)
-        elif isinstance(t, dict):
-            for v in t.values():
-                visit(v)
-        elif isinstance(t, (tuple, list)):
-            for v in t:
-                visit(v)
-        else:
-            names = _tree_fields(type(t))
-            if names is not None:
-                for n in names[0]:
-                    visit(getattr(t, n))
-
-    visit(tree)
-    return out
+def tree_check_finite(tree: ParamTree, op_name: str) -> None:
+    """Raise NumericError naming ``op_name`` and the first leaf with NaN/Inf."""
+    _check_finite(tree.vector, tree.layout, op_name)
 
 
-def tree_add(a: Any, b: Any) -> Any:
-    return tree_map(lambda x, y: x + y, a, b)
-
-
-def tree_check_finite(tree: Any, op_name: str) -> None:
-    """Raise NumericError naming ``op_name`` if any leaf has NaN/Inf."""
-    for leaf in tree_leaves(tree):
-        if not np.all(np.isfinite(leaf)):
-            raise NumericError(f"non-finite values in {op_name}")
-
-
-def tree_allclose(a: Any, b: Any, rtol: float = 0.0, atol: float = 0.0) -> bool:
+def tree_allclose(
+    a: ParamTree, b: ParamTree, rtol: float = 0.0, atol: float = 0.0
+) -> bool:
     """Elementwise comparison of two same-shaped trees (exact by default)."""
     la, lb = tree_leaves(a), tree_leaves(b)
     if len(la) != len(lb):

@@ -2,10 +2,11 @@
 
 Everything here is deliberately written the slow way (Python loops, scalar
 arithmetic, brute-force enumeration) so it shares no code with the package.
-Two exceptions drive the package's own code: meta_train_per_step checks
-only that meta_train's resolve-once cache changes nothing, and
+Three exceptions drive the package's own code: meta_train_per_step checks
+only that meta_train's resolve-once cache changes nothing,
 predict_scores is the pairwise reference that score_matrix's batched
-scoring must reproduce.
+scoring must reproduce, and the *_per_leaf updates are the leaf-by-leaf
+arithmetic that the one-vector optimiser steps must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -107,6 +108,33 @@ def adam_trace_scalar(p0: float, grad_seq, stepsize: float) -> list[float]:
         p = p - stepsize * mhat / (math.sqrt(vhat) + eps)
         out.append(p)
     return out
+
+
+def sgd_step_per_leaf(params, grads, stepsize: float) -> list[np.ndarray]:
+    """``p - stepsize * g`` leaf by leaf."""
+    return [p - stepsize * g for p, g in zip(tree_leaves(params), tree_leaves(grads))]
+
+
+def tree_add_per_leaf(a, b) -> list[np.ndarray]:
+    return [x + y for x, y in zip(tree_leaves(a), tree_leaves(b))]
+
+
+def adam_step_per_leaf(first, second, step_count: int, params, grads, stepsize: float):
+    """One Adam step leaf by leaf from per-leaf moments.
+
+    Returns (new parameter leaves, first moment leaves, second moment leaves).
+    """
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    t = step_count + 1
+    gs = tree_leaves(grads)
+    m = [b1 * m_ + (1.0 - b1) * g for m_, g in zip(first, gs)]
+    v = [b2 * v_ + (1.0 - b2) * g * g for v_, g in zip(second, gs)]
+    bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
+    new = [
+        p - stepsize * (m_ / bc1) / (np.sqrt(v_ / bc2) + eps)
+        for p, m_, v_ in zip(tree_leaves(params), m, v)
+    ]
+    return new, m, v
 
 
 def predict_scores(model: RecModel, batch: Batch) -> np.ndarray:

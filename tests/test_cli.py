@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -436,6 +437,18 @@ class TestExitCodes:
         )
         assert code == 3
         assert "numeric error" in capsys.readouterr().err
+
+    def test_numeric_blowup_names_the_leaf(self, workspace, capsys):
+        cfg_path, _ = workspace
+        args = ["train", "--config", str(cfg_path), "--set", "train.alpha=1.0e+200"]
+        assert main(args + ["--set", "train.loss=bce"]) == 3
+        err = capsys.readouterr().err
+        assert re.search(
+            r"^numeric error: non-finite values in \w+ at "
+            r"(user_encoder|item_encoder|scorer)\.\S+$",
+            err,
+            re.MULTILINE,
+        ), err
 
     @pytest.mark.parametrize("command", ["train", "evaluate"])
     def test_non_finite_latent_is_two(self, workspace, capsys, command):

@@ -248,8 +248,8 @@ class TestBaseline:
         # identity mapper so distances are plain Euclidean
         mapper = init_mlp([2, 2], 0)
         eye = mapper.layers[0]
-        object.__setattr__(eye, "weights", np.eye(2))
-        object.__setattr__(eye, "biases", np.zeros(2))
+        eye.weights[...] = np.eye(2)  # leaves are views of the mapper's vector
+        eye.biases[...] = 0.0
         model = BaselineModel(
             pretrained_encoder(2),
             BaselineParams(mapper, margin=1.0, negative_weight=2.0),

@@ -3,16 +3,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
 from metashop.errors import EmptyBatchError, NumericError, ShapeError
 from metashop.numcore import (
-    STATIC,
     Activation,
-    AdamState,
     DenseLayerParams,
     LossKind,
     MlpParams,
@@ -31,9 +28,11 @@ from metashop.numcore import (
     sigmoid,
     tree_add,
     tree_allclose,
+    tree_check_finite,
     tree_leaves,
     tree_map,
 )
+from metashop.models import build_categorical_encoder
 
 from oracles import (
     adam_trace_scalar,
@@ -52,18 +51,6 @@ def one_param_model(theta: float) -> ModelParameters:
         ModelVariant.JOINT,
         joint=MlpParams((layer,), (Activation.IDENTITY,)),
     )
-
-
-@dataclass(frozen=True)
-class _Tagged:
-    """A tree node with a static array, a walked array and a derived field."""
-
-    label: np.ndarray = field(metadata={STATIC: True})
-    values: np.ndarray
-    total: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "total", float(np.sum(self.values)))
 
 
 def forward_one(mlp: MlpParams, x) -> np.ndarray:
@@ -260,6 +247,19 @@ class TestOptimisers:
         with pytest.raises(NumericError):
             sgd_step(params, params, float("nan"))
 
+    def test_trees_of_another_shape_are_rejected(self):
+        params = init_mlp([2, 2], np.random.default_rng(2))
+        other = init_mlp([2, 3], np.random.default_rng(3))
+        updates = [
+            lambda: sgd_step(params, other, 0.1),
+            lambda: tree_add(params, other),
+            lambda: adam_step(adam_init(params), params, other, 0.1),
+            lambda: tree_map(lambda a, b: a, params, other),
+        ]
+        for update in updates:
+            with pytest.raises(ShapeError, match="parameter trees differ in shape"):
+                update()
+
     def test_adam_first_step_magnitude(self):
         params = init_mlp([2, 3], np.random.default_rng(4))
         grads = tree_map(
@@ -309,16 +309,21 @@ class TestTreeUtilities:
         assert tree_allclose(total, tree_map(np.zeros_like, params), atol=0.0)
 
     def test_map_over_dicts(self):
-        tree = {"a": np.ones(2), "b": {"c": np.zeros((2, 2))}}
-        out = tree_map(lambda x: x + 1, tree)
-        np.testing.assert_allclose(out["a"], [2.0, 2.0])
-        np.testing.assert_allclose(out["b"]["c"], np.ones((2, 2)))
+        # an encoder's tables are a dict of leaves, mapped in field order
+        enc = build_categorical_encoder([("b", ["x", "y"]), ("a", ["z"])], 2, 3)
+        seen = []
+        out = tree_map(lambda t: seen.append(t.shape) or t + 1.0, enc)
+        assert seen == [(2, 2), (1, 2)]
+        assert list(out.tables) == ["b", "a"]
+        np.testing.assert_array_equal(out.tables["a"], enc.tables["a"] + 1.0)
 
-    def test_adam_state_is_mappable(self):
+    def test_adam_state_holds_two_moment_vectors(self):
         params = init_mlp([2, 2], np.random.default_rng(8))
         state = adam_init(params)
-        assert isinstance(state, AdamState)
-        assert len(tree_leaves(state)) == len(tree_leaves(params)) * 2
+        assert state.step_count == 0
+        for moment in (state.first_moment, state.second_moment):
+            assert moment.shape == params.vector.shape
+            assert not moment.any()
 
     def test_init_is_seed_deterministic(self):
         a = init_two_tower([3, 4, 2], [2, 2], 123)
@@ -329,24 +334,32 @@ class TestTreeUtilities:
         assert not tree_allclose(a, c)
 
     def test_rebuilt_node_is_validated_by_its_constructor(self):
+        # a mapped tree is checked once, over its whole vector
         params = init_mlp([2, 3, 1], np.random.default_rng(9))
-        with pytest.raises(NumericError, match="weights contains non-finite"):
+        message = r"^non-finite values in tree_map at layers\[0\]\.weights$"
+        with pytest.raises(NumericError, match=message):
             tree_map(lambda a: np.full_like(a, np.nan) if a.ndim == 2 else a, params)
+        with pytest.raises(ShapeError, match="tree_map turned layers"):
+            tree_map(lambda a: a.ravel(), params)
 
     def test_static_field_is_carried_over_and_not_mapped(self):
-        node = _Tagged(np.array([7.0]), np.array([1.0, 2.0]))
-        seen = []
+        # fields without parameters (activations, variant, vocabularies)
+        # are shared with the first tree and never handed to fn
+        params = init_two_tower([2, 3], [2, 3], np.random.default_rng(10))
+        enc = build_categorical_encoder([("f", ["a", "b"])], 2, 4)
+        for tree in (params, enc):
+            seen = []
 
-        def double(a):
-            seen.append(a)
-            return 2.0 * a
+            def double(a):
+                seen.append(a)
+                return 2.0 * a
 
-        out = tree_map(double, node)
-        assert len(seen) == 1 and seen[0] is node.values
-        assert out.label is node.label
-        np.testing.assert_array_equal(out.values, [2.0, 4.0])
-        assert out.total == 6.0  # derived again by the constructor
-        assert [id(x) for x in tree_leaves(node)] == [id(node.values)]
+            out = tree_map(double, tree)
+            assert [x.shape for x in seen] == [x.shape for x in tree_leaves(tree)]
+            np.testing.assert_array_equal(out.vector, 2.0 * tree.vector)
+        assert out.fields is enc.fields
+        doubled = tree_map(lambda a: 2.0 * a, params)
+        assert doubled.user_tower.activations is params.user_tower.activations
 
     def test_leaves_follow_construction_order(self):
         params = init_two_tower([2, 3, 2], [4, 2], np.random.default_rng(10))
@@ -354,8 +367,44 @@ class TestTreeUtilities:
         for tower in (params.user_tower, params.item_tower):
             for layer in tower.layers:
                 expected += [layer.weights, layer.biases]
-        assert [id(x) for x in tree_leaves(params)] == [id(x) for x in expected]
-        tree = {"b": np.zeros(1), "a": (np.ones(1), [np.ones(2)])}
-        assert [id(x) for x in tree_leaves(tree)] == [
-            id(tree["b"]), id(tree["a"][0]), id(tree["a"][1][0])
-        ]
+        leaves = tree_leaves(params)
+        assert len(leaves) == len(expected)
+        start = params.vector.__array_interface__["data"][0]
+        offset = 0
+        for leaf, attr in zip(leaves, expected):
+            assert leaf.shape == attr.shape
+            assert attr.__array_interface__["data"][0] == start + 8 * offset
+            assert leaf.__array_interface__["data"][0] == start + 8 * offset
+            offset += attr.size
+        assert offset == params.vector.size
+
+
+class TestNonFiniteNamesTheLeaf:
+    def model(self) -> ModelParameters:
+        return init_two_tower([2, 3, 2], [3, 2], np.random.default_rng(12))
+
+    @pytest.mark.parametrize("entry", [0, -1], ids=["first", "last"])
+    @pytest.mark.parametrize("leaf", range(6))
+    def test_gradient_check_names_the_leaf(self, leaf, entry):
+        params = self.model()
+        grads = tree_map(np.zeros_like, params)
+        tree_leaves(grads)[leaf].flat[entry] = np.nan
+        path = params.layout.paths[leaf]
+        assert path.startswith(("user_tower.layers[", "item_tower.layers["))
+        with pytest.raises(NumericError) as err:
+            tree_check_finite(grads, "model_loss_and_grad")
+        assert str(err.value) == f"non-finite values in model_loss_and_grad at {path}"
+
+    def test_update_checks_name_the_leaf(self):
+        params = self.model()
+        grads = tree_map(np.zeros_like, params)
+        tree_leaves(grads)[3][0] = 1e308
+        path = params.layout.paths[3]
+        assert path == "user_tower.layers[1].biases"
+        with np.errstate(all="ignore"), pytest.raises(NumericError) as err:
+            sgd_step(params, grads, 1e10)
+        assert str(err.value) == f"non-finite values in sgd_step at {path}"
+        big = tree_map(lambda a: a + 1e308, params)
+        with np.errstate(all="ignore"), pytest.raises(NumericError) as err:
+            tree_add(big, grads)
+        assert str(err.value) == f"non-finite values in tree_add at {path}"
