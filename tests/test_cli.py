@@ -338,6 +338,25 @@ class TestConfigSchema:
         keys |= {f"synthetic.{k}" for k in SyntheticSpec.__dataclass_fields__}
         assert keys == set(CONFIG_KEYS)
 
+    def test_docstring_lists_every_key(self):
+        # the module docstring is the one user-facing copy of the schema
+        listing = cli.__doc__.split("sections (all optional")[1].split("`--set")[0]
+        top, keys, section = set(), set(), None
+        for line in listing.splitlines():
+            if m := re.match(r"    (\w+):", line):
+                section = m.group(1)
+                top.add(section)
+            elif (m := re.match(r"      (\w+):", line)) and section != "synthetic":
+                keys.add(f"{section}.{m.group(1)}")
+        assert top == set(cli.RunConfig.__dataclass_fields__)
+        declared = {
+            f"{name}.{key}"
+            for name, cls in cli._SECTIONS.items()
+            if name != "synthetic"
+            for key in cls.__dataclass_fields__
+        }
+        assert keys == declared
+
     def test_section_must_be_a_mapping(self):
         with pytest.raises(ConfigError) as info:
             parse_config({"seed": 1, "eval": [1]})
@@ -490,6 +509,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("data error: ")
         assert str(ckpt) in err
+
+    def test_checkpoint_without_weights_names_the_field(self, workspace, capsys):
+        cfg_path, out = workspace
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        ckpt = out / "checkpoint.json"
+        doc = json.loads(ckpt.read_text(encoding="utf-8"))
+        del doc["model"]["scorer"]["user_tower"]["layers"][0]["weights"]
+        ckpt.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {ckpt}: unreadable checkpoint near field KeyError('weights')\n"
+        )
 
     @pytest.mark.parametrize("adapt", ["false", "true"])
     def test_feature_width_mismatch_is_two(self, tmp_path, capsys, adapt):

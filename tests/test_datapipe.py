@@ -9,6 +9,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metashop.datapipe import (
     InteractionRecord,
@@ -38,6 +40,29 @@ def rec(u, i, s, y, ts=None, g=None):
     return InteractionRecord(u, i, s, float(y), ts, g)
 
 
+PROPERTY = settings(derandomize=True, max_examples=100, deadline=None)
+ids = st.text("abuz09_-", min_size=1, max_size=3)
+labels = st.sampled_from([0.0, 1.0]) | st.floats(1.0, 5.0)
+
+
+def record_lists(shop_ids=ids, max_size=40):
+    """Records with distinct (user, item, shop, timestamp) keys."""
+    record = st.builds(
+        InteractionRecord,
+        ids,
+        ids,
+        shop_ids,
+        labels,
+        st.none() | st.integers(-(10**12), 10**12),
+        st.none() | ids,
+    )
+    return st.lists(
+        record,
+        max_size=max_size,
+        unique_by=lambda r: (r.user_id, r.item_id, r.shop_id, r.timestamp),
+    )
+
+
 class TestInteractionIO:
     def test_round_trip_with_optional_columns(self, tmp_path):
         records = [
@@ -56,6 +81,16 @@ class TestInteractionIO:
         text = path.read_text()
         assert "timestamp" not in text and "genre_l3" not in text
         assert load_interactions(path) == records
+
+    @PROPERTY
+    @given(record_lists().filter(bool))
+    def test_save_then_load_is_the_identity(self, tmp_path_factory, records):
+        path = tmp_path_factory.mktemp("io") / "x.csv"
+        save_interactions(path, records)
+        assert load_interactions(path) == records
+        # labels are written with repr, which reads back to the same float
+        rows = path.read_text().splitlines()[1:]
+        assert [row.split(",")[3] for row in rows] == [repr(r.label) for r in records]
 
     def test_header_column_order_is_free(self, tmp_path):
         path = tmp_path / "x.csv"
@@ -150,6 +185,27 @@ class TestBuildTasks:
             assert len(t.query) == 10
             assert not set(t.support) & set(t.query)
             assert {r.shop_id for r in (*t.support, *t.query)} == {t.shop_id}
+
+    @PROPERTY
+    @given(
+        record_lists(st.sampled_from(["s0", "s1", "s2"]), max_size=60),
+        st.integers(1, 4),
+        st.integers(0, 3),
+        st.randoms(use_true_random=False),
+    )
+    def test_split_properties(self, records, support, extra, rnd):
+        kwargs = dict(min_interactions=support + 1 + extra, support_size=support, seed=7)
+        tasks = build_tasks(records, **kwargs)
+        for t in tasks:
+            group = [r for r in records if r.shop_id == t.shop_id]
+            assert Counter(t.support + t.query) == Counter(group)
+            assert len(t.support) == support
+            assert not set(t.support) & set(t.query)
+            # a group's split ignores every other group
+            assert build_tasks(group, **kwargs) == [t]
+        shuffled = list(records)
+        rnd.shuffle(shuffled)
+        assert build_tasks(shuffled, **kwargs) == tasks
 
     def test_small_groups_dropped(self):
         records = spread_records() + [rec("u1", "ix", "s_tiny", 1.0, ts=9999)]

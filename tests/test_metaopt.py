@@ -9,8 +9,15 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from metashop.datapipe import InteractionRecord, ShopTask, SizeClass
+from metashop.datapipe import (
+    InteractionRecord,
+    ShopTask,
+    SizeClass,
+    SyntheticSpec,
+    TaskUnit,
+)
 from metashop.errors import ConfigError, DataError
+from metashop.evaluation import CandidatePool, EvalOptions, QueryMode
 from metashop.metaopt import (
     MetaConfig,
     OuterOptimizer,
@@ -38,9 +45,11 @@ from metashop.models import (
     prepare_batch,
     pretrained_encoder,
 )
+from metashop.metrics import RecallMode
 from metashop.numcore import (
     Activation,
     DenseLayerParams,
+    LossKind,
     MlpParams,
     ModelParameters,
     ModelVariant,
@@ -489,3 +498,86 @@ class TestManifests:
         assert nested == {"run.a.ks": "1,3", "run.b": 2}
         keys = [k for k, _ in config_manifest_entries(cfg)]
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize(
+        "cfg,prefix,expected",
+        [
+            (
+                MetaConfig(
+                    alpha=0.05,
+                    beta=0.1,
+                    gamma=0.8,
+                    regularizer=RegularizerKind.OPTION_II,
+                    loss_kind=LossKind.BCE,
+                    model_kind=ModelKind.MESH_I,
+                    task_unit=TaskUnit.ITEM,
+                    outer_optimizer=OuterOptimizer.ADAM,
+                    seed=4,
+                ),
+                "config",
+                [
+                    ("config.alpha", 0.05),
+                    ("config.beta", 0.1),
+                    ("config.gamma", 0.8),
+                    ("config.local_steps", 2),
+                    ("config.loss_kind", "bce"),
+                    ("config.model_kind", "mesh_i"),
+                    ("config.outer_optimizer", "adam"),
+                    ("config.query_batch_size", None),
+                    ("config.regularizer", "option2"),
+                    ("config.seed", 4),
+                    ("config.shop_batch_size", 8),
+                    ("config.support_size", 10),
+                    ("config.task_unit", "item"),
+                ],
+            ),
+            (
+                EvalOptions(
+                    recall_ks=(0.1, 5),
+                    ndcg_ks=(3, 10),
+                    recall_mode=RecallMode.TOPK_FRACTION,
+                    thresholds=(0.5, 0.75),
+                    candidate_pool=CandidatePool.OBSERVED,
+                    query_mode=QueryMode.USER_SHOP,
+                ),
+                "eval",
+                [
+                    ("eval.candidate_pool", "observed"),
+                    ("eval.include_mae", True),
+                    ("eval.ndcg_ks", "3,10"),
+                    ("eval.query_mode", "user_shop"),
+                    ("eval.rating_positive_threshold", 4.0),
+                    ("eval.recall_ks", "0.1,5"),
+                    ("eval.recall_mode", "topk_fraction"),
+                    ("eval.thresholds", "0.5,0.75"),
+                ],
+            ),
+            (
+                SyntheticSpec(n_users=50, seed=3),
+                "synthetic",
+                [
+                    ("synthetic.interactions_per_shop", 600),
+                    ("synthetic.label_threshold", 0.8),
+                    ("synthetic.latent_dim", 8),
+                    ("synthetic.min_shop_size", 30),
+                    ("synthetic.n_genres", 6),
+                    ("synthetic.n_items", 120),
+                    ("synthetic.n_new_shops", 3),
+                    ("synthetic.n_shops", 20),
+                    ("synthetic.n_users", 50),
+                    ("synthetic.noise_std", 0.3),
+                    ("synthetic.pareto_exponent", 1.3),
+                    ("synthetic.seed", 3),
+                    ("synthetic.shop_effect_std", 1.0),
+                    ("synthetic.test_fraction", 0.3),
+                ],
+            ),
+        ],
+        ids=["meta", "eval", "synthetic"],
+    )
+    def test_exact_entries(self, cfg, prefix, expected):
+        entries = config_manifest_entries(cfg, prefix)
+        # str() of each value is what the manifest holds, so types matter
+        assert [(k, v, type(v)) for k, v in entries] == [
+            (k, v, type(v)) for k, v in expected
+        ]

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from metashop.datapipe import SizeClass
 from metashop.errors import ConfigError, DataError
 from metashop.metrics import (
+    EvaluationReport,
+    MetricSummary,
     QueryMetrics,
     RankedPrediction,
     RecallMode,
@@ -232,6 +234,38 @@ class TestAggregation:
         assert report.metrics["ndcg"].n_queries == 1
 
 
+values = st.floats(allow_nan=False, allow_infinity=False)
+shop_ids = st.text(min_size=1, max_size=4)
+
+
+@st.composite
+def summaries(draw) -> MetricSummary:
+    optional = st.none() | values
+    return MetricSummary(
+        draw(optional),
+        draw(optional),
+        draw(optional),
+        draw(st.dictionaries(shop_ids, values, max_size=4)),
+        draw(st.dictionaries(st.sampled_from(["0.5", "0.6", "0.8"]), values)),
+        draw(st.integers(0, 10**6)),
+        draw(st.integers(0, 10**6)),
+    )
+
+
+def metric_tables():
+    names = st.sampled_from(["recall@0.1", "ndcg@3", "mae"])
+    return st.dictionaries(names, summaries(), max_size=3)
+
+
+@st.composite
+def reports(draw) -> EvaluationReport:
+    by_class = draw(
+        st.dictionaries(st.sampled_from(["new", "small", "large"]), metric_tables())
+    )
+    counts = draw(st.dictionaries(st.text(max_size=8), st.integers(0, 10**9)))
+    return EvaluationReport(draw(metric_tables()), by_class, counts)
+
+
 class TestReportIO:
     def build(self):
         queries = [
@@ -250,6 +284,16 @@ class TestReportIO:
         # canonical serialisation: saving twice is byte-identical
         first = path.read_bytes()
         save_report(path, report)
+        assert path.read_bytes() == first
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.data())
+    def test_save_load_save_is_byte_identical(self, tmp_path_factory, data):
+        report = data.draw(reports())
+        path = tmp_path_factory.mktemp("report") / "report.json"
+        save_report(path, report)
+        first = path.read_bytes()
+        save_report(path, load_report(path))
         assert path.read_bytes() == first
 
     def test_version_checked(self):
