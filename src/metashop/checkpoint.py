@@ -1,4 +1,10 @@
-"""Versioned JSON checkpoints for model bundles, plus shared file helpers.
+"""Versioned JSON checkpoints for model bundles, plus shared JSON and file helpers.
+
+``to_json`` and ``from_json`` are the one codec between dataclasses and JSON,
+driven by each dataclass's init fields and their type hints. A checkpoint's
+``model`` object, an evaluation report and a config manifest all hold one key
+per constructor field, and loading rebuilds every container through its
+public constructor, so every shape and finiteness check runs.
 
 The JSON is canonical (sorted keys, compact separators, repr-roundtrip
 floats), so saving the same model twice yields byte-identical files. Writes
@@ -7,25 +13,20 @@ go through a temp file in the target directory followed by an atomic rename.
 
 from __future__ import annotations
 
+import dataclasses
+import enum
+import functools
 import json
 import os
 import tempfile
+import types
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from . import numcore
 from .errors import DataError, NumericError, ShapeError
-from .models import (
-    BaselineModel,
-    BaselineParams,
-    EncoderMode,
-    FeatureEncoder,
-    FieldSpec,
-    ModelKind,
-    RecModel,
-)
+from .models import BaselineModel, RecModel
 
 FORMAT_VERSION = 1
 
@@ -62,118 +63,86 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# model <-> JSON
+# dataclass <-> JSON
 # ---------------------------------------------------------------------------
 
 
-def _mlp_to_json(mlp: numcore.MlpParams) -> dict:
-    return {
-        "layers": [
-            {
-                "weights": layer.weights.tolist(),
-                "biases": None if layer.biases is None else layer.biases.tolist(),
-            }
-            for layer in mlp.layers
-        ],
-        "activations": [a.value for a in mlp.activations],
-    }
+_SCALARS = (str, int, float, type(None))
 
 
-def _mlp_from_json(obj: Mapping) -> numcore.MlpParams:
-    layers = tuple(
-        numcore.DenseLayerParams(
-            np.asarray(l["weights"], dtype=np.float64),
-            None if l["biases"] is None else np.asarray(l["biases"], dtype=np.float64),
-        )
-        for l in obj["layers"]
-    )
-    acts = tuple(numcore.Activation(a) for a in obj["activations"])
-    return numcore.MlpParams(layers, acts)
+def to_json(value: Any) -> Any:
+    """JSON-ready form of a value: one key per init field of a dataclass.
+
+    Arrays become nested lists, enums their values, tuples lists; mappings
+    keep their keys. Other values are returned as they are.
+    """
+    if isinstance(value, _SCALARS):
+        return value
+    if dataclasses.is_dataclass(value):
+        fields = _init_fields(type(value))
+        return {name: to_json(getattr(value, name)) for name, _ in fields}
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        if all(isinstance(v, _SCALARS) for v in value):
+            return list(value)  # vocabularies: one copy, not one call per string
+        return [to_json(v) for v in value]
+    if isinstance(value, Mapping):
+        return {k: to_json(v) for k, v in value.items()}
+    return value
 
 
-def _encoder_to_json(enc: FeatureEncoder) -> dict:
-    return {
-        "mode": enc.mode.value,
-        "dim": enc.dim,
-        "fields": [
-            {"name": f.name, "categories": list(f.categories)} for f in enc.fields
-        ],
-        "tables": {name: t.tolist() for name, t in enc.tables.items()},
-    }
+def from_json(tp: Any, obj: Any) -> Any:
+    """Rebuild a value of type ``tp`` from ``to_json`` output.
+
+    Dataclasses are rebuilt through their public constructors, reading their
+    fields in declaration order, so every shape and finiteness check runs. A
+    missing field raises KeyError naming it; a value of the wrong form raises
+    KeyError, TypeError, ValueError or AttributeError.
+    """
+    if dataclasses.is_dataclass(tp):
+        fields = _init_fields(tp)
+        return tp(**{name: from_json(hint, obj[name]) for name, hint in fields})
+    origin = get_origin(tp)
+    if origin in (Union, types.UnionType):  # X | None
+        if obj is None:
+            return None
+        (tp,) = [a for a in get_args(tp) if a is not type(None)]
+        return from_json(tp, obj)
+    if origin is tuple:
+        item = get_args(tp)[0]
+        if item is str:
+            return tuple(map(str, obj))
+        return tuple(from_json(item, v) for v in obj)
+    if origin is dict:
+        item = get_args(tp)[1]
+        return {k: from_json(item, v) for k, v in obj.items()}
+    if tp is np.ndarray:
+        return np.asarray(obj, dtype=np.float64)
+    return tp(obj)  # str, int, float, bool and enums
 
 
-def _encoder_from_json(obj: Mapping) -> FeatureEncoder:
-    mode = EncoderMode(obj["mode"])
-    fields = tuple(
-        FieldSpec(f["name"], tuple(f["categories"])) for f in obj["fields"]
-    )
-    tables = {
-        name: np.asarray(t, dtype=np.float64) for name, t in obj["tables"].items()
-    }
-    return FeatureEncoder(mode, int(obj["dim"]), fields, tables)
-
-
-def _scorer_to_json(scorer: numcore.ModelParameters) -> dict:
-    out: dict[str, Any] = {"variant": scorer.variant.value}
-    for name in ("user_tower", "item_tower", "joint"):
-        mlp = getattr(scorer, name)
-        out[name] = None if mlp is None else _mlp_to_json(mlp)
-    return out
-
-
-def _scorer_from_json(obj: Mapping) -> numcore.ModelParameters:
-    def opt(name: str):
-        return None if obj[name] is None else _mlp_from_json(obj[name])
-
-    return numcore.ModelParameters(
-        numcore.ModelVariant(obj["variant"]),
-        user_tower=opt("user_tower"),
-        item_tower=opt("item_tower"),
-        joint=opt("joint"),
-    )
+@functools.cache
+def _init_fields(cls: type) -> tuple[tuple[str, Any], ...]:
+    """(name, type hint) of each init field of a dataclass, in declaration order."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, hints[f.name]) for f in dataclasses.fields(cls) if f.init)
 
 
 def model_to_json(model: RecModel | BaselineModel) -> dict:
     if isinstance(model, BaselineModel):
-        return {
-            "model_class": "baseline",
-            "kind": ModelKind.BASELINE.value,
-            "item_encoder": _encoder_to_json(model.item_encoder),
-            "item_mapper": _mlp_to_json(model.params.item_mapper),
-            "margin": model.params.margin,
-            "negative_weight": model.params.negative_weight,
-        }
-    return {
-        "model_class": "rec",
-        "kind": model.kind.value,
-        "sigmoid_output": model.sigmoid_output,
-        "user_encoder": _encoder_to_json(model.user_encoder),
-        "item_encoder": _encoder_to_json(model.item_encoder),
-        "scorer": _scorer_to_json(model.scorer),
-    }
+        return {"model_class": "baseline", "kind": model.kind.value, **to_json(model)}
+    return {"model_class": "rec", **to_json(model)}
 
 
 def model_from_json(obj: Mapping) -> RecModel | BaselineModel:
     """Rebuild a model; malformed, misshapen or non-finite input is a DataError."""
     try:
         cls = obj["model_class"]
-        if cls == "baseline":
-            return BaselineModel(
-                _encoder_from_json(obj["item_encoder"]),
-                BaselineParams(
-                    _mlp_from_json(obj["item_mapper"]),
-                    float(obj["margin"]),
-                    float(obj["negative_weight"]),
-                ),
-            )
-        if cls == "rec":
-            return RecModel(
-                ModelKind(obj["kind"]),
-                _encoder_from_json(obj["user_encoder"]),
-                _encoder_from_json(obj["item_encoder"]),
-                _scorer_from_json(obj["scorer"]),
-                bool(obj["sigmoid_output"]),
-            )
+        if cls in ("baseline", "rec"):
+            return from_json(BaselineModel if cls == "baseline" else RecModel, obj)
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise DataError(f"unreadable checkpoint near field {exc!r}") from exc
     except (ShapeError, NumericError) as exc:

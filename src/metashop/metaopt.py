@@ -32,7 +32,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from . import numcore
-from .checkpoint import atomic_write_text
+from .checkpoint import atomic_write_text, to_json
 from .datapipe import (
     InteractionRecord,
     ShopTask,
@@ -505,28 +505,20 @@ def read_manifest(path: str | Path) -> dict[str, str]:
 
 
 def config_manifest_entries(cfg: Any, prefix: str = "config") -> list[tuple[str, Any]]:
-    """Flatten a (possibly nested) config into sorted manifest entries."""
+    """Flatten a (possibly nested) config into sorted manifest entries.
+
+    Enums become their values and sequences comma-joined strings.
+    """
     flat: dict[str, Any] = {}
 
     def visit(obj: Any, path: str) -> None:
-        import dataclasses as dc
-
-        if dc.is_dataclass(obj) and not isinstance(obj, type):
-            for f in dc.fields(obj):
-                visit(getattr(obj, f.name), f"{path}.{f.name}")
-        elif isinstance(obj, Mapping):
-            for k in sorted(obj):
-                visit(obj[k], f"{path}.{k}")
-        elif isinstance(obj, (list, tuple)):
-            flat[path] = ",".join(str(_plain(v)) for v in obj)
+        if isinstance(obj, dict):
+            for k, v in obj.items():
+                visit(v, f"{path}.{k}")
+        elif isinstance(obj, list):
+            flat[path] = ",".join(map(str, obj))
         else:
-            flat[path] = _plain(obj)
+            flat[path] = obj
 
-    visit(cfg, prefix)
-    return [(k, flat[k]) for k in sorted(flat)]
-
-
-def _plain(v: Any) -> Any:
-    if isinstance(v, enum.Enum):
-        return v.value
-    return v
+    visit(to_json(cfg), prefix)
+    return sorted(flat.items())

@@ -36,7 +36,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .checkpoint import atomic_write_text, canonical_json
+from .checkpoint import atomic_write_text, canonical_json, from_json, to_json
 from .datapipe import SizeClass
 from .errors import ConfigError, DataError, EmptyBatchError
 
@@ -264,40 +264,8 @@ def aggregate(
 # ---------------------------------------------------------------------------
 
 
-def _summary_to_json(s: MetricSummary) -> dict:
-    return {
-        "item_level": s.item_level,
-        "shop_mean": s.shop_mean,
-        "shop_variance": s.shop_variance,
-        "per_shop": s.per_shop,
-        "exceedance": s.exceedance,
-        "n_queries": s.n_queries,
-        "n_skipped": s.n_skipped,
-    }
-
-
-def _summary_from_json(obj: Mapping) -> MetricSummary:
-    return MetricSummary(
-        obj["item_level"],
-        obj["shop_mean"],
-        obj["shop_variance"],
-        dict(obj["per_shop"]),
-        dict(obj["exceedance"]),
-        int(obj["n_queries"]),
-        int(obj["n_skipped"]),
-    )
-
-
 def report_to_json(report: EvaluationReport) -> dict:
-    return {
-        "format_version": REPORT_FORMAT_VERSION,
-        "metrics": {n: _summary_to_json(s) for n, s in report.metrics.items()},
-        "by_class": {
-            c: {n: _summary_to_json(s) for n, s in ms.items()}
-            for c, ms in report.by_class.items()
-        },
-        "counts": dict(report.counts),
-    }
+    return {"format_version": REPORT_FORMAT_VERSION, **to_json(report)}
 
 
 def report_from_json(obj: Mapping) -> EvaluationReport:
@@ -306,15 +274,8 @@ def report_from_json(obj: Mapping) -> EvaluationReport:
             raise DataError(
                 f"report format_version {obj['format_version']!r} not supported"
             )
-        return EvaluationReport(
-            {n: _summary_from_json(s) for n, s in obj["metrics"].items()},
-            {
-                c: {n: _summary_from_json(s) for n, s in ms.items()}
-                for c, ms in obj["by_class"].items()
-            },
-            {k: int(v) for k, v in obj["counts"].items()},
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        return from_json(EvaluationReport, obj)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise DataError(f"unreadable report near field {exc!r}") from exc
 
 

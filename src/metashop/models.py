@@ -409,10 +409,11 @@ def model_loss_and_grad(
 
 
 @dataclass(frozen=True)
-class BaselineParams(numcore.ParamTree):
-    """Item-mapper MLP plus the contrastive-loss hyperparameters."""
+class BaselineModel(numcore.ParamTree):
+    """Item encoder and mapper MLP, plus the contrastive-loss hyperparameters."""
 
-    PARTS = ("item_mapper",)
+    PARTS = ("item_encoder", "item_mapper")
+    item_encoder: FeatureEncoder
     item_mapper: numcore.MlpParams
     margin: float
     negative_weight: float
@@ -424,18 +425,6 @@ class BaselineParams(numcore.ParamTree):
             raise ShapeError(
                 f"negative_weight must be >= 0, got {self.negative_weight}"
             )
-        self._pack()
-
-
-@dataclass(frozen=True)
-class BaselineModel(numcore.ParamTree):
-    """Item encoder plus mapper, treated as one parameter tree."""
-
-    PARTS = ("item_encoder", "params")
-    item_encoder: FeatureEncoder
-    params: BaselineParams
-
-    def __post_init__(self) -> None:
         self._pack()
 
     @property
@@ -451,7 +440,7 @@ def build_baseline(
     negative_weight: float = 1.0,
 ) -> BaselineModel:
     mapper = numcore.init_mlp([item_encoder.dim] + list(hidden_dims), rng)
-    return BaselineModel(item_encoder, BaselineParams(mapper, margin, negative_weight))
+    return BaselineModel(item_encoder, mapper, margin, negative_weight)
 
 
 def baseline_user_reps(
@@ -466,7 +455,7 @@ def baseline_user_reps(
         raise DataError("baseline evaluation needs at least one purchase history")
     rows = feature_rows(model.item_encoder, map(features.item_raw, catalog), "item")
     reps, _ = numcore.mlp_forward_trace(
-        model.params.item_mapper, encode_rows(model.item_encoder, rows)
+        model.item_mapper, encode_rows(model.item_encoder, rows)
     )
     row_of = {i: r for r, i in enumerate(catalog)}
     fallback = reps.mean(axis=0)
@@ -490,7 +479,7 @@ def baseline_score_matrix(
     """Negated user-item distances, shape (n_users, n_items)."""
     rows = feature_rows(model.item_encoder, map(features.item_raw, item_ids), "item")
     reps, _ = numcore.mlp_forward_trace(
-        model.params.item_mapper, encode_rows(model.item_encoder, rows)
+        model.item_mapper, encode_rows(model.item_encoder, rows)
     )
     u = np.stack([np.asarray(user_reps[uid], dtype=np.float64) for uid in user_ids])
     sq = (
@@ -538,7 +527,7 @@ def baseline_loss_and_grad(
     enc = model.item_encoder
     rows = feature_rows(enc, [features.item_raw(i) for i in item_ids], "item")
     reps, caches = numcore.mlp_forward_trace(
-        model.params.item_mapper, encode_rows(enc, rows)
+        model.item_mapper, encode_rows(enc, rows)
     )
 
     user_rep = {
@@ -547,7 +536,7 @@ def baseline_loss_and_grad(
     d_reps = np.zeros_like(reps)
     d_user: dict[str, np.ndarray] = {u: np.zeros(reps.shape[1]) for u in users}
     loss = 0.0
-    lam, m = model.params.negative_weight, model.params.margin
+    lam, m = model.negative_weight, model.margin
     for pairs, positive in ((pos_pairs, True), (neg_pairs, False)):
         for u, i in pairs:
             diff = user_rep[u] - reps[row_of[i]]
@@ -573,7 +562,7 @@ def baseline_loss_and_grad(
             d_reps[row_of[i]] += share
     grads = model.layout.zeros()
     d_feats = numcore.mlp_backward(
-        model.params.item_mapper, caches, d_reps, grads.params.item_mapper
+        model.item_mapper, caches, d_reps, grads.item_mapper
     )
     _encoder_grad(enc, rows, d_feats, grads.item_encoder)
     numcore.tree_check_finite(grads, "baseline_loss_and_grad")

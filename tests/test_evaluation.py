@@ -48,7 +48,7 @@ from oracles import (
 
 def mapped(model, x) -> np.ndarray:
     """One item's features through the baseline's item mapper."""
-    return mlp_forward_trace(model.params.item_mapper, np.asarray(x)[None, :])[0][0]
+    return mlp_forward_trace(model.item_mapper, np.asarray(x)[None, :])[0][0]
 
 
 @dataclass(frozen=True)

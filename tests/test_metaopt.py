@@ -465,7 +465,7 @@ class TestDrivers:
             model = build_baseline(pretrained_encoder(2), [4], 38)
             trained, hist = train_baseline(model, records, feats, cfg, epochs=6)
             runs.append((trained, hist.losses))
-        assert bitwise_equal(runs[0][0].params, runs[1][0].params)
+        assert bitwise_equal(runs[0][0], runs[1][0])
         assert runs[0][1] == runs[1][1]
         assert runs[0][1][-1] < runs[0][1][0]
 

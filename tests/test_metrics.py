@@ -302,6 +302,16 @@ class TestReportIO:
         with pytest.raises(DataError):
             report_from_json(obj)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("metrics", []), ("by_class", None), ("counts", {"queries": "many"})],
+    )
+    def test_malformed_field_is_a_data_error(self, field, value):
+        obj = report_to_json(self.build())
+        obj[field] = value
+        with pytest.raises(DataError, match="unreadable report near field"):
+            report_from_json(obj)
+
     def test_tables_contain_the_numbers(self):
         text = report_tables(self.build())
         assert "# metric summary" in text

@@ -17,7 +17,6 @@ from metashop.errors import (
 )
 from metashop.models import (
     BaselineModel,
-    BaselineParams,
     EncoderMode,
     FeatureEncoder,
     FieldSpec,
@@ -234,7 +233,7 @@ class TestBaseline:
         feats = DictFeatures({}, {f"i{k}": x for k, x in enumerate(xs)})
         reps = baseline_user_reps(model, {"u": ["i0", "i1", "i2"]}, feats, ["u"])
         mapped = np.stack(
-            [mlp_forward_trace(model.params.item_mapper, x[None, :])[0][0] for x in xs]
+            [mlp_forward_trace(model.item_mapper, x[None, :])[0][0] for x in xs]
         )
         np.testing.assert_allclose(reps["u"], mapped.mean(axis=0), rtol=1e-12)
 
@@ -251,8 +250,7 @@ class TestBaseline:
         eye.weights[...] = np.eye(2)  # leaves are views of the mapper's vector
         eye.biases[...] = 0.0
         model = BaselineModel(
-            pretrained_encoder(2),
-            BaselineParams(mapper, margin=1.0, negative_weight=2.0),
+            pretrained_encoder(2), mapper, margin=1.0, negative_weight=2.0
         )
         # the user's only purchase sits at the origin
         feats = DictFeatures(
@@ -282,7 +280,7 @@ class TestBaseline:
     def test_predict_is_negated_distance(self):
         model = self.setup_model()
         x = np.array([0.5, -0.2])
-        rep = mlp_forward_trace(model.params.item_mapper, x[None, :])[0][0]
+        rep = mlp_forward_trace(model.item_mapper, x[None, :])[0][0]
         u = rep + np.array([0.0, 0.1, 0.0])
         feats = DictFeatures({}, {"x": x})
         scores = baseline_score_matrix(model, {"u": u}, ["u"], ["x"], feats)

@@ -111,7 +111,7 @@ def attribute_leaves(tree) -> list[np.ndarray]:
         parts = [tree.user_encoder, tree.item_encoder, tree.scorer]
         return [a for p in parts for a in attribute_leaves(p)]
     if isinstance(tree, BaselineModel):
-        parts = [tree.item_encoder, tree.params.item_mapper]
+        parts = [tree.item_encoder, tree.item_mapper]
         return [a for p in parts for a in attribute_leaves(p)]
     if isinstance(tree, FeatureEncoder):
         return [tree.tables[f.name] for f in tree.fields]
