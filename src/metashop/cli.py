@@ -123,7 +123,6 @@ from .datapipe import (
     AttributeTable,
     InteractionRecord,
     NegativeStrategy,
-    ShopStats,
     SyntheticSpec,
     TaskUnit,
     attach_size_classes,
@@ -525,22 +524,6 @@ def _build_fresh_model(cfg: RunConfig, features, sigmoid: bool, seed_tag):
         raise ConfigError(f"model does not fit the features: {exc}") from exc
 
 
-def _augmented_records(
-    cfg: RunConfig,
-    records: list[InteractionRecord],
-    stats: ShopStats,
-) -> list[InteractionRecord]:
-    """Append sampled negatives when data.negative_strategy asks for them."""
-    if cfg.data.negative_strategy == "none":
-        return records
-    strategy = NegativeStrategy(cfg.data.negative_strategy)
-    positives = [r for r in records if r.label > 0]
-    negatives = negative_sample(
-        positives, strategy, stats, ratio=cfg.data.negative_ratio, seed=cfg.seed
-    )
-    return records + negatives
-
-
 def _eval_options(cfg: RunConfig) -> EvalOptions:
     e = cfg.eval
     return EvalOptions(
@@ -615,17 +598,35 @@ def _load_test_records(cfg: RunConfig) -> list[InteractionRecord]:
     return load_interactions(_require_path(cfg.data.test, "data.test"))
 
 
-def _run_trainer(
-    cfg: RunConfig,
-    trainer: str,
-    model,
-    records: list[InteractionRecord],
-    features,
-    meta_cfg: MetaConfig,
-    stats: ShopStats,
-):
-    """Run a trainer already paired with its model kind; returns (model, history)."""
+def _training_set(cfg: RunConfig, records: list[InteractionRecord]):
+    """Check the trainer/kind pairing, then add sampled negatives if asked for.
+
+    Returns (training records, their shop stats, resolved sigmoid_output,
+    MetaConfig). An ablation arm builds it once for every model it trains.
+    """
+    if (cfg.train.trainer == "baseline") != (cfg.model.kind == "baseline"):
+        raise ConfigError("trainer=baseline and model.kind=baseline go together")
+    sigmoid = _resolve_sigmoid(cfg, records)
+    meta_cfg = _meta_config(cfg)
+    stats = classify_shops(records, [])
+    if cfg.data.negative_strategy != "none":
+        positives = [r for r in records if r.label > 0]
+        records = records + negative_sample(
+            positives,
+            NegativeStrategy(cfg.data.negative_strategy),
+            stats,
+            ratio=cfg.data.negative_ratio,
+            seed=cfg.seed,
+        )
+    return records, stats, sigmoid, meta_cfg
+
+
+def _train_model(cfg: RunConfig, training, features, seed_tag: list[int]):
+    """Build a fresh model and train it on a _training_set; returns (model, history)."""
+    records, stats, sigmoid, meta_cfg = training
+    model = _build_fresh_model(cfg, features, sigmoid, seed_tag)
     t = cfg.train
+    trainer = t.trainer
     if trainer in ("meta", "fmst"):
         tasks = build_tasks(
             records,
@@ -666,37 +667,14 @@ def _run_trainer(
     )
 
 
-def _train_model(
-    cfg: RunConfig,
-    records: list[InteractionRecord],
-    features,
-    seed_tag: list[int],
-):
-    """Train a fresh model on ``records`` as `train` does.
-
-    Returns (model, history, training records with any sampled negatives).
-    """
-    trainer = cfg.train.trainer
-    if (trainer == "baseline") != (cfg.model.kind == "baseline"):
-        raise ConfigError("trainer=baseline and model.kind=baseline go together")
-    sigmoid = _resolve_sigmoid(cfg, records)
-    meta_cfg = _meta_config(cfg)
-    stats = classify_shops(records, [])
-    records = _augmented_records(cfg, records, stats)
-    model = _build_fresh_model(cfg, features, sigmoid, seed_tag)
-    model, history = _run_trainer(
-        cfg, trainer, model, records, features, meta_cfg, stats
-    )
-    return model, history, records
-
-
 def cmd_train(cfg: RunConfig) -> int:
     started = time.monotonic()
     out = _out_dir(cfg)
     records = _load_train_records(cfg)
     features = _feature_source(cfg)
-    model, history, records = _train_model(
-        cfg, records, features, [cfg.seed, _TAG_MODEL_INIT]
+    training = _training_set(cfg, records)
+    model, history = _train_model(
+        cfg, training, features, [cfg.seed, _TAG_MODEL_INIT]
     )
     trainer = cfg.train.trainer
     ckpt = out / "checkpoint.json"
@@ -707,7 +685,7 @@ def cmd_train(cfg: RunConfig) -> int:
     entries = [("command", "train"), ("trainer", trainer)]
     entries += config_manifest_entries(_meta_config(cfg))
     entries += [
-        ("train_records", len(records)),
+        ("train_records", len(training[0])),
         ("steps_run", len(history.losses)),
         ("stopped_early", str(history.stopped_early).lower()),
     ]
@@ -908,8 +886,9 @@ def cmd_ablation(cfg: RunConfig) -> int:
 
     rows: list[tuple[str, dict]] = []
     for label, report_name, setting in settings:
-        model, _, _ = _train_model(
-            setting, train_records, features, [cfg.seed, _TAG_MODEL_INIT]
+        training = _training_set(setting, train_records)
+        model, _ = _train_model(
+            setting, training, features, [cfg.seed, _TAG_MODEL_INIT]
         )
         report = _evaluate_model(
             setting, model, tasks, features, stats, pool, train_records
@@ -917,16 +896,17 @@ def cmd_ablation(cfg: RunConfig) -> int:
         save_report(out / report_name, report)
         rows.append((label, _grid_metrics(report)))
     if study == "one_shop":
-        unadapted = _with(cfg, eval={"adapt": False})
+        arm = _with(cfg, eval={"adapt": False}, train={"trainer": "one_shop"})
+        training = _training_set(arm, train_records)
         models = {}
         for shop in picked:
-            models[shop], _, _ = _train_model(
-                _with(unadapted, train={"trainer": "one_shop", "shop_id": shop}),
-                train_records, features,
+            models[shop], _ = _train_model(
+                _with(arm, train={"shop_id": shop}),
+                training, features,
                 [cfg.seed, _TAG_ONE_SHOP_INIT, stable_hash64(shop)],
             )
         report = _evaluate_model(
-            unadapted, models, tasks, features, stats, pool, train_records
+            arm, models, tasks, features, stats, pool, train_records
         )
         save_report(out / "report_one_shop.json", report)
         rows.append(("one_shop", _grid_metrics(report)))

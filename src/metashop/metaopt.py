@@ -161,11 +161,10 @@ def local_adapt(
     support: Sequence[InteractionRecord],
     features: FeatureSource,
     cfg: MetaConfig,
-    pred_penalty: tuple[float, float] | None = None,
 ) -> RecModel:
     """K full-batch SGD steps on the support set; the input model is unchanged."""
     batch = prepare_batch(support, features, model.user_encoder, model.item_encoder)
-    return _adapt(model, batch, cfg, pred_penalty)
+    return _adapt(model, batch, cfg, None)
 
 
 def _adapt(

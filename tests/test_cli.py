@@ -7,6 +7,7 @@ pipeline: synthetic data in, checkpoints and reports out.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -999,6 +1000,51 @@ class TestAblation:
             (out / "report_meta.json").read_text(encoding="utf-8")
         )
         assert meta_report["counts"]["shops"] == 3
+
+    # outputs of the one_shop study with n1 negatives on this world, from
+    # the code that sampled negatives once per one_shop model
+    ONE_SHOP_SHA256 = {
+        2: {
+            "ablation_one_shop.tsv": "a2f08b64c887e900d11256e4cb111f7fc7bc49c441d600dac823159ccc6dd988",
+            "report_meta.json": "6de1d5af01784caf45388e0476c9b304b5c46ddacf1d89b3e14a690e432d1a10",
+            "report_one_shop.json": "3c57704946762833320f229588318ca7c1ea792f65cae1088eb69e18db4c7ab5",
+        },
+        4: {
+            "ablation_one_shop.tsv": "5d245b3a4eff793a45dbec5da809c14f44db70a9861e9483797e601de54b81e1",
+            "report_meta.json": "779bb6135a31910c98771fae79a614ad02e3095ecd4871731d38cc91485ae5bd",
+            "report_one_shop.json": "6a4bd48095e746bcb362ad62b67e174ae6206fb7428ca30d8b5796e8887fd65f",
+        },
+    }
+
+    def test_one_shop_samples_negatives_once_per_arm(self, workspace, monkeypatch):
+        cfg_path, out = workspace
+        calls = []
+        real = cli.negative_sample
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "negative_sample", counting)
+        for n_shops, expected in self.ONE_SHOP_SHA256.items():
+            calls.clear()
+            argv = ["ablation", "--config", str(cfg_path)]
+            for s in [
+                "ablation.study=one_shop",
+                f"ablation.n_shops={n_shops}",
+                "data.negative_strategy=n1",
+                "train.steps=4",
+                "train.epochs=2",
+            ]:
+                argv += ["--set", s]
+            assert main(argv) == 0
+            # one sample for the meta arm, one shared by every one_shop model
+            assert len(calls) == 2
+            got = {
+                name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in expected
+            }
+            assert got == expected
 
     def test_negative_sampling_grid(self, workspace):
         cfg_path, out = workspace
