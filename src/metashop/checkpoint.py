@@ -113,15 +113,19 @@ def from_json(tp: Any, obj: Any) -> Any:
         return from_json(tp, obj)
     if origin is tuple:
         item = get_args(tp)[0]
-        if item is str:
-            return tuple(map(str, obj))
+        if item is str and all(type(v) is str for v in obj):
+            return tuple(obj)  # vocabularies: one copy, not one call per string
         return tuple(from_json(item, v) for v in obj)
     if origin is dict:
         item = get_args(tp)[1]
         return {k: from_json(item, v) for k, v in obj.items()}
     if tp is np.ndarray:
         return np.asarray(obj, dtype=np.float64)
-    return tp(obj)  # str, int, float, bool and enums
+    if tp is float and type(obj) is int:
+        return float(obj)
+    if tp in (str, int, float, bool) and type(obj) is not tp:
+        raise TypeError(f"expected {tp.__name__}, got {obj!r}")
+    return tp(obj)  # a scalar of its own type, or an enum's value
 
 
 @functools.cache

@@ -524,6 +524,33 @@ class TestExitCodes:
             f"data error: {ckpt}: unreadable checkpoint near field KeyError('weights')\n"
         )
 
+    @pytest.mark.parametrize(
+        "keys,value",
+        [
+            (["sigmoid_output"], "false"),
+            (["user_encoder", "dim"], 6.5),
+            (["user_encoder", "dim"], True),
+            (["scorer", "variant"], "three_tower"),
+        ],
+        ids=["bool_as_string", "fractional_int", "bool_as_int", "unknown_enum"],
+    )
+    def test_checkpoint_scalar_of_the_wrong_type_is_two(
+        self, workspace, capsys, keys, value
+    ):
+        cfg_path, out = workspace
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        ckpt = out / "checkpoint.json"
+        doc = json.loads(ckpt.read_text(encoding="utf-8"))
+        node = doc["model"]
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        ckpt.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {ckpt}: unreadable checkpoint near field ")
+
     @pytest.mark.parametrize("adapt", ["false", "true"])
     def test_feature_width_mismatch_is_two(self, tmp_path, capsys, adapt):
         wide, narrow = tmp_path / "wide", tmp_path / "narrow"
