@@ -45,7 +45,7 @@ ids = st.text("abuz09_-", min_size=1, max_size=3)
 labels = st.sampled_from([0.0, 1.0]) | st.floats(1.0, 5.0)
 
 
-def record_lists(shop_ids=ids, max_size=40):
+def record_lists(shop_ids=ids, min_size=0, max_size=40):
     """Records with distinct (user, item, shop, timestamp) keys."""
     record = st.builds(
         InteractionRecord,
@@ -58,6 +58,7 @@ def record_lists(shop_ids=ids, max_size=40):
     )
     return st.lists(
         record,
+        min_size=min_size,
         max_size=max_size,
         unique_by=lambda r: (r.user_id, r.item_id, r.shop_id, r.timestamp),
     )
@@ -83,7 +84,7 @@ class TestInteractionIO:
         assert load_interactions(path) == records
 
     @PROPERTY
-    @given(record_lists().filter(bool))
+    @given(record_lists(min_size=1))
     def test_save_then_load_is_the_identity(self, tmp_path_factory, records):
         path = tmp_path_factory.mktemp("io") / "x.csv"
         save_interactions(path, records)
@@ -188,13 +189,15 @@ class TestBuildTasks:
 
     @PROPERTY
     @given(
-        record_lists(st.sampled_from(["s0", "s1", "s2"]), max_size=60),
+        record_lists(st.sampled_from(["s0", "s1", "s2"]), min_size=15, max_size=60),
         st.integers(1, 4),
         st.integers(0, 3),
         st.randoms(use_true_random=False),
     )
     def test_split_properties(self, records, support, extra, rnd):
-        kwargs = dict(min_interactions=support + 1 + extra, support_size=support, seed=7)
+        kwargs = dict(
+            min_interactions=support + 1 + extra, support_size=support, seed=7
+        )
         tasks = build_tasks(records, **kwargs)
         for t in tasks:
             group = [r for r in records if r.shop_id == t.shop_id]

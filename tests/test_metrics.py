@@ -287,9 +287,8 @@ class TestReportIO:
         assert path.read_bytes() == first
 
     @settings(derandomize=True, max_examples=150, deadline=None)
-    @given(st.data())
-    def test_save_load_save_is_byte_identical(self, tmp_path_factory, data):
-        report = data.draw(reports())
+    @given(reports())
+    def test_save_load_save_is_byte_identical(self, tmp_path_factory, report):
         path = tmp_path_factory.mktemp("report") / "report.json"
         save_report(path, report)
         first = path.read_bytes()
