@@ -9,6 +9,9 @@ public constructor, so every shape and finiteness check runs.
 The JSON is canonical (sorted keys, compact separators, repr-roundtrip
 floats), so saving the same model twice yields byte-identical files. Writes
 go through a temp file in the target directory followed by an atomic rename.
+
+``read_text`` reads every input file: one that cannot be opened or is not
+UTF-8 raises the caller's error type (DataError, ConfigError) naming it.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Any, Mapping, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import DataError, NumericError, ShapeError
+from .errors import DataError, MetaShopError, NumericError, ShapeError
 from .models import BaselineModel, RecModel
 
 FORMAT_VERSION = 1
@@ -60,6 +63,15 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def read_text(path: str | Path, what: str, error: type[MetaShopError]) -> str:
+    """A UTF-8 file's text, line endings as written; failures raise ``error``."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what}{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +182,7 @@ def save_checkpoint(
 
 def load_checkpoint(path: str | Path) -> tuple[RecModel | BaselineModel, dict]:
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
+        doc = json.loads(read_text(path, "checkpoint ", DataError))
     except json.JSONDecodeError as exc:
         raise DataError(f"checkpoint {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

@@ -118,7 +118,7 @@ import numpy as np
 import yaml
 
 from . import numcore
-from .checkpoint import atomic_write_text, load_checkpoint, save_checkpoint
+from .checkpoint import atomic_write_text, load_checkpoint, read_text, save_checkpoint
 from .datapipe import (
     AttributeTable,
     InteractionRecord,
@@ -249,6 +249,10 @@ class AblationConfig:
     study: str = ""  # empty until a config names one
     n_shops: int = 6
     gammas: list[float] = field(default_factory=lambda: [0.0, 0.01, 0.8])
+
+    def __post_init__(self) -> None:
+        if self.n_shops < 1:
+            raise ConfigError(f"ablation.n_shops must be >= 1, got {self.n_shops}")
 
 
 @dataclass
@@ -390,11 +394,7 @@ def parse_config(raw: Mapping[str, Any]) -> RunConfig:
 def load_config(path: str | Path, overrides: Sequence[str] = ()) -> RunConfig:
     """Read the YAML config, apply --set overrides, and validate."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        raw = yaml.safe_load(text)
+        raw = yaml.safe_load(read_text(path, "config ", ConfigError))
     except yaml.YAMLError as exc:
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
     if raw is None:
@@ -663,7 +663,7 @@ def _train_model(cfg: RunConfig, training, features, seed_tag: list[int]):
     # the one trainer left after config parsing: baseline
     return train_baseline(
         model, records, features, meta_cfg, t.epochs,
-        t.batch_size if t.batch_size else 64,
+        64 if t.batch_size is None else t.batch_size,
     )
 
 

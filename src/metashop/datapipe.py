@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import enum
 import hashlib
+import io
 import math
 import re
 import statistics
@@ -26,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .checkpoint import atomic_write_text
+from .checkpoint import atomic_write_text, read_text
 from .errors import ConfigError, DataError, SamplingError
 
 REQUIRED_COLUMNS = ("user_id", "item_id", "shop_id", "label")
@@ -120,71 +121,66 @@ def load_interactions(path: str | Path) -> list[InteractionRecord]:
     numbers; duplicate (user, item, shop, timestamp) keys are rejected.
     """
     path = Path(path)
-    try:
-        fh = open(path, encoding="utf-8", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+    reader = csv.reader(io.StringIO(read_text(path, "", DataError), newline=""))
     problems: list[str] = []
     records: list[InteractionRecord] = []
     seen: dict[tuple, int] = {}
-    with fh:
-        reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path} is empty") from None
+    header = [h.strip() for h in header]
+    unknown = set(header) - set(REQUIRED_COLUMNS) - set(OPTIONAL_COLUMNS)
+    missing = set(REQUIRED_COLUMNS) - set(header)
+    if unknown or missing:
+        raise DataError(
+            f"{path}: bad header (missing {sorted(missing)}, "
+            f"unknown {sorted(unknown)})"
+        )
+    col = {name: header.index(name) for name in header}
+    for line_no, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            problems.append(f"line {line_no}: {len(row)} fields, expected {len(header)}")
+            continue
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path} is empty") from None
-        header = [h.strip() for h in header]
-        unknown = set(header) - set(REQUIRED_COLUMNS) - set(OPTIONAL_COLUMNS)
-        missing = set(REQUIRED_COLUMNS) - set(header)
-        if unknown or missing:
-            raise DataError(
-                f"{path}: bad header (missing {sorted(missing)}, "
-                f"unknown {sorted(unknown)})"
+            label = float(row[col["label"]])
+        except ValueError:
+            problems.append(f"line {line_no}: label {row[col['label']]!r} is not a number")
+            continue
+        if not (label in (0.0, 1.0) or 1.0 <= label <= 5.0):
+            problems.append(
+                f"line {line_no}: label {label} outside 0/1 and [1, 5]"
             )
-        col = {name: header.index(name) for name in header}
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                problems.append(f"line {line_no}: {len(row)} fields, expected {len(header)}")
-                continue
+            continue
+        ts: int | None = None
+        if "timestamp" in col and row[col["timestamp"]] != "":
             try:
-                label = float(row[col["label"]])
+                ts = int(row[col["timestamp"]])
             except ValueError:
-                problems.append(f"line {line_no}: label {row[col['label']]!r} is not a number")
-                continue
-            if not (label in (0.0, 1.0) or 1.0 <= label <= 5.0):
                 problems.append(
-                    f"line {line_no}: label {label} outside 0/1 and [1, 5]"
+                    f"line {line_no}: timestamp {row[col['timestamp']]!r} is not an integer"
                 )
                 continue
-            ts: int | None = None
-            if "timestamp" in col and row[col["timestamp"]] != "":
-                try:
-                    ts = int(row[col["timestamp"]])
-                except ValueError:
-                    problems.append(
-                        f"line {line_no}: timestamp {row[col['timestamp']]!r} is not an integer"
-                    )
-                    continue
-            genre = None
-            if "genre_l3" in col and row[col["genre_l3"]] != "":
-                genre = row[col["genre_l3"]]
-            try:
-                rec = InteractionRecord(
-                    row[col["user_id"]], row[col["item_id"]], row[col["shop_id"]],
-                    label, ts, genre,
-                )
-            except DataError as exc:
-                problems.append(f"line {line_no}: {exc}")
-                continue
-            key = (rec.user_id, rec.item_id, rec.shop_id, rec.timestamp)
-            if key in seen:
-                problems.append(
-                    f"line {line_no}: duplicate of line {seen[key]} "
-                    f"(user={rec.user_id}, item={rec.item_id})"
-                )
-                continue
-            seen[key] = line_no
-            records.append(rec)
+        genre = None
+        if "genre_l3" in col and row[col["genre_l3"]] != "":
+            genre = row[col["genre_l3"]]
+        try:
+            rec = InteractionRecord(
+                row[col["user_id"]], row[col["item_id"]], row[col["shop_id"]],
+                label, ts, genre,
+            )
+        except DataError as exc:
+            problems.append(f"line {line_no}: {exc}")
+            continue
+        key = (rec.user_id, rec.item_id, rec.shop_id, rec.timestamp)
+        if key in seen:
+            problems.append(
+                f"line {line_no}: duplicate of line {seen[key]} "
+                f"(user={rec.user_id}, item={rec.item_id})"
+            )
+            continue
+        seen[key] = line_no
+        records.append(rec)
     if problems:
         shown = "; ".join(problems[:20])
         more = f" (+{len(problems) - 20} more)" if len(problems) > 20 else ""
@@ -522,34 +518,29 @@ def save_latents(
 def load_latents(path: str | Path) -> tuple[FeatureTable, dict[str, np.ndarray]]:
     """Read a latent file back into (FeatureTable, shop effects)."""
     path = Path(path)
-    try:
-        fh = open(path, encoding="utf-8", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+    reader = csv.reader(io.StringIO(read_text(path, "", DataError), newline=""))
     users: dict[str, np.ndarray] = {}
     items: dict[str, np.ndarray] = {}
     shops: dict[str, np.ndarray] = {}
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[:2] != ["kind", "id"]:
-            raise DataError(f"{path}: expected a latent file header (kind,id,v0,...)")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError(f"{path} line {line_no}: wrong field count")
-            kind, key = row[0], row[1]
-            try:
-                vec = np.asarray([float(v) for v in row[2:]], dtype=np.float64)
-            except ValueError:
-                raise DataError(f"{path} line {line_no}: non-numeric value") from None
-            table = {"user": users, "item": items, "shop_effect": shops}.get(kind)
-            if table is None:
-                raise DataError(f"{path} line {line_no}: unknown kind {kind!r}")
-            if not np.isfinite(vec).all():
-                raise DataError(f"{path} line {line_no}: non-finite value")
-            if key in table:
-                raise DataError(f"{path} line {line_no}: repeated {kind} id {key!r}")
-            table[key] = vec
+    header = next(reader, None)
+    if not header or header[:2] != ["kind", "id"]:
+        raise DataError(f"{path}: expected a latent file header (kind,id,v0,...)")
+    for line_no, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise DataError(f"{path} line {line_no}: wrong field count")
+        kind, key = row[0], row[1]
+        try:
+            vec = np.asarray([float(v) for v in row[2:]], dtype=np.float64)
+        except ValueError:
+            raise DataError(f"{path} line {line_no}: non-numeric value") from None
+        table = {"user": users, "item": items, "shop_effect": shops}.get(kind)
+        if table is None:
+            raise DataError(f"{path} line {line_no}: unknown kind {kind!r}")
+        if not np.isfinite(vec).all():
+            raise DataError(f"{path} line {line_no}: non-finite value")
+        if key in table:
+            raise DataError(f"{path} line {line_no}: repeated {kind} id {key!r}")
+        table[key] = vec
     if not users or not items:
         raise DataError(f"{path}: latent file needs user and item rows")
     return FeatureTable(users, items), shops
@@ -566,22 +557,17 @@ def save_attributes(path: str | Path, table: Mapping[str, Mapping[str, str]],
 
 def load_attributes(path: str | Path) -> dict[str, dict[str, str]]:
     path = Path(path)
-    try:
-        fh = open(path, encoding="utf-8", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+    reader = csv.reader(io.StringIO(read_text(path, "", DataError), newline=""))
     out: dict[str, dict[str, str]] = {}
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or len(header) < 2:
-            raise DataError(f"{path}: expected an id column plus attribute columns")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError(f"{path} line {line_no}: wrong field count")
-            if row[0] in out:
-                raise DataError(f"{path} line {line_no}: repeated id {row[0]!r}")
-            out[row[0]] = dict(zip(header[1:], row[1:]))
+    header = next(reader, None)
+    if not header or len(header) < 2:
+        raise DataError(f"{path}: expected an id column plus attribute columns")
+    for line_no, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise DataError(f"{path} line {line_no}: wrong field count")
+        if row[0] in out:
+            raise DataError(f"{path} line {line_no}: repeated id {row[0]!r}")
+        out[row[0]] = dict(zip(header[1:], row[1:]))
     return out
 
 

@@ -19,6 +19,9 @@ per call, the first time the task is drawn, and hands the resolved tasks to
 the step functions; a per-step query subsample is a seeded pick of rows from
 the resolved query batch. The step functions also accept plain ShopTasks,
 which they resolve through the same helper.
+
+The non-meta trainers share one seeded mini-batch SGD loop, ``_sgd_epochs``,
+and differ only in the per-batch loss-and-gradient function they hand it.
 """
 
 from __future__ import annotations
@@ -27,12 +30,12 @@ import enum
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from . import numcore
-from .checkpoint import atomic_write_text, to_json
+from .checkpoint import atomic_write_text, read_text, to_json
 from .datapipe import (
     InteractionRecord,
     ShopTask,
@@ -219,7 +222,7 @@ def _meta_step(
     if not tasks:
         raise EmptyBatchError("meta step with no tasks")
     ordered = sorted(tasks, key=lambda t: t.shop_id)
-    total_grads = None
+    total = None
     loss_sum = 0.0
     for task in ordered:
         task = _resolve(task, features, model)
@@ -227,7 +230,9 @@ def _meta_step(
         adapted = _adapt(model, task.support, cfg, penalty)
         loss, grads = model_loss_and_grad(adapted, task.query, cfg.loss_kind, penalty)
         loss_sum += loss
-        total_grads = grads if total_grads is None else numcore.tree_add(total_grads, grads)
+        # each term is checked finite; the outer step checks the sum
+        total = grads.vector if total is None else total + grads.vector
+    total_grads = model.layout.build(total)
     if cfg.outer_optimizer is OuterOptimizer.SGD:
         new_model = numcore.sgd_step(model, total_grads, cfg.beta)
         new_state = outer_state
@@ -321,6 +326,10 @@ def meta_train(
     """
     if steps < 0:
         raise ConfigError(f"steps must be >= 0, got {steps}")
+    if early_stop_patience is not None and early_stop_patience < 0:
+        raise ConfigError(
+            f"early_stop_patience must be >= 0, got {early_stop_patience}"
+        )
     if not tasks:
         raise EmptyBatchError("meta_train with no tasks")
     rng = np.random.default_rng([cfg.seed, 23])
@@ -370,6 +379,35 @@ def _slice_batch(batch: Batch, picks: np.ndarray) -> Batch:
     return Batch(batch.labels[picks], batch.user_rows[picks], batch.item_rows[picks])
 
 
+def _sgd_epochs(
+    model: Any, n: int, batch_loss: Callable[[Any, np.ndarray], tuple[float, Any]],
+    cfg: MetaConfig, epochs: int, batch_size: int | None, tag: int,
+) -> tuple[Any, TrainHistory]:
+    """Mini-batch SGD at rate ``alpha``, the loop of every non-meta trainer.
+
+    Each epoch shuffles rows 0..n-1 (seeded by ``[cfg.seed, tag]``) and steps
+    on ``batch_size`` of them at a time (all n when None), with the loss and
+    gradients ``batch_loss(model, rows)`` gives; losses are per-epoch means.
+    """
+    if epochs < 0:
+        raise ConfigError(f"epochs must be >= 0, got {epochs}")
+    if batch_size is not None and batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+    bs = n if batch_size is None else min(batch_size, n)
+    rng = np.random.default_rng([cfg.seed, tag])
+    history = TrainHistory()
+    starts = range(0, n, bs)
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        for start in starts:
+            loss, grads = batch_loss(model, order[start : start + bs])
+            model = numcore.sgd_step(model, grads, cfg.alpha)
+            epoch_loss += loss
+        history.losses.append(epoch_loss / len(starts))
+    return model, history
+
+
 def nonmeta_train(
     model: RecModel,
     records: Sequence[InteractionRecord],
@@ -383,31 +421,14 @@ def nonmeta_train(
     Each epoch visits the records in a seeded shuffle, so runs are
     bit-reproducible. With ``epochs == 0`` the model comes back unchanged.
     """
-    if epochs < 0:
-        raise ConfigError(f"epochs must be >= 0, got {epochs}")
-    if batch_size is not None and batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     if not records:
         raise EmptyBatchError("nonmeta_train with no records")
     full = prepare_batch(records, features, model.user_encoder, model.item_encoder)
-    n = full.size
-    bs = n if batch_size is None else min(batch_size, n)
-    rng = np.random.default_rng([cfg.seed, 29])
-    history = TrainHistory()
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        n_batches = 0
-        for start in range(0, n, bs):
-            rows = order[start : start + bs]
-            loss, grads = model_loss_and_grad(
-                model, _slice_batch(full, rows), cfg.loss_kind
-            )
-            model = numcore.sgd_step(model, grads, cfg.alpha)
-            epoch_loss += loss
-            n_batches += 1
-        history.losses.append(epoch_loss / n_batches)
-    return model, history
+
+    def batch_loss(m: RecModel, rows: np.ndarray) -> tuple[float, RecModel]:
+        return model_loss_and_grad(m, _slice_batch(full, rows), cfg.loss_kind)
+
+    return _sgd_epochs(model, full.size, batch_loss, cfg, epochs, batch_size, 29)
 
 
 def one_shop_train(
@@ -443,8 +464,6 @@ def train_baseline(
     gradient, so history items receive gradient too. Pairs whose user has no
     positive history are dropped (they cannot form a representation).
     """
-    if epochs < 0:
-        raise ConfigError(f"epochs must be >= 0, got {epochs}")
     hist = purchase_histories(records)
     pairs = [
         (r.user_id, r.item_id, r.label > 0)
@@ -453,24 +472,14 @@ def train_baseline(
     ]
     if not pairs:
         raise EmptyBatchError("no trainable pairs (every user is cold)")
-    rng = np.random.default_rng([cfg.seed, 31])
-    history = TrainHistory()
-    n = len(pairs)
-    bs = min(batch_size, n)
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        n_batches = 0
-        for start in range(0, n, bs):
-            chunk = [pairs[i] for i in order[start : start + bs]]
-            pos = [(u, i) for u, i, p in chunk if p]
-            neg = [(u, i) for u, i, p in chunk if not p]
-            loss, grads = baseline_loss_and_grad(model, pos, neg, hist, features)
-            model = numcore.sgd_step(model, grads, cfg.alpha)
-            epoch_loss += loss
-            n_batches += 1
-        history.losses.append(epoch_loss / n_batches)
-    return model, history
+
+    def batch_loss(m: BaselineModel, rows: np.ndarray) -> tuple[float, BaselineModel]:
+        chunk = [pairs[j] for j in rows]
+        pos = [(u, i) for u, i, p in chunk if p]
+        neg = [(u, i) for u, i, p in chunk if not p]
+        return baseline_loss_and_grad(m, pos, neg, hist, features)
+
+    return _sgd_epochs(model, len(pairs), batch_loss, cfg, epochs, batch_size, 31)
 
 
 # ---------------------------------------------------------------------------
@@ -488,10 +497,7 @@ def write_manifest(path: str | Path, entries: Sequence[tuple[str, Any]]) -> None
 
 
 def read_manifest(path: str | Path) -> dict[str, str]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read manifest {path}: {exc}") from exc
+    text = read_text(path, "manifest ", DataError)
     out = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line:

@@ -36,7 +36,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .checkpoint import atomic_write_text, canonical_json, from_json, to_json
+from .checkpoint import atomic_write_text, canonical_json, from_json, read_text, to_json
 from .datapipe import SizeClass
 from .errors import ConfigError, DataError, EmptyBatchError
 
@@ -285,12 +285,10 @@ def save_report(path: str | Path, report: EvaluationReport) -> None:
 
 def load_report(path: str | Path) -> EvaluationReport:
     try:
-        with open(path, encoding="utf-8") as fh:
-            return report_from_json(json.load(fh))
-    except OSError as exc:
-        raise DataError(f"cannot read report {path}: {exc}") from exc
+        obj = json.loads(read_text(path, "report ", DataError))
     except json.JSONDecodeError as exc:
         raise DataError(f"report {path} is not valid JSON: {exc}") from exc
+    return report_from_json(obj)
 
 
 def _fmt(v: float | None) -> str:

@@ -372,31 +372,19 @@ def model_loss_and_grad(
 ) -> tuple[float, RecModel]:
     """Loss and gradient over the whole bundle (tables + scoring network).
 
-    Args:
-        model: the bundle to differentiate.
-        batch: resolved examples.
-        loss_kind: squared error or binary cross-entropy.
-        pred_penalty: optional (a, c) adding ``a * mean(pred) + c`` to the
-            objective; used for the fairness regularizers applied to the
-            same predictions the loss sees.
-
-    Returns:
-        (objective value, gradients as a RecModel laid out like ``model``)
+    ``pred_penalty`` is numcore.loss_backward's optional (a, c) adding
+    ``a * mean(pred) + c`` to the objective. Returns (objective value,
+    gradients as a RecModel laid out like ``model``).
     """
     if batch.size == 0:
         raise EmptyBatchError("gradient on an empty batch")
     u = encode_rows(model.user_encoder, batch.user_rows)
     v = encode_rows(model.item_encoder, batch.item_rows)
-    raw, trace = numcore.model_forward_trace(model.scorer, u, v)
-    pred = numcore.sigmoid(raw) if model.sigmoid_output else raw
-    loss, d_pred = numcore.loss_and_pred_grad(pred, batch.labels, loss_kind)
-    if pred_penalty is not None:
-        a, c = pred_penalty
-        loss += a * float(np.mean(pred)) + c
-        d_pred = d_pred + a / batch.size
-    d_raw = d_pred * pred * (1.0 - pred) if model.sigmoid_output else d_pred
     grads = model.layout.zeros()
-    d_u, d_v = numcore.model_backward(model.scorer, trace, d_raw, grads.scorer)
+    loss, d_u, d_v = numcore.loss_backward(
+        model.scorer, u, v, batch.labels, loss_kind, model.sigmoid_output,
+        pred_penalty, grads.scorer,
+    )
     _encoder_grad(model.user_encoder, batch.user_rows, d_u, grads.user_encoder)
     _encoder_grad(model.item_encoder, batch.item_rows, d_v, grads.item_encoder)
     numcore.tree_check_finite(grads, "model_loss_and_grad")
@@ -443,6 +431,17 @@ def build_baseline(
     return BaselineModel(item_encoder, mapper, margin, negative_weight)
 
 
+def _mapped_items(
+    model: BaselineModel, item_ids: Iterable[str], features: FeatureSource
+) -> tuple[np.ndarray, np.ndarray, list]:
+    """(feature rows, mapped items, mapper caches) of ``item_ids``."""
+    rows = feature_rows(model.item_encoder, map(features.item_raw, item_ids), "item")
+    reps, caches = numcore.mlp_forward_trace(
+        model.item_mapper, encode_rows(model.item_encoder, rows)
+    )
+    return rows, reps, caches
+
+
 def baseline_user_reps(
     model: BaselineModel,
     histories: Mapping[str, Sequence[str]],
@@ -453,10 +452,7 @@ def baseline_user_reps(
     catalog = sorted({i for items in histories.values() for i in items})
     if not catalog:
         raise DataError("baseline evaluation needs at least one purchase history")
-    rows = feature_rows(model.item_encoder, map(features.item_raw, catalog), "item")
-    reps, _ = numcore.mlp_forward_trace(
-        model.item_mapper, encode_rows(model.item_encoder, rows)
-    )
+    _, reps, _ = _mapped_items(model, catalog, features)
     row_of = {i: r for r, i in enumerate(catalog)}
     fallback = reps.mean(axis=0)
     out = {}
@@ -477,10 +473,7 @@ def baseline_score_matrix(
     features: FeatureSource,
 ) -> np.ndarray:
     """Negated user-item distances, shape (n_users, n_items)."""
-    rows = feature_rows(model.item_encoder, map(features.item_raw, item_ids), "item")
-    reps, _ = numcore.mlp_forward_trace(
-        model.item_mapper, encode_rows(model.item_encoder, rows)
-    )
+    _, reps, _ = _mapped_items(model, item_ids, features)
     u = np.stack([np.asarray(user_reps[uid], dtype=np.float64) for uid in user_ids])
     sq = (
         np.sum(u * u, axis=1)[:, None]
@@ -524,12 +517,7 @@ def baseline_loss_and_grad(
         | {i for u in users for i in histories[u]}
     )
     row_of = {i: r for r, i in enumerate(item_ids)}
-    enc = model.item_encoder
-    rows = feature_rows(enc, [features.item_raw(i) for i in item_ids], "item")
-    reps, caches = numcore.mlp_forward_trace(
-        model.item_mapper, encode_rows(enc, rows)
-    )
-
+    rows, reps, caches = _mapped_items(model, item_ids, features)
     user_rep = {
         u: reps[[row_of[i] for i in histories[u]]].mean(axis=0) for u in users
     }
@@ -564,6 +552,6 @@ def baseline_loss_and_grad(
     d_feats = numcore.mlp_backward(
         model.item_mapper, caches, d_reps, grads.item_mapper
     )
-    _encoder_grad(enc, rows, d_feats, grads.item_encoder)
+    _encoder_grad(model.item_encoder, rows, d_feats, grads.item_encoder)
     numcore.tree_check_finite(grads, "baseline_loss_and_grad")
     return loss, grads

@@ -16,9 +16,12 @@ tree derived from it, gradients included:
   * a gradient is a zeroed tree of the model's layout that backprop fills
     in place, checked for finiteness once.
 
+``loss_backward`` is the one forward, sigmoid, loss (plus penalty) and backward
+routine; ``loss_gradient`` and ``models.model_loss_and_grad`` call it.
+
 A non-finite value is reported as a NumericError naming the operation and
 the first bad leaf's path, for example ``scorer.user_tower.layers[0].weights``.
-No function mutates its inputs.
+No function mutates its inputs, except backprop filling the gradient it is given.
 
 Conventions:
   * dense layer computes ``act(W @ x + b)`` with ``W`` of shape (out, in)
@@ -543,16 +546,6 @@ def model_backward(
 # ---------------------------------------------------------------------------
 
 
-def _check_pred_label(predictions: Any, labels: Any) -> tuple[np.ndarray, np.ndarray]:
-    p = np.asarray(predictions, dtype=np.float64).ravel()
-    y = np.asarray(labels, dtype=np.float64).ravel()
-    if p.size == 0:
-        raise EmptyBatchError("loss on an empty batch")
-    if p.shape != y.shape:
-        raise ShapeError(f"predictions {p.shape} vs labels {y.shape}")
-    return p, y
-
-
 def loss_and_pred_grad(
     predictions: np.ndarray, labels: np.ndarray, kind: LossKind
 ) -> tuple[float, np.ndarray]:
@@ -561,7 +554,12 @@ def loss_and_pred_grad(
     The BCE gradient is zero where the clamp is active (the clamp is flat
     there), so analytic and finite-difference gradients agree everywhere.
     """
-    p, y = _check_pred_label(predictions, labels)
+    p = np.asarray(predictions, dtype=np.float64).ravel()
+    y = np.asarray(labels, dtype=np.float64).ravel()
+    if p.size == 0:
+        raise EmptyBatchError("loss on an empty batch")
+    if p.shape != y.shape:
+        raise ShapeError(f"predictions {p.shape} vs labels {y.shape}")
     n = p.size
     if kind is LossKind.SQUARED:
         r = p - y
@@ -573,6 +571,30 @@ def loss_and_pred_grad(
     return loss, grad
 
 
+def loss_backward(
+    params: ModelParameters, user_x: np.ndarray, item_x: np.ndarray,
+    labels: np.ndarray, loss_kind: LossKind, sigmoid_output: bool,
+    pred_penalty: tuple[float, float] | None, grads: GradientSet,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Forward a batch, take its loss and backpropagate it into ``grads``.
+
+    ``sigmoid_output`` squashes raw scores before the loss; ``pred_penalty``
+    (a, c) adds ``a * mean(pred) + c`` to the objective (the fairness
+    regularizers). ``grads`` is a zeroed tree laid out like ``params``.
+    Returns (objective, d_user_x, d_item_x).
+    """
+    raw, trace = model_forward_trace(params, user_x, item_x)
+    pred = sigmoid(raw) if sigmoid_output else raw
+    loss, d_pred = loss_and_pred_grad(pred, labels, loss_kind)
+    if pred_penalty is not None:
+        a, c = pred_penalty
+        loss += a * float(np.mean(pred)) + c
+        d_pred = d_pred + a / pred.size
+    d_raw = d_pred * pred * (1.0 - pred) if sigmoid_output else d_pred
+    d_user_x, d_item_x = model_backward(params, trace, d_raw, grads)
+    return loss, d_user_x, d_item_x
+
+
 def loss_gradient(
     params: ModelParameters,
     batch: tuple[Any, Any, Any],
@@ -581,26 +603,14 @@ def loss_gradient(
 ) -> tuple[float, GradientSet]:
     """Batch loss and its gradient w.r.t. every scoring parameter.
 
-    Args:
-        params: scoring parameters.
-        batch: stacked arrays (U, V, y) of user features, item features
-            and labels.
-        loss_kind: squared error or binary cross-entropy.
-        sigmoid_output: squash raw scores through a sigmoid before the loss.
-
-    Returns:
-        (loss, gradients) with gradients laid out like ``params``.
+    ``batch`` holds stacked arrays (U, V, y) of user features, item features
+    and labels. Returns (loss, gradients laid out like ``params``).
     """
     u, v, y = (np.asarray(a, dtype=np.float64) for a in batch)
-    y = y.ravel()
     if u.shape[0] == 0:
         raise EmptyBatchError("gradient on an empty batch")
-    raw, trace = model_forward_trace(params, u, v)
-    pred = sigmoid(raw) if sigmoid_output else raw
-    loss, d_pred = loss_and_pred_grad(pred, y, loss_kind)
-    d_raw = d_pred * pred * (1.0 - pred) if sigmoid_output else d_pred
     grads = params.layout.zeros()
-    model_backward(params, trace, d_raw, grads)
+    loss, _, _ = loss_backward(params, u, v, y, loss_kind, sigmoid_output, None, grads)
     if not np.isfinite(loss):
         raise NumericError(f"non-finite loss from {loss_kind.value}")
     tree_check_finite(grads, "loss_gradient")

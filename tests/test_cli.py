@@ -281,6 +281,8 @@ EDGE_CASES = [
     ("data.train", "", "data.train must be a non-empty string, got ''"),
     ("train.loss", "", "train.loss must be a non-empty string, got ''"),
     ("seed", -1, "seed must be >= 0, got -1"),
+    ("ablation.n_shops", 0, "ablation.n_shops must be >= 1, got 0"),
+    ("ablation.n_shops", -1, "ablation.n_shops must be >= 1, got -1"),
 ]
 
 
@@ -469,6 +471,58 @@ class TestExitCodes:
             err,
             re.MULTILINE,
         ), err
+
+    @pytest.mark.parametrize("trainer", ["nonmeta", "baseline"])
+    @pytest.mark.parametrize("batch_size", [0, -5])
+    def test_bad_batch_size_is_one(self, workspace, capsys, trainer, batch_size):
+        cfg_path, _ = workspace
+        args = ["train", "--config", str(cfg_path), "--set", f"train.trainer={trainer}"]
+        args += ["--set", f"train.batch_size={batch_size}"]
+        if trainer == "baseline":
+            args += ["--set", "model.kind=baseline"]
+        assert main(args) == 1
+        assert capsys.readouterr().err == (
+            f"config error: batch_size must be >= 1, got {batch_size}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "name,command",
+        [
+            ("train.csv", "train"),
+            ("latents.csv", "train"),
+            ("users.csv", "train"),
+            ("items.csv", "train"),
+            ("test.csv", "evaluate"),
+            ("checkpoint.json", "evaluate"),
+            ("support.csv", "adapt"),
+            ("report.json", "report"),
+            ("run.yaml", "train"),
+        ],
+    )
+    def test_non_utf8_input_is_named(self, workspace, capsys, name, command):
+        cfg_path, out = workspace
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        assert main(["evaluate", "--config", str(cfg_path)]) == 0
+        (out / "support.csv").write_bytes((out / "train.csv").read_bytes())
+        (out / "users.csv").write_text("user_id,age\nu0,young\n", encoding="utf-8")
+        (out / "items.csv").write_text("item_id,color\ni0,red\n", encoding="utf-8")
+        target = cfg_path if name == "run.yaml" else out / name
+        target.write_bytes(target.read_bytes() + "\u00e9\n".encode("latin-1"))
+        args = [command, "--config", str(cfg_path)]
+        if command == "report":
+            args = ["report", "--report", str(target)]
+        elif command == "adapt":
+            args += ["--set", f"adapt.checkpoint={out / 'checkpoint.json'}"]
+            args += ["--set", f"adapt.support={target}"]
+        elif name in ("users.csv", "items.csv"):
+            args += ["--set", "data.latents=null"]
+            args += ["--set", f"data.user_attrs={out / 'users.csv'}"]
+            args += ["--set", f"data.item_attrs={out / 'items.csv'}"]
+        capsys.readouterr()
+        assert main(args) == (1 if name == "run.yaml" else 2)
+        err = capsys.readouterr().err
+        assert f"cannot read {'config ' if name == 'run.yaml' else ''}" in err
+        assert str(target) in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["train", "evaluate"])
     def test_non_finite_latent_is_two(self, workspace, capsys, command):

@@ -427,6 +427,15 @@ class TestDrivers:
         out, hist = meta_train(model, tasks, feats, cfg, steps=0)
         assert out is model and hist.losses == []
 
+    def test_negative_patience_rejected(self):
+        feats, tasks = small_world(seed=31)
+        cfg = MetaConfig(alpha=0.05, beta=0.1)
+        with pytest.raises(ConfigError) as err:
+            meta_train(
+                tiny_model(seed=32), tasks, feats, cfg, steps=5, early_stop_patience=-3
+            )
+        assert str(err.value) == "early_stop_patience must be >= 0, got -3"
+
     def test_nonmeta_train_determinism_and_descent(self):
         feats, tasks = small_world(seed=33, n_shops=4, per_shop=10)
         records = [r for t in tasks for r in (*t.support, *t.query)]
@@ -486,6 +495,13 @@ class TestManifests:
         p.write_text("just words\n")
         with pytest.raises(DataError):
             read_manifest(p)
+
+    def test_non_utf8_manifest_is_a_data_error(self, tmp_path):
+        p = tmp_path / "m"
+        p.write_bytes("note=\u00e9\n".encode("latin-1"))
+        with pytest.raises(DataError) as err:
+            read_manifest(p)
+        assert str(err.value).startswith(f"cannot read manifest {p}: ")
 
     def test_config_flattening(self):
         cfg = MetaConfig(alpha=0.05, beta=0.1, gamma=0.8)

@@ -233,6 +233,56 @@ class TestAggregation:
         assert report.metrics["recall"].n_queries == 1
         assert report.metrics["ndcg"].n_queries == 1
 
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_aggregation_properties(self, data):
+        names = ["recall", "ndcg", "mae"]
+        # one shop drawn per query, so shops get uneven query counts
+        shops = data.draw(st.lists(st.sampled_from("ABCDE"), min_size=1, max_size=14))
+        queries = []
+        for j, shop in enumerate(shops):
+            present = data.draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+            values = {n: data.draw(st.none() | st.floats(0.0, 1.0)) for n in present}
+            queries.append(QueryMetrics(f"q{j}", shop, values))
+        classes = data.draw(
+            st.dictionaries(st.sampled_from("ABCDEF"), st.sampled_from(list(SizeClass)))
+        )
+        report = aggregate(queries, shop_classes=classes)
+
+        def close(a, b):
+            return math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12)
+
+        classified = {x.shop_id for x in queries if x.shop_id in classes}
+        for name, s in report.metrics.items():
+            rows = [x for x in queries if name in x.values]
+            defined = [(x.shop_id, x.values[name]) for x in rows if x.values[name] is not None]
+            assert (s.n_queries, s.n_skipped) == (len(rows), len(rows) - len(defined))
+            if not defined:
+                assert s.item_level is s.shop_mean is s.shop_variance is None
+                continue
+            assert close(s.item_level, sum(v for _, v in defined) / len(defined))
+            within = {}
+            for shop, v in defined:
+                within.setdefault(shop, []).append(v)
+            means = [sum(vs) / len(vs) for vs in within.values()]
+            assert close(s.shop_mean, sum(means) / len(means))
+            assert s.shop_variance >= 0.0
+
+            seen: set[str] = set()
+            n_queries = n_skipped = 0
+            for cls, table in report.by_class.items():
+                row = table[name]
+                for shop, mean in row.per_shop.items():
+                    assert classes[shop].value == cls and shop not in seen
+                    assert mean == s.per_shop[shop]
+                seen |= set(row.per_shop)
+                n_queries += row.n_queries
+                n_skipped += row.n_skipped
+            assert seen == {shop for shop, _ in defined} & classified
+            in_classified = [x for x in rows if x.shop_id in classified]
+            assert n_queries == len(in_classified)
+            assert n_skipped == sum(x.values[name] is None for x in in_classified)
+
 
 values = st.floats(allow_nan=False, allow_infinity=False)
 shop_ids = st.text(min_size=1, max_size=4)
