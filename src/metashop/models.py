@@ -9,7 +9,8 @@ or loaded. A gradient is a zeroed RecModel of the same layout; backprop
 writes the dense-layer gradients into it and ``np.add.at`` scatters the
 table gradients into its table slices, and the filled vector is checked for
 finiteness once. A BaselineModel is laid out the same way (item tables, then
-the mapper's layers).
+the mapper's layers). prepare_batch looks up and resolves each distinct
+user and item id of a batch once, then gathers one feature row per record.
 
 Model kinds:
   * MESH: two MLP towers joined by a dot product of their outputs.
@@ -312,9 +313,9 @@ def build_model(
 class Batch:
     """Labelled examples with features resolved as far as possible.
 
-    The rows come from feature_rows: float matrices for pretrained encoders,
-    index matrices for categorical ones, so that gradients can be scattered
-    back into the tables.
+    One feature_rows row per record: float rows for pretrained encoders,
+    index rows for categorical ones, so that gradients can be scattered back
+    into the tables.
     """
 
     labels: np.ndarray
@@ -326,6 +327,13 @@ class Batch:
         return self.labels.shape[0]
 
 
+def _codes(ids: Iterable[Any]) -> tuple[list[Any], np.ndarray]:
+    """Distinct ids in order of first appearance, and each id's position there."""
+    seen: dict[Any, int] = {}
+    codes = [seen.setdefault(i, len(seen)) for i in ids]
+    return list(seen), np.array(codes, dtype=np.int64)
+
+
 def prepare_batch(
     records: Iterable[Any],
     features: FeatureSource,
@@ -335,17 +343,21 @@ def prepare_batch(
     """Resolve record ids into a Batch via the feature source and encoders.
 
     Records only need ``user_id``, ``item_id``, and ``label`` attributes.
+    Each distinct id is looked up and resolved once; errors come in a
+    per-record pass's order: user lookups, item lookups, user rows, item rows.
     """
     recs = list(records)
     if not recs:
         raise EmptyBatchError("prepare_batch on zero records")
     labels = np.asarray([float(r.label) for r in recs])
-    users = [features.user_raw(r.user_id) for r in recs]
-    items = [features.item_raw(r.item_id) for r in recs]
+    user_ids, user_codes = _codes(r.user_id for r in recs)
+    users = [features.user_raw(u) for u in user_ids]
+    item_ids, item_codes = _codes(r.item_id for r in recs)
+    items = [features.item_raw(i) for i in item_ids]
     return Batch(
         labels,
-        feature_rows(user_encoder, users, "user"),
-        feature_rows(item_encoder, items, "item"),
+        feature_rows(user_encoder, users, "user")[user_codes],
+        feature_rows(item_encoder, items, "item")[item_codes],
     )
 
 

@@ -9,7 +9,7 @@ tree derived from it, gradients included:
 
   * the public constructors (init, checkpoint load, tests) validate shapes
     and finiteness, then copy the arrays into a new vector;
-  * an update (sgd_step, adam_step, tree_add, tree_map) is one or two numpy
+  * an update (sgd_step, adam_step, tree_map) is one or two numpy
     expressions over the vectors, one finiteness check of the result, and
     ``Layout.build``, which wraps the new vector without re-running any
     constructor check;
@@ -721,10 +721,6 @@ def tree_map(fn: Callable[..., np.ndarray], tree: ParamTree, *rest: ParamTree) -
             )
         vector[layout.offsets[i] : layout.offsets[i + 1]] = out.ravel()
     return _rebuilt(tree, vector, "tree_map")
-
-
-def tree_add(a: ParamTree, b: ParamTree) -> Any:
-    return _rebuilt(a, a.vector + _vector_like(a, b), "tree_add")
 
 
 def tree_check_finite(tree: ParamTree, op_name: str) -> None:

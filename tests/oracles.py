@@ -2,11 +2,14 @@
 
 Everything here is deliberately written the slow way (Python loops, scalar
 arithmetic, brute-force enumeration) so it shares no code with the package.
-Three exceptions drive the package's own code: meta_train_per_step checks
+Some exceptions drive the package's own code: meta_train_per_step checks
 only that meta_train's resolve-once cache changes nothing,
-predict_scores is the pairwise reference that score_matrix's batched
-scoring must reproduce, and the *_per_leaf updates are the leaf-by-leaf
-arithmetic that the one-vector optimiser steps must reproduce bit for bit.
+prepare_batch_per_record only that resolving each distinct id once changes
+no batch bit or error, predict_scores is the pairwise reference that
+score_matrix's batched scoring must reproduce, the *_per_leaf updates are
+the leaf-by-leaf arithmetic that the one-vector optimiser steps must
+reproduce bit for bit, and tree_add sums gradient trees for tests that
+rebuild a meta step by hand.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ import numpy as np
 
 from metashop.datapipe import ShopTask
 from metashop.metaopt import fmst_train_step, meta_train_step
-from metashop.models import Batch, RecModel, encode_rows
+from metashop.errors import EmptyBatchError
+from metashop.models import Batch, RecModel, encode_rows, feature_rows
 from metashop.numcore import (
     Activation,
     MlpParams,
@@ -115,6 +119,11 @@ def sgd_step_per_leaf(params, grads, stepsize: float) -> list[np.ndarray]:
     return [p - stepsize * g for p, g in zip(tree_leaves(params), tree_leaves(grads))]
 
 
+def tree_add(a, b):
+    """The sum of two same-shaped parameter trees, as a tree."""
+    return tree_map(np.add, a, b)
+
+
 def tree_add_per_leaf(a, b) -> list[np.ndarray]:
     return [x + y for x, y in zip(tree_leaves(a), tree_leaves(b))]
 
@@ -143,6 +152,21 @@ def predict_scores(model: RecModel, batch: Batch) -> np.ndarray:
     v = encode_rows(model.item_encoder, batch.item_rows)
     raw, _ = model_forward_trace(model.scorer, u, v)
     return sigmoid(raw) if model.sigmoid_output else raw
+
+
+def prepare_batch_per_record(records, features, user_encoder, item_encoder) -> Batch:
+    """prepare_batch with one feature lookup and one feature row per record."""
+    recs = list(records)
+    if not recs:
+        raise EmptyBatchError("prepare_batch on zero records")
+    labels = np.asarray([float(r.label) for r in recs])
+    users = [features.user_raw(r.user_id) for r in recs]
+    items = [features.item_raw(r.item_id) for r in recs]
+    return Batch(
+        labels,
+        feature_rows(user_encoder, users, "user"),
+        feature_rows(item_encoder, items, "item"),
+    )
 
 
 def meta_train_per_step(model, tasks, features, cfg, steps, regularized=False):

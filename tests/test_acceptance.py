@@ -331,7 +331,7 @@ def test_criterion_3_meta_step_decomposition():
         adapted = local_adapt(model, task.support, feats, cfg)
         query = prepare_batch(task.query, feats, model.user_encoder, model.item_encoder)
         _, grads = model_loss_and_grad(adapted, query, cfg.loss_kind)
-        total = grads if total is None else numcore.tree_add(total, grads)
+        total = grads if total is None else numcore.tree_map(np.add, total, grads)
     manual = numcore.sgd_step(model, total, cfg.beta)
     assert tree_allclose(stepped, manual, rtol=1e-12, atol=0.0)
 

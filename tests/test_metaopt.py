@@ -58,7 +58,7 @@ from metashop.numcore import (
 )
 
 import metashop.metaopt as metaopt
-from oracles import central_fd_grad, meta_train_per_step
+from oracles import central_fd_grad, meta_train_per_step, tree_add
 
 
 def bitwise_equal(a, b) -> bool:
@@ -115,6 +115,25 @@ def tiny_model(seed=1, dim=3, kind=ModelKind.MESH):
     )
 
 
+@pytest.fixture
+def resolved(monkeypatch):
+    """Record lists resolved through ``metaopt.prepare_batch``, call by call.
+
+    The benchmark's tracer wraps that lookup name to count batch calls and
+    records, so a trainer that resolved records some other way would make
+    those counts read 0.
+    """
+    calls = []
+
+    def counting(records, *args):
+        records = list(records)
+        calls.append(records)
+        return prepare_batch(records, *args)
+
+    monkeypatch.setattr(metaopt, "prepare_batch", counting)
+    return calls
+
+
 class TestLocalAdapt:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_matches_manual_sgd_sequence(self, k):
@@ -165,7 +184,7 @@ class TestMetaStep:
             )
             loss, grads = model_loss_and_grad(adapted, query, cfg.loss_kind)
             losses.append(loss)
-            total = grads if total is None else _tree_add(total, grads)
+            total = grads if total is None else tree_add(total, grads)
         manual = sgd_step(model, total, cfg.beta)
         assert bitwise_equal(stepped, manual)
         assert math.isclose(mean_loss, sum(losses) / len(losses), rel_tol=1e-12)
@@ -212,12 +231,6 @@ class TestMetaStep:
         m2, state2, _ = meta_train_step(m1, tasks, feats, cfg, state1)
         assert state2.step_count == 2
         assert not bitwise_equal(m1, m2)
-
-
-def _tree_add(a, b):
-    from metashop.numcore import tree_add
-
-    return tree_add(a, b)
 
 
 def classed(task, size_class):
@@ -328,7 +341,7 @@ class TestFairnessStep:
                     lambda m: model_loss_and_grad(m, qry, cfg.loss_kind, pen)[0],
                     adapted,
                 )
-                total = qg if total is None else _tree_add(total, qg)
+                total = qg if total is None else tree_add(total, qg)
             oracle = sgd_step(model, total, cfg.beta)
             for got, want in zip(tree_leaves(fair), tree_leaves(oracle)):
                 np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
@@ -384,21 +397,36 @@ class TestDrivers:
         assert hist.losses[0] == hist.losses[1]
 
     @pytest.mark.parametrize("steps, drawn", [(0, 0), (1, 2), (2, 4), (7, 5)])
-    def test_each_drawn_task_is_resolved_once(self, monkeypatch, steps, drawn):
+    def test_each_drawn_task_is_resolved_once(self, resolved, steps, drawn):
         feats, tasks = small_world(seed=39, n_shops=5)
-        calls = []
-
-        def counting(records, *args):
-            calls.append(records)
-            return prepare_batch(records, *args)
-
-        monkeypatch.setattr(metaopt, "prepare_batch", counting)
         cfg = MetaConfig(
             alpha=0.05, beta=0.1, local_steps=2, shop_batch_size=2,
             query_batch_size=3,
         )
         meta_train(tiny_model(seed=40), tasks, feats, cfg, steps=steps)
-        assert len(calls) == 2 * drawn
+        assert len(resolved) == 2 * drawn
+
+    def test_pooled_trainers_resolve_their_records_once(self, resolved):
+        feats, tasks = small_world(seed=44)
+        records = [r for t in tasks for r in t.support + t.query]
+        cfg = MetaConfig(alpha=0.05, beta=0.1, local_steps=1)
+        nonmeta_train(tiny_model(seed=45), records, feats, cfg, epochs=3, batch_size=5)
+        assert resolved == [records]
+        one_shop_train(tiny_model(seed=46), tasks[0].support, feats, cfg, epochs=2)
+        assert resolved == [records, list(tasks[0].support)]
+
+    def test_local_adapt_resolves_once_per_call(self, resolved):
+        feats, tasks = small_world(seed=47)
+        cfg = MetaConfig(alpha=0.05, beta=0.1, local_steps=3)
+        for task in tasks:
+            local_adapt(tiny_model(seed=48), task.support, feats, cfg)
+        assert resolved == [list(t.support) for t in tasks]
+
+    def test_meta_inference_resolves_once_per_task(self, resolved):
+        feats, tasks = small_world(seed=49, n_shops=4)
+        cfg = MetaConfig(alpha=0.05, beta=0.1, local_steps=2)
+        meta_inference(tiny_model(seed=50), list(reversed(tasks)), feats, cfg)
+        assert resolved == [list(t.support) for t in tasks]
 
     @pytest.mark.parametrize("query_batch_size", [None, 3])
     @pytest.mark.parametrize("outer", list(OuterOptimizer))

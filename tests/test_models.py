@@ -7,7 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from metashop.datapipe import AttributeTable, FeatureTable
 from metashop.errors import (
     ColdUserError,
     DataError,
@@ -44,7 +47,12 @@ from metashop.numcore import (
     tree_map,
 )
 
-from oracles import central_fd_grad, grads_close, predict_scores
+from oracles import (
+    central_fd_grad,
+    grads_close,
+    predict_scores,
+    prepare_batch_per_record,
+)
 
 
 @dataclass(frozen=True)
@@ -220,6 +228,168 @@ class TestRecModel:
         np.testing.assert_array_equal(
             stepped.user_encoder.tables["f"].shape, model.user_encoder.tables["f"].shape
         )
+
+
+USER_FIELDS = [("age", ["a", "b", "c"]), ("region", ["x", "y"])]
+ITEM_FIELDS = [("genre", ["g0", "g1", "g2", "g3"])]
+
+
+def feature_setup(kind, n_users, n_items, seed):
+    """(features, user encoder, item encoder) over ids u0.. and i0.."""
+    rng = np.random.default_rng(seed)
+    if kind == "pretrained":
+        # lists, flat arrays and (1, d) arrays all resolve to flat float rows
+        forms = (list, np.asarray, lambda v: np.asarray(v)[None, :])
+        users = {f"u{j}": forms[j % 3](rng.normal(size=3)) for j in range(n_users)}
+        items = {f"i{j}": forms[j % 3](rng.normal(size=2)) for j in range(n_items)}
+        return FeatureTable(users, items), pretrained_encoder(3), pretrained_encoder(2)
+    enc_u = build_categorical_encoder(USER_FIELDS, 2, seed)
+    enc_i = build_categorical_encoder(ITEM_FIELDS, 3, seed + 1)
+    if kind == "mapping":
+        users = {
+            f"u{j}": {"region": "xy"[j % 2], "age": "abc"[(j * 7) % 3]}
+            for j in range(n_users)
+        }
+        items = {f"i{j}": {"genre": f"g{(j * 5) % 4}"} for j in range(n_items)}
+        return AttributeTable(users, items), enc_u, enc_i
+    users = {f"u{j}": ((j * 7) % 3, j % 2) for j in range(n_users)}
+    items = {f"i{j}": [np.int64((j * 5) % 4)] for j in range(n_items)}
+    return DictFeatures(users, items), enc_u, enc_i
+
+
+def raised(fn, *args):
+    """(type, message) of the exception ``fn(*args)`` raises."""
+    with pytest.raises(Exception) as err:
+        fn(*args)
+    return type(err.value), str(err.value)
+
+
+def with_user(feats, user_id, raw):
+    return type(feats)({**feats.users, user_id: raw}, feats.items)
+
+
+def with_item(feats, item_id, raw):
+    return type(feats)(feats.users, {**feats.items, item_id: raw})
+
+
+# (name, feature setup, record (user, item) pairs, change to the features,
+# expected exception type)
+BAD_BATCHES = [
+    ("empty", "pretrained", [], None, EmptyBatchError),
+    ("unknown_user", "pretrained", [("u0", "i0"), ("u9", "i1")], None, DataError),
+    ("unknown_item", "pretrained", [("u0", "i0"), ("u1", "i9")], None, DataError),
+    (
+        "unknown_user_after_unknown_item",
+        "pretrained",
+        [("u0", "i0"), ("u1", "i9"), ("u9", "i0"), ("u8", "i8")],
+        None,
+        DataError,
+    ),
+    (
+        "first_of_two_unknown_users",
+        "mapping",
+        [("u0", "i0"), ("u9", "i0"), ("u8", "i1"), ("u9", "i1")],
+        None,
+        DataError,
+    ),
+    (
+        "oov_category",
+        "mapping",
+        [("u0", "i0"), ("u1", "i1"), ("u0", "i1")],
+        lambda f: with_item(f, "i1", {"genre": "g9"}),
+        OutOfVocabularyError,
+    ),
+    (
+        "oov_index_after_oov_item",
+        "indices",
+        [("u0", "i1"), ("u1", "i0")],
+        lambda f: with_item(with_user(f, "u1", (3, 0)), "i1", [7]),
+        OutOfVocabularyError,
+    ),
+    (
+        "unknown_item_before_bad_user_category",
+        "mapping",
+        [("u0", "i0"), ("u1", "i0"), ("u2", "i5")],
+        lambda f: with_user(f, "u1", {"age": "z", "region": "x"}),
+        DataError,
+    ),
+    (
+        "wrong_pretrained_width",
+        "pretrained",
+        [("u0", "i0"), ("u1", "i1"), ("u0", "i0")],
+        lambda f: FeatureTable(f.users, {k: np.zeros(4) for k in f.items}),
+        DataError,
+    ),
+    (
+        "ragged_pretrained_rows",
+        "pretrained",
+        [("u0", "i0"), ("u1", "i1"), ("u0", "i0")],
+        lambda f: with_user(f, "u1", np.zeros(4)),
+        ValueError,
+    ),
+    (
+        "bad_id_first_seen_late",
+        "indices",
+        [(f"u{j % 3}", f"i{j % 2}") for j in range(40)] + [("u1", "i7"), ("u0", "i1")],
+        None,
+        KeyError,
+    ),
+    (
+        "bad_category_first_seen_late",
+        "mapping",
+        [(f"u{j % 2}", f"i{j // 2 % 2}") for j in range(40)]
+        + [("u2", "i0"), ("u0", "i1")],
+        lambda f: with_user(f, "u2", {"age": "a", "region": "q"}),
+        OutOfVocabularyError,
+    ),
+]
+
+
+class TestPrepareBatch:
+    """prepare_batch resolves each distinct id once; the per-record oracle
+    resolves every record. Batches and errors must be the same."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(["pretrained", "mapping", "indices"]),
+        st.integers(1, 5),
+        st.integers(1, 4),
+        st.integers(0, 2**16),
+        st.data(),
+    )
+    def test_matches_per_record_oracle(self, kind, n_users, n_items, seed, data):
+        feats, enc_u, enc_i = feature_setup(kind, n_users, n_items, seed)
+        pairs = data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, n_users - 1),
+                    st.integers(0, n_items - 1),
+                    st.sampled_from([0.0, 1.0, 0.25, 1]),
+                ),
+                min_size=1,
+                max_size=60,
+            )
+        )
+        recs = [Rec(f"u{u}", f"i{i}", y) for u, i, y in pairs]
+        got = prepare_batch(recs, feats, enc_u, enc_i)
+        want = prepare_batch_per_record(recs, feats, enc_u, enc_i)
+        for name in ("labels", "user_rows", "item_rows"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize(
+        "kind, pairs, change, expected", [c[1:] for c in BAD_BATCHES],
+        ids=[c[0] for c in BAD_BATCHES],
+    )
+    def test_errors_match_per_record_oracle(self, kind, pairs, change, expected):
+        feats, enc_u, enc_i = feature_setup(kind, 3, 2, 5)
+        if change is not None:
+            feats = change(feats)
+        recs = [Rec(u, i, 1.0) for u, i in pairs]
+        got = raised(prepare_batch, recs, feats, enc_u, enc_i)
+        assert got == raised(prepare_batch_per_record, recs, feats, enc_u, enc_i)
+        assert got[0] is expected
 
 
 class TestBaseline:

@@ -37,7 +37,6 @@ from metashop.numcore import (
     adam_init,
     adam_step,
     sgd_step,
-    tree_add,
     tree_leaves,
     tree_map,
 )
@@ -176,7 +175,7 @@ class TestLayout:
         assert_views_of_one_vector(model)
         _, grads = model_loss_and_grad(model, rec_batch(model, seed), LossKind.SQUARED)
         stepped = sgd_step(model, grads, 0.01)
-        for tree in (grads, stepped, tree_add(grads, grads)):
+        for tree in (grads, stepped, tree_map(np.add, grads, grads)):
             assert tree.layout is model.layout
             assert_views_of_one_vector(tree)
         for sub in (model.user_encoder, model.item_encoder, model.scorer):
@@ -235,7 +234,7 @@ class TestUpdatesMatchPerLeafArithmetic:
                 sgd_step(model, grads, stepsize),
                 sgd_step_per_leaf(model, grads, stepsize),
             ),
-            (tree_add(grads, other), tree_add_per_leaf(grads, other)),
+            (tree_map(np.add, grads, other), tree_add_per_leaf(grads, other)),
         ]
         for tree, want in pairs:
             got = tree_leaves(tree)
