@@ -280,7 +280,7 @@ def _values(kinds: type[enum.Enum]) -> tuple[str, ...]:
 
 
 # The allowed strings of every choice key. "none" and "auto" have no enum
-# member: they mean no negative sampling and the label-derived loss.
+# member: they mean no negative sampling and squared loss for any labels.
 _CHOICES = {
     "data.negative_strategy": ("none", *_values(NegativeStrategy)),
     "model.kind": _values(ModelKind),
@@ -747,7 +747,6 @@ def _evaluation_pieces(cfg: RunConfig):
     )
     if not tasks:
         raise DataError("no evaluation task reaches data.min_interactions")
-    tasks = attach_size_classes(tasks, stats, use_taxonomy=True)
     pool = sorted(
         {r.user_id for r in train_records} | {r.user_id for r in test_records}
     )

@@ -274,9 +274,16 @@ def report_from_json(obj: Mapping) -> EvaluationReport:
             raise DataError(
                 f"report format_version {obj['format_version']!r} not supported"
             )
-        return from_json(EvaluationReport, obj)
+        report = from_json(EvaluationReport, obj)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise DataError(f"unreadable report near field {exc!r}") from exc
+    for table in (report.metrics, *report.by_class.values()):
+        for name, summary in table.items():
+            try:
+                sorted(summary.exceedance, key=float)  # as report_tables sorts them
+            except ValueError as exc:
+                raise DataError(f"report metric {name!r}: {exc}") from None
+    return report
 
 
 def save_report(path: str | Path, report: EvaluationReport) -> None:

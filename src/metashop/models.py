@@ -147,8 +147,7 @@ def build_categorical_encoder(
     rng: np.random.Generator | int,
 ) -> FeatureEncoder:
     """Seeded uniform(-1/sqrt(d), 1/sqrt(d)) tables, one per field, shared dim."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     specs = tuple(FieldSpec(name, tuple(cats)) for name, cats in fields)
     limit = 1.0 / np.sqrt(embedding_dim)
     tables = {
@@ -288,8 +287,7 @@ def build_model(
     sigmoid_output: bool = False,
 ) -> RecModel:
     """Initialise a scoring network matching the encoder output dims."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     hidden = list(hidden_dims)
     if kind is ModelKind.MESH:
         scorer = numcore.init_two_tower(

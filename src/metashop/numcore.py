@@ -322,10 +322,6 @@ class ModelParameters(ParamTree):
         self._pack()
 
 
-# Gradients reuse the parameter containers, laid out like the parameters.
-GradientSet = ModelParameters
-
-
 # ---------------------------------------------------------------------------
 # initialisation
 # ---------------------------------------------------------------------------
@@ -357,8 +353,7 @@ def init_mlp(
         raise ShapeError("layer_dims needs at least input and output dims")
     if any(d < 0 for d in layer_dims) or any(d == 0 for d in layer_dims[1:]):
         raise ShapeError(f"invalid layer dims {tuple(layer_dims)}")
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     layers = []
     acts = []
     n = len(layer_dims) - 1
@@ -374,8 +369,7 @@ def init_two_tower(
     rng: np.random.Generator | int,
 ) -> ModelParameters:
     """Two MLP towers ending in a shared dimension, joined by a dot product."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     user = init_mlp(user_dims, rng)
     item = init_mlp(item_dims, rng)
     return ModelParameters(ModelVariant.TWO_TOWER, user_tower=user, item_tower=item)
@@ -385,8 +379,7 @@ def init_joint(dims: Sequence[int], rng: np.random.Generator | int) -> ModelPara
     """One MLP on [user; item] ending in a single output unit."""
     if dims[-1] != 1:
         raise ShapeError("joint MLP must end in one unit")
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     return ModelParameters(ModelVariant.JOINT, joint=init_mlp(dims, rng))
 
 
@@ -396,14 +389,10 @@ def init_joint(dims: Sequence[int], rng: np.random.Generator | int) -> ModelPara
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function (``exp`` only sees ``-|z|``)."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    ez = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
 
 
 def _apply_activation(kind: Activation, z: np.ndarray) -> np.ndarray:
@@ -412,15 +401,6 @@ def _apply_activation(kind: Activation, z: np.ndarray) -> np.ndarray:
     if kind is Activation.SIGMOID:
         return sigmoid(z)
     return z
-
-
-def _activation_deriv(kind: Activation, z: np.ndarray) -> np.ndarray:
-    if kind is Activation.RELU:
-        return (z > 0.0).astype(np.float64)
-    if kind is Activation.SIGMOID:
-        s = sigmoid(z)
-        return s * (1.0 - s)
-    return np.ones_like(z)
 
 
 def mlp_forward_trace(
@@ -440,7 +420,7 @@ def mlp_forward_trace(
     for layer, act in zip(params.layers, params.activations):
         z = h @ layer.weights.T
         if layer.biases is not None:
-            z = z + layer.biases
+            z += layer.biases
         caches.append((h, z))
         h = _apply_activation(act, z)
     return h, caches
@@ -464,11 +444,15 @@ def mlp_backward(
         reversed(params.activations),
         reversed(caches),
     ):
-        dz = d * _activation_deriv(act, z)
-        np.matmul(dz.T, x_in, out=grad.weights)
+        if act is Activation.RELU:  # a product, not np.where: keeps NaN * 0 and -0.0
+            d = d * (z > 0.0)
+        elif act is Activation.SIGMOID:
+            s = sigmoid(z)
+            d = d * (s * (1.0 - s))
+        np.matmul(d.T, x_in, out=grad.weights)
         if layer.biases is not None:
-            dz.sum(axis=0, out=grad.biases)
-        d = dz @ layer.weights
+            d.sum(axis=0, out=grad.biases)
+        d = d @ layer.weights
     return d
 
 
@@ -522,7 +506,7 @@ def model_forward_trace(
 
 
 def model_backward(
-    params: ModelParameters, trace: ModelTrace, d_raw: np.ndarray, grads: GradientSet
+    params: ModelParameters, trace: ModelTrace, d_raw: np.ndarray, grads: ModelParameters
 ) -> tuple[np.ndarray, np.ndarray]:
     """Backpropagate d(loss)/d(raw score) through the scoring network.
 
@@ -574,7 +558,7 @@ def loss_and_pred_grad(
 def loss_backward(
     params: ModelParameters, user_x: np.ndarray, item_x: np.ndarray,
     labels: np.ndarray, loss_kind: LossKind, sigmoid_output: bool,
-    pred_penalty: tuple[float, float] | None, grads: GradientSet,
+    pred_penalty: tuple[float, float] | None, grads: ModelParameters,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Forward a batch, take its loss and backpropagate it into ``grads``.
 
@@ -600,7 +584,7 @@ def loss_gradient(
     batch: tuple[Any, Any, Any],
     loss_kind: LossKind,
     sigmoid_output: bool = False,
-) -> tuple[float, GradientSet]:
+) -> tuple[float, ModelParameters]:
     """Batch loss and its gradient w.r.t. every scoring parameter.
 
     ``batch`` holds stacked arrays (U, V, y) of user features, item features

@@ -8,8 +8,11 @@ prepare_batch_per_record only that resolving each distinct id once changes
 no batch bit or error, predict_scores is the pairwise reference that
 score_matrix's batched scoring must reproduce, the *_per_leaf updates are
 the leaf-by-leaf arithmetic that the one-vector optimiser steps must
-reproduce bit for bit, and tree_add sums gradient trees for tests that
-rebuild a meta step by hand.
+reproduce bit for bit, tree_add sums gradient trees for tests that
+rebuild a meta step by hand, and sigmoid_masked and
+mlp_backward_with_derivs are the two-mask sigmoid and the backprop through
+per-layer derivative arrays that numcore's one-pass forms must reproduce
+bit for bit.
 """
 
 from __future__ import annotations
@@ -112,6 +115,43 @@ def adam_trace_scalar(p0: float, grad_seq, stepsize: float) -> list[float]:
         p = p - stepsize * mhat / (math.sqrt(vhat) + eps)
         out.append(p)
     return out
+
+
+def sigmoid_masked(z) -> np.ndarray:
+    """The logistic function computed separately on each side of 0."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _activation_deriv(kind: Activation, z: np.ndarray) -> np.ndarray:
+    if kind is Activation.RELU:
+        return (z > 0.0).astype(np.float64)
+    if kind is Activation.SIGMOID:
+        s = sigmoid_masked(z)
+        return s * (1.0 - s)
+    return np.ones_like(z)
+
+
+def mlp_backward_with_derivs(params: MlpParams, caches, d_out, grads: MlpParams):
+    """numcore.mlp_backward multiplying in a derivative array for every layer."""
+    d = d_out
+    for layer, grad, act, (x_in, z) in zip(
+        reversed(params.layers),
+        reversed(grads.layers),
+        reversed(params.activations),
+        reversed(caches),
+    ):
+        dz = d * _activation_deriv(act, z)
+        np.matmul(dz.T, x_in, out=grad.weights)
+        if layer.biases is not None:
+            dz.sum(axis=0, out=grad.biases)
+        d = dz @ layer.weights
+    return d
 
 
 def sgd_step_per_leaf(params, grads, stepsize: float) -> list[np.ndarray]:

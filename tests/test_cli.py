@@ -1027,6 +1027,24 @@ class TestReportCommand:
     def test_missing_report_is_two(self, tmp_path):
         assert main(["report", "--report", str(tmp_path / "gone.json")]) == 2
 
+    def test_non_numeric_threshold_is_two(self, workspace, tmp_path, capsys):
+        cfg_path, out = workspace
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        assert main(["evaluate", "--config", str(cfg_path)]) == 0
+        text = (out / "report.json").read_text(encoding="utf-8")
+        target = tmp_path / "renamed.json"
+        for cls in (None, "small"):
+            report = json.loads(text)
+            table = report["metrics"] if cls is None else report["by_class"][cls]
+            exceedance = table["recall@0.1"]["exceedance"]
+            exceedance["x.7"] = exceedance.pop("0.7")
+            target.write_text(json.dumps(report), encoding="utf-8")
+            capsys.readouterr()
+            assert main(["report", "--report", str(target)]) == 2
+            err = capsys.readouterr().err
+            assert "'recall@0.1'" in err and "'x.7'" in err, err
+            assert "Traceback" not in err
+
 
 class TestAblation:
     def test_debias_gamma_grid(self, workspace):

@@ -6,6 +6,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from metashop.errors import EmptyBatchError, NumericError, ShapeError
 from metashop.numcore import (
@@ -22,6 +25,7 @@ from metashop.numcore import (
     init_two_tower,
     loss_and_pred_grad,
     loss_gradient,
+    mlp_backward,
     mlp_forward_trace,
     model_forward_trace,
     sgd_step,
@@ -38,7 +42,9 @@ from oracles import (
     bce_loss_loop,
     central_fd_grad,
     grads_close,
+    mlp_backward_with_derivs,
     mlp_forward_loop,
+    sigmoid_masked,
     squared_loss_loop,
     tree_add,
 )
@@ -224,6 +230,78 @@ class TestGradients:
 
             fd = central_fd_grad(fd_loss, params)
             assert grads_close(grads, fd), f"trial {trial}"
+
+
+# signed zeros, infinities, subnormals, the edges of exp's range and NaN
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308,
+           -1e-310, 36.8, -36.8, 709.79, -709.79, 745.2, -745.2, 1e308, -1e308]
+
+
+class TestOnePassElementwise:
+    """sigmoid and mlp_backward against the two-mask sigmoid and the
+    derivative-array backprop they replace: the same bits everywhere."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(
+        hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=8),
+            elements=st.one_of(st.sampled_from(SPECIAL), st.floats()),
+        )
+    )
+    def test_sigmoid_matches_masked_oracle(self, z):
+        got, want = sigmoid(z), sigmoid_masked(z)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(1, 4), min_size=2, max_size=4),
+        st.booleans(),
+        st.integers(1, 4),
+        st.integers(0, 2**16),
+        st.data(),
+    )
+    def test_backward_matches_derivative_array_oracle(self, dims, bias, n, seed, data):
+        acts = data.draw(
+            st.lists(
+                st.sampled_from(list(Activation)),
+                min_size=len(dims) - 1,
+                max_size=len(dims) - 1,
+            )
+        )
+        mlp = MlpParams(init_mlp(dims, seed, bias=bias).layers, tuple(acts))
+        # a row of zeros gives pre-activations of exactly 0 (biases start at 0)
+        x = data.draw(
+            hnp.arrays(
+                np.float64,
+                (n, dims[0]),
+                elements=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3, 3)),
+            )
+        )
+        _, caches = mlp_forward_trace(mlp, x)
+        d_out = data.draw(
+            hnp.arrays(
+                np.float64,
+                (n, dims[-1]),
+                elements=st.one_of(
+                    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
+                    st.floats(-5, 5),
+                ),
+            )
+        )
+        # negative or non-finite slopes where the last layer's z <= 0: there a
+        # ReLU written as np.where(z > 0, d, 0.0) gives 0 where d * 0.0 is NaN
+        z = caches[-1][1]
+        d_out = np.where(z <= 0.0, -np.abs(d_out), d_out)
+        got, want = mlp.layout.zeros(), mlp.layout.zeros()
+        with np.errstate(all="ignore"):  # inf * 0 is NaN on both sides
+            d_got = mlp_backward(mlp, caches, d_out, got)
+            d_want = mlp_backward_with_derivs(mlp, caches, d_out, want)
+        assert got.vector.tobytes() == want.vector.tobytes()
+        assert (d_got.shape, d_got.tobytes()) == (d_want.shape, d_want.tobytes())
 
 
 class TestOptimisers:
