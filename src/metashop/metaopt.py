@@ -6,6 +6,12 @@ is evaluated at the adapted parameters, and the shared parameters take one
 step against the SUM of those query gradients (tasks accumulated in
 ascending task-id order). Second-order terms are dropped.
 
+Tasks whose supports have as many rows and whose objectives carry the same
+penalty adapt as one (T, P) stack of parameter vectors (numcore.Layout): each
+inner step is one model_loss_and_grad and one sgd_step for the stack, bit for
+bit what each task alone would get. A non-finite value names the first bad
+leaf of the lowest-id task failing the first check that fails.
+
 Fair training (fmst_train_step) adds a score regularizer to the loss of the
 tasks whose size class matches the chosen option: option1 adds
 ``gamma * (1 - mean(scores))`` to SMALL tasks (push small-shop scores up),
@@ -182,6 +188,28 @@ def _adapt(
     return model
 
 
+def _adapt_stacked(
+    model: RecModel, batches: Sequence[Batch], penalties: Sequence[Any], cfg: MetaConfig
+) -> list[RecModel]:
+    """``model`` adapted to each batch, batches of one size and penalty in one stack."""
+    if cfg.local_steps == 0:
+        return [model] * len(batches)
+    groups: dict[tuple, list[int]] = {}
+    for i, (batch, penalty) in enumerate(zip(batches, penalties)):
+        groups.setdefault((batch.size, penalty), []).append(i)
+    out = [model] * len(batches)
+    for (_, penalty), idx in groups.items():
+        stack = np.broadcast_to(model.vector, (len(idx), model.layout.size))
+        batch = Batch(*(
+            np.array([getattr(batches[i], part) for i in idx])
+            for part in ("labels", "user_rows", "item_rows")
+        ))
+        adapted = _adapt(model.layout.build(stack), batch, cfg, penalty)
+        for i, row in zip(idx, adapted.vector):
+            out[i] = model.layout.build(row)
+    return out
+
+
 @dataclass(frozen=True)
 class _ResolvedTask:
     """A task with its support and query records resolved into batches."""
@@ -222,13 +250,13 @@ def _meta_step(
     if not tasks:
         raise EmptyBatchError("meta step with no tasks")
     ordered = sorted(tasks, key=lambda t: t.shop_id)
+    ordered = [_resolve(t, features, model) for t in ordered]
+    penalties = [_penalty_for(t, cfg) if regularized else None for t in ordered]
+    adapted = _adapt_stacked(model, [t.support for t in ordered], penalties, cfg)
     total = None
     loss_sum = 0.0
-    for task in ordered:
-        task = _resolve(task, features, model)
-        penalty = _penalty_for(task, cfg) if regularized else None
-        adapted = _adapt(model, task.support, cfg, penalty)
-        loss, grads = model_loss_and_grad(adapted, task.query, cfg.loss_kind, penalty)
+    for task, task_model, penalty in zip(ordered, adapted, penalties):
+        loss, grads = model_loss_and_grad(task_model, task.query, cfg.loss_kind, penalty)
         loss_sum += loss
         # each term is checked finite; the outer step checks the sum
         total = grads.vector if total is None else total + grads.vector
@@ -251,11 +279,12 @@ def meta_train_step(
 ) -> tuple[RecModel, numcore.AdamState | None, float]:
     """One first-order meta step over a batch of tasks.
 
-    Returns (updated model, outer optimiser state, mean query loss). The
-    query gradients are evaluated at each task's adapted parameters and
-    summed in ascending task-id order; the global update starts from the
-    original shared parameters. Plain ShopTasks are resolved into batches
-    here; meta_train passes tasks it has already resolved.
+    Returns (updated model, outer optimiser state, mean query loss). Tasks
+    adapt in stacks (see the module docstring); the query gradients are
+    evaluated per task at its adapted parameters and summed in ascending
+    task-id order; the global update starts from the original shared
+    parameters. Plain ShopTasks are resolved into batches here; meta_train
+    passes tasks it has already resolved.
     """
     return _meta_step(model, tasks, features, cfg, outer_state, regularized=False)
 
@@ -284,10 +313,16 @@ def meta_inference(
     features: FeatureSource,
     cfg: MetaConfig,
 ) -> dict[str, RecModel]:
-    """Adapt the shared model to each task independently (no regularizer)."""
+    """Adapt the shared model to each task (no regularizer), in stacks of
+    up to ``cfg.shop_batch_size`` tasks taken in ascending id order."""
+    ordered = sorted(tasks, key=lambda t: t.shop_id)
+    enc = (model.user_encoder, model.item_encoder)
     out = {}
-    for task in sorted(tasks, key=lambda t: t.shop_id):
-        out[task.shop_id] = local_adapt(model, task.support, features, cfg)
+    for start in range(0, len(ordered), cfg.shop_batch_size):
+        chunk = ordered[start : start + cfg.shop_batch_size]
+        batches = [prepare_batch(t.support, features, *enc) for t in chunk]
+        adapted = _adapt_stacked(model, batches, [None] * len(chunk), cfg)
+        out.update((t.shop_id, m) for t, m in zip(chunk, adapted))
     return out
 
 

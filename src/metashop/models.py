@@ -214,16 +214,22 @@ def feature_rows(encoder: FeatureEncoder, raws: Iterable[Any], side: str) -> np.
     return np.stack([resolve_indices(encoder, r) for r in raws])
 
 
+def _task_index(rows: np.ndarray) -> tuple:
+    """The leading index into stacked tables: task t's rows read table t."""
+    return (np.arange(rows.shape[0])[:, None],) if rows.ndim == 3 else ()
+
+
 def encode_rows(encoder: FeatureEncoder, rows: np.ndarray) -> np.ndarray:
     """Float features for feature_rows output.
 
     Index rows gather and concatenate table rows; pretrained rows already
-    are the features.
+    are the features; a stack's rows gather from each task's own tables.
     """
     if encoder.mode is EncoderMode.PRETRAINED:
         return rows
-    parts = [encoder.tables[f.name][rows[:, j]] for j, f in enumerate(encoder.fields)]
-    return np.concatenate(parts, axis=1)
+    at, tables = _task_index(rows), encoder.tables
+    parts = [tables[f.name][(*at, rows[..., j])] for j, f in enumerate(encoder.fields)]
+    return np.concatenate(parts, axis=-1)
 
 
 def encode(encoder: FeatureEncoder, raw: Any) -> np.ndarray:
@@ -313,7 +319,7 @@ class Batch:
 
     One feature_rows row per record: float rows for pretrained encoders,
     index rows for categorical ones, so that gradients can be scattered back
-    into the tables.
+    into the tables. A stack of T batches has (T, n) labels, (T, n, w) rows.
     """
 
     labels: np.ndarray
@@ -322,7 +328,7 @@ class Batch:
 
     @property
     def size(self) -> int:
-        return self.labels.shape[0]
+        return self.labels.shape[-1]
 
 
 def _codes(ids: Iterable[Any]) -> tuple[list[Any], np.ndarray]:
@@ -369,8 +375,9 @@ def _encoder_grad(
     offset = 0
     for j, f in enumerate(encoder.fields):
         table = grads.tables[f.name]
-        width = table.shape[1]
-        np.add.at(table, idx[:, j], d_feats[:, offset : offset + width])
+        width = table.shape[-1]
+        at = (*_task_index(idx), idx[..., j])
+        np.add.at(table, at, d_feats[..., offset : offset + width])
         offset += width
 
 
@@ -384,13 +391,13 @@ def model_loss_and_grad(
 
     ``pred_penalty`` is numcore.loss_backward's optional (a, c) adding
     ``a * mean(pred) + c`` to the objective. Returns (objective value,
-    gradients as a RecModel laid out like ``model``).
+    gradients as a RecModel laid out like ``model``), per task for a stack.
     """
     if batch.size == 0:
         raise EmptyBatchError("gradient on an empty batch")
     u = encode_rows(model.user_encoder, batch.user_rows)
     v = encode_rows(model.item_encoder, batch.item_rows)
-    grads = model.layout.zeros()
+    grads = model.layout.build(np.zeros(model.vector.shape))
     loss, d_u, d_v = numcore.loss_backward(
         model.scorer, u, v, batch.labels, loss_kind, model.sigmoid_output,
         pred_penalty, grads.scorer,

@@ -26,6 +26,9 @@ No function mutates its inputs, except backprop filling the gradient it is given
 Conventions:
   * dense layer computes ``act(W @ x + b)`` with ``W`` of shape (out, in)
   * batched inputs are row-major: X of shape (n, in_dim)
+  * batched inputs may carry a leading task axis, X of shape (T, n, in_dim)
+    for a stack of T trees (see ``Layout``); the kernels index from the end,
+    so each task gets the same operations as alone, and losses come per task
   * squared loss is ``mean((y - y_hat)^2)``; binary cross-entropy clamps
     predictions to [1e-7, 1 - 1e-7] before the logs
 """
@@ -79,7 +82,8 @@ class Layout:
     ``vector[offsets[i]:offsets[i + 1]]`` in C order, with shape
     ``shapes[i]``. ``build`` wraps any float64 vector of ``size`` entries in a
     tree of this shape whose leaves are views of it; it runs no constructor
-    check, so callers check the vector first.
+    check, so callers check the vector first. A (T, size) matrix builds a
+    stack of T trees as one, leaf ``i`` of shape ``(T, *shapes[i])``.
     """
 
     paths: tuple[str, ...]
@@ -134,7 +138,8 @@ class ParamTree:
 def _compile(node: ParamTree) -> tuple[Layout, np.ndarray]:
     """The layout of ``node``'s shape, and its leaves copied into one vector.
 
-    Children keep their own layouts; the new one builds them from slices.
+    Children keep their own layouts; the new one builds them from slices
+    of the last axis.
     """
     paths: list[str] = []
     offsets = [0]
@@ -143,20 +148,20 @@ def _compile(node: ParamTree) -> tuple[Layout, np.ndarray]:
     statics = {k: v for k, v in vars(node).items() if k not in node.PARTS}
     leaves, kids, tuples, dicts = [], [], [], []
 
-    def leaf(path: str, arr: np.ndarray) -> tuple[int, int, tuple[int, ...] | None]:
+    def leaf(path: str, arr: np.ndarray) -> tuple[tuple, tuple[int, ...] | None]:
         paths.append(path)
         shapes.append(arr.shape)
         offsets.append(offsets[-1] + arr.size)
         segments.append(arr.ravel())
-        return offsets[-2], offsets[-1], arr.shape if arr.ndim != 1 else None
+        return (..., slice(offsets[-2], offsets[-1])), arr.shape if arr.ndim != 1 else None
 
-    def child(path: str, sub: ParamTree) -> tuple[int, int, Callable]:
+    def child(path: str, sub: ParamTree) -> tuple[tuple, Callable]:
         start = offsets[-1]
         paths.extend(f"{path}.{p}" for p in sub.layout.paths)
         offsets.extend(start + o for o in sub.layout.offsets[1:])
         shapes.extend(sub.layout.shapes)
         segments.append(sub.vector)
-        return start, offsets[-1], sub.layout.build
+        return (..., slice(start, offsets[-1])), sub.layout.build
 
     for name in node.PARTS:
         value = getattr(node, name)
@@ -182,16 +187,17 @@ def _compile(node: ParamTree) -> tuple[Layout, np.ndarray]:
         out = new(cls)
         d = out.__dict__
         d.update(statics)
-        for name, a, b, shape in leaves:
-            d[name] = vector[a:b] if shape is None else vector[a:b].reshape(shape)
-        for name, a, b, sub in kids:
-            d[name] = sub(vector[a:b])
+        lead = vector.shape[:-1]
+        for name, key, shape in leaves:
+            d[name] = vector[key] if shape is None else vector[key].reshape(lead + shape)
+        for name, key, sub in kids:
+            d[name] = sub(vector[key])
         for name, subs in tuples:
-            d[name] = tuple([sub(vector[a:b]) for a, b, sub in subs])
+            d[name] = tuple([sub(vector[key]) for key, sub in subs])
         for name, entries in dicts:
             d[name] = {
-                k: vector[a:b] if s is None else vector[a:b].reshape(s)
-                for k, a, b, s in entries
+                k: vector[key] if s is None else vector[key].reshape(lead + s)
+                for k, key, s in entries
             }
         d["vector"] = vector
         return out
@@ -205,12 +211,14 @@ def _compile(node: ParamTree) -> tuple[Layout, np.ndarray]:
 
 
 def _check_finite(vector: np.ndarray, layout: Layout, op_name: str) -> None:
-    """Raise NumericError naming ``op_name`` and the first non-finite leaf."""
+    """Raise NumericError naming ``op_name`` and the first non-finite leaf
+    (in a stack, of the lowest non-finite row)."""
     # 0 * x is 0 for finite x and NaN for NaN or inf, so one dot product
-    # with zeros is the whole test on the common, finite path
-    if layout.finite_probe.dot(vector) == 0.0:
+    # with zeros (per row) is the whole test on the common, finite path
+    finite = vector.dot(layout.finite_probe) == 0.0
+    if finite if vector.ndim == 1 else finite.all():
         return
-    where = layout.leaf_path(int(np.argmin(np.isfinite(vector))))
+    where = layout.leaf_path(int(np.argmin(np.isfinite(vector))) % layout.size)
     raise NumericError(f"non-finite values in {op_name} at {where}")
 
 
@@ -243,11 +251,11 @@ class DenseLayerParams(ParamTree):
 
     @property
     def in_dim(self) -> int:
-        return self.weights.shape[1]
+        return self.weights.shape[-1]
 
     @property
     def out_dim(self) -> int:
-        return self.weights.shape[0]
+        return self.weights.shape[-2]
 
 
 @dataclass(frozen=True)
@@ -410,7 +418,7 @@ def mlp_forward_trace(
 
     Args:
         params: the MLP.
-        x: batch of inputs, shape (n, in_dim).
+        x: batch of inputs, shape (n, in_dim), or (T, n, in_dim) for a stack.
 
     Returns:
         (output (n, out_dim), caches) where caches[l] = (X_in, Z) of layer l.
@@ -418,9 +426,9 @@ def mlp_forward_trace(
     caches = []
     h = x
     for layer, act in zip(params.layers, params.activations):
-        z = h @ layer.weights.T
+        z = h @ layer.weights.swapaxes(-1, -2)
         if layer.biases is not None:
-            z += layer.biases
+            z += layer.biases[..., None, :]
         caches.append((h, z))
         h = _apply_activation(act, z)
     return h, caches
@@ -449,9 +457,9 @@ def mlp_backward(
         elif act is Activation.SIGMOID:
             s = sigmoid(z)
             d = d * (s * (1.0 - s))
-        np.matmul(d.T, x_in, out=grad.weights)
+        np.matmul(d.swapaxes(-1, -2), x_in, out=grad.weights)
         if layer.biases is not None:
-            d.sum(axis=0, out=grad.biases)
+            d.sum(axis=-2, out=grad.biases)
         d = d @ layer.weights
     return d
 
@@ -485,24 +493,24 @@ def model_forward_trace(
         item_x: (n, item_dim) float features; item_dim may be 0 for JOINT.
 
     Returns:
-        (raw scores (n,), trace)
+        (raw scores (n,), trace); (T, n) scores for (T, n, dim) features.
     """
-    if user_x.shape[0] != item_x.shape[0]:
+    if user_x.shape[:-1] != item_x.shape[:-1]:
         raise ShapeError(
-            f"batch sizes differ: {user_x.shape[0]} vs {item_x.shape[0]}"
+            f"batch sizes differ: {user_x.shape[-2]} vs {item_x.shape[-2]}"
         )
     if params.variant is ModelVariant.TWO_TOWER:
         hu, uc = mlp_forward_trace(params.user_tower, user_x)
         hi, ic = mlp_forward_trace(params.item_tower, item_x)
-        raw = np.sum(hu * hi, axis=1)
+        raw = (hu * hi).sum(axis=-1)
         return raw, ModelTrace(user_x, item_x, uc, ic, hu, hi)
-    x = np.concatenate([user_x, item_x], axis=1)
-    if x.shape[1] != params.joint.in_dim:
+    x = np.concatenate([user_x, item_x], axis=-1)
+    if x.shape[-1] != params.joint.in_dim:
         raise ShapeError(
-            f"concatenated dim {x.shape[1]} != joint input {params.joint.in_dim}"
+            f"concatenated dim {x.shape[-1]} != joint input {params.joint.in_dim}"
         )
     out, jc = mlp_forward_trace(params.joint, x)
-    return out[:, 0], ModelTrace(user_x, item_x, joint_caches=jc)
+    return out[..., 0], ModelTrace(user_x, item_x, joint_caches=jc)
 
 
 def model_backward(
@@ -515,14 +523,14 @@ def model_backward(
     feed embedding-table updates upstream.
     """
     if params.variant is ModelVariant.TWO_TOWER:
-        d_hu = d_raw[:, None] * trace.hi
-        d_hi = d_raw[:, None] * trace.hu
+        d_hu = d_raw[..., None] * trace.hi
+        d_hi = d_raw[..., None] * trace.hu
         dxu = mlp_backward(params.user_tower, trace.user_caches, d_hu, grads.user_tower)
         dxi = mlp_backward(params.item_tower, trace.item_caches, d_hi, grads.item_tower)
         return dxu, dxi
-    dx = mlp_backward(params.joint, trace.joint_caches, d_raw[:, None], grads.joint)
-    du = trace.user_x.shape[1]
-    return dx[:, :du], dx[:, du:]
+    dx = mlp_backward(params.joint, trace.joint_caches, d_raw[..., None], grads.joint)
+    du = trace.user_x.shape[-1]
+    return dx[..., :du], dx[..., du:]
 
 
 # ---------------------------------------------------------------------------
@@ -537,22 +545,27 @@ def loss_and_pred_grad(
 
     The BCE gradient is zero where the clamp is active (the clamp is flat
     there), so analytic and finite-difference gradients agree everywhere.
+    A (T, n) stack of predictions gives one loss per task, as an array.
     """
-    p = np.asarray(predictions, dtype=np.float64).ravel()
-    y = np.asarray(labels, dtype=np.float64).ravel()
+    p = np.asarray(predictions, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64)
     if p.size == 0:
         raise EmptyBatchError("loss on an empty batch")
     if p.shape != y.shape:
         raise ShapeError(f"predictions {p.shape} vs labels {y.shape}")
-    n = p.size
+    n = p.shape[-1]
     if kind is LossKind.SQUARED:
         r = p - y
-        return float(np.mean(r * r)), (2.0 / n) * r
+        return _per_task((r * r).sum(axis=-1) / n), (2.0 / n) * r
     pc = np.clip(p, BCE_CLAMP, 1.0 - BCE_CLAMP)
-    loss = float(-np.mean(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)))
+    loss = -((y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)).sum(axis=-1) / n)
     grad = (pc - y) / (pc * (1.0 - pc)) / n
     grad = np.where((p > BCE_CLAMP) & (p < 1.0 - BCE_CLAMP), grad, 0.0)
-    return loss, grad
+    return _per_task(loss), grad
+
+
+def _per_task(loss: Any) -> Any:  # a float for one task, an array for a stack
+    return loss if isinstance(loss, np.ndarray) else float(loss)
 
 
 def loss_backward(
@@ -565,15 +578,16 @@ def loss_backward(
     ``sigmoid_output`` squashes raw scores before the loss; ``pred_penalty``
     (a, c) adds ``a * mean(pred) + c`` to the objective (the fairness
     regularizers). ``grads`` is a zeroed tree laid out like ``params``.
-    Returns (objective, d_user_x, d_item_x).
+    Returns (objective, d_user_x, d_item_x), one objective per task of a stack.
     """
     raw, trace = model_forward_trace(params, user_x, item_x)
     pred = sigmoid(raw) if sigmoid_output else raw
     loss, d_pred = loss_and_pred_grad(pred, labels, loss_kind)
     if pred_penalty is not None:
         a, c = pred_penalty
-        loss += a * float(np.mean(pred)) + c
-        d_pred = d_pred + a / pred.size
+        n = pred.shape[-1]
+        loss = _per_task(loss + (a * (pred.sum(axis=-1) / n) + c))
+        d_pred = d_pred + a / n
     d_raw = d_pred * pred * (1.0 - pred) if sigmoid_output else d_pred
     d_user_x, d_item_x = model_backward(params, trace, d_raw, grads)
     return loss, d_user_x, d_item_x

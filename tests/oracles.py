@@ -9,9 +9,11 @@ no batch bit or error, predict_scores is the pairwise reference that
 score_matrix's batched scoring must reproduce, the *_per_leaf updates are
 the leaf-by-leaf arithmetic that the one-vector optimiser steps must
 reproduce bit for bit, tree_add sums gradient trees for tests that
-rebuild a meta step by hand, and sigmoid_masked and
+rebuild a meta step by hand, sigmoid_masked and
 mlp_backward_with_derivs are the two-mask sigmoid and the backprop through
 per-layer derivative arrays that numcore's one-pass forms must reproduce
+bit for bit, and meta_step_per_task and meta_inference_per_task adapt one
+task at a time, as the stacked meta step and meta_inference must reproduce
 bit for bit.
 """
 
@@ -22,13 +24,29 @@ import math
 import numpy as np
 
 from metashop.datapipe import ShopTask
-from metashop.metaopt import fmst_train_step, meta_train_step
+from metashop.metaopt import (
+    OuterOptimizer,
+    _penalty_for,
+    _resolve,
+    fmst_train_step,
+    meta_train_step,
+)
 from metashop.errors import EmptyBatchError
-from metashop.models import Batch, RecModel, encode_rows, feature_rows
+from metashop.models import (
+    Batch,
+    RecModel,
+    encode_rows,
+    feature_rows,
+    model_loss_and_grad,
+    prepare_batch,
+)
 from metashop.numcore import (
     Activation,
     MlpParams,
+    adam_init,
+    adam_step,
     model_forward_trace,
+    sgd_step,
     sigmoid,
     tree_leaves,
     tree_map,
@@ -242,6 +260,54 @@ def meta_train_per_step(model, tasks, features, cfg, steps, regularized=False):
         model, state, loss = step_fn(model, batch, features, cfg, state)
         losses.append(loss)
     return model, losses
+
+
+def adapt_alone(model, batch, cfg, penalty):
+    """K plain SGD steps of one model on one support batch."""
+    for _ in range(cfg.local_steps):
+        _, grads = model_loss_and_grad(model, batch, cfg.loss_kind, penalty)
+        model = sgd_step(model, grads, cfg.alpha)
+    return model
+
+
+def meta_step_per_task(
+    model, tasks, features, cfg, outer_state=None, regularized=False
+):
+    """meta_train_step (fmst_train_step when ``regularized``), one task at a time.
+
+    Each task in ascending id order is resolved, adapted alone and its query
+    gradient taken before the next task starts. Returns (model, outer
+    state, mean query loss).
+    """
+    if regularized and cfg.gamma != 0.0:
+        for task in tasks:
+            _penalty_for(task, cfg)
+    ordered = sorted(tasks, key=lambda t: t.shop_id)
+    total = None
+    loss_sum = 0.0
+    for task in ordered:
+        task = _resolve(task, features, model)
+        penalty = _penalty_for(task, cfg) if regularized else None
+        adapted = adapt_alone(model, task.support, cfg, penalty)
+        loss, grads = model_loss_and_grad(adapted, task.query, cfg.loss_kind, penalty)
+        loss_sum += loss
+        total = grads.vector if total is None else total + grads.vector
+    total_grads = model.layout.build(total)
+    if cfg.outer_optimizer is OuterOptimizer.SGD:
+        return sgd_step(model, total_grads, cfg.beta), outer_state, loss_sum / len(ordered)
+    state = outer_state if outer_state is not None else adam_init(model)
+    new_model, new_state = adam_step(state, model, total_grads, cfg.beta)
+    return new_model, new_state, loss_sum / len(ordered)
+
+
+def meta_inference_per_task(model, tasks, features, cfg):
+    """meta_inference adapting each task alone, in ascending id order."""
+    enc = (model.user_encoder, model.item_encoder)
+    out = {}
+    for task in sorted(tasks, key=lambda t: t.shop_id):
+        batch = prepare_batch(task.support, features, *enc)
+        out[task.shop_id] = adapt_alone(model, batch, cfg, None)
+    return out
 
 
 # ---------------------------------------------------------------------------
