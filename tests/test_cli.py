@@ -1003,6 +1003,98 @@ class TestEvaluate:
         assert report["counts"]["queries"] > 0
 
 
+def _run(cfg_path: Path, command: str, sets=()) -> None:
+    argv = [command, "--config", str(cfg_path)]
+    for s in sets:
+        argv += ["--set", s]
+    assert main(argv) == 0, argv
+
+
+def _lines(path: Path, prefix: str) -> dict:
+    return {k: v for k, v in read_manifest(path).items() if k.startswith(prefix)}
+
+
+# the config.* lines of base_config's train and adapt runs
+DEFAULT_CONFIG_LINES = {
+    "config.alpha": "0.05",
+    "config.beta": "0.05",
+    "config.gamma": "0.0",
+    "config.local_steps": "2",
+    "config.loss_kind": "squared",
+    "config.model_kind": "mesh",
+    "config.outer_optimizer": "sgd",
+    "config.query_batch_size": "None",
+    "config.regularizer": "option1",
+    "config.seed": "11",
+    "config.shop_batch_size": "4",
+    "config.support_size": "10",
+    "config.task_unit": "shop",
+}
+DEFAULT_EVAL_LINES = {
+    "eval.candidate_pool": "all_users",
+    "eval.include_mae": "True",
+    "eval.ndcg_ks": "3",
+    "eval.query_mode": "None",
+    "eval.rating_positive_threshold": "4.0",
+    "eval.recall_ks": "0.1",
+    "eval.recall_mode": "standard",
+    "eval.thresholds": "0.5,0.6,0.7,0.8",
+}
+
+
+class TestManifestLines:
+    """Each choice key as the manifest and checkpoint spell it, line by line."""
+
+    FMST = [
+        "train.trainer=fmst",
+        "train.gamma=0.5",
+        "train.regularizer=option2",
+        "train.outer_optimizer=adam",
+        "train.loss=bce",
+    ]
+
+    def test_train_evaluate_and_adapt(self, workspace):
+        cfg_path, out = workspace
+        _run(cfg_path, "train", self.FMST)
+        assert _lines(out / "train.manifest", "config.") == {
+            **DEFAULT_CONFIG_LINES,
+            "config.gamma": "0.5",
+            "config.loss_kind": "bce",
+            "config.outer_optimizer": "adam",
+            "config.regularizer": "option2",
+        }
+        _, meta = load_checkpoint(out / "checkpoint.json")
+        assert meta == {"model_kind": "mesh", "seed": "11", "trainer": "fmst"}
+
+        _run(
+            cfg_path,
+            "evaluate",
+            [
+                "eval.recall_mode=topk_fraction",
+                "eval.candidate_pool=observed",
+                "eval.query_mode=item",
+            ],
+        )
+        assert _lines(out / "evaluate.manifest", "eval.") == {
+            **DEFAULT_EVAL_LINES,
+            "eval.candidate_pool": "observed",
+            "eval.query_mode": "item",
+            "eval.recall_mode": "topk_fraction",
+        }
+        _run(cfg_path, "evaluate")
+        assert _lines(out / "evaluate.manifest", "eval.") == DEFAULT_EVAL_LINES
+
+        _run(
+            cfg_path,
+            "adapt",
+            [
+                f"adapt.checkpoint={out / 'checkpoint.json'}",
+                f"adapt.support={out / 'train.csv'}",
+            ],
+        )
+        assert _lines(out / "adapt.manifest", "config.") == DEFAULT_CONFIG_LINES
+
+
 class TestReportCommand:
     def test_prints_tables(self, workspace, capsys):
         cfg_path, out = workspace
