@@ -86,7 +86,10 @@ model per sampled shop, scored unadapted.
 
 Each section's keys and types come from its dataclass below (`synthetic`
 from SyntheticSpec, whose values are type-checked but passed on as
-written), and the allowed strings of each choice key from its enum.
+written). A choice key's type gives its allowed strings: the library enum
+that the parsed config holds a member of, or a `Literal` of strings kept
+as written (the trainers, the studies, and `auto` and `none`, which mean
+squared loss for any labels and no negative sampling).
 
 Exit codes: 0 success, 1 config error, 2 data error (any malformed input
 file, checkpoints and feature widths included), 3 numeric failure (a
@@ -96,7 +99,6 @@ non-finite loss, gradient or parameter update).
 from __future__ import annotations
 
 import argparse
-import enum
 import sys
 import time
 import types
@@ -192,13 +194,13 @@ class DataConfig:
     item_attrs: str | None = None
     min_interactions: int = 13
     support_size: int = 10
-    negative_strategy: str = "none"
+    negative_strategy: NegativeStrategy | Literal["none"] = "none"
     negative_ratio: float = 1.0
 
 
 @dataclass
 class ModelConfig:
-    kind: str = "mesh"
+    kind: ModelKind = ModelKind.MESH
     hidden_dims: list[int] = field(default_factory=lambda: [32])
     embedding_dim: int = 16
     sigmoid_output: bool | Literal["auto"] = "auto"
@@ -212,20 +214,20 @@ class ModelConfig:
 
 @dataclass
 class TrainConfig:
-    trainer: str = "meta"
+    trainer: Literal["meta", "fmst", "nonmeta", "one_shop", "baseline"] = "meta"
     alpha: float = 0.01
     beta: float = 0.1
     local_steps: int = 2
     gamma: float = 0.0
-    regularizer: str = "option1"
+    regularizer: RegularizerKind = RegularizerKind.OPTION_I
     shop_batch_size: int = 8
     query_batch_size: int | None = None
     steps: int = 100
     epochs: int = 5
     batch_size: int | None = None
-    loss: str = "auto"
-    outer_optimizer: str = "sgd"
-    task_unit: str = "shop"
+    loss: numcore.LossKind | Literal["auto"] = "auto"
+    outer_optimizer: OuterOptimizer = OuterOptimizer.SGD
+    task_unit: TaskUnit = TaskUnit.SHOP
     early_stop_patience: int | None = None
     shop_id: str | None = None
 
@@ -236,17 +238,18 @@ class EvalConfig:
     adapt: bool = False
     recall_ks: list[float] = field(default_factory=lambda: [0.1])
     ndcg_ks: list[int] = field(default_factory=lambda: [3])
-    recall_mode: str = "standard"
+    recall_mode: RecallMode = RecallMode.STANDARD
     include_mae: bool = True
     thresholds: list[float] = field(default_factory=lambda: [0.5, 0.6, 0.7, 0.8])
     rating_positive_threshold: float = 4.0
-    candidate_pool: str = "all_users"
-    query_mode: str | None = None
+    candidate_pool: CandidatePool = CandidatePool.ALL_USERS
+    query_mode: QueryMode | None = None
 
 
 @dataclass
 class AblationConfig:
-    study: str = ""  # empty until a config names one
+    # empty until a config names one
+    study: Literal["one_shop", "negative_sampling", "debias_gamma", "task_unit"] = ""
     n_shops: int = 6
     gammas: list[float] = field(default_factory=lambda: [0.0, 0.01, 0.8])
 
@@ -275,26 +278,6 @@ class RunConfig:
     adapt: AdaptConfig
 
 
-def _values(kinds: type[enum.Enum]) -> tuple[str, ...]:
-    return tuple(k.value for k in kinds)
-
-
-# The allowed strings of every choice key. "none" and "auto" have no enum
-# member: they mean no negative sampling and squared loss for any labels.
-_CHOICES = {
-    "data.negative_strategy": ("none", *_values(NegativeStrategy)),
-    "model.kind": _values(ModelKind),
-    "train.trainer": ("meta", "fmst", "nonmeta", "one_shop", "baseline"),
-    "train.regularizer": _values(RegularizerKind),
-    "train.loss": ("auto", *_values(numcore.LossKind)),
-    "train.outer_optimizer": _values(OuterOptimizer),
-    "train.task_unit": _values(TaskUnit),
-    "eval.recall_mode": _values(RecallMode),
-    "eval.candidate_pool": _values(CandidatePool),
-    "eval.query_mode": _values(QueryMode),
-    "ablation.study": ("one_shop", "negative_sampling", "debias_gamma", "task_unit"),
-}
-
 _SECTIONS = {
     "data": DataConfig,
     "model": ModelConfig,
@@ -317,18 +300,21 @@ _LIST_OF = {
 def _cast(path: str, hint: Any, v: Any) -> Any:
     """Check ``v`` against the type hint of the field at ``path``.
 
-    Returns the value with ints widened where a float is declared.
+    Returns the value with ints widened where a float is declared and a
+    choice key's string as its enum member. A string the hint lists as a
+    ``Literal`` (auto, none, a trainer or a study) is returned as written.
     """
-    if get_origin(hint) in (Union, types.UnionType):
-        members = get_args(hint)
-        if v is None and type(None) in members:
-            return None
-        literals = [a for m in members if get_origin(m) is Literal for a in get_args(m)]
-        if isinstance(v, str) and v in literals:
-            return v
-        (hint,) = [
-            m for m in members if m is not type(None) and get_origin(m) is not Literal
-        ]
+    is_union = get_origin(hint) in (Union, types.UnionType)
+    members = get_args(hint) if is_union else (hint,)
+    if v is None and type(None) in members:
+        return None
+    literals = [a for m in members if get_origin(m) is Literal for a in get_args(m)]
+    if v is None and "none" in literals:
+        v = "none"  # YAML null and the word none mean the same
+    if isinstance(v, str) and v in literals:
+        return v
+    rest = [m for m in members if m is not type(None) and get_origin(m) is not Literal]
+    hint = rest[0] if rest else str
     if get_origin(hint) is list:
         (item,) = get_args(hint)
         if not isinstance(v, (list, tuple)) or (item is float and not v):
@@ -348,13 +334,13 @@ def _cast(path: str, hint: Any, v: Any) -> Any:
         except OverflowError:
             raise ConfigError(f"{path} is too large for a number") from None
     else:
-        choices = _CHOICES.get(path, ())
-        if v is None and "none" in choices:
-            v = "none"  # YAML null and the word none mean the same
+        choices = literals if hint is str else literals + [k.value for k in hint]
         if not isinstance(v, str) or not v:
             raise ConfigError(f"{path} must be a non-empty string, got {v!r}")
         if choices and v not in choices:
             raise ConfigError(f"{path} must be one of {', '.join(choices)}; got {v!r}")
+        if hint is not str:
+            return hint(v)
     return v
 
 
@@ -400,7 +386,7 @@ def load_config(path: str | Path, overrides: Sequence[str] = ()) -> RunConfig:
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
-        raise ConfigError("config file must hold a mapping at the top level")
+        raise ConfigError(f"config {path} must hold a mapping at the top level")
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
@@ -471,23 +457,20 @@ def _resolve_sigmoid(cfg: RunConfig, records: Sequence[InteractionRecord]) -> bo
     return bool(s)
 
 
+def _from_section(cls, section, **more: Any):
+    """``cls`` built from the ``section`` fields it shares by name, plus ``more``."""
+    names = cls.__dataclass_fields__.keys() & vars(section).keys()
+    return cls(**{n: getattr(section, n) for n in names}, **more)
+
+
 def _meta_config(cfg: RunConfig) -> MetaConfig:
-    t = cfg.train
-    return MetaConfig(
-        alpha=t.alpha,
-        beta=t.beta,
-        local_steps=t.local_steps,
-        gamma=t.gamma,
-        regularizer=RegularizerKind(t.regularizer),
-        shop_batch_size=t.shop_batch_size,
+    loss = cfg.train.loss
+    return _from_section(
+        MetaConfig,
+        cfg.train,
         support_size=cfg.data.support_size,
-        query_batch_size=t.query_batch_size,
-        loss_kind=(
-            numcore.LossKind.SQUARED if t.loss == "auto" else numcore.LossKind(t.loss)
-        ),
-        model_kind=ModelKind(cfg.model.kind),
-        task_unit=TaskUnit(t.task_unit),
-        outer_optimizer=OuterOptimizer(t.outer_optimizer),
+        loss_kind=numcore.LossKind.SQUARED if loss == "auto" else loss,
+        model_kind=cfg.model.kind,
         seed=cfg.seed,
     )
 
@@ -495,7 +478,6 @@ def _meta_config(cfg: RunConfig) -> MetaConfig:
 def _build_fresh_model(cfg: RunConfig, features, sigmoid: bool, seed_tag):
     """Initialise the configured model against the feature source."""
     rng = np.random.default_rng(seed_tag)
-    kind = ModelKind(cfg.model.kind)
     if isinstance(features, AttributeTable):
         user_enc = build_categorical_encoder(
             attribute_fields(features.users), cfg.model.embedding_dim, rng
@@ -509,7 +491,7 @@ def _build_fresh_model(cfg: RunConfig, features, sigmoid: bool, seed_tag):
         user_enc = pretrained_encoder(user_dim)
         item_enc = pretrained_encoder(item_dim)
     try:
-        if kind is ModelKind.BASELINE:
+        if cfg.model.kind is ModelKind.BASELINE:
             return build_baseline(
                 item_enc,
                 cfg.model.hidden_dims,
@@ -518,24 +500,14 @@ def _build_fresh_model(cfg: RunConfig, features, sigmoid: bool, seed_tag):
                 negative_weight=cfg.model.negative_weight,
             )
         return build_model(
-            kind, user_enc, item_enc, cfg.model.hidden_dims, rng, sigmoid
+            cfg.model.kind, user_enc, item_enc, cfg.model.hidden_dims, rng, sigmoid
         )
     except ShapeError as exc:
         raise ConfigError(f"model does not fit the features: {exc}") from exc
 
 
 def _eval_options(cfg: RunConfig) -> EvalOptions:
-    e = cfg.eval
-    return EvalOptions(
-        recall_ks=tuple(e.recall_ks),
-        ndcg_ks=tuple(e.ndcg_ks),
-        include_mae=e.include_mae,
-        recall_mode=RecallMode(e.recall_mode),
-        thresholds=tuple(e.thresholds),
-        rating_positive_threshold=e.rating_positive_threshold,
-        candidate_pool=CandidatePool(e.candidate_pool),
-        query_mode=None if e.query_mode is None else QueryMode(e.query_mode),
-    )
+    return _from_section(EvalOptions, cfg.eval)
 
 
 def _loss_entries(losses: Sequence[float]) -> list[tuple[str, Any]]:
@@ -604,7 +576,7 @@ def _training_set(cfg: RunConfig, records: list[InteractionRecord]):
     Returns (training records, their shop stats, resolved sigmoid_output,
     MetaConfig). An ablation arm builds it once for every model it trains.
     """
-    if (cfg.train.trainer == "baseline") != (cfg.model.kind == "baseline"):
+    if (cfg.train.trainer == "baseline") != (cfg.model.kind is ModelKind.BASELINE):
         raise ConfigError("trainer=baseline and model.kind=baseline go together")
     sigmoid = _resolve_sigmoid(cfg, records)
     meta_cfg = _meta_config(cfg)
@@ -613,7 +585,7 @@ def _training_set(cfg: RunConfig, records: list[InteractionRecord]):
         positives = [r for r in records if r.label > 0]
         records = records + negative_sample(
             positives,
-            NegativeStrategy(cfg.data.negative_strategy),
+            cfg.data.negative_strategy,
             stats,
             ratio=cfg.data.negative_ratio,
             seed=cfg.seed,
@@ -680,7 +652,7 @@ def cmd_train(cfg: RunConfig) -> int:
     ckpt = out / "checkpoint.json"
     save_checkpoint(
         ckpt, model,
-        {"trainer": trainer, "model_kind": cfg.model.kind, "seed": str(cfg.seed)},
+        {"trainer": trainer, "model_kind": cfg.model.kind.value, "seed": str(cfg.seed)},
     )
     entries = [("command", "train"), ("trainer", trainer)]
     entries += config_manifest_entries(_meta_config(cfg))
@@ -850,17 +822,16 @@ def _study_settings(cfg: RunConfig, study: str) -> list[tuple[str, str, RunConfi
             for g in cfg.ablation.gammas
         ]
     if study == "negative_sampling":
-        return [row(s, data={"negative_strategy": s}) for s in ("n0", "n1", "n2")]
+        return [row(s.value, data={"negative_strategy": s}) for s in NegativeStrategy]
     if study == "task_unit":
         if cfg.train.trainer not in ("meta", "fmst"):
             raise ConfigError(
                 f"train.trainer={cfg.train.trainer} ignores train.task_unit; "
                 "the task_unit study needs trainer meta or fmst"
             )
-        return [row(u, train={"task_unit": u}) for u in ("shop", "item", "user")]
-    if study == "one_shop":
-        return [row("meta_adapted", "meta", train={"trainer": "meta"})]
-    raise ConfigError(f"unknown ablation study {study!r}")
+        return [row(u.value, train={"task_unit": u}) for u in TaskUnit]
+    # the one study left after config parsing: one_shop
+    return [row("meta_adapted", "meta", train={"trainer": "meta"})]
 
 
 def cmd_ablation(cfg: RunConfig) -> int:

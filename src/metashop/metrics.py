@@ -295,7 +295,10 @@ def load_report(path: str | Path) -> EvaluationReport:
         obj = json.loads(read_text(path, "report ", DataError))
     except json.JSONDecodeError as exc:
         raise DataError(f"report {path} is not valid JSON: {exc}") from exc
-    return report_from_json(obj)
+    try:
+        return report_from_json(obj)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def _fmt(v: float | None) -> str:

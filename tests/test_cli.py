@@ -7,10 +7,12 @@ pipeline: synthetic data in, checkpoints and reports out.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import os
 import re
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -22,8 +24,13 @@ from hypothesis import strategies as st
 import metashop.cli as cli
 from metashop.checkpoint import load_checkpoint
 from metashop.cli import load_config, main, parse_config
+from metashop.datapipe import NegativeStrategy, TaskUnit
 from metashop.errors import ConfigError
-from metashop.metaopt import read_manifest
+from metashop.evaluation import CandidatePool, QueryMode
+from metashop.metaopt import OuterOptimizer, RegularizerKind, read_manifest
+from metashop.metrics import RecallMode
+from metashop.models import ModelKind
+from metashop.numcore import LossKind
 
 
 def write_config(path: Path, cfg: dict) -> Path:
@@ -82,6 +89,38 @@ def manifest_without_timing(path: Path) -> dict:
     entries = read_manifest(path)
     entries.pop("wall_time_seconds")
     return entries
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    """A base_config run after gen-data, train and evaluate; copy it to edit it."""
+    out = tmp_path_factory.mktemp("trained") / "run"
+    cfg_path = write_config(out.parent / "run.yaml", base_config(out))
+    for command in ("gen-data", "train", "evaluate"):
+        assert main([command, "--config", str(cfg_path)]) == 0
+    return out
+
+
+def _set_field(text: str, line: int, column: int, value: str) -> str:
+    """``text`` with one comma-separated field of a 1-based line replaced."""
+    lines = text.split("\n")
+    fields = lines[line - 1].split(",")
+    fields[column] = value
+    lines[line - 1] = ",".join(fields)
+    return "\n".join(lines)
+
+
+def _edit_json(**changes):
+    def edit(text: str) -> str:
+        doc = json.loads(text)
+        for key, value in changes.items():
+            if value is None:
+                del doc[key]
+            else:
+                doc[key] = value
+        return json.dumps(doc)
+
+    return edit
 
 
 class TestConfigParsing:
@@ -153,6 +192,45 @@ class TestConfigParsing:
         assert cfg.train.trainer == "meta"
         assert cfg.eval.recall_ks == [0.1]
         assert cfg.ablation.gammas == [0.0, 0.01, 0.8]
+
+    def test_choice_keys_hold_enum_members(self):
+        cfg = parse_config({"seed": 5})
+        assert cfg.data.negative_strategy == "none"
+        assert cfg.train.loss == "auto"
+        assert cfg.eval.query_mode is None
+        assert cfg.model.sigmoid_output == "auto"
+        cfg = parse_config(
+            {
+                "seed": 5,
+                "data": {"negative_strategy": "n2"},
+                "model": {"kind": "wide_deep", "sigmoid_output": False},
+                "train": {
+                    "trainer": "fmst",
+                    "regularizer": "option2",
+                    "loss": "bce",
+                    "outer_optimizer": "adam",
+                    "task_unit": "item",
+                },
+                "eval": {
+                    "recall_mode": "topk_fraction",
+                    "candidate_pool": "observed",
+                    "query_mode": "user_shop",
+                },
+                "ablation": {"study": "task_unit"},
+            }
+        )
+        assert cfg.data.negative_strategy is NegativeStrategy.N2
+        assert cfg.model.kind is ModelKind.WIDE_DEEP
+        assert cfg.model.sigmoid_output is False
+        assert cfg.train.trainer == "fmst"
+        assert cfg.train.regularizer is RegularizerKind.OPTION_II
+        assert cfg.train.loss is LossKind.BCE
+        assert cfg.train.outer_optimizer is OuterOptimizer.ADAM
+        assert cfg.train.task_unit is TaskUnit.ITEM
+        assert cfg.eval.recall_mode is RecallMode.TOPK_FRACTION
+        assert cfg.eval.candidate_pool is CandidatePool.OBSERVED
+        assert cfg.eval.query_mode is QueryMode.USER_SHOP
+        assert cfg.ablation.study == "task_unit"
 
 
 class Ok:
@@ -629,6 +707,154 @@ class TestExitCodes:
         )
 
 
+_ATTRS = ["data.latents=null", "data.user_attrs={users}", "data.item_attrs={items}"]
+
+# (file, edit of its text, command, --set values, stderr, exit code); {path}
+# is the edited file, {users} and {items} the attribute files
+INPUT_ERRORS = {
+    "empty_user_id": (
+        "train.csv",
+        lambda t: _set_field(t, 2, 0, ""),
+        "train",
+        [],
+        "data error: {path}: 1 malformed rows: "
+        "line 2: user_id must be a non-empty string, got ''",
+        2,
+    ),
+    "timestamp_not_an_integer": (
+        "train.csv",
+        lambda t: _set_field(t, 3, 4, "soon"),
+        "train",
+        [],
+        "data error: {path}: 1 malformed rows: "
+        "line 3: timestamp 'soon' is not an integer",
+        2,
+    ),
+    "latents_header": (
+        "latents.csv",
+        lambda t: t.replace("kind,id,", "type,id,", 1),
+        "train",
+        [],
+        "data error: {path}: expected a latent file header (kind,id,v0,...)",
+        2,
+    ),
+    "latents_field_count": (
+        "latents.csv",
+        lambda t: _set_field(t, 4, 2, "0.5,0.5"),
+        "evaluate",
+        [],
+        "data error: {path} line 4: wrong field count",
+        2,
+    ),
+    "attributes_without_columns": (
+        "users.csv",
+        lambda t: "user_id\nu000\n",
+        "train",
+        _ATTRS,
+        "data error: {path}: expected an id column plus attribute columns",
+        2,
+    ),
+    "attributes_field_count": (
+        "items.csv",
+        lambda t: "item_id,color\ni000,red\ni001,red,blue\n",
+        "train",
+        _ATTRS,
+        "data error: {path} line 3: wrong field count",
+        2,
+    ),
+    "checkpoint_not_json": (
+        "checkpoint.json",
+        lambda t: t[:1],
+        "evaluate",
+        [],
+        "data error: checkpoint {path} is not valid JSON: Expecting property "
+        "name enclosed in double quotes: line 1 column 2 (char 1)",
+        2,
+    ),
+    "checkpoint_version": (
+        "checkpoint.json",
+        _edit_json(format_version=2),
+        "evaluate",
+        [],
+        "data error: checkpoint {path} format_version 2 not supported (expected 1)",
+        2,
+    ),
+    "checkpoint_without_model": (
+        "checkpoint.json",
+        _edit_json(model=None),
+        "evaluate",
+        [],
+        "data error: checkpoint {path} has no 'model' field",
+        2,
+    ),
+    "checkpoint_meta_not_an_object": (
+        "checkpoint.json",
+        _edit_json(meta=["trainer"]),
+        "adapt",
+        ["adapt.checkpoint={path}", "adapt.support={support}"],
+        "data error: checkpoint {path} has a 'meta' field that is not an object",
+        2,
+    ),
+    "config_not_yaml": (
+        "../run.yaml",
+        lambda t: "seed: [11\n",
+        "train",
+        [],
+        "config error: config {path} is not valid YAML: while parsing a flow "
+        "sequence\n"
+        '  in "<unicode string>", line 1, column 7:\n    seed: [11\n          ^\n'
+        "expected ',' or ']', but got '<stream end>'\n"
+        '  in "<unicode string>", line 2, column 1:\n    \n    ^',
+        1,
+    ),
+    "recall_k_zero": (
+        "../run.yaml",
+        lambda t: t,
+        "evaluate",
+        ["eval.recall_ks=[0]"],
+        "config error: recall k must be a fraction in (0,1) or an integer >= 1, "
+        "got 0.0",
+        1,
+    ),
+    "ndcg_k_zero": (
+        "../run.yaml",
+        lambda t: t,
+        "evaluate",
+        ["eval.ndcg_ks=[0]"],
+        "config error: ndcg k must be an integer >= 1, got 0",
+        1,
+    ),
+}
+
+
+class TestInputErrors:
+    """One exact stderr line and exit code per bad input, through main()."""
+
+    @pytest.mark.parametrize("case", list(INPUT_ERRORS))
+    def test_exact_message(self, trained_run, tmp_path, capsys, case):
+        name, edit, command, sets, expected, code = INPUT_ERRORS[case]
+        out = tmp_path / "run"
+        shutil.copytree(trained_run, out)
+        cfg_path = write_config(tmp_path / "run.yaml", base_config(out))
+        (out / "support.csv").write_bytes((out / "train.csv").read_bytes())
+        (out / "users.csv").write_text("user_id,age\nu000,a\n", encoding="utf-8")
+        (out / "items.csv").write_text("item_id,color\ni000,red\n", encoding="utf-8")
+        path = (out / name).resolve()
+        path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+        names = {
+            "path": path,
+            "support": out / "support.csv",
+            "users": out / "users.csv",
+            "items": out / "items.csv",
+        }
+        argv = [command, "--config", str(cfg_path)]
+        for s in sets:
+            argv += ["--set", s.format(**names)]
+        capsys.readouterr()
+        assert main(argv) == code
+        assert capsys.readouterr().err == expected.format(**names) + "\n"
+
+
 class TestGenData:
     def test_writes_data_and_manifest(self, workspace):
         _, out = workspace
@@ -919,6 +1145,52 @@ class TestAdapt:
         assert "nope" in capsys.readouterr().err
 
 
+class TestCategoricalFeatures:
+    """train, evaluate and adapt on attribute tables instead of latents."""
+
+    def test_train_evaluate_and_adapt(self, workspace):
+        cfg_path, out = workspace
+        ids: dict[str, set] = {"user_id": set(), "item_id": set()}
+        for name in ("train.csv", "test.csv"):
+            with open(out / name, newline="", encoding="utf-8") as fh:
+                for row in csv.DictReader(fh):
+                    for column, seen in ids.items():
+                        seen.add(row[column])
+        for name, column, field in (
+            ("users.csv", "user_id", "age"),
+            ("items.csv", "item_id", "color"),
+        ):
+            rows = [f"{v},{field}{i % 3}" for i, v in enumerate(sorted(ids[column]))]
+            text = "\n".join([f"{column},{field}", *rows]) + "\n"
+            (out / name).write_text(text, encoding="utf-8")
+        attrs = [
+            "data.latents=null",
+            f"data.user_attrs={out / 'users.csv'}",
+            f"data.item_attrs={out / 'items.csv'}",
+            f"adapt.checkpoint={out / 'checkpoint.json'}",
+            f"adapt.support={out / 'train.csv'}",
+        ]
+        for kind, sigmoid in (("mesh", "auto"), ("mesh_i", "true")):
+            sets = [*attrs, f"model.kind={kind}", f"model.sigmoid_output={sigmoid}"]
+            runs = []
+            for _ in range(2):
+                for command in ("train", "evaluate", "adapt"):
+                    _run(cfg_path, command, sets)
+                runs.append(
+                    {
+                        p.name: p.read_bytes()
+                        for p in [*out.glob("*.json"), *out.glob("adapted/*.json")]
+                    }
+                )
+            assert runs[0] == runs[1]
+            assert "report.json" in runs[0] and "s000.json" in runs[0]
+            model = json.loads(runs[0]["checkpoint.json"])["model"]
+            assert model["kind"] == kind and model["sigmoid_output"] is True
+            for encoder, field in (("user_encoder", "age"), ("item_encoder", "color")):
+                assert model[encoder]["mode"] == "categorical"
+                assert list(model[encoder]["tables"]) == [field]
+
+
 class TestEvaluate:
     def test_report_and_tables(self, workspace):
         cfg_path, out = workspace
@@ -1136,6 +1408,39 @@ class TestReportCommand:
             err = capsys.readouterr().err
             assert "'recall@0.1'" in err and "'x.7'" in err, err
             assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (
+                _edit_json(counts=None),
+                "unreadable report near field KeyError('counts')",
+            ),
+            (_edit_json(format_version=9), "report format_version 9 not supported"),
+            (
+                lambda t: t.replace('"0.7":', '"x.7":'),
+                "report metric 'mae': could not convert string to float: 'x.7'",
+            ),
+            (
+                lambda t: "[1]",
+                "unreadable report near field "
+                "TypeError('list indices must be integers or slices, not str')",
+            ),
+            (lambda t: "{}", "unreadable report near field KeyError('format_version')"),
+        ],
+        ids=["no_counts", "version", "exceedance_key", "list", "empty"],
+    )
+    def test_load_errors_name_the_file(
+        self, trained_run, tmp_path, capsys, edit, message
+    ):
+        target = tmp_path / "report.json"
+        target.write_text(
+            edit((trained_run / "report.json").read_text(encoding="utf-8")),
+            encoding="utf-8",
+        )
+        capsys.readouterr()
+        assert main(["report", "--report", str(target)]) == 2
+        assert capsys.readouterr().err == f"data error: {target}: {message}\n"
 
 
 class TestAblation:
