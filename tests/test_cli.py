@@ -1367,6 +1367,56 @@ class TestManifestLines:
         assert _lines(out / "adapt.manifest", "config.") == DEFAULT_CONFIG_LINES
 
 
+class TestManifestPolicy:
+    """Every config command's manifest: command first, wall time last, on success."""
+
+    def test_command_first_and_wall_time_last(self, workspace):
+        cfg_path, out = workspace
+        adapt = [
+            f"adapt.checkpoint={out / 'checkpoint.json'}",
+            f"adapt.support={out / 'train.csv'}",
+        ]
+        ablation = ["ablation.study=debias_gamma", "ablation.gammas=[0.0]"]
+        runs = [
+            ("gen-data", [], "gen-data.manifest"),
+            ("train", [], "train.manifest"),
+            ("evaluate", [], "evaluate.manifest"),
+            ("adapt", adapt, "adapt.manifest"),
+            ("ablation", ablation, "ablation_debias_gamma.manifest"),
+        ]
+        for command, sets, name in runs:
+            _run(cfg_path, command, sets)
+            lines = (out / name).read_text(encoding="utf-8").splitlines()
+            assert lines[0] == f"command={command}"
+            key, _, value = lines[-1].partition("=")
+            assert key == "wall_time_seconds"
+            assert float(value) >= 0.0
+
+    @pytest.mark.parametrize(
+        "command, broken, sets",
+        [
+            ("train", "train.csv", []),
+            ("evaluate", "checkpoint.json", []),
+            ("adapt", "checkpoint.json", ["adapt.checkpoint={c}", "adapt.support={t}"]),
+            ("ablation", "test.csv", ["ablation.study=debias_gamma"]),
+        ],
+    )
+    def test_failed_command_leaves_no_manifest(
+        self, trained_run, tmp_path, command, broken, sets
+    ):
+        out = tmp_path / "run"
+        shutil.copytree(trained_run, out)
+        for manifest in out.glob("*.manifest"):
+            manifest.unlink()
+        (out / broken).write_text("{", encoding="utf-8")
+        cfg_path = write_config(tmp_path / "run.yaml", base_config(out))
+        argv = [command, "--config", str(cfg_path)]
+        for s in sets:
+            argv += ["--set", s.format(c=out / "checkpoint.json", t=out / "train.csv")]
+        assert main(argv) == 2
+        assert not list(out.rglob("*.manifest"))
+
+
 class TestReportCommand:
     def test_prints_tables(self, workspace, capsys):
         cfg_path, out = workspace
