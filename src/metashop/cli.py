@@ -421,10 +421,6 @@ def _require_path(value: str | None, what: str) -> Path:
     return path
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    return Path(_require(cfg.output_dir, "output_dir"))
-
-
 # ---------------------------------------------------------------------------
 # assembly helpers
 # ---------------------------------------------------------------------------
@@ -526,11 +522,11 @@ def _headline(report) -> str:
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
+# A config command writes its artifacts into ``out`` and returns (manifest
+# file name, manifest entries, summary); main writes the manifest and prints.
 
 
-def cmd_gen_data(cfg: RunConfig) -> int:
-    started = time.monotonic()
-    out = _out_dir(cfg)
+def cmd_gen_data(cfg: RunConfig, out: Path) -> tuple[str, list, str]:
     spec_args = dict(cfg.synthetic)
     spec_args.setdefault("seed", cfg.seed)
     spec = SyntheticSpec(**spec_args)
@@ -544,7 +540,7 @@ def cmd_gen_data(cfg: RunConfig) -> int:
     sizes: dict[str, int] = {}
     for r in data.train + data.test:
         sizes[r.shop_id] = sizes.get(r.shop_id, 0) + 1
-    entries = [("command", "gen-data"), ("seed", cfg.seed)]
+    entries = [("seed", cfg.seed)]
     entries += config_manifest_entries(spec, "synthetic")
     entries += [
         ("train_records", len(data.train)),
@@ -552,22 +548,11 @@ def cmd_gen_data(cfg: RunConfig) -> int:
         ("new_shops", ",".join(data.new_shops)),
     ]
     entries += [(f"shop_size.{s}", sizes[s]) for s in sorted(sizes)]
-    entries.append(("wall_time_seconds", f"{time.monotonic() - started:.3f}"))
-    write_manifest(out / "gen-data.manifest", entries)
-    print(
+    return "gen-data.manifest", entries, (
         f"wrote {len(data.train)} train and {len(data.test)} test records "
         f"for {spec.n_shops} shops ({len(data.new_shops)} held out as new) "
         f"to {out}"
     )
-    return 0
-
-
-def _load_train_records(cfg: RunConfig) -> list[InteractionRecord]:
-    return load_interactions(_require_path(cfg.data.train, "data.train"))
-
-
-def _load_test_records(cfg: RunConfig) -> list[InteractionRecord]:
-    return load_interactions(_require_path(cfg.data.test, "data.test"))
 
 
 def _training_set(cfg: RunConfig, records: list[InteractionRecord]):
@@ -639,10 +624,8 @@ def _train_model(cfg: RunConfig, training, features, seed_tag: list[int]):
     )
 
 
-def cmd_train(cfg: RunConfig) -> int:
-    started = time.monotonic()
-    out = _out_dir(cfg)
-    records = _load_train_records(cfg)
+def cmd_train(cfg: RunConfig, out: Path) -> tuple[str, list, str]:
+    records = load_interactions(_require_path(cfg.data.train, "data.train"))
     features = _feature_source(cfg)
     training = _training_set(cfg, records)
     model, history = _train_model(
@@ -654,7 +637,7 @@ def cmd_train(cfg: RunConfig) -> int:
         ckpt, model,
         {"trainer": trainer, "model_kind": cfg.model.kind.value, "seed": str(cfg.seed)},
     )
-    entries = [("command", "train"), ("trainer", trainer)]
+    entries = [("trainer", trainer)]
     entries += config_manifest_entries(_meta_config(cfg))
     entries += [
         ("train_records", len(training[0])),
@@ -662,19 +645,14 @@ def cmd_train(cfg: RunConfig) -> int:
         ("stopped_early", str(history.stopped_early).lower()),
     ]
     entries += _loss_entries(history.losses)
-    entries.append(("wall_time_seconds", f"{time.monotonic() - started:.3f}"))
-    write_manifest(out / "train.manifest", entries)
     last = f"{history.losses[-1]:.6f}" if history.losses else "n/a"
-    print(
+    return "train.manifest", entries, (
         f"{trainer} training ran {len(history.losses)} steps "
         f"(final loss {last}); checkpoint at {ckpt}"
     )
-    return 0
 
 
-def cmd_adapt(cfg: RunConfig) -> int:
-    started = time.monotonic()
-    out = _out_dir(cfg)
+def cmd_adapt(cfg: RunConfig, out: Path) -> tuple[str, list, str]:
     ckpt_path = _require_path(cfg.adapt.checkpoint, "adapt.checkpoint")
     support_path = _require_path(cfg.adapt.support, "adapt.support")
     model, meta = load_checkpoint(ckpt_path)
@@ -696,19 +674,16 @@ def cmd_adapt(cfg: RunConfig) -> int:
         path = adapted_dir / f"{shop}.json"
         save_checkpoint(path, adapted, meta)
         written.append(path)
-    entries = [("command", "adapt"), ("checkpoint", str(ckpt_path))]
+    entries = [("checkpoint", str(ckpt_path))]
     entries += config_manifest_entries(meta_cfg)
     entries += [("shops", ",".join(shops)), ("files", len(written))]
-    entries.append(("wall_time_seconds", f"{time.monotonic() - started:.3f}"))
-    write_manifest(out / "adapt.manifest", entries)
-    print(f"adapted {len(written)} shops into {adapted_dir}")
-    return 0
+    return "adapt.manifest", entries, f"adapted {len(written)} shops into {adapted_dir}"
 
 
 def _evaluation_pieces(cfg: RunConfig):
     """Everything evaluate/ablation share: records, features, stats, tasks, pool."""
-    train_records = _load_train_records(cfg)
-    test_records = _load_test_records(cfg)
+    train_records = load_interactions(_require_path(cfg.data.train, "data.train"))
+    test_records = load_interactions(_require_path(cfg.data.test, "data.test"))
     features = _feature_source(cfg)
     stats = classify_shops(train_records, test_records)
     tasks = build_tasks(
@@ -744,24 +719,21 @@ def _evaluate_model(cfg, model, tasks, features, stats, pool, train_records):
     )
 
 
-def cmd_evaluate(cfg: RunConfig) -> int:
-    started = time.monotonic()
-    out = _out_dir(cfg)
+def cmd_evaluate(cfg: RunConfig, out: Path) -> tuple[str, list, str]:
     ckpt_path = _require_path(cfg.eval.checkpoint, "eval.checkpoint")
     model, _ = load_checkpoint(ckpt_path)
     train_records, features, stats, tasks, pool = _evaluation_pieces(cfg)
     report = _evaluate_model(cfg, model, tasks, features, stats, pool, train_records)
     save_report(out / "report.json", report)
     atomic_write_text(out / "tables.txt", report_tables(report))
-    entries = [("command", "evaluate"), ("checkpoint", str(ckpt_path))]
+    entries = [("checkpoint", str(ckpt_path))]
     entries += config_manifest_entries(_eval_options(cfg), "eval")
     entries += [("adapt", str(cfg.eval.adapt).lower())]
     entries += [(f"count.{k}", v) for k, v in sorted(report.counts.items())]
-    entries.append(("wall_time_seconds", f"{time.monotonic() - started:.3f}"))
-    write_manifest(out / "evaluate.manifest", entries)
-    print(f"evaluated {report.counts['queries']} queries: {_headline(report)}")
-    print(f"report at {out / 'report.json'}; tables at {out / 'tables.txt'}")
-    return 0
+    return "evaluate.manifest", entries, (
+        f"evaluated {report.counts['queries']} queries: {_headline(report)}\n"
+        f"report at {out / 'report.json'}; tables at {out / 'tables.txt'}"
+    )
 
 
 def cmd_report(report_path: str, out_path: str | None) -> int:
@@ -834,9 +806,7 @@ def _study_settings(cfg: RunConfig, study: str) -> list[tuple[str, str, RunConfi
     return [row("meta_adapted", "meta", train={"trainer": "meta"})]
 
 
-def cmd_ablation(cfg: RunConfig) -> int:
-    started = time.monotonic()
-    out = _out_dir(cfg)
+def cmd_ablation(cfg: RunConfig, out: Path) -> tuple[str, list, str]:
     study = _require(cfg.ablation.study, "ablation.study")
     settings = _study_settings(cfg, study)
     train_records, features, stats, tasks, pool = _evaluation_pieces(cfg)
@@ -882,13 +852,12 @@ def cmd_ablation(cfg: RunConfig) -> int:
         rows.append(("one_shop", _grid_metrics(report)))
 
     _write_grid(out, study, rows)
-    entries = [("command", "ablation"), ("study", study), ("seed", cfg.seed)]
+    entries = [("study", study), ("seed", cfg.seed)]
     entries += [("rows", ",".join(label for label, _ in rows))]
-    entries.append(("wall_time_seconds", f"{time.monotonic() - started:.3f}"))
-    write_manifest(out / f"ablation_{study}.manifest", entries)
-    print(f"{study} grid with {len(rows)} settings written to "
-          f"{out / f'ablation_{study}.tsv'}")
-    return 0
+    return f"ablation_{study}.manifest", entries, (
+        f"{study} grid with {len(rows)} settings written to "
+        f"{out / f'ablation_{study}.tsv'}"
+    )
 
 
 def cmd_prep_ml1m(source: str, out: str, holdout: str | None, year: int) -> int:
@@ -978,6 +947,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                 args.source, args.out, args.holdout, args.train_before_year
             )
         cfg = load_config(args.config, args.overrides)
+        started = time.monotonic()
+        out = Path(_require(cfg.output_dir, "output_dir"))
         handler = {
             "gen-data": cmd_gen_data,
             "train": cmd_train,
@@ -985,7 +956,14 @@ def main(argv: Sequence[str] | None = None) -> int:
             "evaluate": cmd_evaluate,
             "ablation": cmd_ablation,
         }[args.command]
-        return handler(cfg)
+        name, entries, summary = handler(cfg, out)
+        wall_time = f"{time.monotonic() - started:.3f}"
+        write_manifest(
+            out / name,
+            [("command", args.command), *entries, ("wall_time_seconds", wall_time)],
+        )
+        print(summary)
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
