@@ -382,7 +382,12 @@ def load_config(path: str | Path, overrides: Sequence[str] = ()) -> RunConfig:
     try:
         raw = yaml.safe_load(read_text(path, "config ", ConfigError))
     except yaml.YAMLError as exc:
-        raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
+        # one line: the problem at its 1-based position, else PyYAML's first line
+        mark = getattr(exc, "problem_mark", None)
+        problem = str(exc).splitlines()[0] if mark is None else (
+            f"{exc.problem} at line {mark.line + 1}, column {mark.column + 1}"
+        )
+        raise ConfigError(f"config {path} is not valid YAML: {problem}") from exc
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
@@ -437,9 +442,10 @@ def _feature_source(cfg: RunConfig):
             raise ConfigError(
                 "categorical features need both data.user_attrs and data.item_attrs"
             )
-        users = load_attributes(_require_path(data.user_attrs, "data.user_attrs"))
-        items = load_attributes(_require_path(data.item_attrs, "data.item_attrs"))
-        return AttributeTable(users, items)
+        user_path = _require_path(data.user_attrs, "data.user_attrs")
+        users = load_attributes(user_path)
+        item_path = _require_path(data.item_attrs, "data.item_attrs")
+        return AttributeTable(users, load_attributes(item_path), (user_path, item_path))
     raise ConfigError(
         "no feature source: set data.latents, or data.user_attrs plus data.item_attrs"
     )

@@ -23,7 +23,7 @@ import re
 import statistics
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -291,13 +291,6 @@ class ShopStats:
             raise DataError(f"shop {shop_id!r} was never seen in training")
         return SizeClass.SMALL if shop_id in self.small_sampling else SizeClass.LARGE
 
-    @property
-    def counts(self) -> dict[SizeClass, int]:
-        out = {c: 0 for c in SizeClass}
-        for c in self.taxonomy.values():
-            out[c] += 1
-        return out
-
 
 def classify_shops(
     train_records: Sequence[InteractionRecord],
@@ -455,44 +448,50 @@ def negative_sample(
 # ---------------------------------------------------------------------------
 
 
+class _IdTables:
+    """``user_raw``/``item_raw`` over the ``users``/``items`` dicts.
+
+    A miss names the id and, for a table read from files, the file of that
+    side (``sources``: the user and the item path).
+    """
+
+    what = ""
+
+    def user_raw(self, user_id: str) -> Any:
+        try:
+            return self.users[user_id]
+        except KeyError:
+            raise self._missing("user", user_id, 0) from None
+
+    def item_raw(self, item_id: str) -> Any:
+        try:
+            return self.items[item_id]
+        except KeyError:
+            raise self._missing("item", item_id, 1) from None
+
+    def _missing(self, side: str, key: str, index: int) -> DataError:
+        where = f" in {self.sources[index]}" if self.sources else ""
+        return DataError(f"no {self.what} for {side} {key!r}{where}")
+
+
 @dataclass(frozen=True)
-class FeatureTable:
+class FeatureTable(_IdTables):
     """Pretrained float vectors per user and item id."""
 
+    what = "features"
     users: dict[str, np.ndarray]
     items: dict[str, np.ndarray]
-
-    def user_raw(self, user_id: str) -> np.ndarray:
-        try:
-            return self.users[user_id]
-        except KeyError:
-            raise DataError(f"no features for user {user_id!r}") from None
-
-    def item_raw(self, item_id: str) -> np.ndarray:
-        try:
-            return self.items[item_id]
-        except KeyError:
-            raise DataError(f"no features for item {item_id!r}") from None
+    sources: tuple[Path, Path] | None = None
 
 
 @dataclass(frozen=True)
-class AttributeTable:
+class AttributeTable(_IdTables):
     """Categorical attribute dictionaries per user and item id."""
 
+    what = "attributes"
     users: dict[str, dict[str, str]]
     items: dict[str, dict[str, str]]
-
-    def user_raw(self, user_id: str) -> dict[str, str]:
-        try:
-            return self.users[user_id]
-        except KeyError:
-            raise DataError(f"no attributes for user {user_id!r}") from None
-
-    def item_raw(self, item_id: str) -> dict[str, str]:
-        try:
-            return self.items[item_id]
-        except KeyError:
-            raise DataError(f"no attributes for item {item_id!r}") from None
+    sources: tuple[Path, Path] | None = None
 
 
 def save_latents(
@@ -543,7 +542,7 @@ def load_latents(path: str | Path) -> tuple[FeatureTable, dict[str, np.ndarray]]
         table[key] = vec
     if not users or not items:
         raise DataError(f"{path}: latent file needs user and item rows")
-    return FeatureTable(users, items), shops
+    return FeatureTable(users, items, (path, path)), shops
 
 
 def save_attributes(path: str | Path, table: Mapping[str, Mapping[str, str]],

@@ -13,6 +13,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -710,7 +712,8 @@ class TestExitCodes:
 _ATTRS = ["data.latents=null", "data.user_attrs={users}", "data.item_attrs={items}"]
 
 # (file, edit of its text, command, --set values, stderr, exit code); {path}
-# is the edited file, {users} and {items} the attribute files
+# is the edited file, {users} and {items} the attribute files, {latents} and
+# {checkpoint} the trained run's
 INPUT_ERRORS = {
     "empty_user_id": (
         "train.csv",
@@ -762,6 +765,22 @@ INPUT_ERRORS = {
         "data error: {path} line 3: wrong field count",
         2,
     ),
+    "support_user_without_latents": (
+        "support.csv",
+        lambda t: _set_field(t, 2, 0, "ghost"),
+        "adapt",
+        ["adapt.checkpoint={checkpoint}", "adapt.support={support}"],
+        "data error: no features for user 'ghost' in {latents}",
+        2,
+    ),
+    "support_user_without_attributes": (
+        "support.csv",
+        lambda t: _set_field(t, 2, 0, "ghost"),
+        "adapt",
+        ["adapt.checkpoint={checkpoint}", "adapt.support={support}", *_ATTRS],
+        "data error: no attributes for user 'ghost' in {users}",
+        2,
+    ),
     "checkpoint_not_json": (
         "checkpoint.json",
         lambda t: t[:1],
@@ -800,11 +819,26 @@ INPUT_ERRORS = {
         lambda t: "seed: [11\n",
         "train",
         [],
-        "config error: config {path} is not valid YAML: while parsing a flow "
-        "sequence\n"
-        '  in "<unicode string>", line 1, column 7:\n    seed: [11\n          ^\n'
-        "expected ',' or ']', but got '<stream end>'\n"
-        '  in "<unicode string>", line 2, column 1:\n    \n    ^',
+        "config error: config {path} is not valid YAML: expected ',' or ']', "
+        "but got '<stream end>' at line 2, column 1",
+        1,
+    ),
+    "config_scanner_error": (
+        "../run.yaml",
+        lambda t: "a: b: c\n",
+        "train",
+        [],
+        "config error: config {path} is not valid YAML: mapping values are not "
+        "allowed here at line 1, column 5",
+        1,
+    ),
+    "config_control_character": (
+        "../run.yaml",
+        lambda t: "seed: \x07\n",
+        "train",
+        [],
+        "config error: config {path} is not valid YAML: unacceptable character "
+        "#x0007: special characters are not allowed",
         1,
     ),
     "recall_k_zero": (
@@ -846,6 +880,8 @@ class TestInputErrors:
             "support": out / "support.csv",
             "users": out / "users.csv",
             "items": out / "items.csv",
+            "latents": out / "latents.csv",
+            "checkpoint": out / "checkpoint.json",
         }
         argv = [command, "--config", str(cfg_path)]
         for s in sets:
@@ -1440,6 +1476,17 @@ class TestReportCommand:
 
     def test_missing_report_is_two(self, tmp_path):
         assert main(["report", "--report", str(tmp_path / "gone.json")]) == 2
+
+    def test_python_dash_m_runs_main(self, tmp_path):
+        gone = tmp_path / "gone.json"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "metashop", "report", "--report", str(gone)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"data error: cannot read report {gone}: ")
 
     def test_non_numeric_threshold_is_two(self, workspace, tmp_path, capsys):
         cfg_path, out = workspace

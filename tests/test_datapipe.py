@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metashop.datapipe import (
+    FeatureTable,
     InteractionRecord,
     NegativeStrategy,
     ShopTask,
@@ -264,7 +265,7 @@ class TestShopClasses:
             "d": SizeClass.LARGE,
             "zz": SizeClass.NEW,
         }
-        assert stats.counts[SizeClass.LARGE] == 1
+        assert Counter(stats.taxonomy.values())[SizeClass.LARGE] == 1
 
     def test_sales_count_positives_only(self):
         train = [rec("u1", "i1", "a", 1.0), rec("u2", "i1", "a", 0.0)]
@@ -444,8 +445,11 @@ class TestLatentsAndAttributes:
             np.testing.assert_array_equal(table.user_raw(k), v)
         np.testing.assert_array_equal(table.item_raw("i1"), items["i1"])
         np.testing.assert_array_equal(shops["s1"], effects["s1"])
-        with pytest.raises(DataError):
+        named = f"^no features for user 'ghost' in {re.escape(str(path))}$"
+        with pytest.raises(DataError, match=named):
             table.user_raw("ghost")
+        with pytest.raises(DataError, match="^no features for item 'ghost'$"):
+            FeatureTable(users, items).item_raw("ghost")
 
     def test_latents_validation(self, tmp_path):
         bad = tmp_path / "bad.csv"
