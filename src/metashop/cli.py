@@ -382,7 +382,7 @@ def load_config(path: str | Path, overrides: Sequence[str] = ()) -> RunConfig:
     try:
         raw = yaml.safe_load(read_text(path, "config ", ConfigError))
     except yaml.YAMLError as exc:
-        # one line: the problem at its 1-based position, else PyYAML's first line
+        # marks are 0-based; a reader error (a control character) has none
         mark = getattr(exc, "problem_mark", None)
         problem = str(exc).splitlines()[0] if mark is None else (
             f"{exc.problem} at line {mark.line + 1}, column {mark.column + 1}"
