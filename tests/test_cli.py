@@ -24,14 +24,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import metashop.cli as cli
-from metashop.checkpoint import load_checkpoint
+from metashop.checkpoint import (
+    atomic_write_text,
+    canonical_json,
+    load_checkpoint,
+    model_to_json,
+)
 from metashop.cli import load_config, main, parse_config
 from metashop.datapipe import NegativeStrategy, TaskUnit
 from metashop.errors import ConfigError
 from metashop.evaluation import CandidatePool, QueryMode
 from metashop.metaopt import OuterOptimizer, RegularizerKind, read_manifest
 from metashop.metrics import RecallMode
-from metashop.models import ModelKind
+from metashop.models import ModelKind, build_baseline, pretrained_encoder
 from metashop.numcore import LossKind
 
 
@@ -711,6 +716,13 @@ class TestExitCodes:
 
 _ATTRS = ["data.latents=null", "data.user_attrs={users}", "data.item_attrs={items}"]
 
+
+def _baseline_checkpoint(text: str) -> str:
+    """A checkpoint holding a fresh baseline model in place of ``text``."""
+    model = build_baseline(pretrained_encoder(6), [4], 0)
+    doc = {"format_version": 1, "model": model_to_json(model), "meta": {}}
+    return canonical_json(doc)
+
 # (file, edit of its text, command, --set values, stderr, exit code); {path}
 # is the edited file, {users} and {items} the attribute files, {latents} and
 # {checkpoint} the trained run's
@@ -858,6 +870,89 @@ INPUT_ERRORS = {
         "config error: ndcg k must be an integer >= 1, got 0",
         1,
     ),
+    "negative_alpha": (
+        "../run.yaml",
+        lambda t: t,
+        "train",
+        ["train.alpha=-1"],
+        "config error: alpha must be >= 0 and finite, got -1.0",
+        1,
+    ),
+    "zero_beta": (
+        "../run.yaml",
+        lambda t: t,
+        "train",
+        ["train.beta=0"],
+        "config error: beta must be positive and finite, got 0.0",
+        1,
+    ),
+    "negative_epochs": (
+        "../run.yaml",
+        lambda t: t,
+        "train",
+        ["train.trainer=nonmeta", "train.epochs=-1"],
+        "config error: epochs must be >= 0, got -1",
+        1,
+    ),
+    "negative_steps": (
+        "../run.yaml",
+        lambda t: t,
+        "train",
+        ["train.steps=-1"],
+        "config error: steps must be >= 0, got -1",
+        1,
+    ),
+    "baseline_zero_margin": (
+        "../run.yaml",
+        lambda t: t,
+        "train",
+        ["train.trainer=baseline", "model.kind=baseline", "model.margin=0"],
+        "config error: model does not fit the features: "
+        "margin must be positive, got 0.0",
+        1,
+    ),
+    "user_attrs_without_item_attrs": (
+        "../run.yaml",
+        lambda t: t,
+        "train",
+        ["data.latents=null", "data.user_attrs={users}"],
+        "config error: categorical features need both data.user_attrs and "
+        "data.item_attrs",
+        1,
+    ),
+    "no_feature_source": (
+        "../run.yaml",
+        lambda t: t,
+        "train",
+        ["data.latents=null"],
+        "config error: no feature source: set data.latents, or data.user_attrs "
+        "plus data.item_attrs",
+        1,
+    ),
+    "no_evaluation_task": (
+        "../run.yaml",
+        lambda t: t,
+        "evaluate",
+        ["data.min_interactions=100000"],
+        "data error: no evaluation task reaches data.min_interactions",
+        2,
+    ),
+    "adapt_a_baseline": (
+        "checkpoint.json",
+        _baseline_checkpoint,
+        "adapt",
+        ["adapt.checkpoint={path}", "adapt.support={support}"],
+        "config error: only the shared recommendation models can adapt",
+        1,
+    ),
+    "unknown_model_class": (
+        "checkpoint.json",
+        lambda t: t.replace('"model_class":"rec"', '"model_class":"foo"', 1),
+        "evaluate",
+        [],
+        "data error: {path}: unknown model_class 'foo'",
+        2,
+    ),
 }
 
 
@@ -921,15 +1016,24 @@ class TestGenData:
             assert (out / name).read_bytes() == blob
 
     def test_files_follow_the_umask(self, tmp_path):
-        out = tmp_path / "run"
-        path = write_config(tmp_path / "run.yaml", base_config(out))
-        old = os.umask(0o022)
-        try:
-            assert main(["gen-data", "--config", str(path)]) == 0
-        finally:
-            os.umask(old)
-        for name in ("train.csv", "test.csv", "latents.csv", "gen-data.manifest"):
-            assert (out / name).stat().st_mode & 0o777 == 0o644, name
+        for umask, mode in ((0o022, 0o644), (0o077, 0o600)):
+            out = tmp_path / f"run{umask:o}"
+            path = write_config(tmp_path / "run.yaml", base_config(out))
+            old = os.umask(umask)
+            try:
+                assert main(["gen-data", "--config", str(path)]) == 0
+            finally:
+                os.umask(old)
+            for name in ("train.csv", "test.csv", "latents.csv", "gen-data.manifest"):
+                assert (out / name).stat().st_mode & 0o777 == mode, (umask, name)
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        target = tmp_path / "tables.txt"
+        atomic_write_text(target, "old\n")
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write_text(target, "new " * 5000 + "\ud800")  # lone surrogate
+        assert target.read_bytes() == b"old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["tables.txt"]
 
     def test_seed_changes_the_data(self, workspace, tmp_path):
         cfg_path, out = workspace
