@@ -10,8 +10,9 @@ The JSON is canonical (sorted keys, compact separators, repr-roundtrip
 floats), so saving the same model twice yields byte-identical files. Writes
 go through a temp file in the target directory followed by an atomic rename.
 
-``read_text`` reads every input file: one that cannot be opened or is not
-UTF-8 raises the caller's error type (DataError, ConfigError) naming it.
+``read_text`` reads every input file: one that cannot be opened or decoded
+(UTF-8 unless the caller names another encoding) raises the caller's error
+type (DataError, ConfigError) naming it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import enum
 import functools
 import json
 import os
-import tempfile
 import types
 from pathlib import Path
 from typing import Any, Mapping, Union, get_args, get_origin, get_type_hints
@@ -39,36 +39,31 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _umask() -> int:
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
-
-
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Write via a temp file + rename so readers never see partial output.
 
-    The file gets the mode a plain ``open`` would give it (0666 less the
-    process umask), not the owner-only mode of the temp file.
+    The temp file is created next to ``path`` like any new file, so the
+    result gets 0666 less the process umask. A failed write removes it.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    tmp = path.parent / f".{path.name}.{os.urandom(6).hex()}"
+    fh = open(tmp, "x", encoding="utf-8", newline="\n")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+        with fh:
             fh.write(text)
-        os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 
-def read_text(path: str | Path, what: str, error: type[MetaShopError]) -> str:
-    """A UTF-8 file's text, line endings as written; failures raise ``error``."""
+def read_text(
+    path: str | Path, what: str, error: type[MetaShopError], encoding: str = "utf-8"
+) -> str:
+    """A file's text, line endings as written; failures raise ``error``."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding=encoding, newline="") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {what}{path}: {exc}") from exc

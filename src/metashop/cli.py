@@ -86,7 +86,8 @@ model per sampled shop, scored unadapted.
 
 Each section's keys and types come from its dataclass below (`synthetic`
 from SyntheticSpec, whose values are type-checked but passed on as
-written). A choice key's type gives its allowed strings: the library enum
+written; `eval` from the library's EvalOptions, whose range checks run
+when the config loads, plus `checkpoint` and `adapt`). A choice key's type gives its allowed strings: the library enum
 that the parsed config holds a member of, or a `Literal` of strings kept
 as written (the trainers, the studies, and `auto` and `none`, which mean
 squared loss for any labels and no negative sampling).
@@ -143,12 +144,7 @@ from .datapipe import (
     stable_hash64,
 )
 from .errors import ConfigError, DataError, MetaShopError, NumericError, ShapeError
-from .evaluation import (
-    CandidatePool,
-    EvalOptions,
-    QueryMode,
-    evaluate_tasks,
-)
+from .evaluation import EvalOptions, evaluate_tasks
 from .metaopt import (
     MetaConfig,
     OuterOptimizer,
@@ -162,7 +158,7 @@ from .metaopt import (
     train_baseline,
     write_manifest,
 )
-from .metrics import RecallMode, load_report, report_tables, save_report
+from .metrics import load_report, report_tables, save_report
 from .models import (
     BaselineModel,
     ModelKind,
@@ -232,18 +228,10 @@ class TrainConfig:
     shop_id: str | None = None
 
 
-@dataclass
-class EvalConfig:
+@dataclass(frozen=True)
+class EvalConfig(EvalOptions):
     checkpoint: str | None = None
     adapt: bool = False
-    recall_ks: list[float] = field(default_factory=lambda: [0.1])
-    ndcg_ks: list[int] = field(default_factory=lambda: [3])
-    recall_mode: RecallMode = RecallMode.STANDARD
-    include_mae: bool = True
-    thresholds: list[float] = field(default_factory=lambda: [0.5, 0.6, 0.7, 0.8])
-    rating_positive_threshold: float = 4.0
-    candidate_pool: CandidatePool = CandidatePool.ALL_USERS
-    query_mode: QueryMode | None = None
 
 
 @dataclass
@@ -315,8 +303,8 @@ def _cast(path: str, hint: Any, v: Any) -> Any:
         return v
     rest = [m for m in members if m is not type(None) and get_origin(m) is not Literal]
     hint = rest[0] if rest else str
-    if get_origin(hint) is list:
-        (item,) = get_args(hint)
+    if get_origin(hint) in (list, tuple):
+        item = get_args(hint)[0]  # list[X] or tuple[X, ...]
         if not isinstance(v, (list, tuple)) or (item is float and not v):
             raise ConfigError(f"{path} must be {_LIST_OF[item]}")
         return [_cast(f"{path}[{i}]", item, x) for i, x in enumerate(v)]
@@ -508,10 +496,6 @@ def _build_fresh_model(cfg: RunConfig, features, sigmoid: bool, seed_tag):
         raise ConfigError(f"model does not fit the features: {exc}") from exc
 
 
-def _eval_options(cfg: RunConfig) -> EvalOptions:
-    return _from_section(EvalOptions, cfg.eval)
-
-
 def _loss_entries(losses: Sequence[float]) -> list[tuple[str, Any]]:
     return [(f"loss.{i:04d}", repr(v)) for i, v in enumerate(losses)]
 
@@ -600,7 +584,8 @@ def _train_model(cfg: RunConfig, training, features, seed_tag: list[int]):
         )
         if not tasks:
             raise DataError(
-                "no task reaches data.min_interactions; lower it or add data"
+                "no task reaches data.min_interactions with "
+                f"train.task_unit={meta_cfg.task_unit.value}; lower it or add data"
             )
         if trainer == "fmst" and meta_cfg.gamma != 0.0:
             if meta_cfg.task_unit is not TaskUnit.SHOP:
@@ -670,12 +655,13 @@ def cmd_adapt(cfg: RunConfig, out: Path) -> tuple[str, list, str]:
     for r in records:
         groups.setdefault(r.shop_id, []).append(r)
     shops = cfg.adapt.shops or sorted(groups)
+    for shop in shops:
+        if shop not in groups:
+            raise DataError(f"no support records for shop {shop!r}")
     meta_cfg = _meta_config(cfg)
     adapted_dir = out / "adapted"
     written = []
     for shop in shops:
-        if shop not in groups or not groups[shop]:
-            raise DataError(f"no support records for shop {shop!r}")
         adapted = local_adapt(model, groups[shop], features, meta_cfg)
         path = adapted_dir / f"{shop}.json"
         save_checkpoint(path, adapted, meta)
@@ -719,7 +705,7 @@ def _evaluate_model(cfg, model, tasks, features, stats, pool, train_records):
         models,
         tasks,
         features,
-        _eval_options(cfg),
+        cfg.eval,
         shop_classes=stats.taxonomy,
         user_pool=pool,
     )
@@ -733,7 +719,7 @@ def cmd_evaluate(cfg: RunConfig, out: Path) -> tuple[str, list, str]:
     save_report(out / "report.json", report)
     atomic_write_text(out / "tables.txt", report_tables(report))
     entries = [("checkpoint", str(ckpt_path))]
-    entries += config_manifest_entries(_eval_options(cfg), "eval")
+    entries += config_manifest_entries(_from_section(EvalOptions, cfg.eval), "eval")
     entries += [("adapt", str(cfg.eval.adapt).lower())]
     entries += [(f"count.{k}", v) for k, v in sorted(report.counts.items())]
     return "evaluate.manifest", entries, (
@@ -830,7 +816,8 @@ def cmd_ablation(cfg: RunConfig, out: Path) -> tuple[str, list, str]:
         )
         tasks = [t for t in tasks if t.shop_id in picked]
 
-    rows: list[tuple[str, dict]] = []
+    # (row label, report file, report); nothing is written until every row has one
+    reports: list[tuple[str, str, Any]] = []
     for label, report_name, setting in settings:
         training = _training_set(setting, train_records)
         model, _ = _train_model(
@@ -839,8 +826,7 @@ def cmd_ablation(cfg: RunConfig, out: Path) -> tuple[str, list, str]:
         report = _evaluate_model(
             setting, model, tasks, features, stats, pool, train_records
         )
-        save_report(out / report_name, report)
-        rows.append((label, _grid_metrics(report)))
+        reports.append((label, report_name, report))
     if study == "one_shop":
         arm = _with(cfg, eval={"adapt": False}, train={"trainer": "one_shop"})
         training = _training_set(arm, train_records)
@@ -854,9 +840,11 @@ def cmd_ablation(cfg: RunConfig, out: Path) -> tuple[str, list, str]:
         report = _evaluate_model(
             arm, models, tasks, features, stats, pool, train_records
         )
-        save_report(out / "report_one_shop.json", report)
-        rows.append(("one_shop", _grid_metrics(report)))
+        reports.append(("one_shop", "report_one_shop.json", report))
 
+    for _, report_name, report in reports:
+        save_report(out / report_name, report)
+    rows = [(label, _grid_metrics(report)) for label, _, report in reports]
     _write_grid(out, study, rows)
     entries = [("study", study), ("seed", cfg.seed)]
     entries += [("rows", ",".join(label for label, _ in rows))]

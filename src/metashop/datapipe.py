@@ -139,45 +139,38 @@ def load_interactions(path: str | Path) -> list[InteractionRecord]:
         )
     col = {name: header.index(name) for name in header}
     for line_no, row in enumerate(reader, start=2):
-        if len(row) != len(header):
-            problems.append(f"line {line_no}: {len(row)} fields, expected {len(header)}")
-            continue
         try:
-            label = float(row[col["label"]])
-        except ValueError:
-            problems.append(f"line {line_no}: label {row[col['label']]!r} is not a number")
-            continue
-        if not (label in (0.0, 1.0) or 1.0 <= label <= 5.0):
-            problems.append(
-                f"line {line_no}: label {label} outside 0/1 and [1, 5]"
-            )
-            continue
-        ts: int | None = None
-        if "timestamp" in col and row[col["timestamp"]] != "":
+            if len(row) != len(header):
+                raise DataError(f"{len(row)} fields, expected {len(header)}")
             try:
-                ts = int(row[col["timestamp"]])
+                label = float(row[col["label"]])
             except ValueError:
-                problems.append(
-                    f"line {line_no}: timestamp {row[col['timestamp']]!r} is not an integer"
-                )
-                continue
-        genre = None
-        if "genre_l3" in col and row[col["genre_l3"]] != "":
-            genre = row[col["genre_l3"]]
-        try:
+                raise DataError(f"label {row[col['label']]!r} is not a number") from None
+            if not (label in (0.0, 1.0) or 1.0 <= label <= 5.0):
+                raise DataError(f"label {label} outside 0/1 and [1, 5]")
+            ts: int | None = None
+            if "timestamp" in col and row[col["timestamp"]] != "":
+                try:
+                    ts = int(row[col["timestamp"]])
+                except ValueError:
+                    raise DataError(
+                        f"timestamp {row[col['timestamp']]!r} is not an integer"
+                    ) from None
+            genre = None
+            if "genre_l3" in col and row[col["genre_l3"]] != "":
+                genre = row[col["genre_l3"]]
             rec = InteractionRecord(
                 row[col["user_id"]], row[col["item_id"]], row[col["shop_id"]],
                 label, ts, genre,
             )
+            key = (rec.user_id, rec.item_id, rec.shop_id, rec.timestamp)
+            if key in seen:
+                raise DataError(
+                    f"duplicate of line {seen[key]} "
+                    f"(user={rec.user_id}, item={rec.item_id})"
+                )
         except DataError as exc:
             problems.append(f"line {line_no}: {exc}")
-            continue
-        key = (rec.user_id, rec.item_id, rec.shop_id, rec.timestamp)
-        if key in seen:
-            problems.append(
-                f"line {line_no}: duplicate of line {seen[key]} "
-                f"(user={rec.user_id}, item={rec.item_id})"
-            )
             continue
         seen[key] = line_no
         records.append(rec)
@@ -784,16 +777,20 @@ def convert_ml1m(
         if not (src / name).exists():
             raise DataError(f"{src / name} not found; expected a MovieLens 1M dump")
 
-    def read_dat(name: str) -> list[list[str]]:
-        text = (src / name).read_bytes().decode("latin-1")
-        return [line.split("::") for line in text.splitlines() if line]
+    def read_dat(name: str, n_fields: int):
+        """("<path> line <n>", fields) for each non-empty line of a .dat file."""
+        text = read_text(src / name, "", DataError, "latin-1")
+        for line_no, line in enumerate(text.splitlines(), start=1):
+            if not line:
+                continue
+            where, row = f"{src / name} line {line_no}", line.split("::")
+            if len(row) != n_fields:
+                raise DataError(f"{where}: {len(row)} fields, expected {n_fields}")
+            yield where, row
 
     movies: dict[str, tuple[str, int]] = {}
     skipped_year = 0
-    for row in read_dat("movies.dat"):
-        if len(row) != 3:
-            raise DataError(f"movies.dat: bad row {row!r}")
-        movie_id, title, genre_list = row
+    for _, (movie_id, title, genre_list) in read_dat("movies.dat", 3):
         m = _YEAR_RE.search(title)
         if not m:
             skipped_year += 1
@@ -802,10 +799,7 @@ def convert_ml1m(
         movies[movie_id] = (genre, int(m.group(1)))
 
     users: dict[str, dict[str, str]] = {}
-    for row in read_dat("users.dat"):
-        if len(row) != 5:
-            raise DataError(f"users.dat: bad row {row!r}")
-        uid, gender, age, occupation, zipcode = row
+    for _, (uid, gender, age, occupation, zipcode) in read_dat("users.dat", 5):
         users[f"u{uid}"] = {
             "gender": gender,
             "age": age,
@@ -817,14 +811,21 @@ def convert_ml1m(
     test: list[InteractionRecord] = []
     skipped_rating = 0
     rows = []
-    for row in read_dat("ratings.dat"):
-        if len(row) != 4:
-            raise DataError(f"ratings.dat: bad row {row!r}")
-        uid, movie_id, rating, ts = row
+    for where, (uid, movie_id, rating, ts) in read_dat("ratings.dat", 4):
+        try:
+            value = float(rating)
+        except ValueError:
+            raise DataError(f"{where}: rating {rating!r} is not a number") from None
+        if not 1.0 <= value <= 5.0:
+            raise DataError(f"{where}: rating {value} outside [1, 5]")
+        try:
+            stamp = int(ts)
+        except ValueError:
+            raise DataError(f"{where}: timestamp {ts!r} is not an integer") from None
         if movie_id not in movies:
             skipped_rating += 1
             continue
-        rows.append((uid, movie_id, float(rating), int(ts)))
+        rows.append((uid, movie_id, value, stamp))
     rows.sort(key=lambda r: (r[3], r[0], r[1]))
 
     if holdout_shops is None:

@@ -168,7 +168,7 @@ class TestConfigParsing:
             path,
             ["eval.recall_ks=[1, 3]", "eval.adapt=true", "train.shop_id=s01"],
         )
-        assert cfg.eval.recall_ks == [1, 3]
+        assert cfg.eval.recall_ks == (1.0, 3.0)
         assert cfg.eval.adapt is True
         assert cfg.train.shop_id == "s01"
 
@@ -197,7 +197,7 @@ class TestConfigParsing:
         cfg = parse_config({"seed": 5})
         assert cfg.data.min_interactions == 13
         assert cfg.train.trainer == "meta"
-        assert cfg.eval.recall_ks == [0.1]
+        assert cfg.eval.recall_ks == (0.1,)
         assert cfg.ablation.gammas == [0.0, 0.01, 0.8]
 
     def test_choice_keys_hold_enum_members(self):
@@ -268,6 +268,9 @@ OPT_STR = _outcomes(
 )
 INT_LIST = _outcomes("{p} must be a list of integers", {5: Ok([1])})
 NUMBER_LIST = _outcomes("{p} must be a non-empty list of numbers", {5: Ok([1.0])})
+# the eval lists are EvalOptions tuples
+INT_TUPLE = _outcomes("{p} must be a list of integers", {5: Ok((1,))})
+NUMBER_TUPLE = _outcomes("{p} must be a non-empty list of numbers", {5: Ok((1.0,))})
 SHOPS = _outcomes(
     "{p} must be a list of shop ids",
     {4: Ok(None), 5: "{p}[0] must be a non-empty string, got 1"},
@@ -319,11 +322,11 @@ CONFIG_KEYS = {
     "train.shop_id": OPT_STR,
     "eval.checkpoint": OPT_STR,
     "eval.adapt": BOOL,
-    "eval.recall_ks": NUMBER_LIST,
-    "eval.ndcg_ks": INT_LIST,
+    "eval.recall_ks": NUMBER_TUPLE,
+    "eval.ndcg_ks": INT_TUPLE,
     "eval.recall_mode": _choice("standard, topk_fraction"),
     "eval.include_mae": BOOL,
-    "eval.thresholds": NUMBER_LIST,
+    "eval.thresholds": NUMBER_TUPLE,
     "eval.rating_positive_threshold": NUMBER,
     "eval.candidate_pool": _choice("all_users, observed"),
     "eval.query_mode": _choice("item, user_shop", Ok(None)),
@@ -357,7 +360,7 @@ EDGE_CASES = [
     ("model.hidden_dims", [4, 0], "model.hidden_dims must be positive integers"),
     ("model.hidden_dims", [1.5], "model.hidden_dims[0] must be an integer, got float"),
     ("model.sigmoid_output", "auto", Ok("auto")),
-    ("eval.ndcg_ks", [], Ok([])),
+    ("eval.ndcg_ks", [], Ok(())),
     ("eval.recall_ks", [], "eval.recall_ks must be a non-empty list of numbers"),
     ("eval.thresholds", [0.5, "x"], "eval.thresholds[1] must be a number, got str"),
     ("ablation.gammas", [], "ablation.gammas must be a non-empty list of numbers"),
@@ -1284,6 +1287,23 @@ class TestAdapt:
         assert main(base + ["--set", "adapt.shops=[nope]"]) == 2
         assert "nope" in capsys.readouterr().err
 
+    def test_a_bad_shop_stops_every_write(self, workspace, capsys):
+        cfg_path, out = workspace
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        argv = ["adapt", "--config", str(cfg_path)]
+        for s in [
+            f"adapt.checkpoint={out / 'checkpoint.json'}",
+            f"adapt.support={out / 'train.csv'}",
+            "adapt.shops=[s000, s001, ghost]",
+        ]:
+            argv += ["--set", s]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "data error: no support records for shop 'ghost'\n"
+        )
+        assert not (out / "adapted").exists()
+
 
 class TestCategoricalFeatures:
     """train, evaluate and adapt on attribute tables instead of latents."""
@@ -1789,6 +1809,21 @@ class TestAblation:
         )
         assert [l.split("\t")[0] for l in lines[1:]] == ["shop", "item", "user"]
 
+    def test_taskless_unit_writes_no_row(self, workspace, capsys):
+        # at min_interactions 13 the shop and item rows train, the user row not
+        cfg_path, out = workspace
+        argv = ["ablation", "--config", str(cfg_path)]
+        argv += ["--set", "ablation.study=task_unit", "--set", "train.steps=4"]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "data error: no task reaches data.min_interactions with "
+            "train.task_unit=user; lower it or add data\n"
+        )
+        assert not list(out.glob("report_*.json"))
+        assert not (out / "ablation_task_unit.tsv").exists()
+        assert not (out / "ablation_task_unit.manifest").exists()
+
     @pytest.mark.parametrize(
         "trainer",
         [["nonmeta"], ["one_shop"], ["baseline", "model.kind=baseline"]],
@@ -1960,6 +1995,49 @@ class TestPrepMl1m:
         assert (out / "test.csv").exists()
         assert (out / "user_attrs.csv").exists()
         assert (out / "item_attrs.csv").exists()
+
+    @pytest.mark.parametrize(
+        "name,line,text,message",
+        [
+            ("movies.dat", 2, "2::Heat (1995)", "line 2: 2 fields, expected 3"),
+            ("users.dat", 3, "3::M::25::15", "line 3: 4 fields, expected 5"),
+            ("ratings.dat", 4, "3::3::4", "line 4: 3 fields, expected 4"),
+            (
+                "ratings.dat", 1, "1::1::x::978300760",
+                "line 1: rating 'x' is not a number",
+            ),
+            (
+                "ratings.dat", 2, "2::1::3::97830x",
+                "line 2: timestamp '97830x' is not an integer",
+            ),
+            (
+                "ratings.dat", 3, "2::2::9::978302109",
+                "line 3: rating 9.0 outside [1, 5]",
+            ),
+            ("ratings.dat", None, None, "[Errno 21] Is a directory: '{path}'"),
+        ],
+        ids=[
+            "short_movie", "short_user", "short_rating", "rating_not_a_number",
+            "timestamp_not_an_integer", "rating_out_of_range", "directory",
+        ],
+    )
+    def test_malformed_dump_is_two(
+        self, fake_dump, tmp_path, capsys, name, line, text, message
+    ):
+        path = fake_dump / name
+        if line is None:  # a directory where the file should be
+            path.unlink()
+            path.mkdir()
+            expected = f"cannot read {path}: {message.format(path=path)}"
+        else:
+            lines = path.read_text(encoding="latin-1").splitlines()
+            lines[line - 1] = text
+            path.write_text("\n".join(lines) + "\n", encoding="latin-1")
+            expected = f"{path} {message}"
+        out = tmp_path / "converted"
+        assert main(["prep-ml1m", "--source", str(fake_dump), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"data error: {expected}\n"
+        assert not out.exists()
 
     def test_missing_source_is_two(self, tmp_path):
         code = main(
