@@ -87,10 +87,11 @@ model per sampled shop, scored unadapted.
 Each section's keys and types come from its dataclass below (`synthetic`
 from SyntheticSpec, whose values are type-checked but passed on as
 written; `eval` from the library's EvalOptions, whose range checks run
-when the config loads, plus `checkpoint` and `adapt`). A choice key's type gives its allowed strings: the library enum
-that the parsed config holds a member of, or a `Literal` of strings kept
-as written (the trainers, the studies, and `auto` and `none`, which mean
-squared loss for any labels and no negative sampling).
+when the config loads, plus `checkpoint` and `adapt`). A choice key's type
+gives its allowed strings: the library enum that the parsed config holds a
+member of, or a `Literal` of strings kept as written (the trainers, the
+studies, and `auto` and `none`, which mean squared loss for any labels and
+no negative sampling).
 
 Exit codes: 0 success, 1 config error, 2 data error (any malformed input
 file, checkpoints and feature widths included), 3 numeric failure (a

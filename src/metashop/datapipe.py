@@ -142,10 +142,11 @@ def load_interactions(path: str | Path) -> list[InteractionRecord]:
         try:
             if len(row) != len(header):
                 raise DataError(f"{len(row)} fields, expected {len(header)}")
+            text = row[col["label"]]
             try:
-                label = float(row[col["label"]])
+                label = float(text)
             except ValueError:
-                raise DataError(f"label {row[col['label']]!r} is not a number") from None
+                raise DataError(f"label {text!r} is not a number") from None
             if not (label in (0.0, 1.0) or 1.0 <= label <= 5.0):
                 raise DataError(f"label {label} outside 0/1 and [1, 5]")
             ts: int | None = None
@@ -790,12 +791,14 @@ def convert_ml1m(
 
     movies: dict[str, tuple[str, int]] = {}
     skipped_year = 0
-    for _, (movie_id, title, genre_list) in read_dat("movies.dat", 3):
+    for where, (movie_id, title, genre_list) in read_dat("movies.dat", 3):
+        genre = genre_list.split("|")[0]
+        if not genre:
+            raise DataError(f"{where}: no genre")
         m = _YEAR_RE.search(title)
         if not m:
             skipped_year += 1
             continue
-        genre = genre_list.split("|")[0]
         movies[movie_id] = (genre, int(m.group(1)))
 
     users: dict[str, dict[str, str]] = {}

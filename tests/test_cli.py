@@ -2000,6 +2000,7 @@ class TestPrepMl1m:
         "name,line,text,message",
         [
             ("movies.dat", 2, "2::Heat (1995)", "line 2: 2 fields, expected 3"),
+            ("movies.dat", 3, "3::Sabrina (1995)::", "line 3: no genre"),
             ("users.dat", 3, "3::M::25::15", "line 3: 4 fields, expected 5"),
             ("ratings.dat", 4, "3::3::4", "line 4: 3 fields, expected 4"),
             (
@@ -2017,8 +2018,9 @@ class TestPrepMl1m:
             ("ratings.dat", None, None, "[Errno 21] Is a directory: '{path}'"),
         ],
         ids=[
-            "short_movie", "short_user", "short_rating", "rating_not_a_number",
-            "timestamp_not_an_integer", "rating_out_of_range", "directory",
+            "short_movie", "no_genre", "short_user", "short_rating",
+            "rating_not_a_number", "timestamp_not_an_integer", "rating_out_of_range",
+            "directory",
         ],
     )
     def test_malformed_dump_is_two(
