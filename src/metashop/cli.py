@@ -253,6 +253,11 @@ class AdaptConfig:
     support: str | None = None
     shops: list[str] | None = None
 
+    def __post_init__(self) -> None:
+        for i, shop in enumerate(self.shops or ()):
+            if shop in self.shops[:i]:
+                raise ConfigError(f"adapt.shops lists {shop!r} twice")
+
 
 @dataclass
 class RunConfig:

@@ -6,11 +6,14 @@ is evaluated at the adapted parameters, and the shared parameters take one
 step against the SUM of those query gradients (tasks accumulated in
 ascending task-id order). Second-order terms are dropped.
 
-Tasks whose supports have as many rows and whose objectives carry the same
-penalty adapt as one (T, P) stack of parameter vectors (numcore.Layout): each
-inner step is one model_loss_and_grad and one sgd_step for the stack, bit for
-bit what each task alone would get. A non-finite value names the first bad
-leaf of the lowest-id task failing the first check that fails.
+Training steps parameter vectors laid out like the shared model, which
+gives only the structure; ParamTrees are built at the edges: the models
+handed back, and the summed query gradient of the outer step. Tasks whose
+supports have as many rows and whose objectives carry the same penalty
+adapt as one (T, P) stack: each inner step is one loss_and_grad_at and one
+sgd_update for the stack, bit for bit what each task alone would get. A
+non-finite value names the first bad leaf of the lowest-id task failing the
+first check that fails.
 
 Fair training (fmst_train_step) adds a score regularizer to the loss of the
 tasks whose size class matches the chosen option: option1 adds
@@ -26,8 +29,8 @@ the step functions; a per-step query subsample is a seeded pick of rows from
 the resolved query batch. The step functions also accept plain ShopTasks,
 which they resolve through the same helper.
 
-The non-meta trainers share one seeded mini-batch SGD loop, ``_sgd_epochs``,
-and differ only in the per-batch loss-and-gradient function they hand it.
+The non-meta trainers share one seeded mini-batch SGD loop on the parameter
+vector, ``_sgd_epochs``, and differ only in the per-batch loss and gradient.
 """
 
 from __future__ import annotations
@@ -57,7 +60,8 @@ from .models import (
     ModelKind,
     RecModel,
     baseline_loss_and_grad,
-    model_loss_and_grad,
+    loss_and_grad_at,
+    model_loss_and_grad,  # noqa: F401  (unused here; bench/tracing.py wraps this name)
     prepare_batch,
 )
 
@@ -173,40 +177,40 @@ def local_adapt(
 ) -> RecModel:
     """K full-batch SGD steps on the support set; the input model is unchanged."""
     batch = prepare_batch(support, features, model.user_encoder, model.item_encoder)
-    return _adapt(model, batch, cfg, None)
+    return model.at(_adapt(model, model.vector, batch, cfg, None))
 
 
 def _adapt(
     model: RecModel,
+    vector: np.ndarray,
     batch: Batch,
     cfg: MetaConfig,
     pred_penalty: tuple[float, float] | None,
-) -> RecModel:
+) -> np.ndarray:
     for _ in range(cfg.local_steps):
-        _, grads = model_loss_and_grad(model, batch, cfg.loss_kind, pred_penalty)
-        model = numcore.sgd_step(model, grads, cfg.alpha)
-    return model
+        _, grad = loss_and_grad_at(model, vector, batch, cfg.loss_kind, pred_penalty)
+        vector = numcore.sgd_update(model.layout, vector, grad, cfg.alpha)
+    return vector
 
 
 def _adapt_stacked(
     model: RecModel, batches: Sequence[Batch], penalties: Sequence[Any], cfg: MetaConfig
-) -> list[RecModel]:
-    """``model`` adapted to each batch, batches of one size and penalty in one stack."""
+) -> list[np.ndarray]:
+    """``model``'s vector adapted to each batch: rows of one stack per size and penalty."""
+    out = [model.vector] * len(batches)
     if cfg.local_steps == 0:
-        return [model] * len(batches)
+        return out
     groups: dict[tuple, list[int]] = {}
     for i, (batch, penalty) in enumerate(zip(batches, penalties)):
         groups.setdefault((batch.size, penalty), []).append(i)
-    out = [model] * len(batches)
     for (_, penalty), idx in groups.items():
         stack = np.broadcast_to(model.vector, (len(idx), model.layout.size))
         batch = Batch(*(
             np.array([getattr(batches[i], part) for i in idx])
             for part in ("labels", "user_rows", "item_rows")
         ))
-        adapted = _adapt(model.layout.build(stack), batch, cfg, penalty)
-        for i, row in zip(idx, adapted.vector):
-            out[i] = model.layout.build(row)
+        for i, row in zip(idx, _adapt(model, stack, batch, cfg, penalty)):
+            out[i] = row
     return out
 
 
@@ -255,11 +259,11 @@ def _meta_step(
     adapted = _adapt_stacked(model, [t.support for t in ordered], penalties, cfg)
     total = None
     loss_sum = 0.0
-    for task, task_model, penalty in zip(ordered, adapted, penalties):
-        loss, grads = model_loss_and_grad(task_model, task.query, cfg.loss_kind, penalty)
+    for task, vector, penalty in zip(ordered, adapted, penalties):
+        loss, grad = loss_and_grad_at(model, vector, task.query, cfg.loss_kind, penalty)
         loss_sum += loss
         # each term is checked finite; the outer step checks the sum
-        total = grads.vector if total is None else total + grads.vector
+        total = grad if total is None else total + grad
     total_grads = model.layout.build(total)
     if cfg.outer_optimizer is OuterOptimizer.SGD:
         new_model = numcore.sgd_step(model, total_grads, cfg.beta)
@@ -322,7 +326,7 @@ def meta_inference(
         chunk = ordered[start : start + cfg.shop_batch_size]
         batches = [prepare_batch(t.support, features, *enc) for t in chunk]
         adapted = _adapt_stacked(model, batches, [None] * len(chunk), cfg)
-        out.update((t.shop_id, m) for t, m in zip(chunk, adapted))
+        out.update((t.shop_id, model.at(v)) for t, v in zip(chunk, adapted))
     return out
 
 
@@ -422,7 +426,7 @@ def _sgd_epochs(
 
     Each epoch shuffles rows 0..n-1 (seeded by ``[cfg.seed, tag]``) and steps
     on ``batch_size`` of them at a time (all n when None), with the loss and
-    gradients ``batch_loss(model, rows)`` gives; losses are per-epoch means.
+    gradient vector ``batch_loss(vector, rows)`` gives; losses are per-epoch means.
     """
     if epochs < 0:
         raise ConfigError(f"epochs must be >= 0, got {epochs}")
@@ -432,15 +436,16 @@ def _sgd_epochs(
     rng = np.random.default_rng([cfg.seed, tag])
     history = TrainHistory()
     starts = range(0, n, bs)
+    vector = model.vector
     for _ in range(epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
         for start in starts:
-            loss, grads = batch_loss(model, order[start : start + bs])
-            model = numcore.sgd_step(model, grads, cfg.alpha)
+            loss, grad = batch_loss(vector, order[start : start + bs])
+            vector = numcore.sgd_update(model.layout, vector, grad, cfg.alpha)
             epoch_loss += loss
         history.losses.append(epoch_loss / len(starts))
-    return model, history
+    return model.at(vector), history
 
 
 def nonmeta_train(
@@ -460,8 +465,8 @@ def nonmeta_train(
         raise EmptyBatchError("nonmeta_train with no records")
     full = prepare_batch(records, features, model.user_encoder, model.item_encoder)
 
-    def batch_loss(m: RecModel, rows: np.ndarray) -> tuple[float, RecModel]:
-        return model_loss_and_grad(m, _slice_batch(full, rows), cfg.loss_kind)
+    def batch_loss(vector: np.ndarray, rows: np.ndarray) -> tuple[float, np.ndarray]:
+        return loss_and_grad_at(model, vector, _slice_batch(full, rows), cfg.loss_kind)
 
     return _sgd_epochs(model, full.size, batch_loss, cfg, epochs, batch_size, 29)
 
@@ -508,11 +513,12 @@ def train_baseline(
     if not pairs:
         raise EmptyBatchError("no trainable pairs (every user is cold)")
 
-    def batch_loss(m: BaselineModel, rows: np.ndarray) -> tuple[float, BaselineModel]:
+    def batch_loss(vector: np.ndarray, rows: np.ndarray) -> tuple[float, np.ndarray]:
         chunk = [pairs[j] for j in rows]
         pos = [(u, i) for u, i, p in chunk if p]
         neg = [(u, i) for u, i, p in chunk if not p]
-        return baseline_loss_and_grad(m, pos, neg, hist, features)
+        loss, grads = baseline_loss_and_grad(model.at(vector), pos, neg, hist, features)
+        return loss, grads.vector
 
     return _sgd_epochs(model, len(pairs), batch_loss, cfg, epochs, batch_size, 31)
 

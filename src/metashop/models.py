@@ -5,11 +5,12 @@ network so that one gradient step updates embedding tables and dense layers
 together. The bundle is one numcore.ParamTree: every table, weight and bias
 is a view of the model's single float64 ``vector`` (user tables, item
 tables, then the scorer's layers), validated once when the model is built
-or loaded. A gradient is a zeroed RecModel of the same layout; backprop
-writes the dense-layer gradients into it and ``np.add.at`` scatters the
-table gradients into its table slices, and the filled vector is checked for
-finiteness once. A BaselineModel is laid out the same way (item tables, then
-the mapper's layers). prepare_batch looks up and resolves each distinct
+or loaded. ``loss_and_grad_at`` reads the parameters as leaf views of a
+(P,) vector or a (T, P) stack; its gradient is a zeroed vector of the same
+layout, into whose leaves backprop writes the dense-layer gradients and
+``np.add.at`` scatters the table gradients, checked for finiteness once. A
+BaselineModel is laid out the same way (item tables, then the mapper's
+layers). prepare_batch looks up and resolves each distinct
 user and item id of a batch once, then gathers one feature row per record.
 
 Model kinds:
@@ -219,17 +220,20 @@ def _task_index(rows: np.ndarray) -> tuple:
     return (np.arange(rows.shape[0])[:, None],) if rows.ndim == 3 else ()
 
 
+def _encode(encoder: FeatureEncoder, tables: Sequence[np.ndarray], rows: np.ndarray):
+    if encoder.mode is EncoderMode.PRETRAINED:
+        return rows
+    at = _task_index(rows)
+    return np.concatenate([t[(*at, rows[..., j])] for j, t in enumerate(tables)], axis=-1)
+
+
 def encode_rows(encoder: FeatureEncoder, rows: np.ndarray) -> np.ndarray:
     """Float features for feature_rows output.
 
     Index rows gather and concatenate table rows; pretrained rows already
     are the features; a stack's rows gather from each task's own tables.
     """
-    if encoder.mode is EncoderMode.PRETRAINED:
-        return rows
-    at, tables = _task_index(rows), encoder.tables
-    parts = [tables[f.name][(*at, rows[..., j])] for j, f in enumerate(encoder.fields)]
-    return np.concatenate(parts, axis=-1)
+    return _encode(encoder, numcore.tree_leaves(encoder), rows)
 
 
 def encode(encoder: FeatureEncoder, raw: Any) -> np.ndarray:
@@ -365,20 +369,48 @@ def prepare_batch(
     )
 
 
-def _encoder_grad(
-    encoder: FeatureEncoder, idx: np.ndarray, d_feats: np.ndarray, grads: FeatureEncoder
-) -> None:
-    """Scatter-add ``d_feats`` into the zeroed tables of ``grads``, field by field.
+def _encoder_grad(idx: np.ndarray, d_feats: np.ndarray, tables: Sequence) -> None:
+    """Scatter-add ``d_feats`` into the zeroed gradient ``tables``, field by field.
 
     A pretrained encoder has no tables, so there is nothing to write.
     """
     offset = 0
-    for j, f in enumerate(encoder.fields):
-        table = grads.tables[f.name]
+    for j, table in enumerate(tables):
         width = table.shape[-1]
         at = (*_task_index(idx), idx[..., j])
         np.add.at(table, at, d_feats[..., offset : offset + width])
         offset += width
+
+
+def loss_and_grad_at(
+    model: RecModel,
+    vector: np.ndarray,
+    batch: Batch,
+    loss_kind: numcore.LossKind,
+    pred_penalty: tuple[float, float] | None = None,
+) -> tuple[Any, np.ndarray]:
+    """``model_loss_and_grad`` at a (P,) ``vector`` or a (T, P) stack laid
+    out like ``model``, which gives only the structure.
+
+    Returns (objective, gradient vector shaped like ``vector``), one
+    objective per task for a stack.
+    """
+    if batch.size == 0:
+        raise EmptyBatchError("gradient on an empty batch")
+    grad = np.zeros(vector.shape)
+    p, g = model.layout.leaves(vector), model.layout.leaves(grad)
+    nu = len(model.user_encoder.layout.paths)
+    n = nu + len(model.item_encoder.layout.paths)
+    u = _encode(model.user_encoder, p[:nu], batch.user_rows)
+    v = _encode(model.item_encoder, p[nu:n], batch.item_rows)
+    loss, d_u, d_v = numcore.loss_backward(
+        model.scorer, p[n:], u, v, batch.labels, loss_kind, model.sigmoid_output,
+        pred_penalty, g[n:],
+    )
+    _encoder_grad(batch.user_rows, d_u, g[:nu])
+    _encoder_grad(batch.item_rows, d_v, g[nu:n])
+    model.layout.check_finite(grad, "model_loss_and_grad")
+    return loss, grad
 
 
 def model_loss_and_grad(
@@ -393,19 +425,8 @@ def model_loss_and_grad(
     ``a * mean(pred) + c`` to the objective. Returns (objective value,
     gradients as a RecModel laid out like ``model``), per task for a stack.
     """
-    if batch.size == 0:
-        raise EmptyBatchError("gradient on an empty batch")
-    u = encode_rows(model.user_encoder, batch.user_rows)
-    v = encode_rows(model.item_encoder, batch.item_rows)
-    grads = model.layout.build(np.zeros(model.vector.shape))
-    loss, d_u, d_v = numcore.loss_backward(
-        model.scorer, u, v, batch.labels, loss_kind, model.sigmoid_output,
-        pred_penalty, grads.scorer,
-    )
-    _encoder_grad(model.user_encoder, batch.user_rows, d_u, grads.user_encoder)
-    _encoder_grad(model.item_encoder, batch.item_rows, d_v, grads.item_encoder)
-    numcore.tree_check_finite(grads, "model_loss_and_grad")
-    return loss, grads
+    loss, grad = loss_and_grad_at(model, model.vector, batch, loss_kind, pred_penalty)
+    return loss, model.layout.build(grad)
 
 
 # ---------------------------------------------------------------------------
@@ -569,6 +590,6 @@ def baseline_loss_and_grad(
     d_feats = numcore.mlp_backward(
         model.item_mapper, caches, d_reps, grads.item_mapper
     )
-    _encoder_grad(model.item_encoder, rows, d_feats, grads.item_encoder)
+    _encoder_grad(rows, d_feats, numcore.tree_leaves(grads.item_encoder))
     numcore.tree_check_finite(grads, "baseline_loss_and_grad")
     return loss, grads

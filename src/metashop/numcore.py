@@ -9,15 +9,18 @@ tree derived from it, gradients included:
 
   * the public constructors (init, checkpoint load, tests) validate shapes
     and finiteness, then copy the arrays into a new vector;
-  * an update (sgd_step, adam_step, tree_map) is one or two numpy
-    expressions over the vectors, one finiteness check of the result, and
-    ``Layout.build``, which wraps the new vector without re-running any
-    constructor check;
-  * a gradient is a zeroed tree of the model's layout that backprop fills
-    in place, checked for finiteness once.
+  * an update (sgd_update) is a numpy expression over (..., P) vectors and
+    one finiteness check; sgd_step, adam_step and tree_map wrap the result
+    with ``Layout.build``, which runs no constructor check;
+  * a gradient is a zeroed (..., P) vector that backprop fills in place
+    through its ``Layout.leaves`` views, checked for finiteness once.
 
-``loss_backward`` is the one forward, sigmoid, loss (plus penalty) and backward
-routine; ``loss_gradient`` and ``models.model_loss_and_grad`` call it.
+The kernels take a tree only for its structure (variant, activations,
+biases) and read the numbers from leaves in leaf order, the ``Layout.leaves``
+of a (P,) vector or a (T, P) stack, so trainers build no trees;
+``mlp_forward_trace``, ``mlp_backward`` and ``model_forward_trace`` pass a
+tree's own leaves. ``loss_backward`` is the one forward, sigmoid, loss (plus
+penalty) and backward routine; ``loss_gradient`` and ``models`` call it.
 
 A non-finite value is reported as a NumericError naming the operation and
 the first bad leaf's path, for example ``scorer.user_tower.layers[0].weights``.
@@ -83,7 +86,8 @@ class Layout:
     ``shapes[i]``. ``build`` wraps any float64 vector of ``size`` entries in a
     tree of this shape whose leaves are views of it; it runs no constructor
     check, so callers check the vector first. A (T, size) matrix builds a
-    stack of T trees as one, leaf ``i`` of shape ``(T, *shapes[i])``.
+    stack of T trees as one, leaf ``i`` of shape ``(T, *shapes[i])``;
+    ``leaves`` gives the same views as a list, without a tree.
     """
 
     paths: tuple[str, ...]
@@ -92,9 +96,14 @@ class Layout:
     build: Callable[[np.ndarray], Any] = dataclasses.field(repr=False, compare=False)
     # zeros whose dot product with a vector is 0.0 exactly when it is finite
     finite_probe: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+    # per leaf: its slice of the last axis, and its shape unless it is 1-D
+    keys: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "finite_probe", np.zeros(self.size))
+        spans = zip(self.offsets, self.offsets[1:], self.shapes)
+        keys = [(slice(a, b), s if len(s) != 1 else None) for a, b, s in spans]
+        object.__setattr__(self, "keys", tuple(keys))
 
     @property
     def size(self) -> int:
@@ -104,9 +113,25 @@ class Layout:
         """A tree of this shape over a new zeroed vector (a gradient to fill)."""
         return self.build(np.zeros(self.size))
 
-    def leaf_path(self, index: int) -> str:
-        """The path of the leaf that holds vector entry ``index``."""
-        return self.paths[bisect.bisect_right(self.offsets, index) - 1]
+    def leaves(self, vector: np.ndarray) -> list[np.ndarray]:
+        """Each leaf of a (..., size) ``vector`` as a view, of shape (..., *shapes[i])."""
+        lead = vector.shape[:-1]
+        return [
+            vector[..., k] if s is None else vector[..., k].reshape(lead + s)
+            for k, s in self.keys
+        ]
+
+    def check_finite(self, vector: np.ndarray, op_name: str) -> None:
+        """Raise NumericError naming ``op_name`` and the first non-finite leaf
+        (in a stack, of the lowest non-finite row)."""
+        # 0 * x is 0 for finite x and NaN for NaN or inf, so one dot product
+        # with zeros (per row) is the whole test on the common, finite path
+        finite = vector.dot(self.finite_probe) == 0.0
+        if finite if vector.ndim == 1 else finite.all():
+            return
+        index = int(np.argmin(np.isfinite(vector))) % self.size
+        where = self.paths[bisect.bisect_right(self.offsets, index) - 1]
+        raise NumericError(f"non-finite values in {op_name} at {where}")
 
 
 class ParamTree:
@@ -128,11 +153,15 @@ class ParamTree:
 
     def _pack(self) -> None:
         layout, vector = _compile(self)
-        _check_finite(vector, layout, type(self).__name__)
+        layout.check_finite(vector, type(self).__name__)
         object.__setattr__(self, "vector", vector)
         object.__setattr__(self, "layout", layout)
         if layout.paths:
             vars(self).update(vars(layout.build(vector)))
+
+    def at(self, vector: np.ndarray) -> Any:
+        """This tree's shape around ``vector``; the tree itself if it is its own."""
+        return self if vector is self.vector else self.layout.build(vector)
 
 
 def _compile(node: ParamTree) -> tuple[Layout, np.ndarray]:
@@ -210,18 +239,6 @@ def _compile(node: ParamTree) -> tuple[Layout, np.ndarray]:
     return layout, vector
 
 
-def _check_finite(vector: np.ndarray, layout: Layout, op_name: str) -> None:
-    """Raise NumericError naming ``op_name`` and the first non-finite leaf
-    (in a stack, of the lowest non-finite row)."""
-    # 0 * x is 0 for finite x and NaN for NaN or inf, so one dot product
-    # with zeros (per row) is the whole test on the common, finite path
-    finite = vector.dot(layout.finite_probe) == 0.0
-    if finite if vector.ndim == 1 else finite.all():
-        return
-    where = layout.leaf_path(int(np.argmin(np.isfinite(vector))) % layout.size)
-    raise NumericError(f"non-finite values in {op_name} at {where}")
-
-
 # ---------------------------------------------------------------------------
 # parameter containers
 # ---------------------------------------------------------------------------
@@ -265,6 +282,8 @@ class MlpParams(ParamTree):
     PARTS = ("layers",)
     layers: tuple[DenseLayerParams, ...]
     activations: tuple[Activation, ...]
+    # per layer: (weights, biases or None) leaf indices and the activation
+    plan: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "layers", tuple(self.layers))
@@ -281,6 +300,11 @@ class MlpParams(ParamTree):
                     f"layer input dim {nxt.in_dim} does not match previous "
                     f"output dim {prev.out_dim}"
                 )
+        plan, i = [], 0
+        for layer, act in zip(self.layers, self.activations):
+            plan.append((i, i + 1 if layer.biases is not None else None, act))
+            i += len(layer.layout.paths)
+        object.__setattr__(self, "plan", tuple(plan))
         self._pack()
 
     @property
@@ -411,27 +435,40 @@ def _apply_activation(kind: Activation, z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _mlp_forward(params: MlpParams, leaves: Sequence, x: np.ndarray) -> tuple:
+    h, caches = x, []
+    for w, b, act in params.plan:
+        z = h @ leaves[w].swapaxes(-1, -2)
+        if b is not None:
+            z += leaves[b][..., None, :]
+        caches.append((h, z))
+        h = _apply_activation(act, z)
+    return h, caches
+
+
 def mlp_forward_trace(
     params: MlpParams, x: np.ndarray
 ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """Forward pass keeping per-layer (input, pre-activation) for backprop.
 
-    Args:
-        params: the MLP.
-        x: batch of inputs, shape (n, in_dim), or (T, n, in_dim) for a stack.
-
-    Returns:
-        (output (n, out_dim), caches) where caches[l] = (X_in, Z) of layer l.
+    ``x`` is (n, in_dim), or (T, n, in_dim) for a stack. Returns (output
+    (n, out_dim), caches) where caches[l] = (X_in, Z) of layer l.
     """
-    caches = []
-    h = x
-    for layer, act in zip(params.layers, params.activations):
-        z = h @ layer.weights.swapaxes(-1, -2)
-        if layer.biases is not None:
-            z += layer.biases[..., None, :]
-        caches.append((h, z))
-        h = _apply_activation(act, z)
-    return h, caches
+    return _mlp_forward(params, tree_leaves(params), x)
+
+
+def _mlp_backward(params: MlpParams, leaves, caches, d: np.ndarray, grads) -> np.ndarray:
+    for (w, b, act), (x_in, z) in zip(reversed(params.plan), reversed(caches)):
+        if act is Activation.RELU:  # a product, not np.where: keeps NaN * 0 and -0.0
+            d = d * (z > 0.0)
+        elif act is Activation.SIGMOID:
+            s = sigmoid(z)
+            d = d * (s * (1.0 - s))
+        np.matmul(d.swapaxes(-1, -2), x_in, out=grads[w])
+        if b is not None:
+            d.sum(axis=-2, out=grads[b])
+        d = d @ leaves[w]
+    return d
 
 
 def mlp_backward(
@@ -445,23 +482,7 @@ def mlp_backward(
     Writes each layer's gradient into the matching leaves of ``grads``, an
     MlpParams of the same shape, and returns the gradient w.r.t. the input.
     """
-    d = d_out
-    for layer, grad, act, (x_in, z) in zip(
-        reversed(params.layers),
-        reversed(grads.layers),
-        reversed(params.activations),
-        reversed(caches),
-    ):
-        if act is Activation.RELU:  # a product, not np.where: keeps NaN * 0 and -0.0
-            d = d * (z > 0.0)
-        elif act is Activation.SIGMOID:
-            s = sigmoid(z)
-            d = d * (s * (1.0 - s))
-        np.matmul(d.swapaxes(-1, -2), x_in, out=grad.weights)
-        if layer.biases is not None:
-            d.sum(axis=-2, out=grad.biases)
-        d = d @ layer.weights
-    return d
+    return _mlp_backward(params, tree_leaves(params), caches, d_out, tree_leaves(grads))
 
 
 # ---------------------------------------------------------------------------
@@ -482,26 +503,20 @@ class ModelTrace:
     joint_caches: list | None = None
 
 
-def model_forward_trace(
-    params: ModelParameters, user_x: np.ndarray, item_x: np.ndarray
-) -> tuple[np.ndarray, ModelTrace]:
-    """Score a batch and keep what backprop needs.
+def _split(params: ModelParameters, leaves: Sequence) -> tuple:  # towers' or joint's
+    n = len(params.user_tower.layout.paths) if params.user_tower else len(leaves)
+    return leaves[:n], leaves[n:]
 
-    Args:
-        params: scoring parameters (either variant).
-        user_x: (n, user_dim) float features.
-        item_x: (n, item_dim) float features; item_dim may be 0 for JOINT.
 
-    Returns:
-        (raw scores (n,), trace); (T, n) scores for (T, n, dim) features.
-    """
+def _model_forward(params: ModelParameters, leaves, user_x, item_x) -> tuple:
     if user_x.shape[:-1] != item_x.shape[:-1]:
         raise ShapeError(
             f"batch sizes differ: {user_x.shape[-2]} vs {item_x.shape[-2]}"
         )
+    first, second = _split(params, leaves)
     if params.variant is ModelVariant.TWO_TOWER:
-        hu, uc = mlp_forward_trace(params.user_tower, user_x)
-        hi, ic = mlp_forward_trace(params.item_tower, item_x)
+        hu, uc = _mlp_forward(params.user_tower, first, user_x)
+        hi, ic = _mlp_forward(params.item_tower, second, item_x)
         raw = (hu * hi).sum(axis=-1)
         return raw, ModelTrace(user_x, item_x, uc, ic, hu, hi)
     x = np.concatenate([user_x, item_x], axis=-1)
@@ -509,26 +524,40 @@ def model_forward_trace(
         raise ShapeError(
             f"concatenated dim {x.shape[-1]} != joint input {params.joint.in_dim}"
         )
-    out, jc = mlp_forward_trace(params.joint, x)
+    out, jc = _mlp_forward(params.joint, first, x)
     return out[..., 0], ModelTrace(user_x, item_x, joint_caches=jc)
 
 
+def model_forward_trace(
+    params: ModelParameters, user_x: np.ndarray, item_x: np.ndarray
+) -> tuple[np.ndarray, ModelTrace]:
+    """Score a batch and keep what backprop needs.
+
+    ``user_x`` is (n, user_dim) and ``item_x`` (n, item_dim) float features;
+    item_dim may be 0 for JOINT. Returns (raw scores (n,), trace); (T, n)
+    scores for (T, n, dim) features.
+    """
+    return _model_forward(params, tree_leaves(params), user_x, item_x)
+
+
 def model_backward(
-    params: ModelParameters, trace: ModelTrace, d_raw: np.ndarray, grads: ModelParameters
+    params: ModelParameters, leaves: Sequence, trace: ModelTrace, d_raw: np.ndarray,
+    grads: Sequence,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Backpropagate d(loss)/d(raw score) through the scoring network.
 
-    Writes the parameter gradients into ``grads`` (same shape as ``params``)
-    and returns (d_user_x, d_item_x), shaped like the feature matrices; they
-    feed embedding-table updates upstream.
+    Writes the parameter gradients into ``grads``, the leaves of a zeroed
+    gradient laid out like ``leaves``, and returns (d_user_x, d_item_x),
+    shaped like the feature matrices; they feed embedding-table updates.
     """
+    (first, second), (g_first, g_second) = _split(params, leaves), _split(params, grads)
     if params.variant is ModelVariant.TWO_TOWER:
         d_hu = d_raw[..., None] * trace.hi
         d_hi = d_raw[..., None] * trace.hu
-        dxu = mlp_backward(params.user_tower, trace.user_caches, d_hu, grads.user_tower)
-        dxi = mlp_backward(params.item_tower, trace.item_caches, d_hi, grads.item_tower)
+        dxu = _mlp_backward(params.user_tower, first, trace.user_caches, d_hu, g_first)
+        dxi = _mlp_backward(params.item_tower, second, trace.item_caches, d_hi, g_second)
         return dxu, dxi
-    dx = mlp_backward(params.joint, trace.joint_caches, d_raw[..., None], grads.joint)
+    dx = _mlp_backward(params.joint, first, trace.joint_caches, d_raw[..., None], g_first)
     du = trace.user_x.shape[-1]
     return dx[..., :du], dx[..., du:]
 
@@ -569,18 +598,19 @@ def _per_task(loss: Any) -> Any:  # a float for one task, an array for a stack
 
 
 def loss_backward(
-    params: ModelParameters, user_x: np.ndarray, item_x: np.ndarray,
+    params: ModelParameters, leaves: Sequence, user_x: np.ndarray, item_x: np.ndarray,
     labels: np.ndarray, loss_kind: LossKind, sigmoid_output: bool,
-    pred_penalty: tuple[float, float] | None, grads: ModelParameters,
+    pred_penalty: tuple[float, float] | None, grads: Sequence,
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Forward a batch, take its loss and backpropagate it into ``grads``.
+    """Forward a batch at ``leaves``, take its loss and backpropagate it.
 
     ``sigmoid_output`` squashes raw scores before the loss; ``pred_penalty``
     (a, c) adds ``a * mean(pred) + c`` to the objective (the fairness
-    regularizers). ``grads`` is a zeroed tree laid out like ``params``.
-    Returns (objective, d_user_x, d_item_x), one objective per task of a stack.
+    regularizers). ``grads`` are the leaves of a zeroed gradient laid out
+    like ``leaves``. Returns (objective, d_user_x, d_item_x), one objective
+    per task of a stack.
     """
-    raw, trace = model_forward_trace(params, user_x, item_x)
+    raw, trace = _model_forward(params, leaves, user_x, item_x)
     pred = sigmoid(raw) if sigmoid_output else raw
     loss, d_pred = loss_and_pred_grad(pred, labels, loss_kind)
     if pred_penalty is not None:
@@ -589,7 +619,7 @@ def loss_backward(
         loss = _per_task(loss + (a * (pred.sum(axis=-1) / n) + c))
         d_pred = d_pred + a / n
     d_raw = d_pred * pred * (1.0 - pred) if sigmoid_output else d_pred
-    d_user_x, d_item_x = model_backward(params, trace, d_raw, grads)
+    d_user_x, d_item_x = model_backward(params, leaves, trace, d_raw, grads)
     return loss, d_user_x, d_item_x
 
 
@@ -608,7 +638,8 @@ def loss_gradient(
     if u.shape[0] == 0:
         raise EmptyBatchError("gradient on an empty batch")
     grads = params.layout.zeros()
-    loss, _, _ = loss_backward(params, u, v, y, loss_kind, sigmoid_output, None, grads)
+    p, g = tree_leaves(params), tree_leaves(grads)
+    loss, _, _ = loss_backward(params, p, u, v, y, loss_kind, sigmoid_output, None, g)
     if not np.isfinite(loss):
         raise NumericError(f"non-finite loss from {loss_kind.value}")
     tree_check_finite(grads, "loss_gradient")
@@ -630,20 +661,22 @@ def _vector_like(tree: ParamTree, other: ParamTree) -> np.ndarray:
     return other.vector
 
 
-def _rebuilt(tree: ParamTree, vector: np.ndarray, op_name: str) -> Any:
-    """``tree``'s shape around ``vector``, which must be finite."""
-    _check_finite(vector, tree.layout, op_name)
-    return tree.layout.build(vector)
+def sgd_update(layout: Layout, vector: np.ndarray, grad: np.ndarray, stepsize: float):
+    """``vector - stepsize * grad`` for (..., P) vectors, checked finite (at
+    stepsize 0, ``vector`` itself)."""
+    if not math.isfinite(stepsize) or stepsize < 0:
+        raise NumericError(f"invalid stepsize {stepsize}")
+    if stepsize == 0.0:
+        return vector
+    new = vector - stepsize * grad
+    layout.check_finite(new, "sgd_step")
+    return new
 
 
 def sgd_step(params: ParamTree, grads: ParamTree, stepsize: float) -> Any:
     """One plain gradient step ``p - stepsize * g`` over the parameter vector."""
-    if not math.isfinite(stepsize) or stepsize < 0:
-        raise NumericError(f"invalid stepsize {stepsize}")
-    if stepsize == 0.0:
-        return params
     g = _vector_like(params, grads)
-    return _rebuilt(params, params.vector - stepsize * g, "sgd_step")
+    return params.at(sgd_update(params.layout, params.vector, g, stepsize))
 
 
 @dataclass(frozen=True)
@@ -672,16 +705,17 @@ def adam_step(
     """
     if not math.isfinite(stepsize) or stepsize < 0:
         raise NumericError(f"invalid stepsize {stepsize}")
-    p, g = params.vector, _vector_like(params, grads)
+    p, g, layout = params.vector, _vector_like(params, grads), params.layout
     t = state.step_count + 1
     m = ADAM_BETA1 * state.first_moment + (1.0 - ADAM_BETA1) * g
     v = ADAM_BETA2 * state.second_moment + (1.0 - ADAM_BETA2) * g * g
-    _check_finite(m, params.layout, "adam_step")
-    _check_finite(v, params.layout, "adam_step")
+    layout.check_finite(m, "adam_step")
+    layout.check_finite(v, "adam_step")
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
     new_p = p - stepsize * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-    return _rebuilt(params, new_p, "adam_step"), AdamState(t, m, v)
+    layout.check_finite(new_p, "adam_step")
+    return layout.build(new_p), AdamState(t, m, v)
 
 
 # ---------------------------------------------------------------------------
@@ -691,11 +725,7 @@ def adam_step(
 
 def tree_leaves(tree: ParamTree) -> list[np.ndarray]:
     """Every leaf, in vector order, as a view of the tree's vector."""
-    vector, layout = tree.vector, tree.layout
-    return [
-        vector[a:b].reshape(shape)
-        for a, b, shape in zip(layout.offsets, layout.offsets[1:], layout.shapes)
-    ]
+    return tree.layout.leaves(tree.vector)
 
 
 def tree_map(fn: Callable[..., np.ndarray], tree: ParamTree, *rest: ParamTree) -> Any:
@@ -718,12 +748,13 @@ def tree_map(fn: Callable[..., np.ndarray], tree: ParamTree, *rest: ParamTree) -
                 f"into shape {out.shape}"
             )
         vector[layout.offsets[i] : layout.offsets[i + 1]] = out.ravel()
-    return _rebuilt(tree, vector, "tree_map")
+    layout.check_finite(vector, "tree_map")
+    return layout.build(vector)
 
 
 def tree_check_finite(tree: ParamTree, op_name: str) -> None:
     """Raise NumericError naming ``op_name`` and the first leaf with NaN/Inf."""
-    _check_finite(tree.vector, tree.layout, op_name)
+    tree.layout.check_finite(tree.vector, op_name)
 
 
 def tree_allclose(

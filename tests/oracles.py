@@ -12,9 +12,12 @@ reproduce bit for bit, tree_add sums gradient trees for tests that
 rebuild a meta step by hand, sigmoid_masked and
 mlp_backward_with_derivs are the two-mask sigmoid and the backprop through
 per-layer derivative arrays that numcore's one-pass forms must reproduce
-bit for bit, and meta_step_per_task and meta_inference_per_task adapt one
+bit for bit, meta_step_per_task and meta_inference_per_task adapt one
 task at a time, as the stacked meta step and meta_inference must reproduce
-bit for bit.
+bit for bit, and the *_tree functions are the forward, backward and
+loss-and-gradient passes that walk a parameter tree's attributes (a stack's
+leaves carry a leading task axis), which the kernels reading leaf views of
+one (..., P) vector must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -34,20 +37,24 @@ from metashop.metaopt import (
 from metashop.errors import EmptyBatchError
 from metashop.models import (
     Batch,
+    EncoderMode,
     RecModel,
     encode_rows,
     feature_rows,
-    model_loss_and_grad,
     prepare_batch,
 )
 from metashop.numcore import (
     Activation,
     MlpParams,
+    ModelTrace,
+    ModelVariant,
     adam_init,
     adam_step,
+    loss_and_pred_grad,
     model_forward_trace,
     sgd_step,
     sigmoid,
+    tree_check_finite,
     tree_leaves,
     tree_map,
 )
@@ -262,10 +269,118 @@ def meta_train_per_step(model, tasks, features, cfg, steps, regularized=False):
     return model, losses
 
 
+def _apply(kind: Activation, z: np.ndarray) -> np.ndarray:
+    if kind is Activation.RELU:
+        return np.maximum(z, 0.0)
+    return sigmoid(z) if kind is Activation.SIGMOID else z
+
+
+def mlp_forward_trace_tree(params: MlpParams, x):
+    """Forward pass through ``params.layers``, keeping (input, pre-activation)."""
+    caches = []
+    h = x
+    for layer, act in zip(params.layers, params.activations):
+        z = h @ layer.weights.swapaxes(-1, -2)
+        if layer.biases is not None:
+            z += layer.biases[..., None, :]
+        caches.append((h, z))
+        h = _apply(act, z)
+    return h, caches
+
+
+def mlp_backward_tree(params: MlpParams, caches, d_out, grads: MlpParams):
+    """Backprop writing each layer's gradient into ``grads.layers``."""
+    d = d_out
+    for layer, grad, act, (x_in, z) in zip(
+        reversed(params.layers),
+        reversed(grads.layers),
+        reversed(params.activations),
+        reversed(caches),
+    ):
+        if act is Activation.RELU:
+            d = d * (z > 0.0)
+        elif act is Activation.SIGMOID:
+            s = sigmoid(z)
+            d = d * (s * (1.0 - s))
+        np.matmul(d.swapaxes(-1, -2), x_in, out=grad.weights)
+        if layer.biases is not None:
+            d.sum(axis=-2, out=grad.biases)
+        d = d @ layer.weights
+    return d
+
+
+def model_forward_trace_tree(params, user_x, item_x):
+    if params.variant is ModelVariant.TWO_TOWER:
+        hu, uc = mlp_forward_trace_tree(params.user_tower, user_x)
+        hi, ic = mlp_forward_trace_tree(params.item_tower, item_x)
+        return (hu * hi).sum(axis=-1), ModelTrace(user_x, item_x, uc, ic, hu, hi)
+    x = np.concatenate([user_x, item_x], axis=-1)
+    out, jc = mlp_forward_trace_tree(params.joint, x)
+    return out[..., 0], ModelTrace(user_x, item_x, joint_caches=jc)
+
+
+def model_backward_tree(params, trace, d_raw, grads):
+    if params.variant is ModelVariant.TWO_TOWER:
+        d_hu = d_raw[..., None] * trace.hi
+        d_hi = d_raw[..., None] * trace.hu
+        dxu = mlp_backward_tree(params.user_tower, trace.user_caches, d_hu, grads.user_tower)
+        dxi = mlp_backward_tree(params.item_tower, trace.item_caches, d_hi, grads.item_tower)
+        return dxu, dxi
+    dx = mlp_backward_tree(params.joint, trace.joint_caches, d_raw[..., None], grads.joint)
+    du = trace.user_x.shape[-1]
+    return dx[..., :du], dx[..., du:]
+
+
+def _task_rows(rows):
+    return (np.arange(rows.shape[0])[:, None],) if rows.ndim == 3 else ()
+
+
+def encode_rows_tree(encoder, rows):
+    """Gather each field's rows from ``encoder.tables`` and concatenate them."""
+    if encoder.mode is EncoderMode.PRETRAINED:
+        return rows
+    at = _task_rows(rows)
+    parts = [encoder.tables[f.name][(*at, rows[..., j])] for j, f in enumerate(encoder.fields)]
+    return np.concatenate(parts, axis=-1)
+
+
+def _encoder_grad_tree(encoder, idx, d_feats, grads):
+    offset = 0
+    for j, f in enumerate(encoder.fields):
+        table = grads.tables[f.name]
+        width = table.shape[-1]
+        np.add.at(table, (*_task_rows(idx), idx[..., j]), d_feats[..., offset : offset + width])
+        offset += width
+
+
+def model_loss_and_grad_tree(model: RecModel, batch: Batch, loss_kind, pred_penalty=None):
+    """models.model_loss_and_grad walking ``model`` and a zeroed gradient tree."""
+    if batch.size == 0:
+        raise EmptyBatchError("gradient on an empty batch")
+    u = encode_rows_tree(model.user_encoder, batch.user_rows)
+    v = encode_rows_tree(model.item_encoder, batch.item_rows)
+    grads = model.layout.build(np.zeros(model.vector.shape))
+    raw, trace = model_forward_trace_tree(model.scorer, u, v)
+    pred = sigmoid(raw) if model.sigmoid_output else raw
+    loss, d_pred = loss_and_pred_grad(pred, batch.labels, loss_kind)
+    if pred_penalty is not None:
+        a, c = pred_penalty
+        n = pred.shape[-1]
+        loss = loss + (a * (pred.sum(axis=-1) / n) + c)
+        loss = loss if isinstance(loss, np.ndarray) else float(loss)
+        d_pred = d_pred + a / n
+    d_raw = d_pred * pred * (1.0 - pred) if model.sigmoid_output else d_pred
+    d_u, d_v = model_backward_tree(model.scorer, trace, d_raw, grads.scorer)
+    _encoder_grad_tree(model.user_encoder, batch.user_rows, d_u, grads.user_encoder)
+    _encoder_grad_tree(model.item_encoder, batch.item_rows, d_v, grads.item_encoder)
+    tree_check_finite(grads, "model_loss_and_grad")
+    return loss, grads
+
+
 def adapt_alone(model, batch, cfg, penalty):
     """K plain SGD steps of one model on one support batch."""
     for _ in range(cfg.local_steps):
-        _, grads = model_loss_and_grad(model, batch, cfg.loss_kind, penalty)
+        _, grads = model_loss_and_grad_tree(model, batch, cfg.loss_kind, penalty)
         model = sgd_step(model, grads, cfg.alpha)
     return model
 
@@ -289,7 +404,7 @@ def meta_step_per_task(
         task = _resolve(task, features, model)
         penalty = _penalty_for(task, cfg) if regularized else None
         adapted = adapt_alone(model, task.support, cfg, penalty)
-        loss, grads = model_loss_and_grad(adapted, task.query, cfg.loss_kind, penalty)
+        loss, grads = model_loss_and_grad_tree(adapted, task.query, cfg.loss_kind, penalty)
         loss_sum += loss
         total = grads.vector if total is None else total + grads.vector
     total_grads = model.layout.build(total)

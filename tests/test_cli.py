@@ -1287,6 +1287,23 @@ class TestAdapt:
         assert main(base + ["--set", "adapt.shops=[nope]"]) == 2
         assert "nope" in capsys.readouterr().err
 
+    def test_a_shop_listed_twice_is_a_config_error(self, workspace, capsys):
+        cfg_path, out = workspace
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        argv = ["adapt", "--config", str(cfg_path)]
+        for s in [
+            f"adapt.checkpoint={out / 'checkpoint.json'}",
+            f"adapt.support={out / 'train.csv'}",
+            "adapt.shops=[s000, s001, s000]",
+        ]:
+            argv += ["--set", s]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "config error: adapt.shops lists 's000' twice\n"
+        )
+        assert not (out / "adapted").exists()
+
     def test_a_bad_shop_stops_every_write(self, workspace, capsys):
         cfg_path, out = workspace
         assert main(["train", "--config", str(cfg_path)]) == 0
