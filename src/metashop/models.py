@@ -10,8 +10,8 @@ or loaded. ``loss_and_grad_at`` reads the parameters as leaf views of a
 layout, into whose leaves backprop writes the dense-layer gradients and
 ``np.add.at`` scatters the table gradients, checked for finiteness once. A
 BaselineModel is laid out the same way (item tables, then the mapper's
-layers). prepare_batch looks up and resolves each distinct
-user and item id of a batch once, then gathers one feature row per record.
+layers). prepare_batch looks up and resolves each distinct user and item id
+of a batch once, then gathers one feature row per record.
 
 Model kinds:
   * MESH: two MLP towers joined by a dot product of their outputs.
@@ -220,7 +220,7 @@ def _task_index(rows: np.ndarray) -> tuple:
     return (np.arange(rows.shape[0])[:, None],) if rows.ndim == 3 else ()
 
 
-def _encode(encoder: FeatureEncoder, tables: Sequence[np.ndarray], rows: np.ndarray):
+def _encode(encoder: FeatureEncoder, tables: Sequence, rows: np.ndarray) -> np.ndarray:
     if encoder.mode is EncoderMode.PRETRAINED:
         return rows
     at = _task_index(rows)
@@ -383,10 +383,7 @@ def _encoder_grad(idx: np.ndarray, d_feats: np.ndarray, tables: Sequence) -> Non
 
 
 def loss_and_grad_at(
-    model: RecModel,
-    vector: np.ndarray,
-    batch: Batch,
-    loss_kind: numcore.LossKind,
+    model: RecModel, vector: np.ndarray, batch: Batch, loss_kind: numcore.LossKind,
     pred_penalty: tuple[float, float] | None = None,
 ) -> tuple[Any, np.ndarray]:
     """``model_loss_and_grad`` at a (P,) ``vector`` or a (T, P) stack laid

@@ -503,7 +503,8 @@ class ModelTrace:
     joint_caches: list | None = None
 
 
-def _split(params: ModelParameters, leaves: Sequence) -> tuple:  # towers' or joint's
+def _split(params: ModelParameters, leaves: Sequence) -> tuple:
+    """The user and item towers' leaves; for JOINT, the joint MLP's and none."""
     n = len(params.user_tower.layout.paths) if params.user_tower else len(leaves)
     return leaves[:n], leaves[n:]
 

@@ -323,10 +323,12 @@ def model_backward_tree(params, trace, d_raw, grads):
     if params.variant is ModelVariant.TWO_TOWER:
         d_hu = d_raw[..., None] * trace.hi
         d_hi = d_raw[..., None] * trace.hu
-        dxu = mlp_backward_tree(params.user_tower, trace.user_caches, d_hu, grads.user_tower)
-        dxi = mlp_backward_tree(params.item_tower, trace.item_caches, d_hi, grads.item_tower)
+        user, item = params.user_tower, params.item_tower
+        dxu = mlp_backward_tree(user, trace.user_caches, d_hu, grads.user_tower)
+        dxi = mlp_backward_tree(item, trace.item_caches, d_hi, grads.item_tower)
         return dxu, dxi
-    dx = mlp_backward_tree(params.joint, trace.joint_caches, d_raw[..., None], grads.joint)
+    d_out = d_raw[..., None]
+    dx = mlp_backward_tree(params.joint, trace.joint_caches, d_out, grads.joint)
     du = trace.user_x.shape[-1]
     return dx[..., :du], dx[..., du:]
 
@@ -340,7 +342,8 @@ def encode_rows_tree(encoder, rows):
     if encoder.mode is EncoderMode.PRETRAINED:
         return rows
     at = _task_rows(rows)
-    parts = [encoder.tables[f.name][(*at, rows[..., j])] for j, f in enumerate(encoder.fields)]
+    tables = [encoder.tables[f.name] for f in encoder.fields]
+    parts = [table[(*at, rows[..., j])] for j, table in enumerate(tables)]
     return np.concatenate(parts, axis=-1)
 
 
@@ -349,7 +352,8 @@ def _encoder_grad_tree(encoder, idx, d_feats, grads):
     for j, f in enumerate(encoder.fields):
         table = grads.tables[f.name]
         width = table.shape[-1]
-        np.add.at(table, (*_task_rows(idx), idx[..., j]), d_feats[..., offset : offset + width])
+        at = (*_task_rows(idx), idx[..., j])
+        np.add.at(table, at, d_feats[..., offset : offset + width])
         offset += width
 
 
@@ -404,7 +408,9 @@ def meta_step_per_task(
         task = _resolve(task, features, model)
         penalty = _penalty_for(task, cfg) if regularized else None
         adapted = adapt_alone(model, task.support, cfg, penalty)
-        loss, grads = model_loss_and_grad_tree(adapted, task.query, cfg.loss_kind, penalty)
+        loss, grads = model_loss_and_grad_tree(
+            adapted, task.query, cfg.loss_kind, penalty
+        )
         loss_sum += loss
         total = grads.vector if total is None else total + grads.vector
     total_grads = model.layout.build(total)

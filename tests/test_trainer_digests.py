@@ -64,8 +64,8 @@ def test_trainer_writes_the_recorded_bytes(world, case):
     assert main(["train", *argv]) == 0
     digest = hashlib.sha256()
     if case == "adapt":
-        adapt = ["adapt.checkpoint={out}/checkpoint.json", "adapt.support={out}/train.csv"]
-        assert main(["adapt", *argv, *_sets(adapt, out=out)]) == 0
+        paths = ["adapt.checkpoint={out}/checkpoint.json", "adapt.support={out}/train.csv"]
+        assert main(["adapt", *argv, *_sets(paths, out=out)]) == 0
         for path in sorted((out / "adapted").glob("*.json")):
             digest.update(path.name.encode() + b"\0" + path.read_bytes())
     else:

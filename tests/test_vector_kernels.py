@@ -30,7 +30,9 @@ from metashop.models import (
     model_loss_and_grad,
 )
 from metashop.numcore import (
+    Activation,
     LossKind,
+    init_mlp,
     mlp_backward,
     mlp_forward_trace,
     model_forward_trace,
@@ -45,19 +47,32 @@ from oracles import (
 )
 from test_stacked_adapt import encoders, raw_features, worlds
 
-SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
+SETTINGS = settings(derandomize=True, max_examples=12, deadline=None)
+# every pairing of scorer variant, encoder mode, sigmoid output and penalty
+CASES = pytest.mark.parametrize(
+    "kind, categorical, sigmoid, penalty",
+    [
+        (kind, categorical, sigmoid, penalty)
+        for kind in (ModelKind.MESH, ModelKind.MESH_I)
+        for categorical in (False, True)
+        for sigmoid in (False, True)
+        for penalty in (None, (-0.5, 0.5))
+    ],
+)
 
 
 @st.composite
-def problems(draw):
-    """A model, a (P,) vector or (T, P) stack near its own, and a batch to match."""
-    kind = draw(st.sampled_from([ModelKind.MESH, ModelKind.MESH_I]))
+def problems(draw, kind, categorical, sigmoid, penalty):
+    """A model, a (P,) vector or (T, P) stack near its own, and a batch to match.
+
+    ``categorical`` makes the user encoder categorical (the item encoder is
+    drawn); the loss is drawn.
+    """
     towers = kind is ModelKind.MESH
-    user = draw(encoders("u", 1))
+    user = draw(encoders("u", 1).filter(lambda e: bool(e.fields) == categorical))
     item = draw(encoders("i", 1 if towers else 0))
     hidden = draw(st.lists(st.integers(1, 3), min_size=int(towers), max_size=2))
     loss = draw(st.sampled_from(list(LossKind)))
-    sigmoid = loss is LossKind.BCE or draw(st.booleans())
     model = build_model(kind, user, item, hidden, draw(st.integers(0, 99)), sigmoid)
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     tasks = draw(st.sampled_from([None, 1, 2, 4]))
@@ -79,7 +94,6 @@ def problems(draw):
             np.array([getattr(b, part) for b in batches])
             for part in ("labels", "user_rows", "item_rows")
         ))
-    penalty = draw(st.sampled_from([None, (-0.5, 0.5), (0.5, 0.0)]))
     return model, vector, batch, loss, penalty
 
 
@@ -89,9 +103,13 @@ def same_loss(a, b) -> bool:
     return repr(a) == repr(b)
 
 
+@CASES
 @SETTINGS
-@given(problems())
-def test_loss_and_grad_at_equals_the_tree_oracle(problem):
+@given(data=st.data())
+def test_loss_and_grad_at_equals_the_tree_oracle(
+    kind, categorical, sigmoid, penalty, data
+):
+    problem = data.draw(problems(kind, categorical, sigmoid, penalty))
     model, vector, batch, loss_kind, penalty = problem
     loss, grad = loss_and_grad_at(model, vector, batch, loss_kind, penalty)
     want_loss, want = model_loss_and_grad_tree(
@@ -102,9 +120,13 @@ def test_loss_and_grad_at_equals_the_tree_oracle(problem):
     assert grad.tobytes() == want.vector.tobytes()
 
 
+@CASES
 @SETTINGS
-@given(problems())
-def test_public_tree_functions_equal_the_tree_oracles(problem):
+@given(data=st.data())
+def test_public_tree_functions_equal_the_tree_oracles(
+    kind, categorical, sigmoid, penalty, data
+):
+    problem = data.draw(problems(kind, categorical, sigmoid, penalty))
     model, vector, batch, loss_kind, penalty = problem
     tree = model.layout.build(vector)
     if vector.ndim == 1:
@@ -131,6 +153,24 @@ def test_public_tree_functions_equal_the_tree_oracles(problem):
     want_d_x = mlp_backward_tree(mlp, want_caches, d_out, want_grads)
     assert d_x.tobytes() == want_d_x.tobytes()
     assert got_grads.vector.tobytes() == want_grads.vector.tobytes()
+
+
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("hidden", list(Activation))
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_mlp_kernels_equal_the_tree_oracles(bias, hidden, lead):
+    rng = np.random.default_rng(len(lead))
+    mlp = init_mlp([3, 4, 5, 2], 1, hidden, Activation.SIGMOID, bias)
+    stack = mlp.layout.build(mlp.vector + rng.normal(size=lead + mlp.vector.shape))
+    x = rng.normal(size=lead + (6, 3))
+    out, caches = mlp_forward_trace(stack, x)
+    want_out, want_caches = mlp_forward_trace_tree(stack, x)
+    assert out.tobytes() == want_out.tobytes()
+    d_out = rng.normal(size=out.shape)
+    got, want = (mlp.layout.build(np.zeros(stack.vector.shape)) for _ in "ab")
+    d_x = mlp_backward(stack, caches, d_out, got)
+    assert d_x.tobytes() == mlp_backward_tree(stack, want_caches, d_out, want).tobytes()
+    assert got.vector.tobytes() == want.vector.tobytes()
 
 
 def count_builds(model) -> list:
