@@ -23,8 +23,9 @@ import functools
 import json
 import os
 import types
+from collections.abc import Mapping
 from pathlib import Path
-from typing import Any, Mapping, Union, get_args, get_origin, get_type_hints
+from typing import Any, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 

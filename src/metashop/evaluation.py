@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any
 
 import numpy as np
 

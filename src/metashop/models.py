@@ -11,7 +11,9 @@ layout, into whose leaves backprop writes the dense-layer gradients and
 ``np.add.at`` scatters the table gradients, checked for finiteness once. A
 BaselineModel is laid out the same way (item tables, then the mapper's
 layers). prepare_batch looks up and resolves each distinct user and item id
-of a batch once, then gathers one feature row per record.
+of a batch once, then gathers one feature row per record. feature_rows
+converts a whole side in one copy (flat float rows, plain attribute dicts)
+and falls back to a per-row pass for other forms and for errors.
 
 Model kinds:
   * MESH: two MLP towers joined by a dot product of their outputs.
@@ -26,8 +28,9 @@ Model kinds:
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Protocol, Sequence
+from typing import Any, Protocol
 
 import numpy as np
 
@@ -203,16 +206,39 @@ def feature_rows(encoder: FeatureEncoder, raws: Iterable[Any], side: str) -> np.
 
     A pretrained encoder gets float rows, checked against its width (a
     mismatch is a DataError naming ``side``); a categorical encoder gets
-    table-row indices, one column per field.
+    table-row indices, one column per field. Each side is converted in one
+    copy: one ``np.array`` call over float rows that numpy reads as
+    (n, width), one lookup pass per field over plain dicts (a dict subclass
+    may answer a missing field with a default). Other forms, and a copy that
+    raises, go through ``_rows_one_by_one``, which raises in row order.
     """
+    rows = list(raws)
+    try:
+        if encoder.mode is EncoderMode.PRETRAINED:
+            mat = np.array(rows, dtype=np.float64)
+            if mat.shape == (len(rows), encoder.dim):
+                return mat
+        elif rows and all(type(r) is dict for r in rows):
+            mat = np.empty((len(rows), len(encoder.fields)), dtype=np.int64)
+            for j, f in enumerate(encoder.fields):
+                mat[:, j] = [f.positions[r[f.name]] for r in rows]
+            return mat
+    except (KeyError, TypeError, ValueError):
+        pass  # the per-row pass raises the first bad row's error
+    return _rows_one_by_one(encoder, rows, side)
+
+
+def _rows_one_by_one(encoder: FeatureEncoder, rows: list, side: str) -> np.ndarray:
+    """feature_rows one row at a time, for any raw form and in error order."""
     if encoder.mode is EncoderMode.PRETRAINED:
-        mat = np.stack([np.asarray(r, dtype=np.float64).ravel() for r in raws])
-        if mat.shape[1] != encoder.dim:
-            raise DataError(
-                f"{side} features have {mat.shape[1]} dims, expected {encoder.dim}"
-            )
-        return mat
-    return np.stack([resolve_indices(encoder, r) for r in raws])
+        flat = [np.asarray(r, dtype=np.float64).ravel() for r in rows]
+        for r in flat:
+            if r.size != encoder.dim:
+                raise DataError(
+                    f"{side} features have {r.size} dims, expected {encoder.dim}"
+                )
+        return np.stack(flat)
+    return np.stack([resolve_indices(encoder, r) for r in rows])
 
 
 def _task_index(rows: np.ndarray) -> tuple:

@@ -5,10 +5,11 @@ arithmetic, brute-force enumeration) so it shares no code with the package.
 Some exceptions drive the package's own code: meta_train_per_step checks
 only that meta_train's resolve-once cache changes nothing,
 prepare_batch_per_record only that resolving each distinct id once changes
-no batch bit or error, predict_scores is the pairwise reference that
-score_matrix's batched scoring must reproduce, the *_per_leaf updates are
-the leaf-by-leaf arithmetic that the one-vector optimiser steps must
-reproduce bit for bit, tree_add sums gradient trees for tests that
+no batch bit or error, feature_rows_per_row only that converting a side in
+one copy changes no row bit or error, predict_scores is the pairwise
+reference that score_matrix's batched scoring must reproduce, the *_per_leaf
+updates are the leaf-by-leaf arithmetic that the one-vector optimiser steps
+must reproduce bit for bit, tree_add sums gradient trees for tests that
 rebuild a meta step by hand, sigmoid_masked and
 mlp_backward_with_derivs are the two-mask sigmoid and the backprop through
 per-layer derivative arrays that numcore's one-pass forms must reproduce
@@ -34,14 +35,14 @@ from metashop.metaopt import (
     fmst_train_step,
     meta_train_step,
 )
-from metashop.errors import EmptyBatchError
+from metashop.errors import DataError, EmptyBatchError
 from metashop.models import (
     Batch,
     EncoderMode,
     RecModel,
     encode_rows,
-    feature_rows,
     prepare_batch,
+    resolve_indices,
 )
 from metashop.numcore import (
     Activation,
@@ -219,6 +220,19 @@ def predict_scores(model: RecModel, batch: Batch) -> np.ndarray:
     return sigmoid(raw) if model.sigmoid_output else raw
 
 
+def feature_rows_per_row(encoder, raws, side: str) -> np.ndarray:
+    """feature_rows with one conversion and one width check per raw."""
+    if encoder.mode is EncoderMode.PRETRAINED:
+        rows = [np.asarray(r, dtype=np.float64).ravel() for r in raws]
+        for r in rows:
+            if r.shape[0] != encoder.dim:
+                raise DataError(
+                    f"{side} features have {r.shape[0]} dims, expected {encoder.dim}"
+                )
+        return np.stack(rows)
+    return np.stack([resolve_indices(encoder, r) for r in raws])
+
+
 def prepare_batch_per_record(records, features, user_encoder, item_encoder) -> Batch:
     """prepare_batch with one feature lookup and one feature row per record."""
     recs = list(records)
@@ -229,8 +243,8 @@ def prepare_batch_per_record(records, features, user_encoder, item_encoder) -> B
     items = [features.item_raw(r.item_id) for r in recs]
     return Batch(
         labels,
-        feature_rows(user_encoder, users, "user"),
-        feature_rows(item_encoder, items, "item"),
+        feature_rows_per_row(user_encoder, users, "user"),
+        feature_rows_per_row(item_encoder, items, "item"),
     )
 
 

@@ -3,14 +3,27 @@
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metashop.datapipe import AttributeTable, FeatureTable
+from metashop import models
+from metashop.datapipe import (
+    AttributeTable,
+    FeatureTable,
+    SyntheticSpec,
+    attribute_fields,
+    generate_synthetic,
+    load_attributes,
+    load_latents,
+    save_attributes,
+    save_latents,
+)
 from metashop.errors import (
     ColdUserError,
     DataError,
@@ -31,6 +44,7 @@ from metashop.models import (
     build_categorical_encoder,
     build_model,
     encode,
+    feature_rows,
     model_loss_and_grad,
     prepare_batch,
     pretrained_encoder,
@@ -49,6 +63,7 @@ from metashop.numcore import (
 
 from oracles import (
     central_fd_grad,
+    feature_rows_per_row,
     grads_close,
     predict_scores,
     prepare_batch_per_record,
@@ -325,7 +340,7 @@ BAD_BATCHES = [
         "pretrained",
         [("u0", "i0"), ("u1", "i1"), ("u0", "i0")],
         lambda f: with_user(f, "u1", np.zeros(4)),
-        ValueError,
+        DataError,
     ),
     (
         "bad_id_first_seen_late",
@@ -390,6 +405,164 @@ class TestPrepareBatch:
         got = raised(prepare_batch, recs, feats, enc_u, enc_i)
         assert got == raised(prepare_batch_per_record, recs, feats, enc_u, enc_i)
         assert got[0] is expected
+
+
+def outcome(fn, *args):
+    """(dtype, shape, bytes) of the array ``fn(*args)`` returns, or the
+    (type, message) of what it raises."""
+    try:
+        out = fn(*args)
+    except Exception as err:
+        return type(err), str(err)
+    return out.dtype, out.shape, out.tobytes()
+
+
+FLOAT_FORMS = {
+    "flat_float": lambda v: np.asarray(v, dtype=np.float64),
+    "flat_int": lambda v: np.asarray(np.round(v * 4), dtype=np.int64),
+    "list": list,
+    "row_array": lambda v: np.asarray(v)[None, :],
+}
+
+CAT_ENCODER = build_categorical_encoder(USER_FIELDS, 2, 0)
+CAT_FORMS = ("dict", "proxy", "indices", "index_list")
+CAT_FAULTS = (None, "missing", "first_bad", "second_bad")
+
+
+def cat_raw(form, age, region, fault):
+    """A USER_FIELDS raw in ``form``. A mapping's fault drops the second
+    field, makes the first unknown or the second unhashable; an index
+    sequence's is one index short or an out-of-range first or second."""
+    if form in ("dict", "proxy"):
+        good = {"age": age, "region": region}
+        raw = {
+            "missing": {"age": age},
+            "first_bad": {**good, "age": "z"},
+            "second_bad": {**good, "region": ["x"]},
+        }.get(fault, good)
+        return MappingProxyType(raw) if form == "proxy" else raw
+    idx = ("abc".index(age), "xy".index(region))
+    idx = {"missing": idx[:1], "first_bad": (7, idx[1]), "second_bad": (idx[0], 5)}.get(
+        fault, idx
+    )
+    return idx if form == "indices" else [np.int64(v) for v in idx]
+
+
+class TestFeatureRows:
+    """feature_rows converts a side in one copy; the per-row oracle converts
+    one raw at a time. Rows and errors must be the same."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.integers(0, 4), st.integers(0, 6), st.integers(0, 2**16), st.data())
+    def test_pretrained_matches_per_row_oracle(self, dim, n, seed, data):
+        rng = np.random.default_rng(seed)
+        names = sorted(FLOAT_FORMS)
+        forms = data.draw(st.one_of(
+            st.sampled_from(names).map(lambda f: [f] * n),
+            st.lists(st.sampled_from(names), min_size=n, max_size=n),
+        ))
+        widths = data.draw(st.one_of(
+            st.just([dim] * n),
+            st.lists(st.integers(max(dim - 1, 0), dim + 1), min_size=n, max_size=n),
+        ))
+        raws = [FLOAT_FORMS[f](rng.normal(size=w)) for f, w in zip(forms, widths)]
+        enc = pretrained_encoder(dim)
+        got = outcome(feature_rows, enc, iter(raws), "user")
+        assert got == outcome(feature_rows_per_row, enc, raws, "user")
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.integers(0, 6), st.data())
+    def test_categorical_matches_per_row_oracle(self, n, data):
+        forms = data.draw(st.one_of(
+            st.just(["dict"] * n),
+            st.lists(st.sampled_from(CAT_FORMS), min_size=n, max_size=n),
+        ))
+        faults = st.sampled_from(CAT_FAULTS[:1] * 6 + CAT_FAULTS[1:])
+        raws = [
+            cat_raw(form, data.draw(st.sampled_from("abc")),
+                    data.draw(st.sampled_from("xy")), data.draw(faults))
+            for form in forms
+        ]
+        got = outcome(feature_rows, CAT_ENCODER, iter(raws), "item")
+        assert got == outcome(feature_rows_per_row, CAT_ENCODER, raws, "item")
+
+    @pytest.mark.parametrize(
+        "encoder, raws",
+        [
+            (pretrained_encoder(3), []),
+            (pretrained_encoder(3), [np.zeros(3), np.zeros(2)]),
+            (pretrained_encoder(3), [np.zeros(3), np.zeros(4), np.zeros(2)]),
+            (CAT_ENCODER, []),
+            (CAT_ENCODER,
+             [{"age": "a", "region": "x"}, {"age": "b"}, {"age": "q", "region": "y"}]),
+            (CAT_ENCODER, [{"age": "a", "region": "x"}, {"age": "c", "region": {}}]),
+            (CAT_ENCODER, [{"age": "a", "region": "x"}, (0, 2)]),
+            # a default for a missing field must not stand in for the field
+            (CAT_ENCODER, [defaultdict(lambda: "x", age="a")]),
+        ],
+        ids=["empty_floats", "short_row", "long_before_short", "empty_dicts",
+             "missing_before_unknown", "unhashable", "index_out_of_range",
+             "defaultdict_missing_field"],
+    )
+    def test_errors_match_per_row_oracle(self, encoder, raws):
+        got = outcome(feature_rows, encoder, raws, "user")
+        assert isinstance(got[0], type) and issubclass(got[0], Exception)
+        assert got == outcome(feature_rows_per_row, encoder, raws, "user")
+
+    def test_ragged_rows_name_the_side_and_both_widths(self):
+        raws = [np.zeros(3), np.zeros(4)]
+        with pytest.raises(DataError, match=r"^item features have 4 dims, expected 3$"):
+            feature_rows(pretrained_encoder(3), raws, "item")
+
+    @pytest.fixture
+    def per_row_calls(self, monkeypatch):
+        """Calls of the per-row pass and of per-raw index resolution."""
+        calls = []
+        for name in ("_rows_one_by_one", "resolve_indices"):
+            real = getattr(models, name)
+            monkeypatch.setattr(
+                models, name,
+                lambda *a, real=real, name=name: calls.append(name) or real(*a),
+            )
+        return calls
+
+    def _score_and_batch(self, feats, enc_u, enc_i, users, items):
+        model = build_model(ModelKind.MESH, enc_u, enc_i, [4], 0)
+        scores = score_matrix(model, users, items, feats)
+        recs = [Rec(u, i, 1.0) for u, i in zip(users, items * len(users))]
+        batch = prepare_batch(recs, feats, enc_u, enc_i)
+        return scores, batch
+
+    def test_attribute_tables_take_the_bulk_path(self, tmp_path, per_row_calls):
+        users = {f"u{j}": {"age": "abc"[j % 3], "region": "xy"[j % 2]} for j in range(9)}
+        items = {f"i{j}": {"genre": f"g{j % 4}"} for j in range(5)}
+        save_attributes(tmp_path / "users.csv", users, "user_id")
+        save_attributes(tmp_path / "items.csv", items, "item_id")
+        users = load_attributes(tmp_path / "users.csv")
+        items = load_attributes(tmp_path / "items.csv")
+        enc_u = build_categorical_encoder(attribute_fields(users), 2, 0)
+        enc_i = build_categorical_encoder(attribute_fields(items), 3, 1)
+        scores, batch = self._score_and_batch(
+            AttributeTable(users, items), enc_u, enc_i, list(users), list(items)
+        )
+        assert scores.shape == (9, 5) and batch.user_rows.shape == (9, 2)
+        assert per_row_calls == []
+
+    def test_synthetic_and_latent_tables_take_the_bulk_path(
+        self, tmp_path, per_row_calls
+    ):
+        data = generate_synthetic(SyntheticSpec(
+            n_users=30, n_items=12, n_shops=4, interactions_per_shop=40, n_new_shops=1
+        ))
+        save_latents(tmp_path / "latents.csv", data.features.users, data.features.items)
+        loaded, _ = load_latents(tmp_path / "latents.csv")
+        enc = pretrained_encoder(8)
+        for feats in (data.features, loaded):
+            scores, batch = self._score_and_batch(
+                feats, enc, enc, list(feats.users), list(feats.items)
+            )
+            assert scores.shape == (30, 12) and batch.item_rows.shape == (30, 8)
+        assert per_row_calls == []
 
 
 class TestBaseline:
