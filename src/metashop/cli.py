@@ -87,7 +87,8 @@ model per sampled shop, scored unadapted.
 Each section's keys and types come from its dataclass below (`synthetic`
 from SyntheticSpec, whose values are type-checked but passed on as
 written; `eval` from the library's EvalOptions, whose range checks run
-when the config loads, plus `checkpoint` and `adapt`). A choice key's type
+when the config loads, plus `checkpoint` and `adapt`; MetaConfig's range
+checks on the rates and sizes it holds also run at load). A choice key's type
 gives its allowed strings: the library enum that the parsed config holds a
 member of, or a `Literal` of strings kept as written (the trainers, the
 studies, and `auto` and `none`, which mean squared loss for any labels and
@@ -207,6 +208,10 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if not self.hidden_dims or any(d < 1 for d in self.hidden_dims):
             raise ConfigError("model.hidden_dims must be positive integers")
+        if self.embedding_dim < 1:
+            raise ConfigError(
+                f"model.embedding_dim must be >= 1, got {self.embedding_dim}"
+            )
 
 
 @dataclass
@@ -368,7 +373,9 @@ def parse_config(raw: Mapping[str, Any]) -> RunConfig:
             cast = _cast(f"{name}.{key}", hints[key], value)
             values[key] = value if cls is SyntheticSpec else cast
         sections[name] = values if cls is SyntheticSpec else cls(**values)
-    return RunConfig(seed, output_dir, **sections)
+    cfg = RunConfig(seed, output_dir, **sections)
+    _meta_config(cfg)  # the train section's range checks, for every command
+    return cfg
 
 
 def load_config(path: str | Path, overrides: Sequence[str] = ()) -> RunConfig:
@@ -474,19 +481,19 @@ def _meta_config(cfg: RunConfig) -> MetaConfig:
 def _build_fresh_model(cfg: RunConfig, features, sigmoid: bool, seed_tag):
     """Initialise the configured model against the feature source."""
     rng = np.random.default_rng(seed_tag)
-    if isinstance(features, AttributeTable):
-        user_enc = build_categorical_encoder(
-            attribute_fields(features.users), cfg.model.embedding_dim, rng
-        )
-        item_enc = build_categorical_encoder(
-            attribute_fields(features.items), cfg.model.embedding_dim, rng
-        )
-    else:
-        user_dim = len(next(iter(features.users.values()))) if features.users else 0
-        item_dim = len(next(iter(features.items.values())))
-        user_enc = pretrained_encoder(user_dim)
-        item_enc = pretrained_encoder(item_dim)
     try:
+        if isinstance(features, AttributeTable):
+            user_enc = build_categorical_encoder(
+                attribute_fields(features.users), cfg.model.embedding_dim, rng
+            )
+            item_enc = build_categorical_encoder(
+                attribute_fields(features.items), cfg.model.embedding_dim, rng
+            )
+        else:
+            user_dim = len(next(iter(features.users.values()))) if features.users else 0
+            item_dim = len(next(iter(features.items.values())))
+            user_enc = pretrained_encoder(user_dim)
+            item_enc = pretrained_encoder(item_dim)
         if cfg.model.kind is ModelKind.BASELINE:
             return build_baseline(
                 item_enc,

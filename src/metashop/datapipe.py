@@ -561,6 +561,8 @@ def load_attributes(path: str | Path) -> dict[str, dict[str, str]]:
         if row[0] in out:
             raise DataError(f"{path} line {line_no}: repeated id {row[0]!r}")
         out[row[0]] = dict(zip(header[1:], row[1:]))
+    if not out:
+        raise DataError(f"{path}: attribute file needs at least one row")
     return out
 
 

@@ -84,6 +84,14 @@ class EvalOptions:
         for k in self.ndcg_ks:
             if not (isinstance(k, (int, np.integer)) and k >= 1):
                 raise ConfigError(f"ndcg k must be an integer >= 1, got {k!r}")
+        for t in self.thresholds:
+            if not math.isfinite(t):
+                raise ConfigError(f"eval.thresholds must be finite, got {t}")
+        if not math.isfinite(self.rating_positive_threshold):
+            raise ConfigError(
+                "eval.rating_positive_threshold must be finite, got "
+                f"{self.rating_positive_threshold}"
+            )
 
 
 def resolve_k(k: float, n_candidates: int) -> int:

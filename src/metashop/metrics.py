@@ -295,6 +295,8 @@ def load_report(path: str | Path) -> EvaluationReport:
         obj = json.loads(read_text(path, "report ", DataError))
     except json.JSONDecodeError as exc:
         raise DataError(f"report {path} is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise DataError(f"report {path} does not hold a JSON object")
     try:
         return report_from_json(obj)
     except DataError as exc:

@@ -6,14 +6,16 @@ together. The bundle is one numcore.ParamTree: every table, weight and bias
 is a view of the model's single float64 ``vector`` (user tables, item
 tables, then the scorer's layers), validated once when the model is built
 or loaded. ``loss_and_grad_at`` reads the parameters as leaf views of a
-(P,) vector or a (T, P) stack; its gradient is a zeroed vector of the same
-layout, into whose leaves backprop writes the dense-layer gradients and
-``np.add.at`` scatters the table gradients, checked for finiteness once. A
-BaselineModel is laid out the same way (item tables, then the mapper's
-layers). prepare_batch looks up and resolves each distinct user and item id
-of a batch once, then gathers one feature row per record. feature_rows
-converts a whole side in one copy (flat float rows, plain attribute dicts)
-and falls back to a per-row pass for other forms and for errors.
+(P,) vector or a (T, P) stack and hands them, last, to ``encode_rows`` and
+numcore's kernels, which read a tree's own leaves when given none; its
+gradient is a zeroed vector of the same layout, into whose leaves backprop
+writes the dense-layer gradients and ``np.add.at`` scatters the table
+gradients, checked for finiteness once. A BaselineModel is laid out the
+same way (item tables, then the mapper's layers). prepare_batch looks up
+and resolves each distinct user and item id of a batch once, then gathers
+one feature row per record. feature_rows converts a whole side in one copy
+(flat float rows, plain attribute dicts) and falls back to a per-row pass
+for other forms and for errors.
 
 Model kinds:
   * MESH: two MLP towers joined by a dot product of their outputs.
@@ -151,6 +153,8 @@ def build_categorical_encoder(
     rng: np.random.Generator | int,
 ) -> FeatureEncoder:
     """Seeded uniform(-1/sqrt(d), 1/sqrt(d)) tables, one per field, shared dim."""
+    if embedding_dim < 1:
+        raise ShapeError(f"embedding_dim must be >= 1, got {embedding_dim}")
     rng = np.random.default_rng(rng)
     specs = tuple(FieldSpec(name, tuple(cats)) for name, cats in fields)
     limit = 1.0 / np.sqrt(embedding_dim)
@@ -246,20 +250,20 @@ def _task_index(rows: np.ndarray) -> tuple:
     return (np.arange(rows.shape[0])[:, None],) if rows.ndim == 3 else ()
 
 
-def _encode(encoder: FeatureEncoder, tables: Sequence, rows: np.ndarray) -> np.ndarray:
-    if encoder.mode is EncoderMode.PRETRAINED:
-        return rows
-    at = _task_index(rows)
-    return np.concatenate([t[(*at, rows[..., j])] for j, t in enumerate(tables)], axis=-1)
-
-
-def encode_rows(encoder: FeatureEncoder, rows: np.ndarray) -> np.ndarray:
+def encode_rows(
+    encoder: FeatureEncoder, rows: np.ndarray, tables: Sequence | None = None
+) -> np.ndarray:
     """Float features for feature_rows output.
 
-    Index rows gather and concatenate table rows; pretrained rows already
-    are the features; a stack's rows gather from each task's own tables.
+    Index rows gather and concatenate rows of ``tables``, the encoder's own
+    when None; pretrained rows already are the features; a stack's rows
+    gather from each task's own tables.
     """
-    return _encode(encoder, numcore.tree_leaves(encoder), rows)
+    if encoder.mode is EncoderMode.PRETRAINED:
+        return rows
+    tables = numcore.tree_leaves(encoder) if tables is None else tables
+    at = _task_index(rows)
+    return np.concatenate([t[(*at, rows[..., j])] for j, t in enumerate(tables)], axis=-1)
 
 
 def encode(encoder: FeatureEncoder, raw: Any) -> np.ndarray:
@@ -424,11 +428,11 @@ def loss_and_grad_at(
     p, g = model.layout.leaves(vector), model.layout.leaves(grad)
     nu = len(model.user_encoder.layout.paths)
     n = nu + len(model.item_encoder.layout.paths)
-    u = _encode(model.user_encoder, p[:nu], batch.user_rows)
-    v = _encode(model.item_encoder, p[nu:n], batch.item_rows)
+    u = encode_rows(model.user_encoder, batch.user_rows, p[:nu])
+    v = encode_rows(model.item_encoder, batch.item_rows, p[nu:n])
     loss, d_u, d_v = numcore.loss_backward(
-        model.scorer, p[n:], u, v, batch.labels, loss_kind, model.sigmoid_output,
-        pred_penalty, g[n:],
+        model.scorer, u, v, batch.labels, loss_kind, model.sigmoid_output,
+        pred_penalty, g[n:], p[n:],
     )
     _encoder_grad(batch.user_rows, d_u, g[:nu])
     _encoder_grad(batch.item_rows, d_v, g[nu:n])
@@ -611,7 +615,7 @@ def baseline_loss_and_grad(
             d_reps[row_of[i]] += share
     grads = model.layout.zeros()
     d_feats = numcore.mlp_backward(
-        model.item_mapper, caches, d_reps, grads.item_mapper
+        model.item_mapper, caches, d_reps, numcore.tree_leaves(grads.item_mapper)
     )
     _encoder_grad(rows, d_feats, numcore.tree_leaves(grads.item_encoder))
     numcore.tree_check_finite(grads, "baseline_loss_and_grad")

@@ -15,11 +15,11 @@ tree derived from it, gradients included:
   * a gradient is a zeroed (..., P) vector that backprop fills in place
     through its ``Layout.leaves`` views, checked for finiteness once.
 
-The kernels take a tree only for its structure (variant, activations,
-biases) and read the numbers from leaves in leaf order, the ``Layout.leaves``
-of a (P,) vector or a (T, P) stack, so trainers build no trees;
-``mlp_forward_trace``, ``mlp_backward`` and ``model_forward_trace`` pass a
-tree's own leaves. ``loss_backward`` is the one forward, sigmoid, loss (plus
+Each kernel takes a tree for its structure (variant, activations, biases)
+and, last, the ``leaves`` it reads in leaf order: the tree's own when None,
+else the ``Layout.leaves`` of a (P,) vector or a (T, P) stack, so trainers
+build no trees. A backward pass writes into ``grads``, the leaves of a
+zeroed gradient. ``loss_backward`` is the one forward, sigmoid, loss (plus
 penalty) and backward routine; ``loss_gradient`` and ``models`` call it.
 
 A non-finite value is reported as a NumericError naming the operation and
@@ -435,7 +435,15 @@ def _apply_activation(kind: Activation, z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _mlp_forward(params: MlpParams, leaves: Sequence, x: np.ndarray) -> tuple:
+def mlp_forward_trace(
+    params: MlpParams, x: np.ndarray, leaves: Sequence | None = None
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """Forward pass keeping per-layer (input, pre-activation) for backprop.
+
+    ``x`` is (n, in_dim), or (T, n, in_dim) for a stack. Returns (output
+    (n, out_dim), caches) where caches[l] = (X_in, Z) of layer l.
+    """
+    leaves = tree_leaves(params) if leaves is None else leaves
     h, caches = x, []
     for w, b, act in params.plan:
         z = h @ leaves[w].swapaxes(-1, -2)
@@ -446,18 +454,21 @@ def _mlp_forward(params: MlpParams, leaves: Sequence, x: np.ndarray) -> tuple:
     return h, caches
 
 
-def mlp_forward_trace(
-    params: MlpParams, x: np.ndarray
-) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    """Forward pass keeping per-layer (input, pre-activation) for backprop.
+def mlp_backward(
+    params: MlpParams,
+    caches: list[tuple[np.ndarray, np.ndarray]],
+    d_out: np.ndarray,
+    grads: Sequence,
+    leaves: Sequence | None = None,
+) -> np.ndarray:
+    """Backpropagate ``d_out`` (n, out_dim) through the trace of a forward pass.
 
-    ``x`` is (n, in_dim), or (T, n, in_dim) for a stack. Returns (output
-    (n, out_dim), caches) where caches[l] = (X_in, Z) of layer l.
+    Writes each layer's gradient into ``grads``, the leaves of a zeroed
+    gradient laid out like ``params``, and returns the gradient w.r.t. the
+    input.
     """
-    return _mlp_forward(params, tree_leaves(params), x)
-
-
-def _mlp_backward(params: MlpParams, leaves, caches, d: np.ndarray, grads) -> np.ndarray:
+    leaves = tree_leaves(params) if leaves is None else leaves
+    d = d_out
     for (w, b, act), (x_in, z) in zip(reversed(params.plan), reversed(caches)):
         if act is Activation.RELU:  # a product, not np.where: keeps NaN * 0 and -0.0
             d = d * (z > 0.0)
@@ -469,20 +480,6 @@ def _mlp_backward(params: MlpParams, leaves, caches, d: np.ndarray, grads) -> np
             d.sum(axis=-2, out=grads[b])
         d = d @ leaves[w]
     return d
-
-
-def mlp_backward(
-    params: MlpParams,
-    caches: list[tuple[np.ndarray, np.ndarray]],
-    d_out: np.ndarray,
-    grads: MlpParams,
-) -> np.ndarray:
-    """Backpropagate ``d_out`` (n, out_dim) through the trace of a forward pass.
-
-    Writes each layer's gradient into the matching leaves of ``grads``, an
-    MlpParams of the same shape, and returns the gradient w.r.t. the input.
-    """
-    return _mlp_backward(params, tree_leaves(params), caches, d_out, tree_leaves(grads))
 
 
 # ---------------------------------------------------------------------------
@@ -509,28 +506,9 @@ def _split(params: ModelParameters, leaves: Sequence) -> tuple:
     return leaves[:n], leaves[n:]
 
 
-def _model_forward(params: ModelParameters, leaves, user_x, item_x) -> tuple:
-    if user_x.shape[:-1] != item_x.shape[:-1]:
-        raise ShapeError(
-            f"batch sizes differ: {user_x.shape[-2]} vs {item_x.shape[-2]}"
-        )
-    first, second = _split(params, leaves)
-    if params.variant is ModelVariant.TWO_TOWER:
-        hu, uc = _mlp_forward(params.user_tower, first, user_x)
-        hi, ic = _mlp_forward(params.item_tower, second, item_x)
-        raw = (hu * hi).sum(axis=-1)
-        return raw, ModelTrace(user_x, item_x, uc, ic, hu, hi)
-    x = np.concatenate([user_x, item_x], axis=-1)
-    if x.shape[-1] != params.joint.in_dim:
-        raise ShapeError(
-            f"concatenated dim {x.shape[-1]} != joint input {params.joint.in_dim}"
-        )
-    out, jc = _mlp_forward(params.joint, first, x)
-    return out[..., 0], ModelTrace(user_x, item_x, joint_caches=jc)
-
-
 def model_forward_trace(
-    params: ModelParameters, user_x: np.ndarray, item_x: np.ndarray
+    params: ModelParameters, user_x: np.ndarray, item_x: np.ndarray,
+    leaves: Sequence | None = None,
 ) -> tuple[np.ndarray, ModelTrace]:
     """Score a batch and keep what backprop needs.
 
@@ -538,27 +516,44 @@ def model_forward_trace(
     item_dim may be 0 for JOINT. Returns (raw scores (n,), trace); (T, n)
     scores for (T, n, dim) features.
     """
-    return _model_forward(params, tree_leaves(params), user_x, item_x)
+    if user_x.shape[:-1] != item_x.shape[:-1]:
+        raise ShapeError(
+            f"batch sizes differ: {user_x.shape[-2]} vs {item_x.shape[-2]}"
+        )
+    first, second = _split(params, tree_leaves(params) if leaves is None else leaves)
+    if params.variant is ModelVariant.TWO_TOWER:
+        hu, uc = mlp_forward_trace(params.user_tower, user_x, first)
+        hi, ic = mlp_forward_trace(params.item_tower, item_x, second)
+        raw = (hu * hi).sum(axis=-1)
+        return raw, ModelTrace(user_x, item_x, uc, ic, hu, hi)
+    x = np.concatenate([user_x, item_x], axis=-1)
+    if x.shape[-1] != params.joint.in_dim:
+        raise ShapeError(
+            f"concatenated dim {x.shape[-1]} != joint input {params.joint.in_dim}"
+        )
+    out, jc = mlp_forward_trace(params.joint, x, first)
+    return out[..., 0], ModelTrace(user_x, item_x, joint_caches=jc)
 
 
 def model_backward(
-    params: ModelParameters, leaves: Sequence, trace: ModelTrace, d_raw: np.ndarray,
-    grads: Sequence,
+    params: ModelParameters, trace: ModelTrace, d_raw: np.ndarray, grads: Sequence,
+    leaves: Sequence | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Backpropagate d(loss)/d(raw score) through the scoring network.
 
     Writes the parameter gradients into ``grads``, the leaves of a zeroed
-    gradient laid out like ``leaves``, and returns (d_user_x, d_item_x),
+    gradient laid out like ``params``, and returns (d_user_x, d_item_x),
     shaped like the feature matrices; they feed embedding-table updates.
     """
-    (first, second), (g_first, g_second) = _split(params, leaves), _split(params, grads)
+    first, second = _split(params, tree_leaves(params) if leaves is None else leaves)
+    g_first, g_second = _split(params, grads)
     if params.variant is ModelVariant.TWO_TOWER:
         d_hu = d_raw[..., None] * trace.hi
         d_hi = d_raw[..., None] * trace.hu
-        dxu = _mlp_backward(params.user_tower, first, trace.user_caches, d_hu, g_first)
-        dxi = _mlp_backward(params.item_tower, second, trace.item_caches, d_hi, g_second)
+        dxu = mlp_backward(params.user_tower, trace.user_caches, d_hu, g_first, first)
+        dxi = mlp_backward(params.item_tower, trace.item_caches, d_hi, g_second, second)
         return dxu, dxi
-    dx = _mlp_backward(params.joint, first, trace.joint_caches, d_raw[..., None], g_first)
+    dx = mlp_backward(params.joint, trace.joint_caches, d_raw[..., None], g_first, first)
     du = trace.user_x.shape[-1]
     return dx[..., :du], dx[..., du:]
 
@@ -599,19 +594,20 @@ def _per_task(loss: Any) -> Any:  # a float for one task, an array for a stack
 
 
 def loss_backward(
-    params: ModelParameters, leaves: Sequence, user_x: np.ndarray, item_x: np.ndarray,
+    params: ModelParameters, user_x: np.ndarray, item_x: np.ndarray,
     labels: np.ndarray, loss_kind: LossKind, sigmoid_output: bool,
     pred_penalty: tuple[float, float] | None, grads: Sequence,
+    leaves: Sequence | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Forward a batch at ``leaves``, take its loss and backpropagate it.
+    """Forward a batch, take its loss and backpropagate it.
 
     ``sigmoid_output`` squashes raw scores before the loss; ``pred_penalty``
     (a, c) adds ``a * mean(pred) + c`` to the objective (the fairness
     regularizers). ``grads`` are the leaves of a zeroed gradient laid out
-    like ``leaves``. Returns (objective, d_user_x, d_item_x), one objective
+    like ``params``. Returns (objective, d_user_x, d_item_x), one objective
     per task of a stack.
     """
-    raw, trace = _model_forward(params, leaves, user_x, item_x)
+    raw, trace = model_forward_trace(params, user_x, item_x, leaves)
     pred = sigmoid(raw) if sigmoid_output else raw
     loss, d_pred = loss_and_pred_grad(pred, labels, loss_kind)
     if pred_penalty is not None:
@@ -620,7 +616,7 @@ def loss_backward(
         loss = _per_task(loss + (a * (pred.sum(axis=-1) / n) + c))
         d_pred = d_pred + a / n
     d_raw = d_pred * pred * (1.0 - pred) if sigmoid_output else d_pred
-    d_user_x, d_item_x = model_backward(params, leaves, trace, d_raw, grads)
+    d_user_x, d_item_x = model_backward(params, trace, d_raw, grads, leaves)
     return loss, d_user_x, d_item_x
 
 
@@ -639,8 +635,8 @@ def loss_gradient(
     if u.shape[0] == 0:
         raise EmptyBatchError("gradient on an empty batch")
     grads = params.layout.zeros()
-    p, g = tree_leaves(params), tree_leaves(grads)
-    loss, _, _ = loss_backward(params, p, u, v, y, loss_kind, sigmoid_output, None, g)
+    g = tree_leaves(grads)
+    loss, _, _ = loss_backward(params, u, v, y, loss_kind, sigmoid_output, None, g)
     if not np.isfinite(loss):
         raise NumericError(f"non-finite loss from {loss_kind.value}")
     tree_check_finite(grads, "loss_gradient")

@@ -371,6 +371,15 @@ EDGE_CASES = [
     ("seed", -1, "seed must be >= 0, got -1"),
     ("ablation.n_shops", 0, "ablation.n_shops must be >= 1, got 0"),
     ("ablation.n_shops", -1, "ablation.n_shops must be >= 1, got -1"),
+    ("model.embedding_dim", 0, "model.embedding_dim must be >= 1, got 0"),
+    ("model.embedding_dim", -2, "model.embedding_dim must be >= 1, got -2"),
+    ("eval.thresholds", [0.5, float("nan")], "eval.thresholds must be finite, got nan"),
+    (
+        "eval.rating_positive_threshold",
+        float("inf"),
+        "eval.rating_positive_threshold must be finite, got inf",
+    ),
+    ("train.beta", -5, "beta must be positive and finite, got -5.0"),
 ]
 
 
@@ -772,6 +781,22 @@ INPUT_ERRORS = {
         "data error: {path}: expected an id column plus attribute columns",
         2,
     ),
+    "attributes_without_rows": (
+        "users.csv",
+        lambda t: "user_id,age\n",
+        "train",
+        _ATTRS,
+        "data error: {path}: attribute file needs at least one row",
+        2,
+    ),
+    "categorical_embedding_dim_zero": (
+        "../run.yaml",
+        lambda t: t,
+        "train",
+        [*_ATTRS, "model.embedding_dim=0"],
+        "config error: model.embedding_dim must be >= 1, got 0",
+        1,
+    ),
     "attributes_field_count": (
         "items.csv",
         lambda t: "item_id,color\ni000,red\ni001,red,blue\n",
@@ -987,6 +1012,17 @@ class TestInputErrors:
         capsys.readouterr()
         assert main(argv) == code
         assert capsys.readouterr().err == expected.format(**names) + "\n"
+
+    def test_gen_data_checks_the_train_section(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg_path = write_config(tmp_path / "run.yaml", base_config(out))
+        capsys.readouterr()
+        argv = ["gen-data", "--config", str(cfg_path), "--set", "train.beta=0"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "config error: beta must be positive and finite, got 0.0\n"
+        )
+        assert not out.exists()
 
 
 class TestGenData:
@@ -1652,21 +1688,24 @@ class TestReportCommand:
         [
             (
                 _edit_json(counts=None),
-                "unreadable report near field KeyError('counts')",
+                "{path}: unreadable report near field KeyError('counts')",
             ),
-            (_edit_json(format_version=9), "report format_version 9 not supported"),
+            (
+                _edit_json(format_version=9),
+                "{path}: report format_version 9 not supported",
+            ),
             (
                 lambda t: t.replace('"0.7":', '"x.7":'),
-                "report metric 'mae': could not convert string to float: 'x.7'",
+                "{path}: report metric 'mae': could not convert string to float: 'x.7'",
             ),
+            (lambda t: "[1,2]", "report {path} does not hold a JSON object"),
+            (lambda t: "3", "report {path} does not hold a JSON object"),
             (
-                lambda t: "[1]",
-                "unreadable report near field "
-                "TypeError('list indices must be integers or slices, not str')",
+                lambda t: "{}",
+                "{path}: unreadable report near field KeyError('format_version')",
             ),
-            (lambda t: "{}", "unreadable report near field KeyError('format_version')"),
         ],
-        ids=["no_counts", "version", "exceedance_key", "list", "empty"],
+        ids=["no_counts", "version", "exceedance_key", "list", "number", "empty"],
     )
     def test_load_errors_name_the_file(
         self, trained_run, tmp_path, capsys, edit, message
@@ -1678,7 +1717,7 @@ class TestReportCommand:
         )
         capsys.readouterr()
         assert main(["report", "--report", str(target)]) == 2
-        assert capsys.readouterr().err == f"data error: {target}: {message}\n"
+        assert capsys.readouterr().err == f"data error: {message.format(path=target)}\n"
 
 
 class TestAblation:

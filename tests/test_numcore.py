@@ -298,7 +298,7 @@ class TestOnePassElementwise:
         d_out = np.where(z <= 0.0, -np.abs(d_out), d_out)
         got, want = mlp.layout.zeros(), mlp.layout.zeros()
         with np.errstate(all="ignore"):  # inf * 0 is NaN on both sides
-            d_got = mlp_backward(mlp, caches, d_out, got)
+            d_got = mlp_backward(mlp, caches, d_out, tree_leaves(got))
             d_want = mlp_backward_with_derivs(mlp, caches, d_out, want)
         assert got.vector.tobytes() == want.vector.tobytes()
         assert (d_got.shape, d_got.tobytes()) == (d_want.shape, d_want.tobytes())

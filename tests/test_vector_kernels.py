@@ -6,12 +6,18 @@ draw small models (both scorer variants, pretrained and categorical
 encoders, sigmoid output on and off, with and without a fairness penalty)
 and require the losses and gradient bytes of ``loss_and_grad_at``, the
 public ``model_loss_and_grad`` and the public forward and backward passes to
-equal those of the oracles in ``oracles.py``, which walk tree attributes.
-They also count the RecModel trees the meta steps and ``local_adapt`` build.
+equal those of the oracles in ``oracles.py``, which walk tree attributes,
+both on a tree and on another tree's structure reading the first one's
+leaves. They also count the RecModel trees the meta steps and
+``local_adapt`` build, and check that every gradient of a meta step,
+``local_adapt`` and a pooled epoch runs one ``numcore.model_forward_trace``
+and one ``numcore.model_backward``, the names the bench trace times.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +25,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metashop.metaopt import fmst_train_step, local_adapt, meta_train_step
+from metashop import metaopt, numcore
+from metashop.metaopt import (
+    fmst_train_step,
+    local_adapt,
+    meta_train_step,
+    nonmeta_train,
+)
 from metashop.models import (
     Batch,
     ModelKind,
@@ -35,13 +47,16 @@ from metashop.numcore import (
     init_mlp,
     mlp_backward,
     mlp_forward_trace,
+    model_backward,
     model_forward_trace,
+    tree_leaves,
 )
 
 from oracles import (
     encode_rows_tree,
     mlp_backward_tree,
     mlp_forward_trace_tree,
+    model_backward_tree,
     model_forward_trace_tree,
     model_loss_and_grad_tree,
 )
@@ -135,24 +150,31 @@ def test_public_tree_functions_equal_the_tree_oracles(
         assert same_loss(loss, want_loss)
         assert grads.layout is model.layout
         assert grads.vector.tobytes() == want.vector.tobytes()
+    # each kernel on ``tree``, and on ``model``'s structure reading ``tree``'s
+    # leaves, as the hot path calls it
     u = encode_rows(tree.user_encoder, batch.user_rows)
     v = encode_rows(tree.item_encoder, batch.item_rows)
     assert u.tobytes() == encode_rows_tree(tree.user_encoder, batch.user_rows).tobytes()
     assert v.tobytes() == encode_rows_tree(tree.item_encoder, batch.item_rows).tobytes()
+    u_at = encode_rows(model.user_encoder, batch.user_rows, tree_leaves(tree.user_encoder))
+    v_at = encode_rows(model.item_encoder, batch.item_rows, tree_leaves(tree.item_encoder))
+    assert (u_at.tobytes(), v_at.tobytes()) == (u.tobytes(), v.tobytes())
+    scorer = tree_leaves(tree.scorer)
     raw, trace = model_forward_trace(tree.scorer, u, v)
-    want_raw, _ = model_forward_trace_tree(tree.scorer, u, v)
-    assert raw.tobytes() == want_raw.tobytes()
+    raw_at, trace_at = model_forward_trace(model.scorer, u, v, scorer)
+    want_raw, want_trace = model_forward_trace_tree(tree.scorer, u, v)
+    assert raw.tobytes() == raw_at.tobytes() == want_raw.tobytes()
+    d_raw = np.linspace(-1.0, 1.0, raw.size).reshape(raw.shape)
+    got, got_at, want = (zeroed(tree.scorer) for _ in "abc")
+    d_x = model_backward(tree.scorer, trace, d_raw, tree_leaves(got))
+    d_x_at = model_backward(model.scorer, trace_at, d_raw, tree_leaves(got_at), scorer)
+    want_d_x = model_backward_tree(tree.scorer, want_trace, d_raw, want)
+    assert same_arrays(d_x, want_d_x) and same_arrays(d_x_at, want_d_x)
+    assert got.vector.tobytes() == got_at.vector.tobytes() == want.vector.tobytes()
     mlp = tree.scorer.user_tower or tree.scorer.joint
+    structure = model.scorer.user_tower or model.scorer.joint
     x = trace.user_x if tree.scorer.user_tower else np.concatenate([u, v], axis=-1)
-    out, caches = mlp_forward_trace(mlp, x)
-    want_out, want_caches = mlp_forward_trace_tree(mlp, x)
-    assert out.tobytes() == want_out.tobytes()
-    d_out = np.ones_like(out)
-    got_grads, want_grads = (mlp.layout.build(np.zeros(mlp.vector.shape)) for _ in "ab")
-    d_x = mlp_backward(mlp, caches, d_out, got_grads)
-    want_d_x = mlp_backward_tree(mlp, want_caches, d_out, want_grads)
-    assert d_x.tobytes() == want_d_x.tobytes()
-    assert got_grads.vector.tobytes() == want_grads.vector.tobytes()
+    check_mlp_kernels(mlp, structure, x, np.ones(x.shape[:-1] + (mlp.out_dim,)))
 
 
 @pytest.mark.parametrize("bias", [False, True])
@@ -163,14 +185,32 @@ def test_mlp_kernels_equal_the_tree_oracles(bias, hidden, lead):
     mlp = init_mlp([3, 4, 5, 2], 1, hidden, Activation.SIGMOID, bias)
     stack = mlp.layout.build(mlp.vector + rng.normal(size=lead + mlp.vector.shape))
     x = rng.normal(size=lead + (6, 3))
-    out, caches = mlp_forward_trace(stack, x)
-    want_out, want_caches = mlp_forward_trace_tree(stack, x)
-    assert out.tobytes() == want_out.tobytes()
-    d_out = rng.normal(size=out.shape)
-    got, want = (mlp.layout.build(np.zeros(stack.vector.shape)) for _ in "ab")
-    d_x = mlp_backward(stack, caches, d_out, got)
-    assert d_x.tobytes() == mlp_backward_tree(stack, want_caches, d_out, want).tobytes()
-    assert got.vector.tobytes() == want.vector.tobytes()
+    check_mlp_kernels(stack, mlp, x, rng.normal(size=lead + (6, 2)))
+
+
+def zeroed(tree):
+    """A zeroed gradient tree laid out like ``tree``, a stack for a stack."""
+    return tree.layout.build(np.zeros(tree.vector.shape))
+
+
+def same_arrays(a, b) -> bool:
+    return [(x.shape, x.tobytes()) for x in a] == [(y.shape, y.tobytes()) for y in b]
+
+
+def check_mlp_kernels(mlp, structure, x, d_out) -> None:
+    """The MLP forward and backward on ``mlp``, and on ``structure`` reading
+    ``mlp``'s leaves, both equal to the tree oracles bit for bit."""
+    leaves = tree_leaves(mlp)
+    out, caches = mlp_forward_trace(mlp, x)
+    out_at, caches_at = mlp_forward_trace(structure, x, leaves)
+    want_out, want_caches = mlp_forward_trace_tree(mlp, x)
+    assert out.tobytes() == out_at.tobytes() == want_out.tobytes()
+    got, got_at, want = (zeroed(mlp) for _ in "abc")
+    d_x = mlp_backward(mlp, caches, d_out, tree_leaves(got))
+    d_x_at = mlp_backward(structure, caches_at, d_out, tree_leaves(got_at), leaves)
+    want_d_x = mlp_backward_tree(mlp, want_caches, d_out, want)
+    assert d_x.tobytes() == d_x_at.tobytes() == want_d_x.tobytes()
+    assert got.vector.tobytes() == got_at.vector.tobytes() == want.vector.tobytes()
 
 
 def count_builds(model) -> list:
@@ -212,3 +252,49 @@ def test_local_adapt_builds_one_tree(data, local_steps):
         no_steps = replace(world.cfg, local_steps=0)
         assert local_adapt(world.model, support, world.features, no_steps) is world.model
         assert len(built) == 1
+
+
+@contextmanager
+def counting(*sites):
+    """Count the calls made through each (module, function name) in ``sites``."""
+    calls = Counter()
+    saved = [(module, name, getattr(module, name)) for module, name in sites]
+    for module, name, fn in saved:
+
+        def wrapper(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        setattr(module, name, wrapper)
+    try:
+        yield calls
+    finally:
+        for module, name, fn in saved:
+            setattr(module, name, fn)
+
+
+# the names bench/tracing.py wraps, and the gradient call of every trainer
+TRACED = [
+    (metaopt, "loss_and_grad_at"),
+    (numcore, "model_forward_trace"),
+    (numcore, "model_backward"),
+]
+
+
+@pytest.mark.parametrize("run", ["meta_step", "local_adapt", "nonmeta_epoch"])
+@settings(derandomize=True, max_examples=5, deadline=None)
+@given(data=st.data(), local_steps=st.integers(0, 2))
+def test_each_gradient_runs_the_traced_forward_and_backward(run, data, local_steps):
+    world = data.draw(worlds(3, local_steps))
+    model, tasks, features, cfg = world.model, world.tasks, world.features, world.cfg
+    records = [r for t in tasks for r in (*t.support, *t.query)]
+    with counting(*TRACED) as calls:
+        if run == "meta_step":
+            meta_train_step(model, tasks, features, cfg)
+        elif run == "local_adapt":
+            local_adapt(model, tasks[0].support, features, cfg)
+        else:
+            nonmeta_train(model, records, features, cfg, 1, 2)
+    gradients = calls["loss_and_grad_at"]
+    assert gradients > 0 or (run == "local_adapt" and local_steps == 0)
+    assert calls["model_forward_trace"] == calls["model_backward"] == gradients
