@@ -88,9 +88,10 @@ Each section's keys and types come from its dataclass below (`synthetic`
 from SyntheticSpec, whose values are type-checked but passed on as
 written; `eval` from the library's EvalOptions, whose range checks run
 when the config loads, plus `checkpoint` and `adapt`; MetaConfig's range
-checks on the rates and sizes it holds also run at load). A choice key's type
-gives its allowed strings: the library enum that the parsed config holds a
-member of, or a `Literal` of strings kept as written (the trainers, the
+checks and the trainers' checks of `steps`, `epochs`, `batch_size`,
+`early_stop_patience` and `data.negative_ratio` also run at load). A choice
+key's type gives its allowed strings: the library enum that the parsed config
+holds a member of, or a `Literal` of strings kept as written (the trainers, the
 studies, and `auto` and `none`, which mean squared loss for any labels and
 no negative sampling).
 
@@ -195,6 +196,12 @@ class DataConfig:
     negative_strategy: NegativeStrategy | Literal["none"] = "none"
     negative_ratio: float = 1.0
 
+    def __post_init__(self) -> None:
+        if not 0 < self.negative_ratio < float("inf"):
+            raise ConfigError(
+                f"negative ratio must be positive, got {self.negative_ratio}"
+            )
+
 
 @dataclass
 class ModelConfig:
@@ -232,6 +239,14 @@ class TrainConfig:
     task_unit: TaskUnit = TaskUnit.SHOP
     early_stop_patience: int | None = None
     shop_id: str | None = None
+
+    def __post_init__(self) -> None:
+        # the trainers' own checks, made when the config loads
+        for name, least in (("steps", 0), ("epochs", 0), ("batch_size", 1),
+                            ("early_stop_patience", 0)):
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise ConfigError(f"{name} must be >= {least}, got {value}")
 
 
 @dataclass(frozen=True)

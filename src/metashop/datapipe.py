@@ -7,6 +7,10 @@ File formats (all CSV, UTF-8):
   * latents: header kind,id,v0,v1,... with kind in {user, item, shop_effect}
   * attributes: header with an id column followed by categorical fields
 
+Records are slotted frozen dataclasses (no per-record ``__dict__``);
+``generate_synthetic`` builds each shop's records from list-converted
+columns in one pass, and ``build_tasks`` splits groups by a boolean mask.
+
 Determinism: every random choice goes through ``np.random.default_rng``
 seeded from (seed, purpose tag) or (seed, stable hash of the entity id), so
 outputs are reproducible byte-for-byte across runs and platforms.
@@ -62,9 +66,13 @@ class NegativeStrategy(enum.Enum):
     N2 = "n2"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class InteractionRecord:
-    """One purchase/rating event."""
+    """One purchase/rating event.
+
+    The constructor checks the common case in one expression and names the
+    first bad field only when that check fails.
+    """
 
     user_id: str
     item_id: str
@@ -73,13 +81,25 @@ class InteractionRecord:
     timestamp: int | None = None
     genre_l3: str | None = None
 
-    def __post_init__(self) -> None:
-        for name in ("user_id", "item_id", "shop_id"):
-            v = getattr(self, name)
-            if not isinstance(v, str) or not v:
-                raise DataError(f"{name} must be a non-empty string, got {v!r}")
-        if not math.isfinite(self.label) or self.label < 0:
-            raise DataError(f"label must be finite and >= 0, got {self.label}")
+    def __init__(self, user_id: str, item_id: str, shop_id: str, label: float,
+                 timestamp: int | None = None, genre_l3: str | None = None) -> None:
+        # the type test comes first: a numpy array id has no single truth value
+        if not (type(user_id) is str and user_id and type(item_id) is str and item_id
+                and type(shop_id) is str and shop_id
+                and math.isfinite(label) and label >= 0):
+            for name, v in (("user_id", user_id), ("item_id", item_id),
+                            ("shop_id", shop_id)):
+                if not isinstance(v, str) or not v:
+                    raise DataError(f"{name} must be a non-empty string, got {v!r}")
+            if not math.isfinite(label) or label < 0:
+                raise DataError(f"label must be finite and >= 0, got {label}")
+        put = object.__setattr__
+        put(self, "user_id", user_id)
+        put(self, "item_id", item_id)
+        put(self, "shop_id", shop_id)
+        put(self, "label", label)
+        put(self, "timestamp", timestamp)
+        put(self, "genre_l3", genre_l3)
 
 
 def _record_sort_key(r: InteractionRecord):
@@ -105,7 +125,7 @@ class ShopTask:
         object.__setattr__(self, "query", tuple(self.query))
         if not self.support or not self.query:
             raise DataError(f"task {self.shop_id!r} needs support and query records")
-        if set(self.support) & set(self.query):
+        if not set(self.support).isdisjoint(self.query):
             raise DataError(f"task {self.shop_id!r} has overlapping support/query")
 
 
@@ -138,11 +158,13 @@ def load_interactions(path: str | Path) -> list[InteractionRecord]:
             f"unknown {sorted(unknown)})"
         )
     col = {name: header.index(name) for name in header}
+    c_user, c_item, c_shop, c_label = (col[name] for name in REQUIRED_COLUMNS)
+    c_ts, c_genre = col.get("timestamp"), col.get("genre_l3")
     for line_no, row in enumerate(reader, start=2):
         try:
             if len(row) != len(header):
                 raise DataError(f"{len(row)} fields, expected {len(header)}")
-            text = row[col["label"]]
+            text = row[c_label]
             try:
                 label = float(text)
             except ValueError:
@@ -150,19 +172,16 @@ def load_interactions(path: str | Path) -> list[InteractionRecord]:
             if not (label in (0.0, 1.0) or 1.0 <= label <= 5.0):
                 raise DataError(f"label {label} outside 0/1 and [1, 5]")
             ts: int | None = None
-            if "timestamp" in col and row[col["timestamp"]] != "":
+            if c_ts is not None and row[c_ts] != "":
                 try:
-                    ts = int(row[col["timestamp"]])
+                    ts = int(row[c_ts])
                 except ValueError:
-                    raise DataError(
-                        f"timestamp {row[col['timestamp']]!r} is not an integer"
-                    ) from None
+                    raise DataError(f"timestamp {row[c_ts]!r} is not an integer") from None
             genre = None
-            if "genre_l3" in col and row[col["genre_l3"]] != "":
-                genre = row[col["genre_l3"]]
+            if c_genre is not None and row[c_genre] != "":
+                genre = row[c_genre]
             rec = InteractionRecord(
-                row[col["user_id"]], row[col["item_id"]], row[col["shop_id"]],
-                label, ts, genre,
+                row[c_user], row[c_item], row[c_shop], label, ts, genre
             )
             key = (rec.user_id, rec.item_id, rec.shop_id, rec.timestamp)
             if key in seen:
@@ -240,9 +259,11 @@ def build_tasks(
             continue
         rng = np.random.default_rng([seed, _TAG_TASKS, stable_hash64(key)])
         perm = rng.permutation(len(recs))
-        chosen = set(perm[:support_size].tolist())
-        support = tuple(r for i, r in enumerate(recs) if i in chosen)
-        query = tuple(r for i, r in enumerate(recs) if i not in chosen)
+        in_support = np.zeros(len(recs), dtype=bool)
+        in_support[perm[:support_size]] = True
+        support, query = [], []
+        for r, s in zip(recs, in_support.tolist()):
+            (support if s else query).append(r)
         tasks.append(ShopTask(key, support, query))
     return tasks
 
@@ -720,19 +741,13 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticData:
         noise = rng.normal(0.0, spec.noise_std, n_p) if spec.noise_std else np.zeros(n_p)
         scores = np.sum(U[u_idx] * (V[i_idx] + W[p]), axis=1) + noise
         labels = (scores > spec.label_threshold).astype(float)
-        recs = []
-        for e in range(n_p):
-            recs.append(
-                InteractionRecord(
-                    users[u_idx[e]],
-                    items[i_idx[e]],
-                    shops[p],
-                    float(labels[e]),
-                    clock,
-                    genres[item_genre[i_idx[e]]],
-                )
-            )
-            clock += 1
+        columns = (u_idx.tolist(), i_idx.tolist(), labels.tolist(),
+                   item_genre[i_idx].tolist())
+        recs = [
+            InteractionRecord(users[u], items[i], shops[p], y, clock + e, genres[g])
+            for e, (u, i, y, g) in enumerate(zip(*columns))
+        ]
+        clock += n_p
         if p in new_idx:
             test.extend(recs)
         else:

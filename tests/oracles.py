@@ -18,16 +18,34 @@ task at a time, as the stacked meta step and meta_inference must reproduce
 bit for bit, and the *_tree functions are the forward, backward and
 loss-and-gradient passes that walk a parameter tree's attributes (a stack's
 leaves carry a leading task axis), which the kernels reading leaf views of
-one (..., P) vector must reproduce bit for bit.
+one (..., P) vector must reproduce bit for bit. InteractionRecordPostInit is
+the unslotted record whose field-by-field checks the slotted record's one
+fast check must reproduce error for error, generate_synthetic_per_element
+builds the synthetic world one scalar-indexed record at a time, and
+build_tasks_set_split splits each group by set probes; the list-converted
+generator and the mask split must reproduce both record for record.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from metashop.datapipe import ShopTask
+from metashop.datapipe import (
+    _TAG_SYNTH,
+    _TAG_TASKS,
+    FeatureTable,
+    InteractionRecord,
+    ShopTask,
+    SyntheticData,
+    TaskUnit,
+    _apportion,
+    _id_list,
+    _record_sort_key,
+    stable_hash64,
+)
 from metashop.metaopt import (
     OuterOptimizer,
     _penalty_for,
@@ -35,7 +53,7 @@ from metashop.metaopt import (
     fmst_train_step,
     meta_train_step,
 )
-from metashop.errors import DataError, EmptyBatchError
+from metashop.errors import ConfigError, DataError, EmptyBatchError
 from metashop.models import (
     Batch,
     EncoderMode,
@@ -485,3 +503,127 @@ def mae_loop(preds, labels) -> float:
     for p, y in zip(preds, labels):
         total += abs(float(p) - float(y))
     return total / len(preds)
+
+
+@dataclass(frozen=True)
+class InteractionRecordPostInit:
+    """The record as a plain frozen dataclass, checked field by field."""
+
+    user_id: str
+    item_id: str
+    shop_id: str
+    label: float
+    timestamp: int | None = None
+    genre_l3: str | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("user_id", "item_id", "shop_id"):
+            v = getattr(self, name)
+            if not isinstance(v, str) or not v:
+                raise DataError(f"{name} must be a non-empty string, got {v!r}")
+        if not math.isfinite(self.label) or self.label < 0:
+            raise DataError(f"label must be finite and >= 0, got {self.label}")
+
+
+def generate_synthetic_per_element(spec) -> SyntheticData:
+    """generate_synthetic with one scalar-indexed record per loop pass."""
+    rng = np.random.default_rng([spec.seed, _TAG_SYNTH])
+    d = spec.latent_dim
+    scale = d ** -0.25
+    users = _id_list("u", spec.n_users)
+    items = _id_list("i", spec.n_items)
+    shops = _id_list("s", spec.n_shops)
+    genres = _id_list("g", spec.n_genres)
+    U = rng.normal(0.0, 1.0, (spec.n_users, d)) * scale
+    V = rng.normal(0.0, 1.0, (spec.n_items, d)) * scale
+    W = rng.normal(0.0, 1.0, (spec.n_shops, d)) * scale * spec.shop_effect_std
+    raw = rng.pareto(spec.pareto_exponent, spec.n_shops) + 1.0
+    sizes = np.maximum(
+        spec.min_shop_size,
+        np.round(raw / raw.sum() * spec.interactions_per_shop * spec.n_shops).astype(int),
+    )
+    item_counts = _apportion(sizes.astype(float), spec.n_items)
+    item_perm = rng.permutation(spec.n_items)
+    shop_items = []
+    offset = 0
+    for p in range(spec.n_shops):
+        shop_items.append(item_perm[offset : offset + item_counts[p]])
+        offset += item_counts[p]
+    item_genre = rng.integers(0, spec.n_genres, spec.n_items)
+    if spec.n_new_shops:
+        median_size = float(np.median(sizes))
+        below = [p for p in range(spec.n_shops) if sizes[p] < median_size]
+        if len(below) < spec.n_new_shops:
+            below = list(np.argsort(sizes)[: max(spec.n_new_shops, 1)])
+        new_idx = set(
+            int(p) for p in rng.choice(below, size=spec.n_new_shops, replace=False)
+        )
+    else:
+        new_idx = set()
+    train, test = [], []
+    clock = 0
+    for p in range(spec.n_shops):
+        n_p = int(sizes[p])
+        u_idx = rng.integers(0, spec.n_users, n_p)
+        i_idx = shop_items[p][rng.integers(0, len(shop_items[p]), n_p)]
+        noise = rng.normal(0.0, spec.noise_std, n_p) if spec.noise_std else np.zeros(n_p)
+        scores = np.sum(U[u_idx] * (V[i_idx] + W[p]), axis=1) + noise
+        labels = (scores > spec.label_threshold).astype(float)
+        recs = []
+        for e in range(n_p):
+            recs.append(
+                InteractionRecord(
+                    users[u_idx[e]],
+                    items[i_idx[e]],
+                    shops[p],
+                    float(labels[e]),
+                    clock,
+                    genres[item_genre[i_idx[e]]],
+                )
+            )
+            clock += 1
+        if p in new_idx:
+            test.extend(recs)
+        else:
+            n_test = math.ceil(spec.test_fraction * n_p)
+            train.extend(recs[: n_p - n_test])
+            test.extend(recs[n_p - n_test :])
+    features = FeatureTable(
+        {users[i]: U[i] for i in range(spec.n_users)},
+        {items[i]: V[i] for i in range(spec.n_items)},
+    )
+    effects = {shops[p]: W[p] for p in range(spec.n_shops)}
+    return SyntheticData(
+        train, test, features, effects, tuple(sorted(shops[p] for p in new_idx))
+    )
+
+
+def build_tasks_set_split(
+    records, min_interactions=13, support_size=10, seed=0, task_unit=TaskUnit.SHOP
+) -> list[ShopTask]:
+    """build_tasks probing a set of support indices once per side per record,
+    with the overlap check that intersects the two whole sets."""
+    if support_size < 1:
+        raise ConfigError(f"support_size must be >= 1, got {support_size}")
+    if min_interactions <= support_size:
+        raise ConfigError(
+            f"min_interactions ({min_interactions}) must exceed "
+            f"support_size ({support_size}) so queries are never empty"
+        )
+    attr = {TaskUnit.SHOP: "shop_id", TaskUnit.ITEM: "item_id", TaskUnit.USER: "user_id"}
+    groups = {}
+    for r in records:
+        groups.setdefault(getattr(r, attr[task_unit]), []).append(r)
+    tasks = []
+    for key in sorted(groups):
+        recs = sorted(groups[key], key=_record_sort_key)
+        if len(recs) < min_interactions:
+            continue
+        rng = np.random.default_rng([seed, _TAG_TASKS, stable_hash64(key)])
+        chosen = set(rng.permutation(len(recs))[:support_size].tolist())
+        support = tuple(r for i, r in enumerate(recs) if i in chosen)
+        query = tuple(r for i, r in enumerate(recs) if i not in chosen)
+        if set(support) & set(query):
+            raise DataError(f"task {key!r} has overlapping support/query")
+        tasks.append(ShopTask(key, support, query))
+    return tasks

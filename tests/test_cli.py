@@ -380,6 +380,16 @@ EDGE_CASES = [
         "eval.rating_positive_threshold must be finite, got inf",
     ),
     ("train.beta", -5, "beta must be positive and finite, got -5.0"),
+    ("train.steps", -1, "steps must be >= 0, got -1"),
+    ("train.steps", 0, Ok(0)),
+    ("train.epochs", -1, "epochs must be >= 0, got -1"),
+    ("train.batch_size", 0, "batch_size must be >= 1, got 0"),
+    ("train.batch_size", 1, Ok(1)),
+    ("train.early_stop_patience", -1, "early_stop_patience must be >= 0, got -1"),
+    ("train.early_stop_patience", 0, Ok(0)),
+    ("data.negative_ratio", -1, "negative ratio must be positive, got -1.0"),
+    ("data.negative_ratio", 0, "negative ratio must be positive, got 0.0"),
+    ("data.negative_ratio", float("nan"), "negative ratio must be positive, got nan"),
 ]
 
 
@@ -1022,6 +1032,22 @@ class TestInputErrors:
         assert capsys.readouterr().err == (
             "config error: beta must be positive and finite, got 0.0\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "override,message",
+        [
+            ("train.steps=-1", "steps must be >= 0, got -1"),
+            ("train.early_stop_patience=-1", "early_stop_patience must be >= 0, got -1"),
+            ("data.negative_ratio=-1", "negative ratio must be positive, got -1.0"),
+        ],
+    )
+    def test_gen_data_checks_the_trainer_ranges(self, tmp_path, capsys, override, message):
+        out = tmp_path / "run"
+        cfg_path = write_config(tmp_path / "run.yaml", base_config(out))
+        capsys.readouterr()
+        assert main(["gen-data", "--config", str(cfg_path), "--set", override]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
 
