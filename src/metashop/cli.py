@@ -89,7 +89,8 @@ from SyntheticSpec, whose values are type-checked but passed on as
 written; `eval` from the library's EvalOptions, whose range checks run
 when the config loads, plus `checkpoint` and `adapt`; MetaConfig's range
 checks and the trainers' checks of `steps`, `epochs`, `batch_size`,
-`early_stop_patience` and `data.negative_ratio` also run at load). A choice
+`early_stop_patience`, `data.negative_ratio` and `build_tasks`' check of
+`data.min_interactions` and `data.support_size` also run at load). A choice
 key's type gives its allowed strings: the library enum that the parsed config
 holds a member of, or a `Literal` of strings kept as written (the trainers, the
 studies, and `auto` and `none`, which mean squared loss for any labels and
@@ -134,6 +135,7 @@ from .datapipe import (
     attach_size_classes,
     attribute_fields,
     build_tasks,
+    check_task_sizes,
     classify_shops,
     convert_ml1m,
     generate_synthetic,
@@ -201,6 +203,7 @@ class DataConfig:
             raise ConfigError(
                 f"negative ratio must be positive, got {self.negative_ratio}"
             )
+        check_task_sizes(self.min_interactions, self.support_size)
 
 
 @dataclass

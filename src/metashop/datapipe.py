@@ -224,6 +224,17 @@ def save_interactions(path: str | Path, records: Sequence[InteractionRecord]) ->
 # ---------------------------------------------------------------------------
 
 
+def check_task_sizes(min_interactions: int, support_size: int) -> None:
+    """ConfigError unless every admitted group leaves a support and a query."""
+    if support_size < 1:
+        raise ConfigError(f"support_size must be >= 1, got {support_size}")
+    if min_interactions <= support_size:
+        raise ConfigError(
+            f"min_interactions ({min_interactions}) must exceed "
+            f"support_size ({support_size}) so queries are never empty"
+        )
+
+
 def build_tasks(
     records: Sequence[InteractionRecord],
     min_interactions: int = 13,
@@ -237,13 +248,7 @@ def build_tasks(
     without replacement by a per-group seeded permutation, so the split for
     one group is independent of every other group and of record file order.
     """
-    if support_size < 1:
-        raise ConfigError(f"support_size must be >= 1, got {support_size}")
-    if min_interactions <= support_size:
-        raise ConfigError(
-            f"min_interactions ({min_interactions}) must exceed "
-            f"support_size ({support_size}) so queries are never empty"
-        )
+    check_task_sizes(min_interactions, support_size)
     key_of = {
         TaskUnit.SHOP: lambda r: r.shop_id,
         TaskUnit.ITEM: lambda r: r.item_id,

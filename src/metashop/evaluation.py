@@ -14,7 +14,8 @@ RecModel, scored by ``score_matrix``, or a scorer: a callable taking
 (user ids, item ids) and returning an (n_users, n_items) score array. A
 model that needs more context to score binds it into a scorer first; the
 distance baseline, for one, computes its user representations once and
-scores with ``models.baseline_score_matrix``.
+scores with ``models.baseline_score_matrix``. Item queries over the shared
+user pool resolve its feature rows once per distinct user encoder object.
 
 Fractional recall cutoffs (0 < k < 1) resolve per query to
 ceil(k * n_candidates), so "recall@0.1" reads as recall at 10% of the pool.
@@ -124,9 +125,14 @@ def score_matrix(
     user_ids: Sequence[str],
     item_ids: Sequence[str],
     features: FeatureSource,
+    user_rows: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Scores for every (user, item) pair, shape (n_users, n_items)."""
-    users = feature_rows(model.user_encoder, map(features.user_raw, user_ids), "user")
+    """Scores for every (user, item) pair, shape (n_users, n_items).
+
+    ``user_rows`` are the users' ``feature_rows``, resolved here when None."""
+    users = user_rows
+    if users is None:
+        users = feature_rows(model.user_encoder, map(features.user_raw, user_ids), "user")
     items = feature_rows(model.item_encoder, map(features.item_raw, item_ids), "item")
     u = encode_rows(model.user_encoder, users)
     v = encode_rows(model.item_encoder, items)
@@ -163,10 +169,10 @@ def _model_for(models: Any, shop_id: str):
 
 
 def _scores_for_task(
-    model: Any, pool: list[str], items: list[str], features: FeatureSource
+    model: Any, pool: list[str], items: list[str], features: FeatureSource, pool_rows=None
 ) -> np.ndarray:
     if isinstance(model, RecModel):
-        return score_matrix(model, pool, items, features)
+        return score_matrix(model, pool, items, features, user_rows=pool_rows)
     if callable(model):
         out = np.asarray(model(pool, items), dtype=np.float64)
         if out.shape != (len(pool), len(items)):
@@ -211,6 +217,7 @@ def evaluate_tasks(
         shared_pool = _indexed(user_pool)
     queries: list[QueryMetrics] = []
     degenerate = 0
+    pool_rows, rows_encoder = None, None
     for task in sorted(tasks, key=lambda t: t.shop_id):
         model = _model_for(models, task.shop_id)
         if mode is QueryMode.ITEM:
@@ -219,7 +226,12 @@ def evaluate_tasks(
                 if shared_pool is not None
                 else _indexed(r.user_id for r in task.query)
             )
-            batches = [_item_queries(model, task, features, candidates)]
+            if shared_pool is not None and isinstance(model, RecModel):
+                if model.user_encoder is not rows_encoder:
+                    rows_encoder = model.user_encoder
+                    raws = map(features.user_raw, shared_pool[0])
+                    pool_rows = feature_rows(rows_encoder, raws, "user")
+            batches = [_item_queries(model, task, features, candidates, pool_rows)]
         else:
             batches = _user_shop_queries(model, task, features, options)
         for keys, gains, recall_gains, observed in batches:
@@ -275,24 +287,28 @@ def _item_queries(
     task: ShopTask,
     features: FeatureSource,
     candidates: tuple[list[str], dict[str, int]],
+    pool_rows: np.ndarray | None = None,
 ) -> Queries:
     """One query per item over the candidate users, as ``_indexed`` gives them."""
     pool, pool_row = candidates
     items = sorted({r.item_id for r in task.query})
     item_col = {i: j for j, i in enumerate(items)}
-    scores = _scores_for_task(model, pool, items, features)
+    scores = _scores_for_task(model, pool, items, features, pool_rows)
+    try:
+        rows = np.array([pool_row[r.user_id] for r in task.query], dtype=np.intp)
+    except KeyError as exc:
+        raise DataError(
+            f"test user {exc.args[0]!r} is missing from the candidate pool"
+        ) from None
+    cols = np.array([item_col[r.item_id] for r in task.query], dtype=np.intp)
+    labels = np.array([r.label for r in task.query], dtype=np.float64)
     gains = np.zeros(scores.shape)
-    observed: list[tuple] = [([], []) for _ in items]
-    for r in task.query:
-        if r.user_id not in pool_row:
-            raise DataError(
-                f"test user {r.user_id!r} is missing from the candidate pool"
-            )
-        row, col = pool_row[r.user_id], item_col[r.item_id]
-        if r.label > 0:
-            gains[row, col] = 1.0
-        observed[col][0].append(scores[row, col])
-        observed[col][1].append(r.label)
+    gains[rows[labels > 0], cols[labels > 0]] = 1.0
+    # each item's (predictions, labels), in record order
+    by_item = np.argsort(cols, kind="stable")
+    ends = np.cumsum(np.bincount(cols)).tolist()
+    preds, labs = scores[rows, cols][by_item].tolist(), labels[by_item].tolist()
+    observed = [(preds[a:b], labs[a:b]) for a, b in zip([0, *ends], ends)]
     ranked = np.take_along_axis(gains, rank_order(scores), axis=0)
     return items, ranked, ranked, observed
 

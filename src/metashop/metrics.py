@@ -5,7 +5,9 @@ query and a row per candidate, rows sorted by id. ``rank_order`` sorts each
 column by descending score (ties go to the smaller id, 0.0 ties -0.0, NaN
 ranks last), and ``recall_columns`` and ``ndcg_columns`` score the gain
 matrix gathered in that order. ``recall_at_k`` and ``ndcg_at_k`` are
-one-column calls of it.
+one-column calls of it. A large matrix is sorted column by column with the
+faster unstable sort, and only the columns holding equal scores or NaN are
+sorted again stably, so every column gets the stable sort's order.
 
 recall@k counts a candidate as relevant when its gain is > 0, and has two
 conventions, selected by RecallMode:
@@ -85,13 +87,27 @@ class RankedPrediction:
         return RankedPrediction(query_id, shop_id, ranked, dict(relevance))
 
 
+# The two sorts cross near this many scores (timeit, 2 vCPUs: (600, 2) takes 22 us
+# stable against 42 on the fast path, (400, 6) 144 against 86).
+_FAST_RANK_MIN_SIZE = 1500
+
+
 def rank_order(scores: np.ndarray) -> np.ndarray:
     """Row indices of each column by descending score.
 
-    Rows must be sorted by candidate id: the stable sort then breaks ties
-    toward the smaller id, 0.0 ties -0.0, and NaN ranks last.
+    Rows must be sorted by candidate id: the order is the stable sort's, which
+    breaks ties toward the smaller id, ties 0.0 with -0.0, and ranks NaN last.
     """
-    return np.argsort(-scores, axis=0, kind="stable")
+    if scores.size < _FAST_RANK_MIN_SIZE:
+        return np.argsort(-scores, axis=0, kind="stable")
+    cols = np.negative(scores.T, order="C")
+    order = np.argsort(cols, axis=1)
+    ranked = np.take_along_axis(cols, order, axis=1)
+    # a column without equal scores or NaN has one order; re-sort the others
+    redo = (ranked[:, 1:] == ranked[:, :-1]).any(axis=1)
+    for j in np.flatnonzero(redo | np.isnan(ranked[:, -1:]).any(axis=1)):
+        order[j] = np.argsort(cols[j], kind="stable")
+    return order.T
 
 
 def _check_k(k: int) -> None:

@@ -24,6 +24,12 @@ fast check must reproduce error for error, generate_synthetic_per_element
 builds the synthetic world one scalar-indexed record at a time, and
 build_tasks_set_split splits each group by set probes; the list-converted
 generator and the mask split must reproduce both record for record.
+rank_order_stable is the one stable sort that metrics.rank_order's
+column-wise fast path must reproduce index for index, and
+item_queries_per_record builds one scored shop's item queries a query
+record at a time, scoring through the package's own _scores_for_task, as
+evaluation._item_queries' array pass must reproduce bit for bit and error
+for error.
 """
 
 from __future__ import annotations
@@ -54,6 +60,7 @@ from metashop.metaopt import (
     meta_train_step,
 )
 from metashop.errors import ConfigError, DataError, EmptyBatchError
+from metashop.evaluation import _scores_for_task
 from metashop.models import (
     Batch,
     EncoderMode,
@@ -496,6 +503,33 @@ def ndcg_oracle(ranked: list[str], relevance: dict[str, float], k: int) -> float
     if idcg == 0.0:
         return 0.0
     return dcg_oracle(gains, k) / idcg
+
+
+def rank_order_stable(scores: np.ndarray) -> np.ndarray:
+    """Row indices of each column by descending score, one stable sort."""
+    return np.argsort(-scores, axis=0, kind="stable")
+
+
+def item_queries_per_record(model, task, features, candidates):
+    """``evaluation._item_queries`` one query record at a time."""
+    pool, pool_row = candidates
+    items = sorted({r.item_id for r in task.query})
+    item_col = {i: j for j, i in enumerate(items)}
+    scores = _scores_for_task(model, pool, items, features)
+    gains = np.zeros(scores.shape)
+    observed: list[tuple] = [([], []) for _ in items]
+    for r in task.query:
+        if r.user_id not in pool_row:
+            raise DataError(
+                f"test user {r.user_id!r} is missing from the candidate pool"
+            )
+        row, col = pool_row[r.user_id], item_col[r.item_id]
+        if r.label > 0:
+            gains[row, col] = 1.0
+        observed[col][0].append(scores[row, col])
+        observed[col][1].append(r.label)
+    ranked = np.take_along_axis(gains, rank_order_stable(scores), axis=0)
+    return items, ranked, ranked, observed
 
 
 def mae_loop(preds, labels) -> float:

@@ -294,7 +294,14 @@ CONFIG_KEYS = {
     "data.latents": OPT_STR,
     "data.user_attrs": OPT_STR,
     "data.item_attrs": OPT_STR,
-    "data.min_interactions": INT,
+    # 2 is an integer, but not above the default support_size of 10
+    "data.min_interactions": _outcomes(
+        "{p} must be an integer, got {t}",
+        {
+            0: "min_interactions (2) must exceed support_size (10) "
+            "so queries are never empty"
+        },
+    ),
     "data.support_size": INT,
     "data.negative_strategy": _choice("none, n0, n1, n2", Ok("none")),
     "data.negative_ratio": NUMBER,
@@ -390,6 +397,11 @@ EDGE_CASES = [
     ("data.negative_ratio", -1, "negative ratio must be positive, got -1.0"),
     ("data.negative_ratio", 0, "negative ratio must be positive, got 0.0"),
     ("data.negative_ratio", float("nan"), "negative ratio must be positive, got nan"),
+    (
+        "data.min_interactions",
+        10,
+        "min_interactions (10) must exceed support_size (10) so queries are never empty",
+    ),
 ]
 
 
@@ -1040,6 +1052,11 @@ class TestInputErrors:
             ("train.steps=-1", "steps must be >= 0, got -1"),
             ("train.early_stop_patience=-1", "early_stop_patience must be >= 0, got -1"),
             ("data.negative_ratio=-1", "negative ratio must be positive, got -1.0"),
+            (
+                "data.min_interactions=5",
+                "min_interactions (5) must exceed support_size (10) "
+                "so queries are never empty",
+            ),
         ],
     )
     def test_gen_data_checks_the_trainer_ranges(self, tmp_path, capsys, override, message):

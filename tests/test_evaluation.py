@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from metashop.datapipe import InteractionRecord, ShopTask, SizeClass
@@ -30,7 +30,9 @@ from metashop.models import (
     baseline_score_matrix,
     baseline_user_reps,
     build_baseline,
+    build_categorical_encoder,
     build_model,
+    feature_rows,
     prepare_batch,
     pretrained_encoder,
 )
@@ -38,6 +40,7 @@ from metashop.models import (
 from metashop.numcore import mlp_forward_trace
 
 from oracles import (
+    item_queries_per_record,
     mae_loop,
     ndcg_oracle,
     predict_scores,
@@ -475,3 +478,190 @@ class TestOracleAgreement:
             )
         degenerate = sum(1 for w in want if not any(g > 0 for g in w[2].values()))
         assert report.counts["ndcg_degenerate"] == degenerate
+
+
+class TestItemQueryOracle:
+    """The array pass of ``_item_queries`` against the per-record loop."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_per_record_loop(self, data):
+        n_users = data.draw(st.integers(1, 10))
+        users = [f"u{j}" for j in range(n_users)]
+        items = [f"i{j}" for j in range(data.draw(st.integers(1, 5)))]
+        records = data.draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(users),
+                    st.sampled_from(items),
+                    st.sampled_from([0.0, 1.0]),
+                ),
+                min_size=1,
+                max_size=20,
+            )
+        )
+        # the same (user, item) cell labelled 1 then 0, and 0 then 1
+        u, i = data.draw(st.sampled_from(users)), data.draw(st.sampled_from(items))
+        records += [(u, i, 1.0), (u, i, 0.0), (users[0], i, 0.0), (users[0], i, 1.0)]
+        records = data.draw(st.permutations(records))
+        query = [irec(u, i, "s", y) for u, i, y in records]
+        task = ShopTask("s", [irec("sup_u", "sup_i", "s", 1.0)], query)
+        # pools that may lack test users, and hold users with no record
+        dropped = data.draw(st.sets(st.sampled_from(users), max_size=2))
+        kept = [u for u in users if u not in dropped]
+        extra = [f"x{j}" for j in range(data.draw(st.integers(0 if kept else 1, 3)))]
+        candidates = evaluation._indexed(kept + extra)
+        table = {
+            (u, i): data.draw(st.sampled_from([0.0, -0.0, 0.5, 1.0]))
+            for u in candidates[0]
+            for i in items
+        }
+        calls = []
+
+        def scorer(us, its):
+            calls.append(len(us))
+            return np.array([[table[u, i] for i in its] for u in us])
+
+        outcomes = []
+        for build in (evaluation._item_queries, item_queries_per_record):
+            try:
+                outcomes.append(build(scorer, task, None, candidates))
+            except DataError as exc:
+                outcomes.append(str(exc))
+        got, want = outcomes
+        missing = [r.user_id for r in query if r.user_id in dropped]
+        event(f"missing user: {bool(missing)}")
+        if missing:
+            text = f"test user {missing[0]!r} is missing from the candidate pool"
+            assert got == want == text
+            assert calls == [len(candidates[0])] * 2  # both score first
+            return
+        assert got[0] == want[0]
+        assert got[1].tobytes() == want[1].tobytes()
+        assert got[2].tobytes() == want[2].tobytes()
+        assert len(got[3]) == len(want[3]) == len(got[0])
+        for (preds, labels), (want_preds, want_labels) in zip(got[3], want[3]):
+            assert np.array(preds).tobytes() == np.array(want_preds).tobytes()
+            assert labels == want_labels
+
+        # the whole report is unchanged with the loop in place
+        for include_mae in (True, False):
+            options = EvalOptions(
+                recall_ks=(1, 0.5), ndcg_ks=(1, 3), include_mae=include_mae
+            )
+            fast = evaluate_tasks(
+                scorer, [task], None, options, user_pool=candidates[0]
+            )
+            with mock.patch.object(
+                evaluation,
+                "_item_queries",
+                lambda model, task, features, cands, rows: item_queries_per_record(
+                    model, task, features, cands
+                ),
+            ):
+                slow = evaluate_tasks(
+                    scorer, [task], None, options, user_pool=candidates[0]
+                )
+            assert fast == slow
+
+
+@dataclass
+class CountingFeatures:
+    """DictFeatures that counts ``user_raw`` lookups."""
+
+    users: dict
+    items: dict
+    user_calls: int = 0
+
+    def user_raw(self, user_id):
+        self.user_calls += 1
+        return self.users[user_id]
+
+    def item_raw(self, item_id):
+        return self.items[item_id]
+
+
+class TestPoolResolution:
+    """How often ``evaluate_tasks`` resolves the shared user pool's rows."""
+
+    def world(self, categorical: bool):
+        pool, tasks, _ = binary_world(n_users=20, n_shops=3)
+        rng = np.random.default_rng(4)
+        items = sorted({r.item_id for t in tasks for r in t.query})
+        if categorical:
+            users = {
+                u: {"band": "ab"[k % 2], "tier": "xyz"[k % 3]}
+                for k, u in enumerate(pool)
+            }
+            user_enc = build_categorical_encoder(
+                [("band", ["a", "b"]), ("tier", ["x", "y", "z"])], 3, 5
+            )
+        else:
+            users = {u: rng.normal(size=3) for u in pool}
+            user_enc = pretrained_encoder(3)
+        feats = CountingFeatures(users, {i: rng.normal(size=3) for i in items})
+        model = build_model(ModelKind.MESH, user_enc, pretrained_encoder(3), [4], 6)
+        return pool, tasks, feats, model
+
+    def adapted(self, model, tasks):
+        # a changed vector per shop, as meta_inference hands back
+        return {
+            t.shop_id: model.at(model.vector * (1.0 + 0.1 * k))
+            for k, t in enumerate(tasks)
+        }
+
+    def resolutions(self, models, pool, tasks, feats) -> float:
+        options = EvalOptions(recall_ks=(1,), ndcg_ks=(3,))
+        evaluate_tasks(models, tasks, feats, options, user_pool=pool)
+        return feats.user_calls / len(pool)
+
+    def test_one_shared_model_resolves_once(self):
+        pool, tasks, feats, model = self.world(categorical=False)
+        assert self.resolutions(model, pool, tasks, feats) == 1
+
+    def test_adapted_models_sharing_a_pretrained_encoder_resolve_once(self):
+        pool, tasks, feats, model = self.world(categorical=False)
+        models = self.adapted(model, tasks)
+        assert len({id(m.user_encoder) for m in models.values()}) == 1
+        assert self.resolutions(models, pool, tasks, feats) == 1
+
+    def test_adapted_categorical_encoders_resolve_per_shop(self):
+        pool, tasks, feats, model = self.world(categorical=True)
+        models = self.adapted(model, tasks)
+        assert self.resolutions(models, pool, tasks, feats) == len(tasks)
+
+    def test_callable_scorers_never_resolve(self):
+        pool, tasks, feats, _ = self.world(categorical=False)
+        zero = lambda users, items: np.zeros((len(users), len(items)))
+        assert self.resolutions(zero, pool, tasks, feats) == 0
+
+    def test_resolved_reports_match_per_call_resolution(self):
+        # the report with rows resolved once equals one that resolves per call
+        for categorical in (False, True):
+            pool, tasks, feats, model = self.world(categorical)
+            options = EvalOptions(recall_ks=(1, 0.5), ndcg_ks=(3,))
+            for models in (model, self.adapted(model, tasks)):
+                once = evaluate_tasks(models, tasks, feats, options, user_pool=pool)
+                with mock.patch.object(
+                    evaluation,
+                    "score_matrix",
+                    lambda m, u, i, f, user_rows=None: score_matrix(m, u, i, f),
+                ):
+                    each = evaluate_tasks(
+                        models, tasks, feats, options, user_pool=pool
+                    )
+                assert once == each
+
+    @pytest.mark.parametrize("kind", [ModelKind.MESH, ModelKind.MESH_I])
+    def test_given_user_rows_score_byte_for_byte(self, kind):
+        rng = np.random.default_rng(8)
+        users = [f"u{k}" for k in range(30)]
+        items = [f"i{k}" for k in range(7)]
+        feats = DictFeatures(
+            {u: rng.normal(size=3) for u in users},
+            {i: rng.normal(size=2) for i in items},
+        )
+        model = build_model(kind, pretrained_encoder(3), pretrained_encoder(2), [4], 9)
+        rows = feature_rows(model.user_encoder, map(feats.user_raw, users), "user")
+        given_rows = score_matrix(model, users, items, feats, user_rows=rows)
+        assert given_rows.tobytes() == score_matrix(model, users, items, feats).tobytes()

@@ -11,16 +11,24 @@ Every workload and acceptance check starts from one of two generated
 worlds: the acceptance world and the README world. Their interaction and
 latent files are pinned here by sha256 too, so that a change in how records
 are generated shows up as a changed world, not only as changed training.
+
+The workloads evaluate item queries only, so the report and tables of a
+``user_shop`` evaluation on the ``tests/test_cli.py`` world are pinned too:
+ranking and scoring run under every query mode.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from metashop.cli import main
+from test_cli import base_config, write_config
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("quickstart", "vocab_meta", "pooled_joint")
@@ -113,3 +121,22 @@ def test_generated_world_files_keep_their_bytes(world, tmp_path):
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert json.loads(proc.stdout.strip().splitlines()[-1]) == WORLD_SHA256[world]
+
+
+USER_SHOP_SHA256 = {
+    "report.json": "1bfa83df7f5e5cc9a01388fd80d2b88251cbecefb455b993f80004935f16d90f",
+    "tables.txt": "8d8837de2eb05c65246905fca817ff687e639c02c9a1f2c586073de1770674e4",
+}
+
+
+def test_user_shop_evaluation_keeps_its_bytes(tmp_path):
+    out = tmp_path / "run"
+    cfg = str(write_config(tmp_path / "run.yaml", base_config(out)))
+    for command in ("gen-data", "train"):
+        assert main([command, "--config", cfg]) == 0
+    assert main(["evaluate", "--config", cfg, "--set", "eval.query_mode=user_shop"]) == 0
+    got = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in USER_SHOP_SHA256
+    }
+    assert got == USER_SHOP_SHA256

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metashop import metrics
 from metashop.datapipe import SizeClass
 from metashop.errors import ConfigError, DataError
 from metashop.metrics import (
@@ -22,6 +24,7 @@ from metashop.metrics import (
     mae,
     ndcg_at_k,
     ndcg_columns,
+    rank_order,
     recall_at_k,
     recall_columns,
     report_from_json,
@@ -30,7 +33,7 @@ from metashop.metrics import (
     save_report,
 )
 
-from oracles import ndcg_oracle, rank_candidates, recall_oracle
+from oracles import ndcg_oracle, rank_candidates, rank_order_stable, recall_oracle
 
 
 def pred(ranked, relevance, query="q", shop="s"):
@@ -169,6 +172,85 @@ class TestOracleAgreement:
             ranked, relevant, k, True
         )
         assert ndcg_at_k(p, k) == ndcg_oracle(ranked, relevance, k)
+
+
+SPECIAL = np.array([0.0, -0.0, 1.0, -1.0, np.nan, np.inf, -np.inf])
+
+
+def score_column(rng, n: int, kind: str) -> np.ndarray:
+    """One score column of ``kind``; only "distinct" and "random" lack ties."""
+    if kind == "distinct":
+        return rng.permutation(n) * 0.25 - 3.0
+    if kind == "random":
+        return rng.normal(size=n)
+    if kind == "special":
+        return SPECIAL[rng.integers(len(SPECIAL), size=n)]
+    if kind == "equal":
+        return np.full(n, SPECIAL[rng.integers(len(SPECIAL))])
+    col = rng.normal(size=n)  # "one_tie" or "one_nan": one flaw in distinct values
+    if n > 1:
+        col[rng.integers(1, n)] = col[0] if kind == "one_tie" else np.nan
+    return col
+
+
+KINDS = ("distinct", "random", "special", "equal", "one_tie", "one_nan")
+# both sides of the size cut, and degenerate shapes
+SHAPES = st.one_of(
+    st.tuples(st.integers(0, 30), st.integers(0, 8)),
+    st.tuples(st.integers(300, 420), st.integers(4, 12)),
+    st.tuples(st.just(1), st.integers(0, 2000)),
+    st.tuples(st.integers(0, 2500), st.just(1)),
+    st.tuples(st.just(0), st.integers(0, 2000)),
+)
+
+
+def assert_same_order(scores: np.ndarray) -> None:
+    before = scores.copy()
+    got, want = rank_order(scores), rank_order_stable(scores)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert scores.tobytes() == before.tobytes()  # input untouched
+
+
+class TestRankOrder:
+    """The column-wise fast path gives the one stable sort's order exactly."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        shape=SHAPES,
+        kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+        fast_everywhere=st.booleans(),
+    )
+    def test_matches_the_stable_sort(self, shape, kinds, seed, fast_everywhere):
+        n, m = shape
+        rng = np.random.default_rng(seed)
+        scores = np.empty((n, m))
+        for j in range(m):
+            scores[:, j] = score_column(rng, n, kinds[j % len(kinds)])
+        cut = 0 if fast_everywhere else metrics._FAST_RANK_MIN_SIZE
+        with mock.patch.object(metrics, "_FAST_RANK_MIN_SIZE", cut):
+            assert_same_order(scores)
+
+    @pytest.mark.parametrize("cut", [0, metrics._FAST_RANK_MIN_SIZE])
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (5, 0), (0, 2000), (1, 1)])
+    def test_empty_and_single_inputs(self, cut, shape):
+        with mock.patch.object(metrics, "_FAST_RANK_MIN_SIZE", cut):
+            assert_same_order(np.zeros(shape))
+
+    def test_tied_and_untied_columns_mixed_above_the_cut(self):
+        rng = np.random.default_rng(5)
+        scores = np.column_stack(
+            [score_column(rng, 400, kind) for kind in KINDS * 2]
+        )
+        assert scores.size >= metrics._FAST_RANK_MIN_SIZE
+        assert_same_order(scores)
+        # the signed zeros tie: +0.0 at row 0 stays ahead of -0.0 at row 1
+        scores[:2, 0] = [0.0, -0.0]
+        scores[2:, 0] = -1.0
+        assert rank_order(scores)[:2, 0].tolist() == [0, 1]
+        scores[:2, 0] = [-0.0, 0.0]
+        assert rank_order(scores)[:2, 0].tolist() == [0, 1]
 
 
 def q(query, shop, **values):
