@@ -107,6 +107,7 @@ import argparse
 import sys
 import time
 import types
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -558,9 +559,7 @@ def cmd_gen_data(cfg: RunConfig, out: Path) -> tuple[str, list, str]:
         out / "latents.csv", data.features.users, data.features.items,
         data.shop_effects,
     )
-    sizes: dict[str, int] = {}
-    for r in data.train + data.test:
-        sizes[r.shop_id] = sizes.get(r.shop_id, 0) + 1
+    sizes = Counter(data.train.values("shop_id") + data.test.values("shop_id"))
     entries = [("seed", cfg.seed)]
     entries += config_manifest_entries(spec, "synthetic")
     entries += [

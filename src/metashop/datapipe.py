@@ -7,9 +7,15 @@ File formats (all CSV, UTF-8):
   * latents: header kind,id,v0,v1,... with kind in {user, item, shop_effect}
   * attributes: header with an id column followed by categorical fields
 
-Records are slotted frozen dataclasses (no per-record ``__dict__``);
-``generate_synthetic`` builds each shop's records from list-converted
-columns in one pass, and ``build_tasks`` splits groups by a boolean mask.
+Records are slotted frozen dataclasses (no per-record ``__dict__``).
+``generate_synthetic`` returns ``Interactions`` tables: a label column and
+int32 code columns into each field's values, so a missing timestamp or genre
+(None) stays apart from a real -1. ``build_tasks``, ``classify_shops``,
+``save_interactions`` and ``models.prepare_batch`` read columns, viewing a
+record list as columns that keep its records. A table checks its columns
+once (ids non-empty strings, labels finite and >= 0), so the records it
+builds skip the constructor check; it builds them only where something
+reads records, such as the support and query sets of ``build_tasks``.
 
 Determinism: every random choice goes through ``np.random.default_rng``
 seeded from (seed, purpose tag) or (seed, stable hash of the entity id), so
@@ -25,9 +31,13 @@ import io
 import math
 import re
 import statistics
-from dataclasses import dataclass, replace
+from collections import deque
+from collections.abc import Sequence
+from dataclasses import dataclass, fields, replace
+from itertools import repeat
+from operator import attrgetter
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -125,8 +135,115 @@ class ShopTask:
         object.__setattr__(self, "query", tuple(self.query))
         if not self.support or not self.query:
             raise DataError(f"task {self.shop_id!r} needs support and query records")
-        if not set(self.support).isdisjoint(self.query):
+        users = {r.user_id for r in self.support}  # equal records share a user
+        if not set(self.support).isdisjoint(r for r in self.query if r.user_id in users):
             raise DataError(f"task {self.shop_id!r} has overlapping support/query")
+
+
+_FIELDS = tuple(f.name for f in fields(InteractionRecord))
+_CODED = tuple(f for f in _FIELDS if f != "label")
+# records built from a table have their slots set directly, without the check
+_SETTERS = [getattr(InteractionRecord, f).__set__ for f in _FIELDS]
+
+
+class Interactions(Sequence[InteractionRecord]):
+    """Interactions as columns (Spotlight's ``Interactions``), read as records.
+
+    ``label`` is a float64 column. In a table every other field is an int32
+    code column into an array of that field's values (LightFM-style id
+    mappings), checked once as the record constructor would check each
+    record. ``of`` views a record list as columns, coding a field in order of
+    first appearance when it is first read, and keeps the records. Only
+    ``records_at`` builds records.
+    """
+
+    def __init__(self, label: np.ndarray, columns: Mapping[str, tuple]) -> None:
+        self.label, self._records, self._columns = np.asarray(label, np.float64), None, {}
+        for name in _CODED:
+            codes, values = np.asarray(columns[name][0]), columns[name][1]
+            if not isinstance(values, np.ndarray):
+                values = np.fromiter(values, object, len(values))
+            if (self.label.ndim, codes.shape, codes.dtype.kind in "iu") != (
+                    1, self.label.shape, True) or (
+                    codes.size and not 0 <= codes.min() <= codes.max() < len(values)):
+                raise DataError(f"{name} needs one code per label into its values")
+            for v in values.tolist() if name in _FIELDS[:3] else ():
+                if not isinstance(v, str) or not v:
+                    raise DataError(f"{name} must be a non-empty string, got {v!r}")
+            self._columns[name] = (codes.astype(np.int32), values)
+        bad = self.label[~(np.isfinite(self.label) & (self.label >= 0))]
+        if bad.size:
+            raise DataError(f"label must be finite and >= 0, got {bad[0]}")
+
+    @classmethod
+    def of(cls, records: Sequence[InteractionRecord]) -> Interactions:
+        """A table as it is, anything else as a view of its records."""
+        if isinstance(records, Interactions):
+            return records
+        view = cls.__new__(cls)
+        view._records, view._columns = list(records), {}
+        view.label = np.array([float(r.label) for r in view._records])
+        return view
+
+    def __len__(self) -> int:
+        return len(self.label)
+
+    def __getitem__(self, key):
+        rows = np.array(range(len(self))[key], dtype=np.intp, ndmin=1)
+        return self.records_at(rows)[slice(None) if isinstance(key, slice) else 0]
+
+    def __iter__(self):
+        return iter(self.records_at(np.arange(len(self))))
+
+    def column(self, name: str) -> tuple[np.ndarray, Sequence]:
+        """A field's codes and the values they index: a table's array, or a
+        view's list in order of first appearance (``label`` is its own)."""
+        if name == "label":
+            return np.arange(len(self)), self.label
+        if name not in self._columns:
+            seen: dict = {}
+            rows = map(attrgetter(name), self._records)
+            codes = [seen.setdefault(v, len(seen)) for v in rows]
+            self._columns[name] = (np.array(codes, np.intp), list(seen))
+        return self._columns[name]
+
+    def distinct(self, name: str) -> tuple[list, np.ndarray]:
+        """A field's values in order of first appearance, and each row's index there."""
+        codes, values = self.column(name)
+        if self._records is None:  # a view's codes count in that order already
+            used, first, codes = np.unique(codes, return_index=True, return_inverse=True)
+            order = np.argsort(first)
+            values, codes = values[used[order]].tolist(), np.argsort(order)[codes]
+        return values, codes
+
+    def values(self, name: str) -> list:
+        """Each row's value of a field, as its record holds it."""
+        if self._records is not None:
+            return list(map(attrgetter(name), self._records))
+        codes, values = self.column(name)
+        return values[codes].tolist()
+
+    def ranks(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's dense rank in ``_record_sort_key`` order (None as -1), in
+        the smallest unsigned type (``lexsort`` is fastest on those), and the
+        sorted distinct keys."""
+        codes, keys = self.column(name)
+        if not isinstance(keys, np.ndarray) or keys.dtype == object:
+            keys = [-1 if v is None else v for v in keys]
+            exact = np.array(keys)  # big ints, floats and text keep Python's order
+            keys = exact if exact.dtype.kind in "iu" else np.fromiter(keys, object)
+        distinct, rank = np.unique(keys, return_inverse=True)
+        return rank.astype(np.min_scalar_type(len(distinct)))[codes], distinct
+
+    def records_at(self, rows: np.ndarray) -> list[InteractionRecord]:
+        """The records at ``rows``: a view's own, or built from the columns."""
+        if self._records is not None:
+            return [self._records[k] for k in rows.tolist()]
+        out = list(map(object.__new__, repeat(InteractionRecord, len(rows))))
+        for put, name in zip(_SETTERS, _FIELDS):
+            codes, values = self.column(name)
+            deque(map(put, out, values[codes[rows]].tolist()), maxlen=0)  # runs in C
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -203,19 +320,16 @@ def load_interactions(path: str | Path) -> list[InteractionRecord]:
 
 def save_interactions(path: str | Path, records: Sequence[InteractionRecord]) -> None:
     """Write interactions; optional columns appear iff any record uses them."""
-    cols = list(REQUIRED_COLUMNS)
-    if any(r.timestamp is not None for r in records):
-        cols.append("timestamp")
-    if any(r.genre_l3 is not None for r in records):
-        cols.append("genre_l3")
-    lines = [",".join(cols)]
-    for r in records:
-        row = [r.user_id, r.item_id, r.shop_id, repr(r.label)]
-        if "timestamp" in cols:
-            row.append("" if r.timestamp is None else str(r.timestamp))
-        if "genre_l3" in cols:
-            row.append("" if r.genre_l3 is None else r.genre_l3)
-        lines.append(",".join(row))
+    table = Interactions.of(records)
+    header = list(REQUIRED_COLUMNS)
+    cols = [table.values(name) for name in ("user_id", "item_id", "shop_id")]
+    cols.append(list(map(repr, table.values("label"))))
+    for name in OPTIONAL_COLUMNS:
+        values = table.values(name)
+        if any(v is not None for v in values):
+            header.append(name)
+            cols.append(["" if v is None else str(v) for v in values])
+    lines = [",".join(header), *map(",".join, zip(*cols))]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -247,30 +361,31 @@ def build_tasks(
     Groups below ``min_interactions`` are dropped. The support set is drawn
     without replacement by a per-group seeded permutation, so the split for
     one group is independent of every other group and of record file order.
+    Each group is ordered by ``_record_sort_key`` (one stable ``lexsort`` on
+    ranked columns); only the records of the tasks returned are built.
     """
     check_task_sizes(min_interactions, support_size)
-    key_of = {
-        TaskUnit.SHOP: lambda r: r.shop_id,
-        TaskUnit.ITEM: lambda r: r.item_id,
-        TaskUnit.USER: lambda r: r.user_id,
-    }[task_unit]
-    groups: dict[str, list[InteractionRecord]] = {}
-    for r in records:
-        groups.setdefault(key_of(r), []).append(r)
-    tasks = []
-    for key in sorted(groups):
-        recs = sorted(groups[key], key=_record_sort_key)
-        if len(recs) < min_interactions:
+    table = Interactions.of(records)
+    group, keys = table.ranks(f"{task_unit.value}_id")
+    major = [table.ranks("timestamp")[0], table.ranks("shop_id")[0], group]
+    order = np.lexsort(major)
+    ordered = np.array([k[order] for k in major])
+    if (ordered[:, 1:] == ordered[:, :-1]).all(axis=0).any():  # ties need the minor keys
+        minor = [table.ranks(name)[0] for name in ("label", "item_id", "user_id")]
+        order = np.lexsort(minor + major)
+    names, sides = [], []
+    for rows in np.split(order, np.flatnonzero(np.diff(group[order])) + 1):
+        if len(rows) < min_interactions:
             continue
-        rng = np.random.default_rng([seed, _TAG_TASKS, stable_hash64(key)])
-        perm = rng.permutation(len(recs))
-        in_support = np.zeros(len(recs), dtype=bool)
-        in_support[perm[:support_size]] = True
-        support, query = [], []
-        for r, s in zip(recs, in_support.tolist()):
-            (support if s else query).append(r)
-        tasks.append(ShopTask(key, support, query))
-    return tasks
+        names.append(keys[group[rows[0]]])
+        rng = np.random.default_rng([seed, _TAG_TASKS, stable_hash64(names[-1])])
+        in_support = np.zeros(len(rows), dtype=bool)
+        in_support[rng.permutation(len(rows))[:support_size]] = True
+        sides += [rows[in_support], rows[~in_support]]
+    recs = table.records_at(np.concatenate(sides)) if sides else []
+    ends = np.cumsum([len(rows) for rows in sides]).tolist()
+    return [ShopTask(name, recs[a:b], recs[b:c]) for name, a, b, c in
+            zip(names, [0, *ends[1::2]], ends[::2], ends[1::2])]
 
 
 def purchase_histories(
@@ -317,12 +432,15 @@ def classify_shops(
     test_records: Sequence[InteractionRecord],
 ) -> ShopStats:
     """Classify test shops (new/small/large) and compute the median rule."""
-    sales: dict[str, int] = {}
-    for r in train_records:
-        sales.setdefault(r.shop_id, 0)
-        if r.label > 0:
-            sales[r.shop_id] += 1
-    test_shops = sorted({r.shop_id for r in test_records})
+    train, test = Interactions.of(train_records), Interactions.of(test_records)
+    codes, shops = train.column("shop_id")
+    sold = np.bincount(codes[train.label > 0], minlength=len(shops)).tolist()
+    used, first = np.unique(codes, return_index=True)
+    sales: dict[str, int] = {}  # in order of first appearance
+    for c in used[np.argsort(first)].tolist():
+        sales[shops[c]] = sales.get(shops[c], 0) + sold[c]
+    codes, shops = test.column("shop_id")
+    test_shops = sorted({shops[c] for c in np.unique(codes).tolist()})
     existing = [s for s in test_shops if s in sales]
     n_large = math.ceil(0.25 * len(existing))
     by_sales = sorted(existing, key=lambda s: (-sales[s], s))
@@ -660,8 +778,8 @@ class SyntheticSpec:
 
 @dataclass(frozen=True)
 class SyntheticData:
-    train: list[InteractionRecord]
-    test: list[InteractionRecord]
+    train: Interactions
+    test: Interactions
     features: FeatureTable
     shop_effects: dict[str, np.ndarray]
     new_shops: tuple[str, ...]
@@ -736,8 +854,9 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticData:
     else:
         new_idx = set()
 
-    train: list[InteractionRecord] = []
-    test: list[InteractionRecord] = []
+    # per shop and period: codes in _CODED order (timestamp = clock) and labels
+    train: list[tuple[np.ndarray, np.ndarray]] = []
+    test: list[tuple[np.ndarray, np.ndarray]] = []
     clock = 0
     for p in range(spec.n_shops):
         n_p = int(sizes[p])
@@ -746,19 +865,18 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticData:
         noise = rng.normal(0.0, spec.noise_std, n_p) if spec.noise_std else np.zeros(n_p)
         scores = np.sum(U[u_idx] * (V[i_idx] + W[p]), axis=1) + noise
         labels = (scores > spec.label_threshold).astype(float)
-        columns = (u_idx.tolist(), i_idx.tolist(), labels.tolist(),
-                   item_genre[i_idx].tolist())
-        recs = [
-            InteractionRecord(users[u], items[i], shops[p], y, clock + e, genres[g])
-            for e, (u, i, y, g) in enumerate(zip(*columns))
-        ]
+        codes = np.stack([u_idx, i_idx, np.full(n_p, p), np.arange(clock, clock + n_p),
+                          item_genre[i_idx]])
         clock += n_p
-        if p in new_idx:
-            test.extend(recs)
-        else:
-            n_test = math.ceil(spec.test_fraction * n_p)
-            train.extend(recs[: n_p - n_test])
-            test.extend(recs[n_p - n_test :])
+        n_train = 0 if p in new_idx else n_p - math.ceil(spec.test_fraction * n_p)
+        train.append((codes[:, :n_train], labels[:n_train]))
+        test.append((codes[:, n_train:], labels[n_train:]))
+    tables = (users, items, shops, np.arange(clock), genres)
+
+    def table(parts: list[tuple[np.ndarray, np.ndarray]]) -> Interactions:
+        codes = np.concatenate([c for c, _ in parts], axis=1)
+        columns = dict(zip(_CODED, zip(codes, tables)))
+        return Interactions(np.concatenate([y for _, y in parts]), columns)
 
     features = FeatureTable(
         {users[i]: U[i] for i in range(spec.n_users)},
@@ -766,7 +884,7 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticData:
     )
     effects = {shops[p]: W[p] for p in range(spec.n_shops)}
     new_shops = tuple(sorted(shops[p] for p in new_idx))
-    return SyntheticData(train, test, features, effects, new_shops)
+    return SyntheticData(table(train), table(test), features, effects, new_shops)
 
 
 # ---------------------------------------------------------------------------
@@ -836,6 +954,7 @@ def convert_ml1m(
     test: list[InteractionRecord] = []
     skipped_rating = 0
     rows = []
+    first_seen: dict[tuple[str, str, int], str] = {}
     for where, (uid, movie_id, rating, ts) in read_dat("ratings.dat", 4):
         try:
             value = float(rating)
@@ -850,6 +969,12 @@ def convert_ml1m(
         if movie_id not in movies:
             skipped_rating += 1
             continue
+        # the key load_interactions rejects duplicates of in the written file
+        first = first_seen.setdefault((uid, movie_id, stamp), where)
+        if first is not where:
+            raise DataError(
+                f"{where}: duplicate of {first} (user {uid}, movie {movie_id})"
+            )
         rows.append((uid, movie_id, value, stamp))
     rows.sort(key=lambda r: (r[3], r[0], r[1]))
 

@@ -231,7 +231,8 @@ def evaluate_tasks(
                     rows_encoder = model.user_encoder
                     raws = map(features.user_raw, shared_pool[0])
                     pool_rows = feature_rows(rows_encoder, raws, "user")
-            batches = [_item_queries(model, task, features, candidates, pool_rows)]
+            batches = [_item_queries(model, task, features, candidates, pool_rows,
+                                     options.include_mae)]
         else:
             batches = _user_shop_queries(model, task, features, options)
         for keys, gains, recall_gains, observed in batches:
@@ -288,8 +289,10 @@ def _item_queries(
     features: FeatureSource,
     candidates: tuple[list[str], dict[str, int]],
     pool_rows: np.ndarray | None = None,
+    with_observed: bool = True,
 ) -> Queries:
-    """One query per item over the candidate users, as ``_indexed`` gives them."""
+    """One query per item over the candidate users, as ``_indexed`` gives them;
+    each item's (predictions, labels) only ``with_observed``."""
     pool, pool_row = candidates
     items = sorted({r.item_id for r in task.query})
     item_col = {i: j for j, i in enumerate(items)}
@@ -304,11 +307,12 @@ def _item_queries(
     labels = np.array([r.label for r in task.query], dtype=np.float64)
     gains = np.zeros(scores.shape)
     gains[rows[labels > 0], cols[labels > 0]] = 1.0
-    # each item's (predictions, labels), in record order
-    by_item = np.argsort(cols, kind="stable")
-    ends = np.cumsum(np.bincount(cols)).tolist()
-    preds, labs = scores[rows, cols][by_item].tolist(), labels[by_item].tolist()
-    observed = [(preds[a:b], labs[a:b]) for a, b in zip([0, *ends], ends)]
+    observed = []
+    if with_observed:  # each item's (predictions, labels), in record order
+        by_item = np.argsort(cols, kind="stable")
+        ends = np.cumsum(np.bincount(cols)).tolist()
+        preds, labs = scores[rows, cols][by_item].tolist(), labels[by_item].tolist()
+        observed = [(preds[a:b], labs[a:b]) for a, b in zip([0, *ends], ends)]
     ranked = np.take_along_axis(gains, rank_order(scores), axis=0)
     return items, ranked, ranked, observed
 

@@ -140,7 +140,9 @@ def _dcg(gains: np.ndarray) -> list[float]:
 def ndcg_columns(gains: np.ndarray, k: int) -> list[float]:
     """nDCG@k of each column of ``gains`` in rank order; 0.0 if the ideal DCG is 0."""
     _check_k(k)
-    ideal = _dcg(np.sort(gains, axis=0)[::-1][:k])
+    n = gains.shape[0]
+    top = np.partition(gains, n - k, axis=0)[n - k:] if k < n else gains
+    ideal = _dcg(np.sort(top, axis=0)[::-1])
     return [d / i if i != 0.0 else 0.0 for d, i in zip(_dcg(gains[:k]), ideal)]
 
 

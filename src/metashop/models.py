@@ -365,13 +365,6 @@ class Batch:
         return self.labels.shape[-1]
 
 
-def _codes(ids: Iterable[Any]) -> tuple[list[Any], np.ndarray]:
-    """Distinct ids in order of first appearance, and each id's position there."""
-    seen: dict[Any, int] = {}
-    codes = [seen.setdefault(i, len(seen)) for i in ids]
-    return list(seen), np.array(codes, dtype=np.int64)
-
-
 def prepare_batch(
     records: Iterable[Any],
     features: FeatureSource,
@@ -380,17 +373,21 @@ def prepare_batch(
 ) -> Batch:
     """Resolve record ids into a Batch via the feature source and encoders.
 
-    Records only need ``user_id``, ``item_id``, and ``label`` attributes.
-    Each distinct id is looked up and resolved once; errors come in a
-    per-record pass's order: user lookups, item lookups, user rows, item rows.
+    ``records`` is a ``datapipe.Interactions`` table, whose columns are read
+    as they are, or anything with ``user_id``, ``item_id`` and ``label``
+    attributes. Each distinct id is looked up and resolved once; errors come
+    in a per-record pass's order: user lookups, item lookups, user rows,
+    item rows.
     """
-    recs = list(records)
-    if not recs:
+    from .datapipe import Interactions  # datapipe -> checkpoint -> models
+
+    table = Interactions.of(records)
+    if not len(table):
         raise EmptyBatchError("prepare_batch on zero records")
-    labels = np.asarray([float(r.label) for r in recs])
-    user_ids, user_codes = _codes(r.user_id for r in recs)
+    labels = np.array(table.label)
+    user_ids, user_codes = table.distinct("user_id")
     users = [features.user_raw(u) for u in user_ids]
-    item_ids, item_codes = _codes(r.item_id for r in recs)
+    item_ids, item_codes = table.distinct("item_id")
     items = [features.item_raw(i) for i in item_ids]
     return Batch(
         labels,

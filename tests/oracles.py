@@ -23,7 +23,13 @@ the unslotted record whose field-by-field checks the slotted record's one
 fast check must reproduce error for error, generate_synthetic_per_element
 builds the synthetic world one scalar-indexed record at a time, and
 build_tasks_set_split splits each group by set probes; the list-converted
-generator and the mask split must reproduce both record for record.
+generator and the mask split must reproduce both record for record, and
+build_tasks must reproduce the set split on record lists and on
+``Interactions`` tables alike. classify_shops_per_record counts sales record
+by record, as classify_shops' column pass must reproduce, and table_of turns
+records into a table whose codes differ from a record list's view.
+ndcg_columns_full_sort takes the ideal gains from a full sort of each
+column, as ndcg_columns' partition must reproduce bit for bit.
 rank_order_stable is the one stable sort that metrics.rank_order's
 column-wise fast path must reproduce index for index, and
 item_queries_per_record builds one scored shop's item queries a query
@@ -35,16 +41,21 @@ for error.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
 
 from metashop.datapipe import (
+    _CODED,
     _TAG_SYNTH,
     _TAG_TASKS,
     FeatureTable,
     InteractionRecord,
+    Interactions,
+    ShopStats,
     ShopTask,
+    SizeClass,
     SyntheticData,
     TaskUnit,
     _apportion,
@@ -61,6 +72,7 @@ from metashop.metaopt import (
 )
 from metashop.errors import ConfigError, DataError, EmptyBatchError
 from metashop.evaluation import _scores_for_task
+from metashop.metrics import _check_k, _dcg
 from metashop.models import (
     Batch,
     EncoderMode,
@@ -661,3 +673,48 @@ def build_tasks_set_split(
             raise DataError(f"task {key!r} has overlapping support/query")
         tasks.append(ShopTask(key, support, query))
     return tasks
+
+
+def table_of(records, shop="s") -> Interactions:
+    """``records`` as an Interactions table. Each field's values start with
+    an unused entry and then run in reverse order of first appearance, so
+    the codes differ from a record list's view. A field a record lacks reads
+    as ``shop`` (shop_id) or None."""
+    columns = {}
+    for name in _CODED:
+        got = [getattr(r, name, shop if name == "shop_id" else None) for r in records]
+        values = [-7 if name == "timestamp" else "zz", *reversed(dict.fromkeys(got))]
+        index = {v: j for j, v in enumerate(values)}
+        columns[name] = (np.array([index[v] for v in got], dtype=np.int64), values)
+    return Interactions(np.array([r.label for r in records], dtype=np.float64), columns)
+
+
+def classify_shops_per_record(train_records, test_records) -> ShopStats:
+    """classify_shops counting sales and collecting test shops record by record."""
+    sales: dict[str, int] = {}
+    for r in train_records:
+        sales.setdefault(r.shop_id, 0)
+        if r.label > 0:
+            sales[r.shop_id] += 1
+    test_shops = sorted({r.shop_id for r in test_records})
+    existing = [s for s in test_shops if s in sales]
+    n_large = math.ceil(0.25 * len(existing))
+    large = set(sorted(existing, key=lambda s: (-sales[s], s))[:n_large])
+    taxonomy: dict[str, SizeClass] = {}
+    for s in test_shops:
+        if s not in sales:
+            taxonomy[s] = SizeClass.NEW
+        elif s in large:
+            taxonomy[s] = SizeClass.LARGE
+        else:
+            taxonomy[s] = SizeClass.SMALL
+    median = float(statistics.median(sales.values())) if sales else 0.0
+    small = frozenset(s for s, n in sales.items() if n < median)
+    return ShopStats(sales, taxonomy, median, small)
+
+
+def ndcg_columns_full_sort(gains: np.ndarray, k: int) -> list[float]:
+    """ndcg_columns with the ideal gains from a full sort of every column."""
+    _check_k(k)
+    ideal = _dcg(np.sort(gains, axis=0)[::-1][:k])
+    return [d / i if i != 0.0 else 0.0 for d, i in zip(_dcg(gains[:k]), ideal)]

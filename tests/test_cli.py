@@ -2140,6 +2140,20 @@ class TestPrepMl1m:
         assert capsys.readouterr().err == f"data error: {expected}\n"
         assert not out.exists()
 
+    def test_repeated_rating_is_two(self, fake_dump, tmp_path, capsys):
+        """A second rating of one movie by one user at one timestamp names
+        both lines, instead of writing a train.csv that every later command
+        rejects."""
+        path = fake_dump / "ratings.dat"
+        with path.open("a", encoding="latin-1") as f:
+            f.write("2::2::5::978302109\n")
+        out = tmp_path / "converted"
+        assert main(["prep-ml1m", "--source", str(fake_dump), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {path} line 6: duplicate of {path} line 3 (user 2, movie 2)\n"
+        )
+        assert not out.exists()
+
     def test_missing_source_is_two(self, tmp_path):
         code = main(
             [

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from metashop.datapipe import (
     FeatureTable,
     InteractionRecord,
+    Interactions,
     NegativeStrategy,
     ShopTask,
     SizeClass,
@@ -514,14 +515,14 @@ class TestSynthetic:
     def test_every_shop_reaches_minimum_size(self):
         spec = SyntheticSpec(seed=4, min_shop_size=30)
         data = generate_synthetic(spec)
-        sizes = Counter(r.shop_id for r in data.train + data.test)
+        sizes = Counter(r.shop_id for r in [*data.train, *data.test])
         assert len(sizes) == spec.n_shops
         assert min(sizes.values()) >= 30
 
     def test_power_law_concentrates_interactions(self):
         data = generate_synthetic(SyntheticSpec(seed=0, pareto_exponent=0.6))
         sizes = sorted(
-            Counter(r.shop_id for r in data.train + data.test).values(),
+            Counter(r.shop_id for r in [*data.train, *data.test]).values(),
             reverse=True,
         )
         top = math.ceil(0.25 * len(sizes))
@@ -530,17 +531,17 @@ class TestSynthetic:
     def test_bitwise_determinism(self):
         a = generate_synthetic(SyntheticSpec(seed=11))
         b = generate_synthetic(SyntheticSpec(seed=11))
-        assert a.train == b.train and a.test == b.test
+        assert list(a.train) == list(b.train) and list(a.test) == list(b.test)
         for k in a.features.users:
             np.testing.assert_array_equal(
                 a.features.users[k], b.features.users[k]
             )
         c = generate_synthetic(SyntheticSpec(seed=12))
-        assert a.train != c.train
+        assert list(a.train) != list(c.train)
 
     def test_timestamps_unique_and_split_temporal(self):
         data = generate_synthetic(SyntheticSpec(seed=5))
-        everything = data.train + data.test
+        everything = [*data.train, *data.test]
         stamps = [r.timestamp for r in everything]
         assert len(set(stamps)) == len(stamps)
         last_train = {}
@@ -556,7 +557,7 @@ class TestSynthetic:
 
     def test_records_carry_genres_and_binary_labels(self):
         data = generate_synthetic(SyntheticSpec(seed=6))
-        everything = data.train + data.test
+        everything = [*data.train, *data.test]
         labels = {r.label for r in everything}
         assert labels == {0.0, 1.0}
         genres = {r.genre_l3 for r in everything}
@@ -652,3 +653,128 @@ class TestMl1mConversion:
     def test_missing_source(self, tmp_path):
         with pytest.raises(DataError, match="ratings.dat"):
             convert_ml1m(tmp_path, tmp_path / "out")
+
+    def test_repeated_rating_names_both_lines(self, tmp_path):
+        src = tmp_path / "ml-1m"
+        self.write_fake(src)
+        ratings = src / "ratings.dat"
+        ratings.write_text("1::1::5::978300760\n1::1::3::978300760\n", "latin-1")
+        with pytest.raises(DataError) as err:
+            convert_ml1m(src, tmp_path / "out")
+        assert str(err.value) == (
+            f"{ratings} line 2: duplicate of {ratings} line 1 (user 1, movie 1)"
+        )
+        assert not (tmp_path / "out").exists()
+
+
+def small_table() -> Interactions:
+    """Three rows over two users, one item and one shop."""
+    return Interactions(np.array([1.0, 0.0, 2.5]), {
+        "user_id": (np.array([1, 0, 1]), ["u0", "u1"]),
+        "item_id": (np.zeros(3, dtype=np.int32), ["i0"]),
+        "shop_id": (np.zeros(3, dtype=np.int32), ["s0"]),
+        "timestamp": (np.arange(3), [3, None, -1]),
+        "genre_l3": (np.array([0, 1, 0]), ["g", None]),
+    })
+
+
+class TestInteractionsTable:
+    def test_reads_as_its_records(self, tmp_path):
+        table = small_table()
+        records = [
+            InteractionRecord("u1", "i0", "s0", 1.0, 3, "g"),
+            InteractionRecord("u0", "i0", "s0", 0.0, None, None),
+            InteractionRecord("u1", "i0", "s0", 2.5, -1, "g"),
+        ]
+        assert len(table) == 3 and list(table) == records
+        assert table[1] == records[1] and table[-1] == records[2]
+        assert table[1:] == records[1:] and table[::-1] == records[::-1]
+        assert records[2] in table and table.index(records[2]) == 2
+        with pytest.raises(IndexError):
+            table[3]
+        # a missing timestamp stays apart from a real -1, in records and in files
+        assert [r.timestamp for r in table] == [3, None, -1]
+        save_interactions(tmp_path / "a.csv", table)
+        save_interactions(tmp_path / "b.csv", records)
+        text = (tmp_path / "a.csv").read_text()
+        assert text == (tmp_path / "b.csv").read_text()
+        assert text.splitlines()[2:] == ["u0,i0,s0,0.0,,", "u1,i0,s0,2.5,-1,g"]
+
+    def test_a_view_keeps_its_records(self):
+        records = [rec("u", "i", "s", 1), rec("v", "i", "s", 0)]
+        view = Interactions.of(records)
+        assert view[0] is records[0] and [r for r in view] == records
+        assert all(a is b for a, b in zip(view, records))
+        assert Interactions.of(view) is view
+        table = small_table()
+        assert Interactions.of(table) is table
+
+    @pytest.mark.parametrize(
+        "field, part, at, value, message",
+        [
+            ("label", None, 1, np.nan, "label must be finite and >= 0, got nan"),
+            ("label", None, 2, -1.0, "label must be finite and >= 0, got -1.0"),
+            ("user_id", 1, 0, "", "user_id must be a non-empty string, got ''"),
+            ("shop_id", 1, 0, 7, "shop_id must be a non-empty string, got 7"),
+            ("item_id", 0, 0, 1, "item_id needs one code per label into its values"),
+            ("item_id", 0, 0, -1, "item_id needs one code per label into its values"),
+            ("genre_l3", None, None, (np.zeros(2, int), ["g"]), "genre_l3 needs one code"),
+            ("timestamp", None, None, (np.zeros(3), [1]), "timestamp needs one code"),
+            ("label", None, None, np.ones((3, 1)), "user_id needs one code"),
+        ],
+        ids=["nan_label", "negative_label", "empty_id", "int_id", "code_past_the_end",
+             "negative_code", "short_codes", "float_codes", "label_matrix"],
+    )
+    def test_checks_its_columns_once(self, field, part, at, value, message):
+        """A label is checked per row, an id per value, a code for its range.
+
+        ``part`` 0 changes a code, 1 a value; with no ``at`` the whole column
+        is replaced."""
+        label = np.array([1.0, 0.0, 2.5])
+        columns = {
+            "user_id": (np.array([1, 0, 1]), ["u0", "u1"]),
+            "item_id": (np.zeros(3, dtype=np.int64), ["i0"]),
+            "shop_id": (np.zeros(3, dtype=np.int64), ["s0"]),
+            "timestamp": (np.arange(3), [3, None, -1]),
+            "genre_l3": (np.zeros(3, dtype=np.int64), ["g"]),
+        }
+        if field == "label":
+            if at is None:
+                label = value
+            else:
+                label[at] = value
+        elif at is None:
+            columns[field] = value
+        else:
+            columns[field][part][at] = value
+        with pytest.raises(DataError, match=f"^{re.escape(message)}"):
+            Interactions(label, columns)
+
+    def test_pooled_training_builds_no_record(self, monkeypatch):
+        """generate_synthetic -> classify_shops -> nonmeta_train reads columns only."""
+        from metashop.metaopt import MetaConfig, nonmeta_train
+        from metashop.models import ModelKind, build_model, pretrained_encoder
+
+        built = []
+        records_at = Interactions.records_at
+        monkeypatch.setattr(
+            Interactions, "records_at",
+            lambda self, rows: built.append(len(rows)) or records_at(self, rows),
+        )
+        init = InteractionRecord.__init__
+        monkeypatch.setattr(
+            InteractionRecord, "__init__",
+            lambda self, *a, **k: built.append("init") or init(self, *a, **k),
+        )
+        spec = SyntheticSpec(seed=1, n_users=40, n_items=30, n_shops=5,
+                             interactions_per_shop=40, n_new_shops=1)
+        data = generate_synthetic(spec)
+        stats = classify_shops(data.train, data.test)
+        enc = pretrained_encoder(spec.latent_dim)
+        model = build_model(ModelKind.MESH_I, enc, enc, [4], 0, sigmoid_output=True)
+        cfg = MetaConfig(alpha=0.05, beta=0.1, local_steps=1)
+        nonmeta_train(model, data.train, data.features, cfg, epochs=1, batch_size=16)
+        assert built == [] and stats.taxonomy
+        # the counters see records built on demand
+        assert data.test[0] == list(data.test)[0]
+        assert built == [1, len(data.test)]

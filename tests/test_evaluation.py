@@ -543,6 +543,10 @@ class TestItemQueryOracle:
         for (preds, labels), (want_preds, want_labels) in zip(got[3], want[3]):
             assert np.array(preds).tobytes() == np.array(want_preds).tobytes()
             assert labels == want_labels
+        # without MAE the per-item grouping is skipped and nothing else moves
+        bare = evaluation._item_queries(scorer, task, None, candidates, None, False)
+        assert bare[0] == got[0] and bare[3] == []
+        assert bare[1].tobytes() == got[1].tobytes() == bare[2].tobytes()
 
         # the whole report is unchanged with the loop in place
         for include_mae in (True, False):
@@ -555,7 +559,7 @@ class TestItemQueryOracle:
             with mock.patch.object(
                 evaluation,
                 "_item_queries",
-                lambda model, task, features, cands, rows: item_queries_per_record(
+                lambda model, task, features, cands, *_: item_queries_per_record(
                     model, task, features, cands
                 ),
             ):

@@ -33,7 +33,13 @@ from metashop.metrics import (
     save_report,
 )
 
-from oracles import ndcg_oracle, rank_candidates, rank_order_stable, recall_oracle
+from oracles import (
+    ndcg_columns_full_sort,
+    ndcg_oracle,
+    rank_candidates,
+    rank_order_stable,
+    recall_oracle,
+)
 
 
 def pred(ranked, relevance, query="q", shop="s"):
@@ -210,6 +216,26 @@ def assert_same_order(scores: np.ndarray) -> None:
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
     assert scores.tobytes() == before.tobytes()  # input untouched
+
+
+class TestNdcgIdealTopK:
+    """ndcg_columns partitions out the ideal top k; the full sort must agree."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(st.integers(0, 9), st.integers(0, 5), st.integers(1, 12), st.data())
+    def test_matches_the_full_sort(self, n, m, k, data):
+        # few distinct gains, so ties are common; some columns all zero
+        gains = np.array(
+            data.draw(st.lists(
+                st.lists(st.sampled_from([0.0, 0.0, 1.0, 2.0, 0.5]), min_size=m, max_size=m),
+                min_size=n, max_size=n,
+            )),
+            dtype=np.float64,
+        ).reshape(n, m)
+        zero = data.draw(st.lists(st.integers(0, max(m - 1, 0)), max_size=2))
+        gains[:, [j for j in zero if j < m]] = 0.0
+        got = ndcg_columns(gains, k)
+        assert np.array(got).tobytes() == np.array(ndcg_columns_full_sort(gains, k)).tobytes()
 
 
 class TestRankOrder:

@@ -67,6 +67,7 @@ from oracles import (
     grads_close,
     predict_scores,
     prepare_batch_per_record,
+    table_of,
 )
 
 
@@ -362,7 +363,8 @@ BAD_BATCHES = [
 
 class TestPrepareBatch:
     """prepare_batch resolves each distinct id once; the per-record oracle
-    resolves every record. Batches and errors must be the same."""
+    resolves every record. Batches and errors must be the same, whether
+    prepare_batch gets the records or an ``Interactions`` table of them."""
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(
@@ -386,12 +388,13 @@ class TestPrepareBatch:
             )
         )
         recs = [Rec(f"u{u}", f"i{i}", y) for u, i, y in pairs]
-        got = prepare_batch(recs, feats, enc_u, enc_i)
         want = prepare_batch_per_record(recs, feats, enc_u, enc_i)
-        for name in ("labels", "user_rows", "item_rows"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert (a.dtype, a.shape) == (b.dtype, b.shape)
-            assert a.tobytes() == b.tobytes()
+        for given_as in (recs, table_of(recs)):
+            got = prepare_batch(given_as, feats, enc_u, enc_i)
+            for name in ("labels", "user_rows", "item_rows"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a.dtype, a.shape) == (b.dtype, b.shape)
+                assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize(
         "kind, pairs, change, expected", [c[1:] for c in BAD_BATCHES],
@@ -404,6 +407,7 @@ class TestPrepareBatch:
         recs = [Rec(u, i, 1.0) for u, i in pairs]
         got = raised(prepare_batch, recs, feats, enc_u, enc_i)
         assert got == raised(prepare_batch_per_record, recs, feats, enc_u, enc_i)
+        assert got == raised(prepare_batch, table_of(recs), feats, enc_u, enc_i)
         assert got[0] is expected
 
 

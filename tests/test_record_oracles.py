@@ -1,9 +1,11 @@
-"""The slotted record, the list-converted generator and the mask split
-against the forms they replaced (``tests/oracles.py``).
+"""The slotted record, the list-converted generator, the mask split and
+the column passes against the forms they replaced (``tests/oracles.py``).
 
 The record must raise the same error as the field-by-field dataclass for
 every input, or hold the same fields with the same hash and repr. The
-generator and ``build_tasks`` must give the same records, tables and tasks.
+generator and ``build_tasks`` must give the same records, tables and tasks,
+and ``build_tasks`` and ``classify_shops`` the same result or error on a
+record list and on an ``Interactions`` table of it.
 """
 
 from __future__ import annotations
@@ -17,16 +19,20 @@ from hypothesis import strategies as st
 
 from metashop.datapipe import (
     InteractionRecord,
+    ShopTask,
     SyntheticSpec,
     TaskUnit,
     build_tasks,
+    classify_shops,
     generate_synthetic,
 )
 from metashop.errors import DataError
 from oracles import (
     InteractionRecordPostInit,
     build_tasks_set_split,
+    classify_shops_per_record,
     generate_synthetic_per_element,
+    table_of,
 )
 
 FIELDS = [f.name for f in dataclasses.fields(InteractionRecord)]
@@ -138,9 +144,9 @@ class TestGeneratorMatchesThePerElementLoop:
     def test_same_records_and_tables(self, spec):
         got = generate_synthetic(spec)
         want = generate_synthetic_per_element(spec)
-        assert got.train == want.train
-        assert got.test == want.test
-        for a, b in zip(got.train + got.test, want.train + want.test):
+        assert list(got.train) == want.train
+        assert list(got.test) == want.test
+        for a, b in zip([*got.train, *got.test], want.train + want.test):
             assert [type(getattr(a, n)) for n in FIELDS] == [
                 type(getattr(b, n)) for n in FIELDS
             ]
@@ -191,3 +197,71 @@ class TestMaskSplitMatchesTheSetSplit:
         args = (records, 13, 10, 0, TaskUnit.SHOP)
         want = (DataError, "task 's' has overlapping support/query")
         assert outcome(build_tasks, args) == outcome(build_tasks_set_split, args) == want
+
+
+# timestamps a code column must not squeeze into int64: missing, a real -1,
+# beyond int64 either way, and 2**64 - 1, which numpy reads with -1 as float64
+stamps = st.sampled_from([None, -1, 0, 1, 2, 2**70, 2**64 - 1, -(2**63) - 1])
+# int and bool labels sort and compare as the floats a table holds
+labels = st.sampled_from([0.0, 1.0, 3.5, 0, 1, 2, True, False])
+
+
+@st.composite
+def mixed_records(draw, min_size=0):
+    """Records over a few ids, stamps and labels, some repeated as equal records."""
+    records = draw(
+        st.lists(
+            st.builds(
+                InteractionRecord, few_ids, few_ids | st.just("d"), few_ids, labels,
+                stamps, st.none() | st.just("g"),
+            ),
+            min_size=min_size,
+            max_size=40,
+        )
+    )
+    if records:
+        picks = draw(st.lists(st.integers(0, len(records) - 1), max_size=2))
+        records += [records[i] for i in picks]
+    return draw(st.permutations(records))
+
+
+class TestColumnsMatchTheRecordOracles:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(
+        mixed_records(min_size=12),
+        st.sampled_from(list(TaskUnit)),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.integers(0, 3),
+    )
+    def test_build_tasks_on_lists_and_tables(self, records, unit, support, extra, seed):
+        args = (support + extra, support, seed, unit)
+        want = outcome(build_tasks_set_split, (records, *args))
+        got = outcome(build_tasks, (records, *args))
+        assert got == want
+        assert outcome(build_tasks, (table_of(records), *args)) == want
+        if isinstance(got, list):  # a record list's tasks hold its own objects
+            ids = {id(r) for r in records}
+            assert all(id(r) in ids for t in got for r in t.support + t.query)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(mixed_records(), mixed_records(), st.booleans(), st.booleans())
+    def test_classify_shops_on_lists_and_tables(self, train, test, train_table, test_table):
+        want = classify_shops_per_record(train, test)
+        got = classify_shops(
+            table_of(train) if train_table else train,
+            table_of(test) if test_table else test,
+        )
+        assert got == want
+        assert list(got.sales.items()) == list(want.sales.items())  # first-seen order
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(mixed_records(min_size=1), st.data())
+    def test_overlap_check_is_the_set_intersection(self, records, data):
+        support = data.draw(st.lists(st.sampled_from(records), min_size=1, max_size=5))
+        query = data.draw(st.lists(st.sampled_from(records), min_size=1, max_size=20))
+        got = outcome(ShopTask, ("s", support, query))
+        if set(support) & set(query):
+            assert got == (DataError, "task 's' has overlapping support/query")
+        else:
+            assert got == ShopTask("s", tuple(support), tuple(query))
