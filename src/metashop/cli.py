@@ -84,17 +84,17 @@ other config value applies to every row: `debias_gamma` trains with
 one `meta` row on `ablation.n_shops` sampled shops next to a `one_shop`
 model per sampled shop, scored unadapted.
 
-Each section's keys and types come from its dataclass below (`synthetic`
-from SyntheticSpec, whose values are type-checked but passed on as
-written; `eval` from the library's EvalOptions, whose range checks run
-when the config loads, plus `checkpoint` and `adapt`; MetaConfig's range
-checks and the trainers' checks of `steps`, `epochs`, `batch_size`,
-`early_stop_patience`, `data.negative_ratio` and `build_tasks`' check of
-`data.min_interactions` and `data.support_size` also run at load). A choice
-key's type gives its allowed strings: the library enum that the parsed config
-holds a member of, or a `Literal` of strings kept as written (the trainers, the
-studies, and `auto` and `none`, which mean squared loss for any labels and
-no negative sampling).
+Each section's keys and types come from its dataclass below: `synthetic` from
+SyntheticSpec, whose values are type-checked but passed on as written; `eval`
+from the library's EvalOptions plus `checkpoint` and `adapt`; `train` from the
+library's TrainParams (the nine fields MetaConfig shares) plus the trainer, its
+budgets and `loss`. Each range check is the library's own and runs when the
+config loads: TrainParams' and EvalOptions', the trainers' of `steps`, `epochs`,
+`batch_size` and `early_stop_patience`, and the checks of `data.negative_ratio`,
+`data.min_interactions` and `data.support_size`. A choice key's type gives its
+allowed strings: the library enum that the parsed config holds a member of, or a
+`Literal` of strings kept as written (the trainers, the studies, and `auto` and
+`none`, which mean squared loss for any labels and no negative sampling).
 
 Exit codes: 0 success, 1 config error, 2 data error (any malformed input
 file, checkpoints and feature widths included), 3 numeric failure (a
@@ -125,9 +125,12 @@ from typing import (
 import numpy as np
 import yaml
 
-from . import numcore
+from . import errors, numcore
 from .checkpoint import atomic_write_text, load_checkpoint, read_text, save_checkpoint
 from .datapipe import (
+    _TAG_ABLATION,
+    _TAG_MODEL_INIT,
+    _TAG_ONE_SHOP_INIT,
     AttributeTable,
     InteractionRecord,
     NegativeStrategy,
@@ -135,7 +138,9 @@ from .datapipe import (
     TaskUnit,
     attach_size_classes,
     attribute_fields,
+    binary_labels,
     build_tasks,
+    check_negative_ratio,
     check_task_sizes,
     classify_shops,
     convert_ml1m,
@@ -153,8 +158,7 @@ from .errors import ConfigError, DataError, MetaShopError, NumericError, ShapeEr
 from .evaluation import EvalOptions, evaluate_tasks
 from .metaopt import (
     MetaConfig,
-    OuterOptimizer,
-    RegularizerKind,
+    TrainParams,
     config_manifest_entries,
     local_adapt,
     meta_inference,
@@ -177,10 +181,6 @@ from .models import (
     pretrained_encoder,
 )
 
-_TAG_MODEL_INIT = 5
-_TAG_ONE_SHOP_INIT = 7
-_TAG_ABLATION = 37
-
 
 # ---------------------------------------------------------------------------
 # config schema
@@ -200,10 +200,7 @@ class DataConfig:
     negative_ratio: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0 < self.negative_ratio < float("inf"):
-            raise ConfigError(
-                f"negative ratio must be positive, got {self.negative_ratio}"
-            )
+        check_negative_ratio(self.negative_ratio)
         check_task_sizes(self.min_interactions, self.support_size)
 
 
@@ -219,38 +216,30 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if not self.hidden_dims or any(d < 1 for d in self.hidden_dims):
             raise ConfigError("model.hidden_dims must be positive integers")
-        if self.embedding_dim < 1:
-            raise ConfigError(
-                f"model.embedding_dim must be >= 1, got {self.embedding_dim}"
-            )
+        errors.check_at_least("model.embedding_dim", self.embedding_dim, 1)
 
 
-@dataclass
-class TrainConfig:
-    trainer: Literal["meta", "fmst", "nonmeta", "one_shop", "baseline"] = "meta"
+@dataclass(frozen=True)
+class TrainConfig(TrainParams):
+    # the library has no default for the two rates; a config has these
     alpha: float = 0.01
     beta: float = 0.1
-    local_steps: int = 2
-    gamma: float = 0.0
-    regularizer: RegularizerKind = RegularizerKind.OPTION_I
-    shop_batch_size: int = 8
-    query_batch_size: int | None = None
+    trainer: Literal["meta", "fmst", "nonmeta", "one_shop", "baseline"] = "meta"
     steps: int = 100
     epochs: int = 5
     batch_size: int | None = None
     loss: numcore.LossKind | Literal["auto"] = "auto"
-    outer_optimizer: OuterOptimizer = OuterOptimizer.SGD
-    task_unit: TaskUnit = TaskUnit.SHOP
     early_stop_patience: int | None = None
     shop_id: str | None = None
 
     def __post_init__(self) -> None:
         # the trainers' own checks, made when the config loads
-        for name, least in (("steps", 0), ("epochs", 0), ("batch_size", 1),
-                            ("early_stop_patience", 0)):
-            value = getattr(self, name)
-            if value is not None and value < least:
-                raise ConfigError(f"{name} must be >= {least}, got {value}")
+        errors.check_at_least("steps", self.steps, 0)
+        errors.check_at_least("epochs", self.epochs, 0)
+        errors.check_at_least("batch_size", self.batch_size, 1, optional=True)
+        errors.check_at_least("early_stop_patience", self.early_stop_patience, 0,
+                              optional=True)
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -267,8 +256,7 @@ class AblationConfig:
     gammas: list[float] = field(default_factory=lambda: [0.0, 0.01, 0.8])
 
     def __post_init__(self) -> None:
-        if self.n_shops < 1:
-            raise ConfigError(f"ablation.n_shops must be >= 1, got {self.n_shops}")
+        errors.check_at_least("ablation.n_shops", self.n_shops, 1)
 
 
 @dataclass
@@ -376,8 +364,7 @@ def parse_config(raw: Mapping[str, Any]) -> RunConfig:
     if "seed" not in raw:
         raise ConfigError("config needs a top-level seed")
     seed = _cast("seed", int, raw["seed"])
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    errors.check_at_least("seed", seed, 0)
     output_dir = _cast("output_dir", str | None, raw.get("output_dir"))
     for section in _SECTIONS:
         if section in raw and not isinstance(raw[section], Mapping):
@@ -392,9 +379,7 @@ def parse_config(raw: Mapping[str, Any]) -> RunConfig:
             cast = _cast(f"{name}.{key}", hints[key], value)
             values[key] = value if cls is SyntheticSpec else cast
         sections[name] = values if cls is SyntheticSpec else cls(**values)
-    cfg = RunConfig(seed, output_dir, **sections)
-    _meta_config(cfg)  # the train section's range checks, for every command
-    return cfg
+    return RunConfig(seed, output_dir, **sections)
 
 
 def load_config(path: str | Path, overrides: Sequence[str] = ()) -> RunConfig:
@@ -474,9 +459,7 @@ def _feature_source(cfg: RunConfig):
 def _resolve_sigmoid(cfg: RunConfig, records: Sequence[InteractionRecord]) -> bool:
     """model.sigmoid_output, where auto means: the labels are all 0 or 1."""
     s = cfg.model.sigmoid_output
-    if s == "auto":
-        return all(r.label in (0.0, 1.0) for r in records)
-    return bool(s)
+    return binary_labels(records) if s == "auto" else bool(s)
 
 
 def _from_section(cls, section, **more: Any):

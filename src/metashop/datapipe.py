@@ -1,6 +1,6 @@
 """Interaction data: loading, task construction, shop classes, sampling, synthesis.
 
-File formats (all CSV, UTF-8):
+File formats (all CSV with standard quoting, UTF-8):
   * interactions: header user_id,item_id,shop_id,label plus optional
     timestamp and genre_l3 columns (any column order); labels are 0/1 for
     binary logs or ratings in [1, 5]
@@ -32,7 +32,7 @@ import math
 import re
 import statistics
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, fields, replace
 from itertools import repeat
 from operator import attrgetter
@@ -42,15 +42,21 @@ from typing import Any, Mapping
 import numpy as np
 
 from .checkpoint import atomic_write_text, read_text
-from .errors import ConfigError, DataError, SamplingError
+from .errors import ConfigError, DataError, SamplingError, check_at_least
 
 REQUIRED_COLUMNS = ("user_id", "item_id", "shop_id", "label")
 OPTIONAL_COLUMNS = ("timestamp", "genre_l3")
 
-# rng purpose tags, kept distinct so streams never overlap
+# rng purpose tags of every module, kept distinct so streams never overlap
 _TAG_TASKS = 3
+_TAG_MODEL_INIT = 5  # cli: a trained model's initialisation
+_TAG_ONE_SHOP_INIT = 7  # cli: a one-shop ablation model's, with the shop's hash
 _TAG_NEGATIVES = 13
 _TAG_SYNTH = 17
+_TAG_META_BATCHES = 23  # metaopt: meta_train's task order and query picks
+_TAG_NONMETA = 29  # metaopt: nonmeta_train's shuffles
+_TAG_BASELINE = 31  # metaopt: train_baseline's shuffles
+_TAG_ABLATION = 37  # cli: the one_shop study's shop sample
 
 
 def stable_hash64(text: str) -> int:
@@ -274,6 +280,7 @@ def load_interactions(path: str | Path) -> list[InteractionRecord]:
             f"{path}: bad header (missing {sorted(missing)}, "
             f"unknown {sorted(unknown)})"
         )
+    _check_unique_columns(path, header)
     col = {name: header.index(name) for name in header}
     c_user, c_item, c_shop, c_label = (col[name] for name in REQUIRED_COLUMNS)
     c_ts, c_genre = col.get("timestamp"), col.get("genre_l3")
@@ -318,19 +325,41 @@ def load_interactions(path: str | Path) -> list[InteractionRecord]:
     return records
 
 
+def _check_unique_columns(path: Path, header: Sequence[str]) -> None:
+    for i, name in enumerate(header):
+        if name in header[:i]:
+            raise DataError(f"{path}: header names column {name!r} twice")
+
+
+def _write_csv(path: str | Path, rows: list[Sequence[str]]) -> None:
+    """Write equal-width rows of text as CSV, the form the loaders' csv.reader reads.
+
+    Joined as they are when no field holds a comma, quote or line break (the
+    bytes csv.writer writes, without its per-field scan); else csv.writer quotes
+    what needs it, or every field if one holds a carriage return it leaves bare.
+    """
+    text = "\n".join(map(",".join, rows)) + "\n"
+    if ('"' in text or "\r" in text or text.count("\n") != len(rows)
+            or text.count(",") != len(rows) * (len(rows[0]) - 1)):
+        out = io.StringIO()
+        quoting = csv.QUOTE_ALL if "\r" in text else csv.QUOTE_MINIMAL
+        csv.writer(out, lineterminator="\n", quoting=quoting).writerows(rows)
+        text = out.getvalue()
+    atomic_write_text(path, text)
+
+
 def save_interactions(path: str | Path, records: Sequence[InteractionRecord]) -> None:
     """Write interactions; optional columns appear iff any record uses them."""
     table = Interactions.of(records)
     header = list(REQUIRED_COLUMNS)
     cols = [table.values(name) for name in ("user_id", "item_id", "shop_id")]
-    cols.append(list(map(repr, table.values("label"))))
+    cols.append(list(map(repr, table.label.tolist())))  # int, bool, numpy: as floats
     for name in OPTIONAL_COLUMNS:
         values = table.values(name)
         if any(v is not None for v in values):
             header.append(name)
             cols.append(["" if v is None else str(v) for v in values])
-    lines = [",".join(header), *map(",".join, zip(*cols))]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, [header, *zip(*cols)])
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +369,7 @@ def save_interactions(path: str | Path, records: Sequence[InteractionRecord]) ->
 
 def check_task_sizes(min_interactions: int, support_size: int) -> None:
     """ConfigError unless every admitted group leaves a support and a query."""
-    if support_size < 1:
-        raise ConfigError(f"support_size must be >= 1, got {support_size}")
+    check_at_least("support_size", support_size, 1)
     if min_interactions <= support_size:
         raise ConfigError(
             f"min_interactions ({min_interactions}) must exceed "
@@ -386,6 +414,11 @@ def build_tasks(
     ends = np.cumsum([len(rows) for rows in sides]).tolist()
     return [ShopTask(name, recs[a:b], recs[b:c]) for name, a, b, c in
             zip(names, [0, *ends[1::2]], ends[::2], ends[1::2])]
+
+
+def binary_labels(records: Iterable[InteractionRecord]) -> bool:
+    """Whether every label is 0 or 1 (stops at the first that is not)."""
+    return all(r.label in (0.0, 1.0) for r in records)
 
 
 def purchase_histories(
@@ -483,6 +516,12 @@ def attach_size_classes(
 # ---------------------------------------------------------------------------
 
 
+def check_negative_ratio(ratio: float) -> None:
+    """ConfigError unless ``ratio``, negatives per positive, is positive and finite."""
+    if not 0 < ratio < math.inf:
+        raise ConfigError(f"negative ratio must be positive, got {ratio}")
+
+
 def negative_sample(
     positives: Sequence[InteractionRecord],
     strategy: NegativeStrategy,
@@ -506,8 +545,7 @@ def negative_sample(
     """
     if not positives:
         raise DataError("no positives to sample negatives for")
-    if not (ratio > 0 and math.isfinite(ratio)):
-        raise ConfigError(f"negative ratio must be positive, got {ratio}")
+    check_negative_ratio(ratio)
     for r in positives:
         if r.label <= 0:
             raise DataError("negative_sample expects only positive records")
@@ -639,8 +677,7 @@ def save_latents(
     shop_effects: Mapping[str, np.ndarray] | None = None,
 ) -> None:
     dim = len(next(iter(users.values())))
-    header = ["kind", "id"] + [f"v{i}" for i in range(dim)]
-    lines = [",".join(header)]
+    rows = [["kind", "id"] + [f"v{i}" for i in range(dim)]]
     for kind, table in (
         ("user", users),
         ("item", items),
@@ -648,8 +685,8 @@ def save_latents(
     ):
         for key in sorted(table):
             vec = np.asarray(table[key], dtype=np.float64)
-            lines.append(",".join([kind, key] + [repr(float(v)) for v in vec]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+            rows.append([kind, key] + [repr(float(v)) for v in vec])
+    _write_csv(path, rows)
 
 
 def load_latents(path: str | Path) -> tuple[FeatureTable, dict[str, np.ndarray]]:
@@ -686,10 +723,10 @@ def load_latents(path: str | Path) -> tuple[FeatureTable, dict[str, np.ndarray]]
 def save_attributes(path: str | Path, table: Mapping[str, Mapping[str, str]],
                     id_column: str) -> None:
     fields = sorted({f for attrs in table.values() for f in attrs})
-    lines = [",".join([id_column] + fields)]
+    rows = [[id_column] + fields]
     for key in sorted(table):
-        lines.append(",".join([key] + [table[key].get(f, "") for f in fields]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        rows.append([key] + [table[key].get(f, "") for f in fields])
+    _write_csv(path, rows)
 
 
 def load_attributes(path: str | Path) -> dict[str, dict[str, str]]:
@@ -699,6 +736,7 @@ def load_attributes(path: str | Path) -> dict[str, dict[str, str]]:
     header = next(reader, None)
     if not header or len(header) < 2:
         raise DataError(f"{path}: expected an id column plus attribute columns")
+    _check_unique_columns(path, header)
     for line_no, row in enumerate(reader, start=2):
         if len(row) != len(header):
             raise DataError(f"{path} line {line_no}: wrong field count")
@@ -772,8 +810,7 @@ class SyntheticSpec:
             raise ConfigError("need at least two genres")
         if self.min_shop_size < 2:
             raise ConfigError("min_shop_size must be >= 2")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        check_at_least("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)

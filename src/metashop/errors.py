@@ -19,6 +19,13 @@ class ConfigError(MetaShopError):
     """Invalid configuration value or inconsistent option combination."""
 
 
+def check_at_least(name: str, value: float | None, least: int, optional: bool = False,
+                   error: type[MetaShopError] = ConfigError) -> None:
+    """``error`` unless ``least <= value`` and finite; None passes if ``optional``."""
+    if not (optional if value is None else least <= value < float("inf")):
+        raise error(f"{name} must be >= {least}, got {value}")
+
+
 class DataError(MetaShopError):
     """Malformed, missing, or semantically invalid input data."""
 

@@ -32,7 +32,7 @@ from typing import Any
 import numpy as np
 
 from . import numcore
-from .datapipe import ShopTask, SizeClass
+from .datapipe import ShopTask, SizeClass, binary_labels
 from .errors import ConfigError, DataError
 from .metrics import (
     DEFAULT_THRESHOLDS,
@@ -108,11 +108,8 @@ def recall_name(k: float) -> str:
 
 def infer_query_mode(tasks: Sequence[ShopTask]) -> QueryMode:
     """Binary labels mean item queries; anything else is a rating log."""
-    for t in tasks:
-        for r in t.query:
-            if r.label not in (0.0, 1.0):
-                return QueryMode.USER_SHOP
-    return QueryMode.ITEM
+    binary = binary_labels(r for t in tasks for r in t.query)
+    return QueryMode.ITEM if binary else QueryMode.USER_SHOP
 
 
 # ---------------------------------------------------------------------------

@@ -46,13 +46,16 @@ import numpy as np
 from . import numcore
 from .checkpoint import atomic_write_text, read_text, to_json
 from .datapipe import (
+    _TAG_BASELINE,
+    _TAG_META_BATCHES,
+    _TAG_NONMETA,
     InteractionRecord,
     ShopTask,
     SizeClass,
     TaskUnit,
     purchase_histories,
 )
-from .errors import ConfigError, DataError, EmptyBatchError
+from .errors import ConfigError, DataError, EmptyBatchError, check_at_least
 from .models import (
     BaselineModel,
     Batch,
@@ -77,8 +80,8 @@ class RegularizerKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class MetaConfig:
-    """Hyperparameters shared by the trainers.
+class TrainParams:
+    """Hyperparameters shared by the trainers and the config's train section.
 
     ``alpha`` is the local (inner) learning rate and also the plain-SGD rate
     of the non-meta trainers; ``beta`` the global (outer) rate. The inner
@@ -93,33 +96,33 @@ class MetaConfig:
     gamma: float = 0.0
     regularizer: RegularizerKind = RegularizerKind.OPTION_I
     shop_batch_size: int = 8
-    support_size: int = 10
     query_batch_size: int | None = None
-    loss_kind: numcore.LossKind = numcore.LossKind.SQUARED
-    model_kind: ModelKind = ModelKind.MESH
     task_unit: TaskUnit = TaskUnit.SHOP
     outer_optimizer: OuterOptimizer = OuterOptimizer.SGD
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.alpha) and self.alpha >= 0):
             raise ConfigError(f"alpha must be >= 0 and finite, got {self.alpha}")
         if not (math.isfinite(self.beta) and self.beta > 0):
             raise ConfigError(f"beta must be positive and finite, got {self.beta}")
-        if self.local_steps < 0:
-            raise ConfigError(f"local_steps must be >= 0, got {self.local_steps}")
-        if not (math.isfinite(self.gamma) and self.gamma >= 0):
-            raise ConfigError(f"gamma must be >= 0, got {self.gamma}")
-        if self.shop_batch_size < 1:
-            raise ConfigError(
-                f"shop_batch_size must be >= 1, got {self.shop_batch_size}"
-            )
-        if self.support_size < 1:
-            raise ConfigError(f"support_size must be >= 1, got {self.support_size}")
-        if self.query_batch_size is not None and self.query_batch_size < 1:
-            raise ConfigError(
-                f"query_batch_size must be >= 1, got {self.query_batch_size}"
-            )
+        check_at_least("local_steps", self.local_steps, 0)
+        check_at_least("gamma", self.gamma, 0)
+        check_at_least("shop_batch_size", self.shop_batch_size, 1)
+        check_at_least("query_batch_size", self.query_batch_size, 1, optional=True)
+
+
+@dataclass(frozen=True)
+class MetaConfig(TrainParams):
+    """TrainParams plus the settings the trainers take from other config sections."""
+
+    support_size: int = 10
+    loss_kind: numcore.LossKind = numcore.LossKind.SQUARED
+    model_kind: ModelKind = ModelKind.MESH
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        check_at_least("support_size", self.support_size, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -363,15 +366,11 @@ def meta_train(
     ``early_stop_patience`` stops when the best mean query loss has not
     improved for that many steps.
     """
-    if steps < 0:
-        raise ConfigError(f"steps must be >= 0, got {steps}")
-    if early_stop_patience is not None and early_stop_patience < 0:
-        raise ConfigError(
-            f"early_stop_patience must be >= 0, got {early_stop_patience}"
-        )
+    check_at_least("steps", steps, 0)
+    check_at_least("early_stop_patience", early_stop_patience, 0, optional=True)
     if not tasks:
         raise EmptyBatchError("meta_train with no tasks")
-    rng = np.random.default_rng([cfg.seed, 23])
+    rng = np.random.default_rng([cfg.seed, _TAG_META_BATCHES])
     queue: list[int] = []
     resolved: dict[int, _ResolvedTask] = {}
     history = TrainHistory()
@@ -428,10 +427,8 @@ def _sgd_epochs(
     on ``batch_size`` of them at a time (all n when None), with the loss and
     gradient vector ``batch_loss(vector, rows)`` gives; losses are per-epoch means.
     """
-    if epochs < 0:
-        raise ConfigError(f"epochs must be >= 0, got {epochs}")
-    if batch_size is not None and batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+    check_at_least("epochs", epochs, 0)
+    check_at_least("batch_size", batch_size, 1, optional=True)
     bs = n if batch_size is None else min(batch_size, n)
     rng = np.random.default_rng([cfg.seed, tag])
     history = TrainHistory()
@@ -468,7 +465,7 @@ def nonmeta_train(
     def batch_loss(vector: np.ndarray, rows: np.ndarray) -> tuple[float, np.ndarray]:
         return loss_and_grad_at(model, vector, _slice_batch(full, rows), cfg.loss_kind)
 
-    return _sgd_epochs(model, full.size, batch_loss, cfg, epochs, batch_size, 29)
+    return _sgd_epochs(model, full.size, batch_loss, cfg, epochs, batch_size, _TAG_NONMETA)
 
 
 def one_shop_train(
@@ -520,7 +517,7 @@ def train_baseline(
         loss, grads = baseline_loss_and_grad(model.at(vector), pos, neg, hist, features)
         return loss, grads.vector
 
-    return _sgd_epochs(model, len(pairs), batch_loss, cfg, epochs, batch_size, 31)
+    return _sgd_epochs(model, len(pairs), batch_loss, cfg, epochs, batch_size, _TAG_BASELINE)
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ from .errors import (
     EmptyBatchError,
     OutOfVocabularyError,
     ShapeError,
+    check_at_least,
 )
 
 
@@ -117,9 +118,8 @@ class FeatureEncoder(numcore.ParamTree):
         if self.mode is EncoderMode.PRETRAINED:
             if self.fields or self.tables:
                 raise ShapeError("pretrained encoders own no fields or tables")
-            if self.dim < 0:
-                # dim 0 is allowed: a side that contributes no features
-                raise ShapeError(f"encoder dim must be >= 0, got {self.dim}")
+            # dim 0 is allowed: a side that contributes no features
+            check_at_least("encoder dim", self.dim, 0, error=ShapeError)
             self._pack()
             return
         if not self.fields:
@@ -153,8 +153,7 @@ def build_categorical_encoder(
     rng: np.random.Generator | int,
 ) -> FeatureEncoder:
     """Seeded uniform(-1/sqrt(d), 1/sqrt(d)) tables, one per field, shared dim."""
-    if embedding_dim < 1:
-        raise ShapeError(f"embedding_dim must be >= 1, got {embedding_dim}")
+    check_at_least("embedding_dim", embedding_dim, 1, error=ShapeError)
     rng = np.random.default_rng(rng)
     specs = tuple(FieldSpec(name, tuple(cats)) for name, cats in fields)
     limit = 1.0 / np.sqrt(embedding_dim)
@@ -471,10 +470,7 @@ class BaselineModel(numcore.ParamTree):
     def __post_init__(self) -> None:
         if not (np.isfinite(self.margin) and self.margin > 0):
             raise ShapeError(f"margin must be positive, got {self.margin}")
-        if not (np.isfinite(self.negative_weight) and self.negative_weight >= 0):
-            raise ShapeError(
-                f"negative_weight must be >= 0, got {self.negative_weight}"
-            )
+        check_at_least("negative_weight", self.negative_weight, 0, error=ShapeError)
         self._pack()
 
     @property

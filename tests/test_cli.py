@@ -827,6 +827,22 @@ INPUT_ERRORS = {
         "data error: {path} line 3: wrong field count",
         2,
     ),
+    "interactions_column_twice": (
+        "train.csv",
+        lambda t: t.replace(",label,", ",label,label,", 1),
+        "train",
+        [],
+        "data error: {path}: header names column 'label' twice",
+        2,
+    ),
+    "attributes_column_twice": (
+        "users.csv",
+        lambda t: "user_id,age,age\nu000,a,b\n",
+        "train",
+        _ATTRS,
+        "data error: {path}: header names column 'age' twice",
+        2,
+    ),
     "support_user_without_latents": (
         "support.csv",
         lambda t: _set_field(t, 2, 0, "ghost"),

@@ -152,6 +152,43 @@ class TestInteractionIO:
         with pytest.raises(DataError, match="empty"):
             load_interactions(empty)
 
+    @pytest.mark.parametrize("special", ["u,1", '"u"1', "u\n1", "u\r1"])
+    def test_a_field_that_needs_quoting_round_trips(self, tmp_path, special):
+        records = [rec(special, "i1", "s1", 1.0, 7, special), rec("u2", "i2", "s1", 0.0)]
+        path = tmp_path / "x.csv"
+        save_interactions(path, records)
+        assert load_interactions(path) == records
+
+    def test_only_fields_that_need_quoting_are_quoted(self, tmp_path):
+        path = tmp_path / "x.csv"
+        save_interactions(path, [rec("u,1", 'i"1', "s1", 1.0, 7, "g\na")])
+        assert path.read_bytes() == (
+            b'user_id,item_id,shop_id,label,timestamp,genre_l3\n"u,1","i""1",s1,1.0,7,"g\na"\n'
+        )
+
+    def test_plain_fields_are_written_unquoted(self, tmp_path):
+        path = tmp_path / "x.csv"
+        save_interactions(path, [rec("u1", "i1", "s1", 1.0, 3, "ga")])
+        assert path.read_text() == (
+            "user_id,item_id,shop_id,label,timestamp,genre_l3\nu1,i1,s1,1.0,3,ga\n"
+        )
+
+    def test_numpy_bool_and_int_labels_are_written_as_floats(self, tmp_path):
+        labels = [np.float64(1.0), True, 0, np.float32(3.5)]
+        records = [InteractionRecord(f"u{k}", "i1", "s1", y) for k, y in enumerate(labels)]
+        path = tmp_path / "x.csv"
+        save_interactions(path, records)
+        rows = path.read_text().splitlines()[1:]
+        assert [row.split(",")[3] for row in rows] == ["1.0", "1.0", "0.0", "3.5"]
+        assert [r.label for r in load_interactions(path)] == [1.0, 1.0, 0.0, 3.5]
+
+    def test_a_column_named_twice_is_rejected(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("user_id,item_id,shop_id,label, label\nu1,i1,s1,1,0\n")
+        where = re.escape(str(path))
+        with pytest.raises(DataError, match=f"^{where}: header names column 'label' twice$"):
+            load_interactions(path)
+
     def test_record_validation(self):
         with pytest.raises(DataError):
             rec("", "i1", "s1", 1.0)
@@ -485,6 +522,31 @@ class TestLatentsAndAttributes:
         where = re.escape(str(bad))
         with pytest.raises(DataError, match=f"^{where} line 4: repeated id 'u1'$"):
             load_attributes(bad)
+
+    def test_attributes_reject_a_column_named_twice(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("user_id,age,city,age\nu1,25,Paris,30\n")
+        where = re.escape(str(bad))
+        with pytest.raises(DataError, match=f"^{where}: header names column 'age' twice$"):
+            load_attributes(bad)
+
+    def test_fields_that_need_quoting_round_trip(self, tmp_path):
+        rng = np.random.default_rng(2)
+        users = {"u,1": rng.normal(size=2), 'u"2': rng.normal(size=2)}
+        items = {"i\n1": rng.normal(size=2)}
+        path = tmp_path / "latents.csv"
+        save_latents(path, users, items)
+        table, _ = load_latents(path)
+        assert table.users.keys() == users.keys() and table.items.keys() == items.keys()
+        for k, v in users.items():
+            np.testing.assert_array_equal(table.user_raw(k), v)
+        attrs = {
+            "u,1": {"city": "Paris, FR", "note": 'say "hi"'},
+            "u2": {"city": "two\nlines", "note": "carriage\rreturn"},
+        }
+        path = tmp_path / "attrs.csv"
+        save_attributes(path, attrs, "user_id")
+        assert load_attributes(path) == attrs
 
     def test_attributes_round_trip(self, tmp_path):
         table = {
