@@ -125,7 +125,7 @@ from typing import (
 import numpy as np
 import yaml
 
-from . import errors, numcore
+from . import numcore
 from .checkpoint import atomic_write_text, load_checkpoint, read_text, save_checkpoint
 from .datapipe import (
     _TAG_ABLATION,
@@ -154,7 +154,14 @@ from .datapipe import (
     save_latents,
     stable_hash64,
 )
-from .errors import ConfigError, DataError, MetaShopError, NumericError, ShapeError
+from .errors import (
+    ConfigError,
+    DataError,
+    MetaShopError,
+    NumericError,
+    ShapeError,
+    check_at_least,
+)
 from .evaluation import EvalOptions, evaluate_tasks
 from .metaopt import (
     MetaConfig,
@@ -216,7 +223,7 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if not self.hidden_dims or any(d < 1 for d in self.hidden_dims):
             raise ConfigError("model.hidden_dims must be positive integers")
-        errors.check_at_least("model.embedding_dim", self.embedding_dim, 1)
+        check_at_least("model.embedding_dim", self.embedding_dim, 1)
 
 
 @dataclass(frozen=True)
@@ -234,11 +241,10 @@ class TrainConfig(TrainParams):
 
     def __post_init__(self) -> None:
         # the trainers' own checks, made when the config loads
-        errors.check_at_least("steps", self.steps, 0)
-        errors.check_at_least("epochs", self.epochs, 0)
-        errors.check_at_least("batch_size", self.batch_size, 1, optional=True)
-        errors.check_at_least("early_stop_patience", self.early_stop_patience, 0,
-                              optional=True)
+        check_at_least("steps", self.steps, 0)
+        check_at_least("epochs", self.epochs, 0)
+        check_at_least("batch_size", self.batch_size, 1, optional=True)
+        check_at_least("early_stop_patience", self.early_stop_patience, 0, optional=True)
         super().__post_init__()
 
 
@@ -256,7 +262,7 @@ class AblationConfig:
     gammas: list[float] = field(default_factory=lambda: [0.0, 0.01, 0.8])
 
     def __post_init__(self) -> None:
-        errors.check_at_least("ablation.n_shops", self.n_shops, 1)
+        check_at_least("ablation.n_shops", self.n_shops, 1)
 
 
 @dataclass
@@ -364,7 +370,7 @@ def parse_config(raw: Mapping[str, Any]) -> RunConfig:
     if "seed" not in raw:
         raise ConfigError("config needs a top-level seed")
     seed = _cast("seed", int, raw["seed"])
-    errors.check_at_least("seed", seed, 0)
+    check_at_least("seed", seed, 0)
     output_dir = _cast("output_dir", str | None, raw.get("output_dir"))
     for section in _SECTIONS:
         if section in raw and not isinstance(raw[section], Mapping):

@@ -123,6 +123,7 @@ class MetaConfig(TrainParams):
     def __post_init__(self) -> None:
         super().__post_init__()
         check_at_least("support_size", self.support_size, 1)
+        check_at_least("seed", self.seed, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ synthetic generator."""
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import re
 from collections import Counter
@@ -187,6 +189,18 @@ class TestInteractionIO:
         path.write_text("user_id,item_id,shop_id,label, label\nu1,i1,s1,1,0\n")
         where = re.escape(str(path))
         with pytest.raises(DataError, match=f"^{where}: header names column 'label' twice$"):
+            load_interactions(path)
+
+    def test_lines_are_counted_through_a_quoted_line_break(self, tmp_path):
+        path = tmp_path / "x.csv"
+        save_interactions(path, [rec("u\n1", "i1", "s1", 1.0), rec("u2", "i1", "s1", 0.0)])
+        with path.open("a") as f:
+            f.write("u3,i1,s1,oops\nu2,i1,s1,1.0\n")
+        where = re.escape(str(path))
+        with pytest.raises(DataError, match=(
+            f"^{where}: 2 malformed rows: line 5: label 'oops' is not a number; "
+            "line 6: duplicate of line 4 \\(user=u2, item=i1\\)$"
+        )):
             load_interactions(path)
 
     def test_record_validation(self):
@@ -523,6 +537,18 @@ class TestLatentsAndAttributes:
         with pytest.raises(DataError, match=f"^{where} line 4: repeated id 'u1'$"):
             load_attributes(bad)
 
+    def test_lines_are_counted_through_a_quoted_line_break(self, tmp_path):
+        latents = tmp_path / "latents.csv"
+        latents.write_text('kind,id,v0\nuser,"u\n1",1.0\nitem,i1,x\n')
+        where = re.escape(str(latents))
+        with pytest.raises(DataError, match=f"^{where} line 4: non-numeric value$"):
+            load_latents(latents)
+        attrs = tmp_path / "attrs.csv"
+        attrs.write_text('user_id,city\nu1,"two\nlines"\nu1,Paris\n')
+        where = re.escape(str(attrs))
+        with pytest.raises(DataError, match=f"^{where} line 4: repeated id 'u1'$"):
+            load_attributes(attrs)
+
     def test_attributes_reject_a_column_named_twice(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("user_id,age,city,age\nu1,25,Paris,30\n")
@@ -547,6 +573,25 @@ class TestLatentsAndAttributes:
         path = tmp_path / "attrs.csv"
         save_attributes(path, attrs, "user_id")
         assert load_attributes(path) == attrs
+
+    @PROPERTY
+    @given(st.lists(st.text('a,"\n\r', max_size=3), min_size=1, max_size=3, unique=True),
+           st.dictionaries(st.text('a,"\n\r', max_size=3),
+                           st.lists(st.text('a,"\n\r', max_size=3), min_size=3,
+                                    max_size=3), min_size=1, max_size=4))
+    def test_written_bytes_are_csv_writers(self, tmp_path_factory, fields, values):
+        # rows joined as they are must be what csv.writer writes, and read back
+        table = {key: dict(zip(fields, vs)) for key, vs in values.items()}
+        path = tmp_path_factory.mktemp("attrs") / "attrs.csv"
+        save_attributes(path, table, "id")
+        fields.sort()
+        rows = [["id", *fields], *([key, *map(table[key].get, fields)] for key in sorted(table))]
+        cr = any("\r" in field for row in rows for field in row)
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n",
+                   quoting=csv.QUOTE_ALL if cr else csv.QUOTE_MINIMAL).writerows(rows)
+        assert path.read_bytes() == out.getvalue().encode()
+        assert load_attributes(path) == table
 
     def test_attributes_round_trip(self, tmp_path):
         table = {

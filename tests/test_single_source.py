@@ -71,6 +71,7 @@ RULES = {
                            lambda: build_tasks(RECORDS, support_size=0),
                            "support_size must be >= 1, got 0"),
     "seed": ({"seed": -1}, lambda: SyntheticSpec(seed=-1), "seed must be >= 0, got -1"),
+    "seed_meta": ({"seed": -1}, lambda: _meta(seed=-1), "seed must be >= 0, got -1"),
     "negative_ratio": (
         {"data": {"negative_ratio": 0}},
         lambda: negative_sample(RECORDS[:1], NegativeStrategy.N0,
