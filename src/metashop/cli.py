@@ -132,7 +132,7 @@ from .datapipe import (
     _TAG_MODEL_INIT,
     _TAG_ONE_SHOP_INIT,
     AttributeTable,
-    InteractionRecord,
+    Interactions,
     NegativeStrategy,
     SyntheticSpec,
     TaskUnit,
@@ -462,7 +462,7 @@ def _feature_source(cfg: RunConfig):
     )
 
 
-def _resolve_sigmoid(cfg: RunConfig, records: Sequence[InteractionRecord]) -> bool:
+def _resolve_sigmoid(cfg: RunConfig, records: Interactions) -> bool:
     """model.sigmoid_output, where auto means: the labels are all 0 or 1."""
     s = cfg.model.sigmoid_output
     return binary_labels(records) if s == "auto" else bool(s)
@@ -564,7 +564,7 @@ def cmd_gen_data(cfg: RunConfig, out: Path) -> tuple[str, list, str]:
     )
 
 
-def _training_set(cfg: RunConfig, records: list[InteractionRecord]):
+def _training_set(cfg: RunConfig, records: Interactions):
     """Check the trainer/kind pairing, then add sampled negatives if asked for.
 
     Returns (training records, their shop stats, resolved sigmoid_output,
@@ -576,9 +576,9 @@ def _training_set(cfg: RunConfig, records: list[InteractionRecord]):
     meta_cfg = _meta_config(cfg)
     stats = classify_shops(records, [])
     if cfg.data.negative_strategy != "none":
-        positives = [r for r in records if r.label > 0]
-        records = records + negative_sample(
-            positives,
+        records = list(records)
+        records += negative_sample(
+            [r for r in records if r.label > 0],
             cfg.data.negative_strategy,
             stats,
             ratio=cfg.data.negative_ratio,
@@ -623,9 +623,7 @@ def _train_model(cfg: RunConfig, training, features, seed_tag: list[int]):
         )
     if trainer == "one_shop":
         shop = _require(t.shop_id, "train.shop_id (the shop to train on)")
-        subset = [r for r in records if r.shop_id == shop]
-        if not subset:
-            raise DataError(f"no training records for shop {shop!r}")
+        subset = _shop_records(records, [shop], "training")[shop]
         return one_shop_train(model, subset, features, meta_cfg, t.epochs, t.batch_size)
     # the one trainer left after config parsing: baseline
     return train_baseline(
@@ -669,14 +667,8 @@ def cmd_adapt(cfg: RunConfig, out: Path) -> tuple[str, list, str]:
     if not isinstance(model, RecModel):
         raise ConfigError("only the shared recommendation models can adapt")
     features = _feature_source(cfg)
-    records = load_interactions(support_path)
-    groups: dict[str, list[InteractionRecord]] = {}
-    for r in records:
-        groups.setdefault(r.shop_id, []).append(r)
-    shops = cfg.adapt.shops or sorted(groups)
-    for shop in shops:
-        if shop not in groups:
-            raise DataError(f"no support records for shop {shop!r}")
+    groups = _shop_records(load_interactions(support_path), cfg.adapt.shops, "support")
+    shops = list(groups)
     meta_cfg = _meta_config(cfg)
     adapted_dir = out / "adapted"
     written = []
@@ -691,24 +683,34 @@ def cmd_adapt(cfg: RunConfig, out: Path) -> tuple[str, list, str]:
     return "adapt.manifest", entries, f"adapted {len(written)} shops into {adapted_dir}"
 
 
+def _shop_records(records, shops: Sequence[str] | None, what: str) -> dict[str, list]:
+    """The records of each of ``shops`` (every shop, sorted, when None) in
+    file order, built from a table's rows for those shops only."""
+    table = Interactions.of(records)
+    names, codes = table.distinct("shop_id")
+    for shop in shops or ():
+        if shop not in names:
+            raise DataError(f"no {what} records for shop {shop!r}")
+    return {shop: table.records_at(np.flatnonzero(codes == names.index(shop)))
+            for shop in shops or sorted(names)}
+
+
 def _evaluation_pieces(cfg: RunConfig):
-    """Everything evaluate/ablation share: records, features, stats, tasks, pool."""
-    train_records = load_interactions(_require_path(cfg.data.train, "data.train"))
-    test_records = load_interactions(_require_path(cfg.data.test, "data.test"))
+    """Everything evaluate/ablation share: train table, features, stats, tasks, pool."""
+    train = load_interactions(_require_path(cfg.data.train, "data.train"))
+    test = load_interactions(_require_path(cfg.data.test, "data.test"))
     features = _feature_source(cfg)
-    stats = classify_shops(train_records, test_records)
+    stats = classify_shops(train, test)
     tasks = build_tasks(
-        test_records,
+        test,
         min_interactions=cfg.data.min_interactions,
         support_size=cfg.data.support_size,
         seed=cfg.seed,
     )
     if not tasks:
         raise DataError("no evaluation task reaches data.min_interactions")
-    pool = sorted(
-        {r.user_id for r in train_records} | {r.user_id for r in test_records}
-    )
-    return train_records, features, stats, tasks, pool
+    pool = sorted({*train.distinct("user_id")[0], *test.distinct("user_id")[0]})
+    return train, features, stats, tasks, pool
 
 
 def _evaluate_model(cfg, model, tasks, features, stats, pool, train_records):
@@ -822,10 +824,7 @@ def cmd_ablation(cfg: RunConfig, out: Path) -> tuple[str, list, str]:
     settings = _study_settings(cfg, study)
     train_records, features, stats, tasks, pool = _evaluation_pieces(cfg)
     if study == "one_shop":
-        eligible = sorted(
-            {t.shop_id for t in tasks}
-            & {r.shop_id for r in train_records}
-        )
+        eligible = sorted({t.shop_id for t in tasks} & {*train_records.distinct("shop_id")[0]})
         if not eligible:
             raise DataError("one_shop study needs shops present in train and test")
         rng = np.random.default_rng([cfg.seed, _TAG_ABLATION])

@@ -4,18 +4,20 @@ File formats (all CSV with standard quoting, UTF-8):
   * interactions: header user_id,item_id,shop_id,label plus optional
     timestamp and genre_l3 columns (any column order); labels are 0/1 for
     binary logs or ratings in [1, 5]
-  * latents: header kind,id,v0,v1,... with kind in {user, item, shop_effect}
+  * latents: header kind,id,v0,v1,... (at least one value column) with kind
+    in {user, item, shop_effect}
   * attributes: header with an id column followed by categorical fields
 
 Records are slotted frozen dataclasses (no per-record ``__dict__``).
-``generate_synthetic`` returns ``Interactions`` tables: a label column and
-int32 code columns into each field's values, so a missing timestamp or genre
-(None) stays apart from a real -1. ``build_tasks``, ``classify_shops``,
+``load_interactions`` and ``generate_synthetic`` return ``Interactions``
+tables: a label column and int32 code columns into each field's values, so a
+missing timestamp or genre (None) stays apart from a real -1; ``load_latents``
+maps each id to a row of one float matrix. ``build_tasks``, ``classify_shops``,
 ``save_interactions`` and ``models.prepare_batch`` read columns, viewing a
 record list as columns that keep its records. A table checks its columns
 once (ids non-empty strings, labels finite and >= 0), so the records it
 builds skip the constructor check; it builds them only where something
-reads records, such as the support and query sets of ``build_tasks``.
+reads records: task support and query sets, and the shops a caller picks.
 
 Determinism: every random choice goes through ``np.random.default_rng``
 seeded from (seed, purpose tag) or (seed, stable hash of the entity id), so
@@ -34,7 +36,7 @@ import statistics
 from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, fields, replace
-from itertools import repeat
+from itertools import chain, islice, repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Mapping
@@ -257,21 +259,20 @@ class Interactions(Sequence[InteractionRecord]):
 # ---------------------------------------------------------------------------
 
 
-def load_interactions(path: str | Path) -> list[InteractionRecord]:
-    """Read and validate an interaction CSV.
+def load_interactions(path: str | Path) -> Interactions:
+    """Read and validate an interaction CSV into an ``Interactions`` table.
 
-    Malformed rows are collected and reported together with their line
-    numbers; duplicate (user, item, shop, timestamp) keys are rejected.
+    The rows are checked column by column and each field is coded in order
+    of first appearance. A file that fails a check is read again row by row:
+    malformed rows are reported together with their line numbers, and
+    duplicate (user, item, shop, timestamp) keys are rejected.
     """
     path = Path(path)
-    reader = csv.reader(io.StringIO(read_text(path, "", DataError), newline=""))
-    problems: list[str] = []
-    records: list[InteractionRecord] = []
-    seen: dict[tuple, int] = {}
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError(f"{path} is empty") from None
+    text = read_text(path, "", DataError)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise DataError(f"{path} is empty")
     header = [h.strip() for h in header]
     unknown = set(header) - set(REQUIRED_COLUMNS) - set(OPTIONAL_COLUMNS)
     missing = set(REQUIRED_COLUMNS) - set(header)
@@ -281,49 +282,69 @@ def load_interactions(path: str | Path) -> list[InteractionRecord]:
             f"unknown {sorted(unknown)})"
         )
     _check_unique_columns(path, header)
-    col = {name: header.index(name) for name in header}
-    c_user, c_item, c_shop, c_label = (col[name] for name in REQUIRED_COLUMNS)
-    c_ts, c_genre = col.get("timestamp"), col.get("genre_l3")
-    for row in reader:
+    try:
+        return _table_of_rows(header, list(reader))
+    except (DataError, ValueError):
+        pass  # the per-row pass names each bad line
+    reader = csv.reader(io.StringIO(text, newline=""))
+    problems: list[str] = []
+    seen: dict[tuple, int] = {}
+    for row in islice(reader, 1, None):
         line_no = reader.line_num  # a quoted field may span lines
         try:
             if len(row) != len(header):
                 raise DataError(f"{len(row)} fields, expected {len(header)}")
-            text = row[c_label]
+            field = dict(zip(header, row))
             try:
-                label = float(text)
+                label = float(field["label"])
             except ValueError:
-                raise DataError(f"label {text!r} is not a number") from None
+                raise DataError(f"label {field['label']!r} is not a number") from None
             if not (label in (0.0, 1.0) or 1.0 <= label <= 5.0):
                 raise DataError(f"label {label} outside 0/1 and [1, 5]")
-            ts: int | None = None
-            if c_ts is not None and row[c_ts] != "":
-                try:
-                    ts = int(row[c_ts])
-                except ValueError:
-                    raise DataError(f"timestamp {row[c_ts]!r} is not an integer") from None
-            genre = None
-            if c_genre is not None and row[c_genre] != "":
-                genre = row[c_genre]
-            rec = InteractionRecord(
-                row[c_user], row[c_item], row[c_shop], label, ts, genre
-            )
-            key = (rec.user_id, rec.item_id, rec.shop_id, rec.timestamp)
+            ts = field.get("timestamp", "")
+            try:
+                ts = None if ts == "" else int(ts)
+            except ValueError:
+                raise DataError(f"timestamp {ts!r} is not an integer") from None
+            key = (field["user_id"], field["item_id"], field["shop_id"], ts)
+            InteractionRecord(*key[:3], label)  # names an empty id
             if key in seen:
-                raise DataError(
-                    f"duplicate of line {seen[key]} "
-                    f"(user={rec.user_id}, item={rec.item_id})"
-                )
+                raise DataError(f"duplicate of line {seen[key]} (user={key[0]}, item={key[1]})")
+            seen[key] = line_no
         except DataError as exc:
             problems.append(f"line {line_no}: {exc}")
-            continue
-        seen[key] = line_no
-        records.append(rec)
-    if problems:
-        shown = "; ".join(problems[:20])
-        more = f" (+{len(problems) - 20} more)" if len(problems) > 20 else ""
-        raise DataError(f"{path}: {len(problems)} malformed rows: {shown}{more}")
-    return records
+    shown = "; ".join(problems[:20])
+    more = f" (+{len(problems) - 20} more)" if len(problems) > 20 else ""
+    raise DataError(f"{path}: {len(problems)} malformed rows: {shown}{more}")
+
+
+def _table_of_rows(header: list[str], rows: list[list[str]]) -> Interactions:
+    """An interaction file's rows as a table, checked column by column."""
+    if set(map(len, rows)) - {len(header)}:
+        raise ValueError("a row has the wrong field count")
+    blank = ("",) * len(rows)
+    text = dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
+    label = np.fromiter(map(float, text["label"]), np.float64, len(rows))
+    if not ((label == 0.0) | ((label >= 1.0) & (label <= 5.0))).all():
+        raise ValueError("a label is outside 0/1 and [1, 5]")
+    stamps = [None if t == "" else int(t) for t in text.get("timestamp", blank)]
+    genres = [g or None for g in text.get("genre_l3", blank)]
+    fields = (text["user_id"], text["item_id"], text["shop_id"], stamps, genres)
+    columns = dict(zip(_CODED, map(_first_appearance_codes, fields)))
+    if len(columns["timestamp"][1]) < len(rows):  # distinct times make distinct keys
+        key = [columns[name][0].tolist() for name in _CODED[:4]]
+        if len(set(zip(*key))) < len(rows):
+            raise ValueError("a (user, item, shop, timestamp) key repeats")
+    return Interactions(label, columns)  # DataError for an empty id
+
+
+def _first_appearance_codes(values: Sequence) -> tuple[np.ndarray, list]:
+    """int32 codes into the distinct ``values``, numbered in order of first appearance."""
+    index = dict.fromkeys(values)
+    if len(index) == len(values):
+        return np.arange(len(values), dtype=np.int32), list(values)
+    index = dict(zip(index, range(len(index))))
+    return np.fromiter(map(index.__getitem__, values), np.int32, len(values)), list(index)
 
 
 def _check_unique_columns(path: Path, header: Sequence[str]) -> None:
@@ -332,24 +353,27 @@ def _check_unique_columns(path: Path, header: Sequence[str]) -> None:
             raise DataError(f"{path}: header names column {name!r} twice")
 
 
-def _write_csv(path: str | Path, rows: list[Sequence[str]]) -> None:
-    """Write equal-width rows of text as CSV, the form the loaders' csv.reader reads.
+_NEEDS_QUOTES = re.compile('[,"\n\r]')
 
-    Rows whose fields hold no comma, quote or line break are joined as they
-    are: the bytes csv.writer writes, at half its cost (csv.writer alone made
-    `gen-data` about a third slower). Otherwise csv.writer quotes what needs
-    it, or every field if one holds a carriage return, which it leaves bare
-    under a "\\n" line terminator.
+
+def _write_csv(path: str | Path, header: Sequence[str], columns: Sequence[Sequence[str]]) -> None:
+    """Write a header and equal-length text columns as csv.writer would.
+
+    If no column's joined text holds a comma, quote or line break, the rows
+    are joined as they are, at half csv.writer's cost. Otherwise csv.writer
+    quotes what needs it, or every field if one holds a carriage return,
+    which it leaves bare under a "\\n" line terminator.
     """
-    text = "\n".join(map(",".join, rows)) + "\n"
-    # a comma or line break inside a field shows as one more than the rows hold
-    if ('"' in text or "\r" in text or text.count("\n") != len(rows)
-            or text.count(",") != len(rows) * (len(rows[0]) - 1)):
-        out = io.StringIO()
-        quoting = csv.QUOTE_ALL if "\r" in text else csv.QUOTE_MINIMAL
-        csv.writer(out, lineterminator="\n", quoting=quoting).writerows(rows)
-        text = out.getvalue()
-    atomic_write_text(path, text)
+    texts = ["".join(col) for col in (header, *columns)]
+    if not any(map(_NEEDS_QUOTES.search, texts)):
+        lines = chain([",".join(header)], map(",".join, zip(*columns)))
+        atomic_write_text(path, "\n".join(lines) + "\n")
+        return
+    out = io.StringIO()
+    quoting = csv.QUOTE_ALL if any("\r" in t for t in texts) else csv.QUOTE_MINIMAL
+    csv.writer(out, lineterminator="\n", quoting=quoting).writerows(
+        chain([header], zip(*columns)))
+    atomic_write_text(path, out.getvalue())
 
 
 def save_interactions(path: str | Path, records: Sequence[InteractionRecord]) -> None:
@@ -363,7 +387,7 @@ def save_interactions(path: str | Path, records: Sequence[InteractionRecord]) ->
         if any(v is not None for v in values):
             header.append(name)
             cols.append(["" if v is None else str(v) for v in values])
-    _write_csv(path, [header, *zip(*cols)])
+    _write_csv(path, header, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +445,9 @@ def build_tasks(
 
 
 def binary_labels(records: Iterable[InteractionRecord]) -> bool:
-    """Whether every label is 0 or 1 (stops at the first that is not)."""
+    """Whether every label is 0 or 1: a table's column at once, records one by one."""
+    if isinstance(records, Interactions):
+        return bool(np.isin(records.label, (0.0, 1.0)).all())
     return all(r.label in (0.0, 1.0) for r in records)
 
 
@@ -680,58 +706,73 @@ def save_latents(
     items: Mapping[str, np.ndarray],
     shop_effects: Mapping[str, np.ndarray] | None = None,
 ) -> None:
-    dim = len(next(iter(users.values())))
-    rows = [["kind", "id"] + [f"v{i}" for i in range(dim)]]
-    for kind, table in (
-        ("user", users),
-        ("item", items),
-        ("shop_effect", shop_effects or {}),
-    ):
-        for key in sorted(table):
-            vec = np.asarray(table[key], dtype=np.float64)
-            rows.append([kind, key] + [repr(float(v)) for v in vec])
-    _write_csv(path, rows)
+    tables = {"user": users, "item": items, "shop_effect": shop_effects or {}}
+    keys = [(kind, key) for kind, table in tables.items() for key in sorted(table)]
+    values = np.array([tables[kind][key] for kind, key in keys], dtype=np.float64)
+    header = ["kind", "id", *(f"v{i}" for i in range(values.shape[1]))]
+    _write_csv(path, header, [*zip(*keys), *(list(map(repr, v)) for v in values.T.tolist())])
 
 
 def load_latents(path: str | Path) -> tuple[FeatureTable, dict[str, np.ndarray]]:
-    """Read a latent file back into (FeatureTable, shop effects)."""
+    """Read a latent file back into (FeatureTable, shop effects).
+
+    Each id maps to a row of one float matrix, converted in one pass; a file
+    that fails a check is read again line by line to raise its first error.
+    """
     path = Path(path)
-    reader = csv.reader(io.StringIO(read_text(path, "", DataError), newline=""))
-    users: dict[str, np.ndarray] = {}
-    items: dict[str, np.ndarray] = {}
-    shops: dict[str, np.ndarray] = {}
+    text = read_text(path, "", DataError)
+    reader = csv.reader(io.StringIO(text, newline=""))
     header = next(reader, None)
-    if not header or header[:2] != ["kind", "id"]:
+    if not header or len(header) < 3 or header[:2] != ["kind", "id"]:
         raise DataError(f"{path}: expected a latent file header (kind,id,v0,...)")
-    for row in reader:
-        line_no = reader.line_num
-        if len(row) != len(header):
-            raise DataError(f"{path} line {line_no}: wrong field count")
-        kind, key = row[0], row[1]
-        try:
-            vec = np.asarray([float(v) for v in row[2:]], dtype=np.float64)
-        except ValueError:
-            raise DataError(f"{path} line {line_no}: non-numeric value") from None
-        table = {"user": users, "item": items, "shop_effect": shops}.get(kind)
-        if table is None:
-            raise DataError(f"{path} line {line_no}: unknown kind {kind!r}")
-        if not np.isfinite(vec).all():
-            raise DataError(f"{path} line {line_no}: non-finite value")
-        if key in table:
-            raise DataError(f"{path} line {line_no}: repeated {kind} id {key!r}")
-        table[key] = vec
+    rows = list(reader)
+    tables: dict[str, dict[str, np.ndarray]] = {"user": {}, "item": {}, "shop_effect": {}}
+    try:
+        if set(map(len, rows)) - {len(header)}:
+            raise ValueError("a row has the wrong field count")
+        values = np.array([list(map(float, row[2:])) for row in rows], dtype=np.float64)
+        if not np.isfinite(values).all():
+            raise ValueError("a value is not finite")
+        for row, vec in zip(rows, values):
+            if tables[row[0]].setdefault(row[1], vec) is not vec:
+                raise ValueError("an id repeats")
+    except (KeyError, ValueError):
+        tables = _latents_line_by_line(path, text, len(header))
+    users, items, shops = tables.values()
     if not users or not items:
         raise DataError(f"{path}: latent file needs user and item rows")
     return FeatureTable(users, items, (path, path)), shops
 
 
+def _latents_line_by_line(path: Path, text: str, width: int) -> dict[str, dict]:
+    """load_latents' id tables read one line at a time, in error order."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    tables: dict[str, dict[str, np.ndarray]] = {"user": {}, "item": {}, "shop_effect": {}}
+    for row in islice(reader, 1, None):
+        where = f"{path} line {reader.line_num}"
+        if len(row) != width:
+            raise DataError(f"{where}: wrong field count")
+        kind, key = row[:2]
+        try:
+            vec = np.asarray([float(v) for v in row[2:]], dtype=np.float64)
+        except ValueError:
+            raise DataError(f"{where}: non-numeric value") from None
+        if kind not in tables:
+            raise DataError(f"{where}: unknown kind {kind!r}")
+        if not np.isfinite(vec).all():
+            raise DataError(f"{where}: non-finite value")
+        if key in tables[kind]:
+            raise DataError(f"{where}: repeated {kind} id {key!r}")
+        tables[kind][key] = vec
+    return tables
+
+
 def save_attributes(path: str | Path, table: Mapping[str, Mapping[str, str]],
                     id_column: str) -> None:
     fields = sorted({f for attrs in table.values() for f in attrs})
-    rows = [[id_column] + fields]
-    for key in sorted(table):
-        rows.append([key] + [table[key].get(f, "") for f in fields])
-    _write_csv(path, rows)
+    keys = sorted(table)
+    _write_csv(path, [id_column, *fields],
+               [keys, *([table[key].get(f, "") for key in keys] for f in fields)])
 
 
 def load_attributes(path: str | Path) -> dict[str, dict[str, str]]:

@@ -30,6 +30,10 @@ by record, as classify_shops' column pass must reproduce, and table_of turns
 records into a table whose codes differ from a record list's view.
 ndcg_columns_full_sort takes the ideal gains from a full sort of each
 column, as ndcg_columns' partition must reproduce bit for bit.
+load_interactions_per_row and load_latents_per_line read a file one row
+at a time, building each record or vector as it goes, as the loaders'
+column passes must reproduce record for record, bit for bit and error for
+error.
 rank_order_stable is the one stable sort that metrics.rank_order's
 column-wise fast path must reproduce index for index, and
 item_queries_per_record builds one scored shop's item queries a query
@@ -40,14 +44,20 @@ for error.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import statistics
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
+from metashop.checkpoint import read_text
 from metashop.datapipe import (
     _CODED,
+    OPTIONAL_COLUMNS,
+    REQUIRED_COLUMNS,
     _TAG_SYNTH,
     _TAG_TASKS,
     FeatureTable,
@@ -59,6 +69,7 @@ from metashop.datapipe import (
     SyntheticData,
     TaskUnit,
     _apportion,
+    _check_unique_columns,
     _id_list,
     _record_sort_key,
     stable_hash64,
@@ -718,3 +729,97 @@ def ndcg_columns_full_sort(gains: np.ndarray, k: int) -> list[float]:
     _check_k(k)
     ideal = _dcg(np.sort(gains, axis=0)[::-1][:k])
     return [d / i if i != 0.0 else 0.0 for d, i in zip(_dcg(gains[:k]), ideal)]
+
+
+def load_interactions_per_row(path) -> list[InteractionRecord]:
+    """load_interactions building one record per row as it reads it."""
+    path = Path(path)
+    reader = csv.reader(io.StringIO(read_text(path, "", DataError), newline=""))
+    problems: list[str] = []
+    records: list[InteractionRecord] = []
+    seen: dict[tuple, int] = {}
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path} is empty") from None
+    header = [h.strip() for h in header]
+    unknown = set(header) - set(REQUIRED_COLUMNS) - set(OPTIONAL_COLUMNS)
+    missing = set(REQUIRED_COLUMNS) - set(header)
+    if unknown or missing:
+        raise DataError(
+            f"{path}: bad header (missing {sorted(missing)}, "
+            f"unknown {sorted(unknown)})"
+        )
+    _check_unique_columns(path, header)
+    col = {name: header.index(name) for name in header}
+    c_user, c_item, c_shop, c_label = (col[name] for name in REQUIRED_COLUMNS)
+    c_ts, c_genre = col.get("timestamp"), col.get("genre_l3")
+    for row in reader:
+        line_no = reader.line_num
+        try:
+            if len(row) != len(header):
+                raise DataError(f"{len(row)} fields, expected {len(header)}")
+            text = row[c_label]
+            try:
+                label = float(text)
+            except ValueError:
+                raise DataError(f"label {text!r} is not a number") from None
+            if not (label in (0.0, 1.0) or 1.0 <= label <= 5.0):
+                raise DataError(f"label {label} outside 0/1 and [1, 5]")
+            ts = None
+            if c_ts is not None and row[c_ts] != "":
+                try:
+                    ts = int(row[c_ts])
+                except ValueError:
+                    raise DataError(f"timestamp {row[c_ts]!r} is not an integer") from None
+            genre = None
+            if c_genre is not None and row[c_genre] != "":
+                genre = row[c_genre]
+            rec = InteractionRecord(row[c_user], row[c_item], row[c_shop], label, ts, genre)
+            key = (rec.user_id, rec.item_id, rec.shop_id, rec.timestamp)
+            if key in seen:
+                raise DataError(
+                    f"duplicate of line {seen[key]} "
+                    f"(user={rec.user_id}, item={rec.item_id})"
+                )
+        except DataError as exc:
+            problems.append(f"line {line_no}: {exc}")
+            continue
+        seen[key] = line_no
+        records.append(rec)
+    if problems:
+        shown = "; ".join(problems[:20])
+        more = f" (+{len(problems) - 20} more)" if len(problems) > 20 else ""
+        raise DataError(f"{path}: {len(problems)} malformed rows: {shown}{more}")
+    return records
+
+
+def load_latents_per_line(path) -> tuple[FeatureTable, dict[str, np.ndarray]]:
+    """load_latents converting and checking one line's vector at a time."""
+    path = Path(path)
+    reader = csv.reader(io.StringIO(read_text(path, "", DataError), newline=""))
+    tables: dict[str, dict[str, np.ndarray]] = {"user": {}, "item": {}, "shop_effect": {}}
+    header = next(reader, None)
+    if not header or len(header) < 3 or header[:2] != ["kind", "id"]:
+        raise DataError(f"{path}: expected a latent file header (kind,id,v0,...)")
+    for row in reader:
+        line_no = reader.line_num
+        if len(row) != len(header):
+            raise DataError(f"{path} line {line_no}: wrong field count")
+        kind, key = row[0], row[1]
+        try:
+            vec = np.asarray([float(v) for v in row[2:]], dtype=np.float64)
+        except ValueError:
+            raise DataError(f"{path} line {line_no}: non-numeric value") from None
+        table = tables.get(kind)
+        if table is None:
+            raise DataError(f"{path} line {line_no}: unknown kind {kind!r}")
+        if not np.isfinite(vec).all():
+            raise DataError(f"{path} line {line_no}: non-finite value")
+        if key in table:
+            raise DataError(f"{path} line {line_no}: repeated {kind} id {key!r}")
+        table[key] = vec
+    users, items, shops = tables.values()
+    if not users or not items:
+        raise DataError(f"{path}: latent file needs user and item rows")
+    return FeatureTable(users, items, (path, path)), shops

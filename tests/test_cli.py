@@ -31,7 +31,7 @@ from metashop.checkpoint import (
     model_to_json,
 )
 from metashop.cli import load_config, main, parse_config
-from metashop.datapipe import NegativeStrategy, TaskUnit
+from metashop.datapipe import InteractionRecord, Interactions, NegativeStrategy, TaskUnit
 from metashop.errors import ConfigError
 from metashop.evaluation import CandidatePool, QueryMode
 from metashop.metaopt import OuterOptimizer, RegularizerKind, read_manifest
@@ -787,6 +787,14 @@ INPUT_ERRORS = {
         "data error: {path}: expected a latent file header (kind,id,v0,...)",
         2,
     ),
+    "latents_without_values": (
+        "latents.csv",
+        lambda t: "".join(",".join(line.split(",")[:2]) + "\n" for line in t.splitlines()),
+        "train",
+        [],
+        "data error: {path}: expected a latent file header (kind,id,v0,...)",
+        2,
+    ),
     "latents_field_count": (
         "latents.csv",
         lambda t: _set_field(t, 4, 2, "0.5,0.5"),
@@ -1464,6 +1472,30 @@ class TestCategoricalFeatures:
 
 
 class TestEvaluate:
+    def test_builds_only_the_records_of_its_tasks(self, trained_run, tmp_path, monkeypatch):
+        """Loading, shop classes and the user pool read columns; only the
+        tasks build_tasks returns are built as records, in one pass."""
+        out = tmp_path / "run"
+        shutil.copytree(trained_run, out)
+        cfg_path = write_config(tmp_path / "run.yaml", base_config(out))
+        built, tasks = [], []
+        records_at = Interactions.records_at
+        monkeypatch.setattr(
+            Interactions, "records_at",
+            lambda self, rows: built.append(len(rows)) or records_at(self, rows),
+        )
+        init = InteractionRecord.__init__
+        monkeypatch.setattr(
+            InteractionRecord, "__init__",
+            lambda self, *a, **k: built.append("init") or init(self, *a, **k),
+        )
+        build_tasks = cli.build_tasks
+        monkeypatch.setattr(
+            cli, "build_tasks", lambda *a, **k: tasks.extend(build_tasks(*a, **k)) or tasks
+        )
+        assert main(["evaluate", "--config", str(cfg_path)]) == 0
+        assert tasks and built == [sum(len(t.support) + len(t.query) for t in tasks)]
+
     def test_report_and_tables(self, workspace):
         cfg_path, out = workspace
         assert main(["train", "--config", str(cfg_path)]) == 0

@@ -77,7 +77,7 @@ class TestInteractionIO:
         ]
         path = tmp_path / "x.csv"
         save_interactions(path, records)
-        assert load_interactions(path) == records
+        assert list(load_interactions(path)) == records
 
     def test_round_trip_minimal_columns(self, tmp_path):
         records = [rec("u1", "i1", "s1", 1.0), rec("u2", "i1", "s1", 0.0)]
@@ -85,14 +85,14 @@ class TestInteractionIO:
         save_interactions(path, records)
         text = path.read_text()
         assert "timestamp" not in text and "genre_l3" not in text
-        assert load_interactions(path) == records
+        assert list(load_interactions(path)) == records
 
     @PROPERTY
     @given(record_lists(min_size=1))
     def test_save_then_load_is_the_identity(self, tmp_path_factory, records):
         path = tmp_path_factory.mktemp("io") / "x.csv"
         save_interactions(path, records)
-        assert load_interactions(path) == records
+        assert list(load_interactions(path)) == records
         # labels are written with repr, which reads back to the same float
         rows = path.read_text().splitlines()[1:]
         assert [row.split(",")[3] for row in rows] == [repr(r.label) for r in records]
@@ -159,7 +159,7 @@ class TestInteractionIO:
         records = [rec(special, "i1", "s1", 1.0, 7, special), rec("u2", "i2", "s1", 0.0)]
         path = tmp_path / "x.csv"
         save_interactions(path, records)
-        assert load_interactions(path) == records
+        assert list(load_interactions(path)) == records
 
     def test_only_fields_that_need_quoting_are_quoted(self, tmp_path):
         path = tmp_path / "x.csv"
@@ -742,7 +742,7 @@ class TestMl1mConversion:
         assert {r.item_id for r in train} == {"m1", "m2"}
         assert {r.shop_id for r in train} == {"Animation", "Drama"}
         assert {r.shop_id for r in test} == {"Drama", "Western"}
-        assert all(r.genre_l3 == r.shop_id for r in train + test)
+        assert all(r.genre_l3 == r.shop_id for r in [*train, *test])
         assert {r.label for r in train} == {5.0, 3.0}
         users = load_attributes(out / "user_attrs.csv")
         assert users["u1"]["zip_region"] == "5"

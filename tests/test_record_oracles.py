@@ -5,12 +5,16 @@ The record must raise the same error as the field-by-field dataclass for
 every input, or hold the same fields with the same hash and repr. The
 generator and ``build_tasks`` must give the same records, tables and tasks,
 and ``build_tasks`` and ``classify_shops`` the same result or error on a
-record list and on an ``Interactions`` table of it.
+record list and on an ``Interactions`` table of it. ``load_interactions``
+and ``load_latents`` must give the records, vectors and errors of reading
+the same file one row at a time.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 
 import numpy as np
 import pytest
@@ -25,6 +29,8 @@ from metashop.datapipe import (
     build_tasks,
     classify_shops,
     generate_synthetic,
+    load_interactions,
+    load_latents,
 )
 from metashop.errors import DataError
 from oracles import (
@@ -32,6 +38,8 @@ from oracles import (
     build_tasks_set_split,
     classify_shops_per_record,
     generate_synthetic_per_element,
+    load_interactions_per_row,
+    load_latents_per_line,
     table_of,
 )
 
@@ -265,3 +273,156 @@ class TestColumnsMatchTheRecordOracles:
             assert got == (DataError, "task 's' has overlapping support/query")
         else:
             assert got == ShopTask("s", tuple(support), tuple(query))
+
+
+# Field texts a file may hold. Every "good" text parses; each field's "bad"
+# texts fail its check. Ids and genres carry quoted commas and line breaks
+# (a bare carriage return splits the row instead); labels and timestamps
+# carry what Python's float() and int() accept beyond plain digits.
+GOOD = {
+    "user_id": ["u1", "u2", "a,b", "x\ny", 'q"t'],
+    "item_id": ["i1", "i2", " 7 ", "i\n"],
+    "shop_id": ["s1", "s2", "s,3"],
+    "label": ["0", "1", "1.0", "0.0", "-0.0", "3.5", " 2 ", "+5", "5.0", "1e0", "4_0e-1"],
+    "timestamp": ["", "7", " 7 ", "+5", "5", "05", "1_0", str(2**70), "-3", "-1"],
+    "genre_l3": ["", "g1", "a,b", "g\n2"],
+}
+BAD = {
+    "user_id": ["", "a\rb"],
+    "item_id": [""],
+    "shop_id": [""],
+    "label": ["x", "", "nan", "inf", "6", "0.5", "-1", "5.5"],
+    "timestamp": ["x", "1.5", "1e3", " "],
+    "genre_l3": ["c\rd"],
+}
+
+
+def _parsed_key(row: dict) -> tuple:
+    stamp = row.get("timestamp", "")
+    return (row["user_id"], row["item_id"], row["shop_id"],
+            None if stamp == "" else int(stamp))
+
+
+@st.composite
+def interaction_files(draw):
+    """The text of an interaction file: any column order, optional columns
+    or not; a clean file holds only good texts and no repeated key, any
+    other file bad texts, rows of the wrong width and repeats as well."""
+    optional = draw(st.lists(st.sampled_from(["timestamp", "genre_l3"]), unique=True))
+    header = draw(st.permutations(["user_id", "item_id", "shop_id", "label", *optional]))
+    clean = draw(st.booleans())
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    keys = set()
+    for _ in range(draw(st.integers(0, 30))):
+        row = {name: draw(st.sampled_from(GOOD[name] if clean or draw(st.integers(0, 3))
+                                          else BAD[name])) for name in header}
+        if clean:
+            if _parsed_key(row) in keys:
+                continue
+            keys.add(_parsed_key(row))
+        fields = [row[name] for name in header]
+        width = 0 if clean else draw(st.sampled_from([0, 0, 0, 0, 0, -1, 1]))
+        writer.writerow(fields[:width] if width < 0 else fields + ["z"] * width)
+    return out.getvalue()
+
+
+def read_outcome(load, path):
+    try:
+        return [(r.user_id, r.item_id, r.shop_id, repr(r.label), type(r.timestamp),
+                 r.timestamp, r.genre_l3) for r in load(path)]
+    except DataError as exc:
+        return str(exc)
+
+
+@st.composite
+def latent_files(draw):
+    """The text of a latent file: zero to three value columns (zero is
+    rejected), kinds, ids and values good or bad, rows of the wrong width.
+    A clean row's id is its own; the others repeat ids."""
+    dim = draw(st.integers(0, 3))
+    header = ["kind", "id", *(f"v{i}" for i in range(dim))]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header if draw(st.integers(0, 7)) else ["kind", "key", *header[2:]])
+    values = ["1.5", "-0.0", "1e-300", " 2 ", "1_0", "-7", "0.1"]
+    clean_file = draw(st.booleans())
+    for k in range(draw(st.integers(0, 12))):
+        clean = clean_file or draw(st.integers(0, 4))
+        kinds = ["user", "item", "shop_effect", *([] if clean else ["planet"])]
+        kind = draw(st.sampled_from(kinds))
+        key = draw(st.sampled_from(["a", "b", "c,d", "e\nf"])) + str(k) if clean else "a"
+        vec = [draw(st.sampled_from(values if clean else [*values, "nan", "-inf", "x", ""]))
+               for _ in range(dim + (0 if clean else draw(st.sampled_from([0, 0, 0, 1, -1]))))]
+        writer.writerow([kind, key, *vec])
+    return out.getvalue()
+
+
+def latent_outcome(path):
+    try:
+        table, shops = load_latents(path)
+    except DataError as exc:
+        return str(exc)
+    return [[(k, v.dtype.str, v.shape, v.tobytes()) for k, v in t.items()]
+            for t in (table.users, table.items, shops)]
+
+
+def latent_oracle_outcome(path):
+    try:
+        table, shops = load_latents_per_line(path)
+    except DataError as exc:
+        return str(exc)
+    return [[(k, v.dtype.str, v.shape, v.tobytes()) for k, v in t.items()]
+            for t in (table.users, table.items, shops)]
+
+
+class TestLoadersMatchThePerRowReaders:
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(interaction_files())
+    def test_same_records_or_same_error(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("load") / "x.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert read_outcome(load_interactions, path) == read_outcome(
+            load_interactions_per_row, path)
+
+    @pytest.mark.parametrize("rows,problem", [
+        ("u1,i1,s1,1,5\nu1,i1,s1,0,05\n", "line 3: duplicate of line 2 (user=u1, item=i1)"),
+        ("u1,i1,s1,1,\nu1,i1,s1,0,\n", "line 3: duplicate of line 2 (user=u1, item=i1)"),
+        ("u1,i1,s1,1,1_0\nu1,i1,s1,0,+10\n", "line 3: duplicate of line 2 (user=u1, item=i1)"),
+        ("u1,i1,s1,6,1\n", "line 2: label 6.0 outside 0/1 and [1, 5]"),
+        ("u1,,s1,1,1\n", "line 2: item_id must be a non-empty string, got ''"),
+        ("u1,i1,s1,1\n", "line 2: 4 fields, expected 5"),
+    ])
+    def test_named_problems(self, tmp_path, rows, problem):
+        path = tmp_path / "x.csv"
+        path.write_text("user_id,item_id,shop_id,label,timestamp\n" + rows, encoding="utf-8")
+        want = f"{path}: 1 malformed rows: {problem}"
+        assert read_outcome(load_interactions, path) == want
+        assert read_outcome(load_interactions_per_row, path) == want
+
+    def test_more_than_twenty_problems_are_counted(self, tmp_path):
+        path = tmp_path / "x.csv"
+        bad = "".join(f"u{k},i1,s1,x\n" for k in range(23))
+        path.write_text("user_id,item_id,shop_id,label\n" + bad, encoding="utf-8")
+        got = read_outcome(load_interactions, path)
+        assert got == read_outcome(load_interactions_per_row, path)
+        assert got.startswith(f"{path}: 23 malformed rows: line 2: label 'x' is not a number;")
+        assert got.endswith("line 21: label 'x' is not a number (+3 more)")
+
+    def test_big_and_negative_stamps_and_empty_genres_load_as_written(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("genre_l3,timestamp,label,shop_id,item_id,user_id\n"
+                        f",{2**70},1,s1,i1,u1\ng, -3 ,0,s1,i1,u1\n,,+5,s1,i1,u1\n",
+                        encoding="utf-8")
+        got = list(load_interactions(path))
+        assert got == load_interactions_per_row(path)
+        assert [(r.timestamp, r.genre_l3, r.label) for r in got] == [
+            (2**70, None, 1.0), (-3, "g", 0.0), (None, None, 5.0)]
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(latent_files())
+    def test_same_vectors_bit_for_bit_or_same_first_error(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("latents") / "latents.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert latent_outcome(path) == latent_oracle_outcome(path)
