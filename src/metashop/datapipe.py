@@ -9,6 +9,7 @@ File formats (all CSV with standard quoting, UTF-8):
   * attributes: header with an id column followed by categorical fields
 
 Records are slotted frozen dataclasses (no per-record ``__dict__``).
+Each loader parses a file once; its column checks name the rows that fail.
 ``load_interactions`` and ``generate_synthetic`` return ``Interactions``
 tables: a label column and int32 code columns into each field's values, so a
 missing timestamp or genre (None) stays apart from a real -1; ``load_latents``
@@ -34,9 +35,9 @@ import math
 import re
 import statistics
 from collections import deque
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, fields, replace
-from itertools import chain, islice, repeat
+from itertools import accumulate, chain, repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Mapping
@@ -59,6 +60,11 @@ _TAG_META_BATCHES = 23  # metaopt: meta_train's task order and query picks
 _TAG_NONMETA = 29  # metaopt: nonmeta_train's shuffles
 _TAG_BASELINE = 31  # metaopt: train_baseline's shuffles
 _TAG_ABLATION = 37  # cli: the one_shop study's shop sample
+
+# messages more than one reader or check gives
+_NOT_AN_ID = "{} must be a non-empty string, got {!r}"
+_FIELD_COUNT = "{} fields, expected {}"
+_NOT_A_STAMP = "timestamp {!r} is not an integer"
 
 
 def stable_hash64(text: str) -> int:
@@ -108,7 +114,7 @@ class InteractionRecord:
             for name, v in (("user_id", user_id), ("item_id", item_id),
                             ("shop_id", shop_id)):
                 if not isinstance(v, str) or not v:
-                    raise DataError(f"{name} must be a non-empty string, got {v!r}")
+                    raise DataError(_NOT_AN_ID.format(name, v))
             if not math.isfinite(label) or label < 0:
                 raise DataError(f"label must be finite and >= 0, got {label}")
         put = object.__setattr__
@@ -177,7 +183,7 @@ class Interactions(Sequence[InteractionRecord]):
                 raise DataError(f"{name} needs one code per label into its values")
             for v in values.tolist() if name in _FIELDS[:3] else ():
                 if not isinstance(v, str) or not v:
-                    raise DataError(f"{name} must be a non-empty string, got {v!r}")
+                    raise DataError(_NOT_AN_ID.format(name, v))
             self._columns[name] = (codes.astype(np.int32), values)
         bad = self.label[~(np.isfinite(self.label) & (self.label >= 0))]
         if bad.size:
@@ -203,16 +209,14 @@ class Interactions(Sequence[InteractionRecord]):
     def __iter__(self):
         return iter(self.records_at(np.arange(len(self))))
 
-    def column(self, name: str) -> tuple[np.ndarray, Sequence]:
-        """A field's codes and the values they index: a table's array, or a
-        view's list in order of first appearance (``label`` is its own)."""
+    def column(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """A field's codes and the array of values they index: a table's, or a
+        view's in order of first appearance (``label`` is its own)."""
         if name == "label":
             return np.arange(len(self)), self.label
         if name not in self._columns:
-            seen: dict = {}
-            rows = map(attrgetter(name), self._records)
-            codes = [seen.setdefault(v, len(seen)) for v in rows]
-            self._columns[name] = (np.array(codes, np.intp), list(seen))
+            codes, values = _first_appearance_codes(list(map(attrgetter(name), self._records)))
+            self._columns[name] = (codes, np.fromiter(values, object, len(values)))
         return self._columns[name]
 
     def distinct(self, name: str) -> tuple[list, np.ndarray]:
@@ -221,13 +225,11 @@ class Interactions(Sequence[InteractionRecord]):
         if self._records is None:  # a view's codes count in that order already
             used, first, codes = np.unique(codes, return_index=True, return_inverse=True)
             order = np.argsort(first)
-            values, codes = values[used[order]].tolist(), np.argsort(order)[codes]
-        return values, codes
+            values, codes = values[used[order]], np.argsort(order)[codes]
+        return values.tolist(), codes
 
     def values(self, name: str) -> list:
-        """Each row's value of a field, as its record holds it."""
-        if self._records is not None:
-            return list(map(attrgetter(name), self._records))
+        """Each row's value of a field."""
         codes, values = self.column(name)
         return values[codes].tolist()
 
@@ -236,7 +238,7 @@ class Interactions(Sequence[InteractionRecord]):
         the smallest unsigned type (``lexsort`` is fastest on those), and the
         sorted distinct keys."""
         codes, keys = self.column(name)
-        if not isinstance(keys, np.ndarray) or keys.dtype == object:
+        if keys.dtype == object:
             keys = [-1 if v is None else v for v in keys]
             exact = np.array(keys)  # big ints, floats and text keep Python's order
             keys = exact if exact.dtype.kind in "iu" else np.fromiter(keys, object)
@@ -262,15 +264,13 @@ class Interactions(Sequence[InteractionRecord]):
 def load_interactions(path: str | Path) -> Interactions:
     """Read and validate an interaction CSV into an ``Interactions`` table.
 
-    The rows are checked column by column and each field is coded in order
-    of first appearance. A file that fails a check is read again row by row:
-    malformed rows are reported together with their line numbers, and
-    duplicate (user, item, shop, timestamp) keys are rejected.
+    The text is parsed once. Each rule is checked once over its column, in
+    a row's reading order (width, label, label range, timestamp, ids), and a
+    row's problem is the first it fails; a row with no other problem may not
+    repeat the key of an earlier such row. Every bad row is named by line.
     """
     path = Path(path)
-    text = read_text(path, "", DataError)
-    reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, None)
+    header, rows, lines = _read_csv(path)
     if header is None:
         raise DataError(f"{path} is empty")
     header = [h.strip() for h in header]
@@ -282,60 +282,83 @@ def load_interactions(path: str | Path) -> Interactions:
             f"unknown {sorted(unknown)})"
         )
     _check_unique_columns(path, header)
-    try:
-        return _table_of_rows(header, list(reader))
-    except (DataError, ValueError):
-        pass  # the per-row pass names each bad line
-    reader = csv.reader(io.StringIO(text, newline=""))
-    problems: list[str] = []
-    seen: dict[tuple, int] = {}
-    for row in islice(reader, 1, None):
-        line_no = reader.line_num  # a quoted field may span lines
-        try:
-            if len(row) != len(header):
-                raise DataError(f"{len(row)} fields, expected {len(header)}")
-            field = dict(zip(header, row))
-            try:
-                label = float(field["label"])
-            except ValueError:
-                raise DataError(f"label {field['label']!r} is not a number") from None
-            if not (label in (0.0, 1.0) or 1.0 <= label <= 5.0):
-                raise DataError(f"label {label} outside 0/1 and [1, 5]")
-            ts = field.get("timestamp", "")
-            try:
-                ts = None if ts == "" else int(ts)
-            except ValueError:
-                raise DataError(f"timestamp {ts!r} is not an integer") from None
-            key = (field["user_id"], field["item_id"], field["shop_id"], ts)
-            InteractionRecord(*key[:3], label)  # names an empty id
-            if key in seen:
-                raise DataError(f"duplicate of line {seen[key]} (user={key[0]}, item={key[1]})")
-            seen[key] = line_no
-        except DataError as exc:
-            problems.append(f"line {line_no}: {exc}")
-    shown = "; ".join(problems[:20])
-    more = f" (+{len(problems) - 20} more)" if len(problems) > 20 else ""
-    raise DataError(f"{path}: {len(problems)} malformed rows: {shown}{more}")
-
-
-def _table_of_rows(header: list[str], rows: list[list[str]]) -> Interactions:
-    """An interaction file's rows as a table, checked column by column."""
-    if set(map(len, rows)) - {len(header)}:
-        raise ValueError("a row has the wrong field count")
+    problems, columns = _columns(header, rows, _FIELD_COUNT)
+    text = dict(zip(header, columns))
     blank = ("",) * len(rows)
-    text = dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
-    label = np.fromiter(map(float, text["label"]), np.float64, len(rows))
-    if not ((label == 0.0) | ((label >= 1.0) & (label <= 5.0))).all():
-        raise ValueError("a label is outside 0/1 and [1, 5]")
-    stamps = [None if t == "" else int(t) for t in text.get("timestamp", blank)]
+    labels = _parsed(float, text["label"], problems, "label {!r} is not a number")
+    label = np.array(labels, np.float64)  # nan where not a number
+    for k in np.flatnonzero(~((label == 0.0) | ((label >= 1.0) & (label <= 5.0)))).tolist():
+        problems.setdefault(k, f"label {labels[k]} outside 0/1 and [1, 5]")
+    stamps = _parsed(lambda t: int(t) if t else None, text.get("timestamp", blank),
+                     problems, _NOT_A_STAMP)
     genres = [g or None for g in text.get("genre_l3", blank)]
     fields = (text["user_id"], text["item_id"], text["shop_id"], stamps, genres)
-    columns = dict(zip(_CODED, map(_first_appearance_codes, fields)))
-    if len(columns["timestamp"][1]) < len(rows):  # distinct times make distinct keys
-        key = [columns[name][0].tolist() for name in _CODED[:4]]
-        if len(set(zip(*key))) < len(rows):
-            raise ValueError("a (user, item, shop, timestamp) key repeats")
-    return Interactions(label, columns)  # DataError for an empty id
+    coded = dict(zip(_CODED, map(_first_appearance_codes, fields)))
+    for name in _CODED[:3]:
+        codes, values = coded[name]
+        for k in np.flatnonzero(codes == values.index("")).tolist() if "" in values else ():
+            problems.setdefault(k, _NOT_AN_ID.format(name, ""))
+    if len(coded["timestamp"][1]) < len(rows):  # distinct times make distinct keys
+        keys = list(zip(*(coded[name][0].tolist() for name in _CODED[:4])))
+        if len(set(keys)) < len(rows):
+            first: dict[tuple, int] = {}  # a key: the line of its first row with no problem
+            line, user, item = lines(), text["user_id"], text["item_id"]
+            for k, key in enumerate(keys):
+                if k not in problems and (j := first.setdefault(key, line[k])) != line[k]:
+                    problems[k] = f"duplicate of line {j} (user={user[k]}, item={item[k]})"
+    if not problems:
+        return Interactions(label, coded)
+    line = lines()
+    report = [f"line {line[k]}: {problems[k]}" for k in sorted(problems)]
+    more = f" (+{len(report) - 20} more)" if len(report) > 20 else ""
+    raise DataError(f"{path}: {len(report)} malformed rows: {'; '.join(report[:20])}{more}")
+
+
+def _read_csv(path: Path) -> tuple[list[str] | None, list[list[str]], Callable[[], list[int]]]:
+    """A CSV file's header (None if it is empty), its other rows, and a
+    function giving the line each row ends on, counted only when asked for
+    as ``csv.reader.line_num`` counts: a row takes one line plus one for
+    each line break its fields hold, "\\r\\n" being one as in the text stream.
+    """
+    reader = csv.reader(io.StringIO(read_text(path, "", DataError), newline=""))
+    header = next(reader, None)
+    top, rows = reader.line_num, list(reader)
+
+    def lines() -> list[int]:
+        spans = (1 + len(re.findall("\r\n?|\n", ",".join(row))) for row in rows)
+        return list(accumulate(spans, initial=top))[1:]
+    return header, rows, lines
+
+
+def _columns(header: list[str], rows: list[list[str]],
+             message: str) -> tuple[dict[int, str], list[tuple]]:
+    """Each row's first problem by position, so far its width, and the rows'
+    fields as one tuple per header column. A row whose width differs from
+    the header's gets ``message`` (formatted with both widths) and reads as
+    the header, so the column checks find nothing there that is reported."""
+    problems = {}
+    if set(map(len, rows)) - {len(header)}:
+        problems = {k: message.format(len(row), len(header))
+                    for k, row in enumerate(rows) if len(row) != len(header)}
+        rows = [header if k in problems else row for k, row in enumerate(rows)]
+    return problems, list(zip(*rows)) or [()] * len(header)
+
+
+def _parsed(convert: Callable[[str], Any], texts: Sequence[str], problems: dict[int, str],
+            message: str) -> list:
+    """``convert`` of each text, or None where it raises ValueError: there the
+    row's problem, unless it has one, is ``message`` formatted with the text."""
+    try:
+        return list(map(convert, texts))
+    except ValueError:
+        values = []
+        for k, text in enumerate(texts):
+            try:
+                values.append(convert(text))
+            except ValueError:
+                values.append(None)
+                problems.setdefault(k, message.format(text))
+        return values
 
 
 def _first_appearance_codes(values: Sequence) -> tuple[np.ndarray, list]:
@@ -451,14 +474,13 @@ def binary_labels(records: Iterable[InteractionRecord]) -> bool:
     return all(r.label in (0.0, 1.0) for r in records)
 
 
-def purchase_histories(
-    records: Sequence[InteractionRecord],
-) -> dict[str, tuple[str, ...]]:
-    """Each user's purchased items (label > 0), sorted and unique."""
+def purchase_histories(records: Sequence[InteractionRecord]) -> dict[str, tuple[str, ...]]:
+    """Each user's purchased items (label > 0), sorted and unique, read from columns."""
+    table = Interactions.of(records)
     hist: dict[str, set[str]] = {}
-    for r in records:
-        if r.label > 0:
-            hist.setdefault(r.user_id, set()).add(r.item_id)
+    for user, item, label in zip(*map(table.values, ("user_id", "item_id", "label"))):
+        if label > 0:
+            hist.setdefault(user, set()).add(item)
     return {u: tuple(sorted(items)) for u, items in hist.items()}
 
 
@@ -716,55 +738,33 @@ def save_latents(
 def load_latents(path: str | Path) -> tuple[FeatureTable, dict[str, np.ndarray]]:
     """Read a latent file back into (FeatureTable, shop effects).
 
-    Each id maps to a row of one float matrix, converted in one pass; a file
-    that fails a check is read again line by line to raise its first error.
+    The text is parsed once into one float matrix, each id mapping to a row.
+    The lowest line with a problem is reported, with the first check it
+    fails: width, non-numeric value, unknown kind, non-finite value, repeat.
     """
     path = Path(path)
-    text = read_text(path, "", DataError)
-    reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, None)
+    header, rows, lines = _read_csv(path)
     if not header or len(header) < 3 or header[:2] != ["kind", "id"]:
         raise DataError(f"{path}: expected a latent file header (kind,id,v0,...)")
-    rows = list(reader)
+    problems, (kinds, ids, *texts) = _columns(header, rows, "wrong field count")
+    values = [_parsed(float, column, problems, "non-numeric value") for column in texts]
+    matrix = np.ascontiguousarray(np.array(values, np.float64).T)  # nan where non-numeric
+    finite = np.isfinite(matrix).all(axis=1).tolist()
     tables: dict[str, dict[str, np.ndarray]] = {"user": {}, "item": {}, "shop_effect": {}}
-    try:
-        if set(map(len, rows)) - {len(header)}:
-            raise ValueError("a row has the wrong field count")
-        values = np.array([list(map(float, row[2:])) for row in rows], dtype=np.float64)
-        if not np.isfinite(values).all():
-            raise ValueError("a value is not finite")
-        for row, vec in zip(rows, values):
-            if tables[row[0]].setdefault(row[1], vec) is not vec:
-                raise ValueError("an id repeats")
-    except (KeyError, ValueError):
-        tables = _latents_line_by_line(path, text, len(header))
+    for k, (kind, key, vec, ok) in enumerate(zip(kinds, ids, matrix, finite)):
+        if kind not in tables:
+            problems.setdefault(k, f"unknown kind {kind!r}")
+        elif not ok:
+            problems.setdefault(k, "non-finite value")
+        elif tables[kind].setdefault(key, vec) is not vec:
+            problems.setdefault(k, f"repeated {kind} id {key!r}")
+    if problems:
+        k = min(problems)
+        raise DataError(f"{path} line {lines()[k]}: {problems[k]}")
     users, items, shops = tables.values()
     if not users or not items:
         raise DataError(f"{path}: latent file needs user and item rows")
     return FeatureTable(users, items, (path, path)), shops
-
-
-def _latents_line_by_line(path: Path, text: str, width: int) -> dict[str, dict]:
-    """load_latents' id tables read one line at a time, in error order."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    tables: dict[str, dict[str, np.ndarray]] = {"user": {}, "item": {}, "shop_effect": {}}
-    for row in islice(reader, 1, None):
-        where = f"{path} line {reader.line_num}"
-        if len(row) != width:
-            raise DataError(f"{where}: wrong field count")
-        kind, key = row[:2]
-        try:
-            vec = np.asarray([float(v) for v in row[2:]], dtype=np.float64)
-        except ValueError:
-            raise DataError(f"{where}: non-numeric value") from None
-        if kind not in tables:
-            raise DataError(f"{where}: unknown kind {kind!r}")
-        if not np.isfinite(vec).all():
-            raise DataError(f"{where}: non-finite value")
-        if key in tables[kind]:
-            raise DataError(f"{where}: repeated {kind} id {key!r}")
-        tables[kind][key] = vec
-    return tables
 
 
 def save_attributes(path: str | Path, table: Mapping[str, Mapping[str, str]],
@@ -777,18 +777,16 @@ def save_attributes(path: str | Path, table: Mapping[str, Mapping[str, str]],
 
 def load_attributes(path: str | Path) -> dict[str, dict[str, str]]:
     path = Path(path)
-    reader = csv.reader(io.StringIO(read_text(path, "", DataError), newline=""))
-    out: dict[str, dict[str, str]] = {}
-    header = next(reader, None)
+    header, rows, lines = _read_csv(path)
     if not header or len(header) < 2:
         raise DataError(f"{path}: expected an id column plus attribute columns")
     _check_unique_columns(path, header)
-    for row in reader:
-        line_no = reader.line_num
+    out: dict[str, dict[str, str]] = {}
+    for k, row in enumerate(rows):
         if len(row) != len(header):
-            raise DataError(f"{path} line {line_no}: wrong field count")
+            raise DataError(f"{path} line {lines()[k]}: wrong field count")
         if row[0] in out:
-            raise DataError(f"{path} line {line_no}: repeated id {row[0]!r}")
+            raise DataError(f"{path} line {lines()[k]}: repeated id {row[0]!r}")
         out[row[0]] = dict(zip(header[1:], row[1:]))
     if not out:
         raise DataError(f"{path}: attribute file needs at least one row")
@@ -1005,12 +1003,12 @@ def convert_ml1m(
     def read_dat(name: str, n_fields: int):
         """("<path> line <n>", fields) for each non-empty line of a .dat file."""
         text = read_text(src / name, "", DataError, "latin-1")
-        for line_no, line in enumerate(text.splitlines(), start=1):
+        for line_no, line in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
             if not line:
                 continue
             where, row = f"{src / name} line {line_no}", line.split("::")
             if len(row) != n_fields:
-                raise DataError(f"{where}: {len(row)} fields, expected {n_fields}")
+                raise DataError(f"{where}: {_FIELD_COUNT.format(len(row), n_fields)}")
             yield where, row
 
     movies: dict[str, tuple[str, int]] = {}
@@ -1049,7 +1047,7 @@ def convert_ml1m(
         try:
             stamp = int(ts)
         except ValueError:
-            raise DataError(f"{where}: timestamp {ts!r} is not an integer") from None
+            raise DataError(f"{where}: {_NOT_A_STAMP.format(ts)}") from None
         if movie_id not in movies:
             skipped_rating += 1
             continue

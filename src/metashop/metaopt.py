@@ -538,7 +538,7 @@ def write_manifest(path: str | Path, entries: Sequence[tuple[str, Any]]) -> None
 def read_manifest(path: str | Path) -> dict[str, str]:
     text = read_text(path, "manifest ", DataError)
     out = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
         if not line:
             continue
         if "=" not in line:

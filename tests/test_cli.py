@@ -1475,9 +1475,23 @@ class TestEvaluate:
     def test_builds_only_the_records_of_its_tasks(self, trained_run, tmp_path, monkeypatch):
         """Loading, shop classes and the user pool read columns; only the
         tasks build_tasks returns are built as records, in one pass."""
+        self.evaluate_counting_records(trained_run, tmp_path, monkeypatch, [])
+
+    def test_a_baseline_builds_only_the_records_of_its_tasks(
+            self, trained_run, tmp_path, monkeypatch):
+        """A baseline's purchase histories read the train columns too."""
+        baseline = ["train.trainer=baseline", "model.kind=baseline", "train.epochs=2"]
+        self.evaluate_counting_records(trained_run, tmp_path, monkeypatch, baseline)
+
+    @staticmethod
+    def evaluate_counting_records(trained_run, tmp_path, monkeypatch, trained):
+        """Train with the ``trained`` overrides, if any, on a copy of the
+        trained run, then evaluate it counting the records built."""
         out = tmp_path / "run"
         shutil.copytree(trained_run, out)
         cfg_path = write_config(tmp_path / "run.yaml", base_config(out))
+        if trained:
+            _run(cfg_path, "train", trained)
         built, tasks = [], []
         records_at = Interactions.records_at
         monkeypatch.setattr(

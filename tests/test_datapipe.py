@@ -38,6 +38,7 @@ from metashop.datapipe import (
     save_latents,
 )
 from metashop.errors import ConfigError, DataError, SamplingError
+from oracles import load_interactions_per_row, load_latents_per_line
 
 
 def rec(u, i, s, y, ts=None, g=None):
@@ -202,6 +203,20 @@ class TestInteractionIO:
             "line 6: duplicate of line 4 \\(user=u2, item=i1\\)$"
         )):
             load_interactions(path)
+
+    @pytest.mark.parametrize("breaks, line", [
+        ("\n", 4), ("\r\n", 4), ("\r", 4), ("\r\r\n", 5), ("\n\r", 5), ("\r\n\n", 5),
+    ], ids=["lf", "crlf", "cr", "cr_crlf", "lf_cr", "crlf_lf"])
+    def test_a_quoted_break_counts_as_the_csv_reader_counts_it(self, tmp_path, breaks, line):
+        """A "\\r\\n" in a quoted field is one line, as the reader's text stream splits it."""
+        path = tmp_path / "x.csv"
+        path.write_text(f'user_id,item_id,shop_id,label\n"u{breaks}1",i1,s1,1\nu2,i1,s1,x\n',
+                        encoding="utf-8", newline="")
+        for load in (load_interactions, load_interactions_per_row):
+            with pytest.raises(DataError) as err:
+                load(path)
+            assert str(err.value) == (
+                f"{path}: 1 malformed rows: line {line}: label 'x' is not a number")
 
     def test_record_validation(self):
         with pytest.raises(DataError):
@@ -605,6 +620,38 @@ class TestLatentsAndAttributes:
         assert fields == [("age", ["25", "3"]), ("gender", ["F", "M"])]
 
 
+class TestTheFirstFailingCheckIsReported:
+    """A row or line that fails several checks reports the first in reading
+    order, and a repeat counts only between rows with no other problem, as
+    in the per-row readers of ``tests/oracles.py``."""
+
+    @pytest.mark.parametrize("rows, problems", [
+        ("u1,,s1,x\n", "1 malformed rows: line 2: label 'x' is not a number"),
+        ("u1,i1,s1,x\nu1,i1,s1,1\nu1,i1,s1,0\n",
+         "2 malformed rows: line 2: label 'x' is not a number; "
+         "line 4: duplicate of line 3 (user=u1, item=i1)"),
+    ], ids=["bad_label_and_empty_id", "repeat_of_a_failed_row"])
+    def test_interaction_rows(self, tmp_path, rows, problems):
+        path = tmp_path / "x.csv"
+        path.write_text("user_id,item_id,shop_id,label\n" + rows, encoding="utf-8")
+        for load in (load_interactions, load_interactions_per_row):
+            with pytest.raises(DataError) as err:
+                load(path)
+            assert str(err.value) == f"{path}: {problems}"
+
+    @pytest.mark.parametrize("rows, problem", [
+        ("item,i1,1\nplanet,p1,x\n", "line 3: non-numeric value"),
+        ("user,u1,1\nitem,i1,nan\nuser,u1,2\n", "line 3: non-finite value"),
+    ], ids=["non_numeric_and_unknown_kind", "repeat_after_a_bad_line"])
+    def test_latent_lines(self, tmp_path, rows, problem):
+        path = tmp_path / "latents.csv"
+        path.write_text("kind,id,v0\n" + rows, encoding="utf-8")
+        for load in (load_latents, load_latents_per_line):
+            with pytest.raises(DataError) as err:
+                load(path)
+            assert str(err.value) == f"{path} {problem}"
+
+
 class TestSynthetic:
     def test_partition_and_new_shops(self):
         spec = SyntheticSpec(seed=3)
@@ -760,6 +807,32 @@ class TestMl1mConversion:
     def test_missing_source(self, tmp_path):
         with pytest.raises(DataError, match="ratings.dat"):
             convert_ml1m(tmp_path, tmp_path / "out")
+
+    @pytest.mark.parametrize("title", ["Caf\x85 (1995)", "Form\x0cfeed (1995)",
+                                       "Odd\x0b\x1c\x1d\x1e (1995)"])
+    def test_a_title_may_hold_what_splitlines_breaks_at(self, tmp_path, title):
+        """Only a line feed ends a line: not NEL (latin-1 byte 0x85), a form
+        feed, a vertical tab or a file, group or record separator."""
+        src = tmp_path / "ml-1m"
+        self.write_fake(src)
+        movies = src / "movies.dat"
+        movies.write_bytes(movies.read_bytes().replace(b"Toy Story (1995)",
+                                                       title.encode("latin-1")))
+        assert convert_ml1m(src, tmp_path / "out", train_before_year=1998)["train_records"] == 2
+        items = load_attributes(tmp_path / "out" / "item_attrs.csv")
+        assert items["m1"] == {"year": "1995", "genre": "Animation"}
+
+    def test_a_crlf_dump_converts_as_its_lf_twin(self, tmp_path):
+        outputs = []
+        for name, ending in (("lf", b"\n"), ("crlf", b"\r\n")):
+            src = tmp_path / name / "ml-1m"
+            src.parent.mkdir()
+            self.write_fake(src)
+            for dat in src.iterdir():
+                dat.write_bytes(dat.read_bytes().replace(b"\n", ending))
+            convert_ml1m(src, tmp_path / name / "out", train_before_year=1998)
+            outputs.append({p.name: p.read_bytes() for p in (tmp_path / name / "out").iterdir()})
+        assert outputs[0] == outputs[1] and len(outputs[0]) == 4
 
     def test_repeated_rating_names_both_lines(self, tmp_path):
         src = tmp_path / "ml-1m"

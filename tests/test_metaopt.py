@@ -514,6 +514,17 @@ class TestManifests:
         got = read_manifest(path)
         assert got == {"config.alpha": "0.05", "steps": "12", "note": ""}
 
+    @pytest.mark.parametrize("value", ["x\x85y", "form\x0cfeed", "a\x0bb\x1cc\x1dd\x1ee"])
+    def test_a_value_may_hold_what_splitlines_breaks_at(self, tmp_path, value):
+        path = tmp_path / "run.manifest"
+        write_manifest(path, [("note", value), ("steps", 12)])
+        assert read_manifest(path) == {"note": value, "steps": "12"}
+
+    def test_crlf_lines_read_as_lf_lines(self, tmp_path):
+        path = tmp_path / "run.manifest"
+        path.write_bytes(b"a=1\r\nb=x=y\r\n\r\n")
+        assert read_manifest(path) == {"a": "1", "b": "x=y"}
+
     def test_bad_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             write_manifest(tmp_path / "m", [("a=b", 1)])

@@ -1,7 +1,8 @@
 """Each rule has one owner: the train hyperparameters are declared once, the
-at-least check, the negative ratio and the binary-label predicate are stated
-once, and every rng purpose tag lives in datapipe's registry. A bad value
-gets the same message whether a config carries it or a library call does."""
+at-least check, the negative ratio, the binary-label predicate and each
+loader check are stated once, only one helper reads CSV text, and every rng
+purpose tag lives in datapipe's registry. A bad value gets the same message
+whether a config carries it or a library call does."""
 
 from __future__ import annotations
 
@@ -144,6 +145,34 @@ def _modules():
         yield path.name, ast.parse(path.read_text(encoding="utf-8"))
 
 
+def _message_texts():
+    """("module:line", text) for each f-string and other string constant in
+    src/ but docstrings, each value or format field written as ``{}``."""
+    for name, tree in _modules():
+        skip = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+        skip |= {id(v) for node in ast.walk(tree) if isinstance(node, ast.JoinedStr)
+                 for v in node.values}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.JoinedStr):
+                text = "".join(v.value if isinstance(v, ast.Constant) else "{}"
+                               for v in node.values)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if id(node) in skip:
+                    continue
+                text = re.sub(r"\{[^{}]*\}", "{}", node.value)
+            else:
+                continue
+            yield f"{name}:{node.lineno}", text
+
+
+LOADER_MESSAGES = [
+    "label {} is not a number", "label {} outside 0/1 and [1, 5]",
+    "timestamp {} is not an integer", "{} fields, expected {}",
+    "duplicate of line {} (user={}, item={})", "non-numeric value", "non-finite value",
+    "unknown kind {}", "repeated {} id {}",
+]
+
+
 def _registry() -> dict[str, int]:
     tree = ast.parse((SRC / "datapipe.py").read_text(encoding="utf-8"))
     return {
@@ -190,15 +219,27 @@ class TestSourceGuards:
 
     def test_the_at_least_message_is_written_once(self):
         at_least = re.compile(r"^(\{\}|[\w. ]+) must be >= (\{\}|\d+), got \{\}$")
-        found = []
-        for name, tree in _modules():
-            for node in ast.walk(tree):
-                if isinstance(node, ast.JoinedStr):
-                    text = "".join(v.value if isinstance(v, ast.Constant) else "{}"
-                                   for v in node.values)
-                    if at_least.match(text):
-                        found.append(f"{name}:{node.lineno}")
+        found = [where for where, text in _message_texts() if at_least.match(text)]
         assert len(found) == 1, found
+
+    @pytest.mark.parametrize("message", LOADER_MESSAGES)
+    def test_each_loader_message_is_written_once(self, message):
+        """Each check is stated once, so no second pass can state it again."""
+        alone = re.compile(rf"(^|\W){re.escape(message)}($|\W)")
+        found = [where for where, text in _message_texts() if alone.search(text)]
+        assert len(found) == 1, found
+
+    def test_csv_is_read_only_by_the_shared_reader(self):
+        """``datapipe._read_csv`` alone turns file text into rows."""
+        def reads(node):
+            return isinstance(node, ast.Call) and ast.unparse(node.func) in (
+                "csv.reader", "csv.DictReader")
+        owners, calls = [], 0
+        for _, tree in _modules():
+            calls += sum(map(reads, ast.walk(tree)))
+            owners += [func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+                       for node in ast.walk(func) if reads(node)]
+        assert (owners, calls) == (["_read_csv"], 1)
 
     def test_one_negative_ratio_check(self):
         text = "".join((SRC / name).read_text(encoding="utf-8") for name, _ in _modules())
