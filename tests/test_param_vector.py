@@ -7,12 +7,15 @@ variants, pretrained and categorical encoders) and random BaselineModels.
 
 from __future__ import annotations
 
+import ast
 import json
+import re
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,6 +35,8 @@ from metashop.models import (
     pretrained_encoder,
 )
 from metashop.numcore import (
+    Activation,
+    DenseLayerParams,
     LossKind,
     MlpParams,
     adam_init,
@@ -190,6 +195,92 @@ class TestLayout:
         assert grads.layout is model.layout
         assert_views_of_one_vector(grads)
         assert_views_of_one_vector(sgd_step(model, grads, 0.01))
+
+
+def _two_field_mesh():
+    user = build_categorical_encoder([("age", ["a", "b", "c"]), ("genre", ["x", "y"])], 2, 0)
+    return build_model(ModelKind.MESH, user, pretrained_encoder(3), [4, 2], 0)
+
+
+def _bias_free_mlp():
+    layers = (DenseLayerParams(np.ones((2, 3)), np.zeros(2)), DenseLayerParams(np.ones((1, 2))))
+    return MlpParams(layers, (Activation.RELU, Activation.IDENTITY))
+
+
+def _tower(name, dims):
+    """Paths and shapes of a biased MLP named ``name`` over ``dims``."""
+    paths, shapes = [], []
+    for i, (n_in, n_out) in enumerate(zip(dims, dims[1:])):
+        paths += [f"{name}.layers[{i}].weights", f"{name}.layers[{i}].biases"]
+        shapes += [(n_out, n_in), (n_out,)]
+    return paths, shapes
+
+
+# (model, paths, offsets, shapes), written out so a change of leaf order shows
+LAYOUTS = {
+    "mesh_two_fields": (
+        _two_field_mesh,
+        ["user_encoder.tables['age']", "user_encoder.tables['genre']",
+         *_tower("scorer.user_tower", [4, 4, 2])[0], *_tower("scorer.item_tower", [3, 4, 2])[0]],
+        (0, 6, 10, 26, 30, 38, 40, 52, 56, 64, 66),
+        [(3, 2), (2, 2), *_tower("", [4, 4, 2])[1], *_tower("", [3, 4, 2])[1]],
+    ),
+    "mesh_i_dim0_items": (
+        lambda: build_model(ModelKind.MESH_I, pretrained_encoder(3), pretrained_encoder(0), [4], 0),
+        _tower("scorer.joint", [3, 4, 1])[0],
+        (0, 12, 16, 20, 21),
+        [(4, 3), (4,), (1, 4), (1,)],
+    ),
+    "baseline": (
+        lambda: build_baseline(build_categorical_encoder([("genre", ["x", "y", "z"])], 2, 0),
+                               [3, 2], 0),
+        ["item_encoder.tables['genre']", *_tower("item_mapper", [2, 3, 2])[0]],
+        (0, 6, 12, 15, 21, 23),
+        [(3, 2), (3, 2), (3,), (2, 3), (2,)],
+    ),
+    "mlp_bias_free_layer": (
+        _bias_free_mlp,
+        ["layers[0].weights", "layers[0].biases", "layers[1].weights"],
+        (0, 6, 8, 10),
+        [(2, 3), (2,), (1, 2)],
+    ),
+}
+
+
+def leaf_at(tree, path: str):
+    """The array ``path`` (``scorer.joint.layers[0].weights``) names in ``tree``."""
+    for name, key in re.findall(r"\.?(\w+)|\[([^\]]+)\]", path):
+        tree = getattr(tree, name) if name else tree[ast.literal_eval(key)]
+    return tree
+
+
+class TestLayoutLiterals:
+    @pytest.mark.parametrize("case", list(LAYOUTS))
+    def test_paths_offsets_and_shapes(self, case):
+        make, paths, offsets, shapes = LAYOUTS[case]
+        layout = make().layout
+        assert layout.paths == tuple(paths)
+        assert layout.offsets == offsets
+        assert layout.shapes == tuple(shapes)
+
+    @pytest.mark.parametrize("case", list(LAYOUTS))
+    def test_a_stack_builds_leaves_with_a_task_axis(self, case):
+        make, paths, offsets, shapes = LAYOUTS[case]
+        model = make()
+        stack = np.arange(3 * offsets[-1], dtype=np.float64).reshape(3, -1)
+        stacked = model.at(stack)
+        assert stacked.vector is stack and stacked.layout is model.layout
+        for path, start, end, shape in zip(paths, offsets, offsets[1:], shapes):
+            leaf = leaf_at(stacked, path)
+            assert leaf.shape == (3, *shape)
+            assert np.shares_memory(leaf, stack)
+            assert leaf.tobytes() == stack[:, start:end].tobytes()
+        for name in ("user_encoder", "item_encoder"):
+            encoder = getattr(model, name, None)
+            if encoder is not None and not encoder.layout.paths:
+                assert getattr(stacked, name) is encoder  # no leaves: shared
+        if isinstance(model, MlpParams):
+            assert stacked.layers[1].biases is None
 
 
 class TestInPlaceWrites:
