@@ -669,6 +669,10 @@ def cmd_adapt(cfg: RunConfig, out: Path) -> tuple[str, list, str]:
     features = _feature_source(cfg)
     groups = _shop_records(load_interactions(support_path), cfg.adapt.shops, "support")
     shops = list(groups)
+    for shop in shops:  # its temp file, .<shop>.json.<12 hex digits>, must fit 255 bytes
+        if len(shop.encode()) > 236 or any(c in "/\\\x7f" or c < " " for c in shop):
+            raise DataError(f"{support_path}: shop id {shop!r} cannot name a file: it must hold "
+                            "no path separator or control character and at most 236 UTF-8 bytes")
     meta_cfg = _meta_config(cfg)
     adapted_dir = out / "adapted"
     written = []

@@ -746,6 +746,7 @@ def load_latents(path: str | Path) -> tuple[FeatureTable, dict[str, np.ndarray]]
     header, rows, lines = _read_csv(path)
     if not header or len(header) < 3 or header[:2] != ["kind", "id"]:
         raise DataError(f"{path}: expected a latent file header (kind,id,v0,...)")
+    _check_unique_columns(path, header)
     problems, (kinds, ids, *texts) = _columns(header, rows, "wrong field count")
     values = [_parsed(float, column, problems, "non-numeric value") for column in texts]
     matrix = np.ascontiguousarray(np.array(values, np.float64).T)  # nan where non-numeric
@@ -1000,20 +1001,20 @@ def convert_ml1m(
         if not (src / name).exists():
             raise DataError(f"{src / name} not found; expected a MovieLens 1M dump")
 
-    def read_dat(name: str, n_fields: int):
+    def read_dat(path: Path, n_fields: int):
         """("<path> line <n>", fields) for each non-empty line of a .dat file."""
-        text = read_text(src / name, "", DataError, "latin-1")
+        text = read_text(path, "", DataError, "latin-1")
         for line_no, line in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
             if not line:
                 continue
-            where, row = f"{src / name} line {line_no}", line.split("::")
+            where, row = f"{path} line {line_no}", line.split("::")
             if len(row) != n_fields:
                 raise DataError(f"{where}: {_FIELD_COUNT.format(len(row), n_fields)}")
             yield where, row
 
     movies: dict[str, tuple[str, int]] = {}
     skipped_year = 0
-    for where, (movie_id, title, genre_list) in read_dat("movies.dat", 3):
+    for where, (movie_id, title, genre_list) in read_dat(src / "movies.dat", 3):
         genre = genre_list.split("|")[0]
         if not genre:
             raise DataError(f"{where}: no genre")
@@ -1024,7 +1025,7 @@ def convert_ml1m(
         movies[movie_id] = (genre, int(m.group(1)))
 
     users: dict[str, dict[str, str]] = {}
-    for _, (uid, gender, age, occupation, zipcode) in read_dat("users.dat", 5):
+    for _, (uid, gender, age, occupation, zipcode) in read_dat(src / "users.dat", 5):
         users[f"u{uid}"] = {
             "gender": gender,
             "age": age,
@@ -1037,7 +1038,7 @@ def convert_ml1m(
     skipped_rating = 0
     rows = []
     first_seen: dict[tuple[str, str, int], str] = {}
-    for where, (uid, movie_id, rating, ts) in read_dat("ratings.dat", 4):
+    for where, (uid, movie_id, rating, ts) in read_dat(src / "ratings.dat", 4):
         try:
             value = float(rating)
         except ValueError:

@@ -7,13 +7,13 @@ step against the SUM of those query gradients (tasks accumulated in
 ascending task-id order). Second-order terms are dropped.
 
 Training steps parameter vectors laid out like the shared model, which
-gives only the structure; ParamTrees are built at the edges: the models
-handed back, and the summed query gradient of the outer step. Tasks whose
-supports have as many rows and whose objectives carry the same penalty
-adapt as one (T, P) stack: each inner step is one loss_and_grad_at and one
-sgd_update for the stack, bit for bit what each task alone would get. A
-non-finite value names the first bad leaf of the lowest-id task failing the
-first check that fails.
+gives only the structure: the outer step runs sgd_update or adam_update on
+the shared vector and the summed query gradient, and a ParamTree is built
+only for a model handed back. Tasks whose supports have as many rows and
+whose objectives carry the same penalty adapt as one (T, P) stack: each
+inner step is one loss_and_grad_at and one sgd_update for the stack, bit
+for bit what each task alone would get. A non-finite value names the first
+bad leaf of the lowest-id task failing the first check that fails.
 
 Fair training (fmst_train_step) adds a score regularizer to the loss of the
 tasks whose size class matches the chosen option: option1 adds
@@ -268,14 +268,13 @@ def _meta_step(
         loss_sum += loss
         # each term is checked finite; the outer step checks the sum
         total = grad if total is None else total + grad
-    total_grads = model.layout.build(total)
     if cfg.outer_optimizer is OuterOptimizer.SGD:
-        new_model = numcore.sgd_step(model, total_grads, cfg.beta)
-        new_state = outer_state
+        vector = numcore.sgd_update(model.layout, model.vector, total, cfg.beta)
+        state = outer_state
     else:
         state = outer_state if outer_state is not None else numcore.adam_init(model)
-        new_model, new_state = numcore.adam_step(state, model, total_grads, cfg.beta)
-    return new_model, new_state, loss_sum / len(ordered)
+        vector, state = numcore.adam_update(model.layout, state, model.vector, total, cfg.beta)
+    return model.at(vector), state, loss_sum / len(ordered)
 
 
 def meta_train_step(
@@ -528,9 +527,11 @@ def train_baseline(
 
 def write_manifest(path: str | Path, entries: Sequence[tuple[str, Any]]) -> None:
     """Write ordered key=value lines (UTF-8). Values are stringified."""
-    for key, _ in entries:
+    for key, value in entries:
         if "=" in key or "\n" in key:
             raise ConfigError(f"bad manifest key {key!r}")
+        if "\n" in f"{value}" or "\r" in f"{value}":
+            raise ConfigError(f"bad manifest value {value!r} for key {key!r}")
     text = "".join(f"{k}={v}\n" for k, v in entries)
     atomic_write_text(path, text)
 

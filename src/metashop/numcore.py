@@ -9,8 +9,9 @@ tree derived from it, gradients included:
 
   * the public constructors (init, checkpoint load, tests) validate shapes
     and finiteness, then copy the arrays into a new vector;
-  * an update (sgd_update) is a numpy expression over (..., P) vectors and
-    one finiteness check; sgd_step, adam_step and tree_map wrap the result
+  * an update (sgd_update, adam_update) is a numpy expression over (..., P)
+    vectors and a finiteness check; trainers build a tree only for a model
+    they hand back, and sgd_step, adam_step and tree_map wrap the result
     with ``Layout.build``, which runs no constructor check;
   * a gradient is a zeroed (..., P) vector that backprop fills in place
     through its ``Layout.leaves`` views, checked for finiteness once.
@@ -156,8 +157,7 @@ class ParamTree:
         layout.check_finite(vector, type(self).__name__)
         object.__setattr__(self, "vector", vector)
         object.__setattr__(self, "layout", layout)
-        if layout.paths:
-            vars(self).update(vars(layout.build(vector)))
+        vars(self).update(vars(layout.build(vector)))  # a tree without leaves: itself
 
     def at(self, vector: np.ndarray) -> Any:
         """This tree's shape around ``vector``; the tree itself if it is its own."""
@@ -167,48 +167,43 @@ class ParamTree:
 def _compile(node: ParamTree) -> tuple[Layout, np.ndarray]:
     """The layout of ``node``'s shape, and its leaves copied into one vector.
 
-    Children keep their own layouts; the new one builds them from slices
-    of the last axis.
+    Each part is placed once, recursively. Children keep their own
+    layouts; the new one builds them from slices of the last axis.
     """
     paths: list[str] = []
     offsets = [0]
     shapes: list[tuple[int, ...]] = []
     segments: list[np.ndarray] = []
-    statics = {k: v for k, v in vars(node).items() if k not in node.PARTS}
-    leaves, kids, tuples, dicts = [], [], [], []
 
-    def leaf(path: str, arr: np.ndarray) -> tuple[tuple, tuple[int, ...] | None]:
-        paths.append(path)
-        shapes.append(arr.shape)
-        offsets.append(offsets[-1] + arr.size)
-        segments.append(arr.ravel())
-        return (..., slice(offsets[-2], offsets[-1])), arr.shape if arr.ndim != 1 else None
-
-    def child(path: str, sub: ParamTree) -> tuple[tuple, Callable]:
+    def place(path: str, value: Any) -> Callable[[np.ndarray], Any]:
+        """Record ``value``'s leaves; return what rebuilds it over a vector."""
         start = offsets[-1]
-        paths.extend(f"{path}.{p}" for p in sub.layout.paths)
-        offsets.extend(start + o for o in sub.layout.offsets[1:])
-        shapes.extend(sub.layout.shapes)
-        segments.append(sub.vector)
-        return (..., slice(start, offsets[-1])), sub.layout.build
-
-    for name in node.PARTS:
-        value = getattr(node, name)
         if isinstance(value, np.ndarray):
-            leaves.append((name, *leaf(name, value)))
-        elif isinstance(value, ParamTree):
-            if value.layout.paths:
-                kids.append((name, *child(name, value)))
-            else:
-                statics[name] = value  # nothing to rebuild: share it
-        elif isinstance(value, tuple):
-            subs = [child(f"{name}[{i}]", v) for i, v in enumerate(value)]
-            tuples.append((name, subs))
-        elif value is None:
-            statics[name] = None
-        else:
-            entries = [(k, *leaf(f"{name}[{k!r}]", v)) for k, v in value.items()]
-            dicts.append((name, entries))
+            paths.append(path)
+            shapes.append(value.shape)
+            offsets.append(start + value.size)
+            segments.append(value.ravel())
+            key, shape = (..., slice(start, offsets[-1])), value.shape
+            if value.ndim == 1:
+                return lambda vector: vector[key]
+            return lambda vector: vector[key].reshape(vector.shape[:-1] + shape)
+        if isinstance(value, tuple):
+            subs = [place(f"{path}[{i}]", v) for i, v in enumerate(value)]
+            return lambda vector: tuple([sub(vector) for sub in subs])
+        if isinstance(value, dict):
+            subs = [(k, place(f"{path}[{k!r}]", v)) for k, v in value.items()]
+            return lambda vector: {k: sub(vector) for k, sub in subs}
+        if value is None or not value.layout.paths:
+            return lambda vector: value  # nothing to rebuild: share it
+        paths.extend(f"{path}.{p}" for p in value.layout.paths)
+        offsets.extend(start + o for o in value.layout.offsets[1:])
+        shapes.extend(value.layout.shapes)
+        segments.append(value.vector)
+        key, sub = (..., slice(start, offsets[-1])), value.layout.build
+        return lambda vector: sub(vector[key])
+
+    statics = {k: v for k, v in vars(node).items() if k not in node.PARTS}
+    parts = [(name, place(name, getattr(node, name))) for name in node.PARTS]
     new = object.__new__
     cls = type(node)
 
@@ -216,18 +211,8 @@ def _compile(node: ParamTree) -> tuple[Layout, np.ndarray]:
         out = new(cls)
         d = out.__dict__
         d.update(statics)
-        lead = vector.shape[:-1]
-        for name, key, shape in leaves:
-            d[name] = vector[key] if shape is None else vector[key].reshape(lead + shape)
-        for name, key, sub in kids:
-            d[name] = sub(vector[key])
-        for name, subs in tuples:
-            d[name] = tuple([sub(vector[key]) for key, sub in subs])
-        for name, entries in dicts:
-            d[name] = {
-                k: vector[key] if s is None else vector[key].reshape(lead + s)
-                for k, key, s in entries
-            }
+        for name, part in parts:
+            d[name] = part(vector)
         d["vector"] = vector
         return out
 
@@ -692,27 +677,35 @@ def adam_init(params: ParamTree) -> AdamState:
     return AdamState(0, np.zeros(params.layout.size), np.zeros(params.layout.size))
 
 
-def adam_step(
-    state: AdamState, params: ParamTree, grads: ParamTree, stepsize: float
-) -> tuple[Any, AdamState]:
-    """One Adam step (beta1=0.9, beta2=0.999, eps=1e-8, bias-corrected).
+def adam_update(
+    layout: Layout, state: AdamState, vector: np.ndarray, grad: np.ndarray, stepsize: float
+) -> tuple[np.ndarray, AdamState]:
+    """One Adam step (beta1=0.9, beta2=0.999, eps=1e-8, bias-corrected) on a vector.
 
-    Returns the updated parameters and the advanced state. The first step
-    moves each coordinate by roughly ``stepsize`` against the gradient sign.
+    Returns the updated vector and the advanced state. The first step moves
+    each coordinate by roughly ``stepsize`` against the gradient sign.
     """
     if not math.isfinite(stepsize) or stepsize < 0:
         raise NumericError(f"invalid stepsize {stepsize}")
-    p, g, layout = params.vector, _vector_like(params, grads), params.layout
     t = state.step_count + 1
-    m = ADAM_BETA1 * state.first_moment + (1.0 - ADAM_BETA1) * g
-    v = ADAM_BETA2 * state.second_moment + (1.0 - ADAM_BETA2) * g * g
+    m = ADAM_BETA1 * state.first_moment + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * state.second_moment + (1.0 - ADAM_BETA2) * grad * grad
     layout.check_finite(m, "adam_step")
     layout.check_finite(v, "adam_step")
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
-    new_p = p - stepsize * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-    layout.check_finite(new_p, "adam_step")
-    return layout.build(new_p), AdamState(t, m, v)
+    new = vector - stepsize * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    layout.check_finite(new, "adam_step")
+    return new, AdamState(t, m, v)
+
+
+def adam_step(
+    state: AdamState, params: ParamTree, grads: ParamTree, stepsize: float
+) -> tuple[Any, AdamState]:
+    """``adam_update`` over the parameter vector; returns (new tree, state)."""
+    g = _vector_like(params, grads)
+    new, state = adam_update(params.layout, state, params.vector, g, stepsize)
+    return params.at(new), state
 
 
 # ---------------------------------------------------------------------------

@@ -843,6 +843,14 @@ INPUT_ERRORS = {
         "data error: {path}: header names column 'label' twice",
         2,
     ),
+    "latents_column_twice": (
+        "latents.csv",
+        lambda t: t.replace("kind,id,v0,v1,", "kind,id,v0,v0,", 1),
+        "train",
+        [],
+        "data error: {path}: header names column 'v0' twice",
+        2,
+    ),
     "attributes_column_twice": (
         "users.csv",
         lambda t: "user_id,age,age\nu000,a,b\n",
@@ -1423,6 +1431,52 @@ class TestAdapt:
             "data error: no support records for shop 'ghost'\n"
         )
         assert not (out / "adapted").exists()
+
+    @pytest.mark.parametrize(
+        "shop",
+        ["{tmp}/escaped", "s\x00", "s" * 300, "s\n1", "s\r1", "a\\b"],
+        ids=["absolute_path", "nul", "300_chars", "newline", "carriage_return", "backslash"],
+    )
+    def test_a_shop_id_that_cannot_name_a_file_stops_every_write(
+        self, workspace, tmp_path, capsys, shop
+    ):
+        cfg_path, out = workspace
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        shop = shop.format(tmp=tmp_path)
+        with open(out / "train.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        column = rows[0].index("shop_id")
+        for row in rows[1:]:
+            row[column] = shop if row[column] == "s000" else row[column]
+        support = out / "support.csv"
+        with open(support, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL).writerows(rows)
+        argv = ["adapt", "--config", str(cfg_path)]
+        for s in [f"adapt.checkpoint={out / 'checkpoint.json'}", f"adapt.support={support}"]:
+            argv += ["--set", s]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {support}: shop id {shop!r} cannot name a file: it must hold no "
+            "path separator or control character and at most 236 UTF-8 bytes\n"
+        )
+        assert not (out / "adapted").exists()
+        assert not (out / "adapt.manifest").exists()
+        assert not (tmp_path / "escaped.json").exists()
+
+    def test_a_shop_id_of_236_utf8_bytes_names_its_file(self, workspace, capsys):
+        cfg_path, out = workspace
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        text = (out / "train.csv").read_text(encoding="utf-8")
+        argv = ["adapt", "--config", str(cfg_path), "--set",
+                f"adapt.checkpoint={out / 'checkpoint.json'}"]
+        for shop, code in [("\u00e9" * 118, 0), ("\u00e9" * 118 + "x", 2)]:
+            support = out / f"support{code}.csv"
+            support.write_text(text.replace(",s000,", f",{shop},"), encoding="utf-8")
+            capsys.readouterr()
+            assert main(argv + ["--set", f"adapt.support={support}"]) == code
+        assert (out / "adapted" / ("\u00e9" * 118 + ".json")).is_file()
+        assert "cannot name a file" in capsys.readouterr().err
 
 
 class TestCategoricalFeatures:

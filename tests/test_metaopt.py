@@ -529,6 +529,13 @@ class TestManifests:
         with pytest.raises(ConfigError):
             write_manifest(tmp_path / "m", [("a=b", 1)])
 
+    @pytest.mark.parametrize("value", ["s\n1", "s\r1", "s\r\n"])
+    def test_a_value_holding_a_line_break_is_rejected(self, tmp_path, value):
+        path = tmp_path / "m"
+        with pytest.raises(ConfigError, match=r"^bad manifest value .* for key 'shops'$"):
+            write_manifest(path, [("steps", 12), ("shops", value)])
+        assert not path.exists()
+
     def test_bad_line_rejected(self, tmp_path):
         p = tmp_path / "m"
         p.write_text("just words\n")

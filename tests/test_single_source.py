@@ -241,6 +241,16 @@ class TestSourceGuards:
                        for node in ast.walk(func) if reads(node)]
         assert (owners, calls) == (["_read_csv"], 1)
 
+    def test_the_trainers_update_vectors_not_trees(self):
+        """``metaopt`` builds a tree only for a model it hands back: it calls no
+        tree-walking update and builds no tree around a gradient."""
+        tree_calls = re.compile(r"^(numcore\.)?(sgd_step|adam_step|tree_map)$|\.layout\.build$")
+        found = [f"metaopt.py:{node.lineno}: {ast.unparse(node.func)}"
+                 for name, tree in _modules() if name == "metaopt.py"
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and tree_calls.search(ast.unparse(node.func))]
+        assert found == []
+
     def test_one_negative_ratio_check(self):
         text = "".join((SRC / name).read_text(encoding="utf-8") for name, _ in _modules())
         assert text.count("negative ratio must be positive") == 1
