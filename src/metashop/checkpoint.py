@@ -29,7 +29,7 @@ from typing import Any, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import DataError, MetaShopError, NumericError, ShapeError
+from .errors import ConfigError, DataError, MetaShopError, NumericError, ShapeError
 from .models import BaselineModel, RecModel
 
 FORMAT_VERSION = 1
@@ -43,19 +43,25 @@ def canonical_json(obj: Any) -> str:
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Write via a temp file + rename so readers never see partial output.
 
-    The temp file is created next to ``path`` like any new file, so the
-    result gets 0666 less the process umask. A failed write removes it.
+    Missing parent directories are made. The temp file is created next to
+    ``path`` like any new file, so the result gets 0666 less the process
+    umask. A failed write removes it; an OSError becomes a ConfigError
+    naming ``path``.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.parent / f".{path.name}.{os.urandom(6).hex()}"
-    fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    fh = None
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fh = open(tmp, "x", encoding="utf-8", newline="\n")
         with fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
+    except BaseException as exc:
+        if fh is not None:  # the temp file is this call's own
+            tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
         raise
 
 

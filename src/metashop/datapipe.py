@@ -90,13 +90,9 @@ class NegativeStrategy(enum.Enum):
     N2 = "n2"
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class InteractionRecord:
-    """One purchase/rating event.
-
-    The constructor checks the common case in one expression and names the
-    first bad field only when that check fails.
-    """
+    """One purchase/rating event; the constructor names the first bad field."""
 
     user_id: str
     item_id: str
@@ -105,25 +101,14 @@ class InteractionRecord:
     timestamp: int | None = None
     genre_l3: str | None = None
 
-    def __init__(self, user_id: str, item_id: str, shop_id: str, label: float,
-                 timestamp: int | None = None, genre_l3: str | None = None) -> None:
-        # the type test comes first: a numpy array id has no single truth value
-        if not (type(user_id) is str and user_id and type(item_id) is str and item_id
-                and type(shop_id) is str and shop_id
-                and math.isfinite(label) and label >= 0):
-            for name, v in (("user_id", user_id), ("item_id", item_id),
-                            ("shop_id", shop_id)):
-                if not isinstance(v, str) or not v:
-                    raise DataError(_NOT_AN_ID.format(name, v))
-            if not math.isfinite(label) or label < 0:
-                raise DataError(f"label must be finite and >= 0, got {label}")
-        put = object.__setattr__
-        put(self, "user_id", user_id)
-        put(self, "item_id", item_id)
-        put(self, "shop_id", shop_id)
-        put(self, "label", label)
-        put(self, "timestamp", timestamp)
-        put(self, "genre_l3", genre_l3)
+    def __post_init__(self) -> None:
+        for name in ("user_id", "item_id", "shop_id"):
+            v = getattr(self, name)
+            # the type test comes first: a numpy array id has no single truth value
+            if not isinstance(v, str) or not v:
+                raise DataError(_NOT_AN_ID.format(name, v))
+        if not math.isfinite(self.label) or self.label < 0:
+            raise DataError(f"label must be finite and >= 0, got {self.label}")
 
 
 def _record_sort_key(r: InteractionRecord):
@@ -1001,20 +986,24 @@ def convert_ml1m(
         if not (src / name).exists():
             raise DataError(f"{src / name} not found; expected a MovieLens 1M dump")
 
-    def read_dat(path: Path, n_fields: int):
-        """("<path> line <n>", fields) for each non-empty line of a .dat file."""
+    def read_dat(path: Path, n_fields: int, what: str | None = None):
+        """("<path> line <n>", fields) for each non-empty line of a .dat file;
+        with ``what``, the first field is the id of a ``what`` no earlier line has."""
         text = read_text(path, "", DataError, "latin-1")
+        seen: dict[str, str] = {}  # an id: where it first appears
         for line_no, line in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
             if not line:
                 continue
             where, row = f"{path} line {line_no}", line.split("::")
             if len(row) != n_fields:
                 raise DataError(f"{where}: {_FIELD_COUNT.format(len(row), n_fields)}")
+            if what and (first := seen.setdefault(row[0], where)) is not where:
+                raise DataError(f"{where}: duplicate of {first} ({what} {row[0]})")
             yield where, row
 
     movies: dict[str, tuple[str, int]] = {}
     skipped_year = 0
-    for where, (movie_id, title, genre_list) in read_dat(src / "movies.dat", 3):
+    for where, (movie_id, title, genre_list) in read_dat(src / "movies.dat", 3, "movie"):
         genre = genre_list.split("|")[0]
         if not genre:
             raise DataError(f"{where}: no genre")
@@ -1025,7 +1014,7 @@ def convert_ml1m(
         movies[movie_id] = (genre, int(m.group(1)))
 
     users: dict[str, dict[str, str]] = {}
-    for _, (uid, gender, age, occupation, zipcode) in read_dat(src / "users.dat", 5):
+    for _, (uid, gender, age, occupation, zipcode) in read_dat(src / "users.dat", 5, "user"):
         users[f"u{uid}"] = {
             "gender": gender,
             "age": age,
@@ -1033,8 +1022,6 @@ def convert_ml1m(
             "zip_region": zipcode[:1],
         }
 
-    train: list[InteractionRecord] = []
-    test: list[InteractionRecord] = []
     skipped_rating = 0
     rows = []
     first_seen: dict[tuple[str, str, int], str] = {}
@@ -1076,21 +1063,22 @@ def convert_ml1m(
     else:
         holdout = set(holdout_shops)
 
+    def table(split: list[tuple]) -> Interactions:
+        user, item, shop, label, stamp, genre = zip(*split) if split else [()] * 6
+        coded = map(_first_appearance_codes, (user, item, shop, stamp, genre))
+        return Interactions(np.array(label, np.float64), dict(zip(_CODED, coded)))
+
+    splits: tuple[list, list] = ([], [])  # train, test: rows of fields in _FIELDS order
     for uid, movie_id, rating, ts in rows:
         genre, year = movies[movie_id]
-        rec = InteractionRecord(
-            f"u{uid}", f"m{movie_id}", genre, rating, ts, genre
-        )
-        if genre in holdout or year >= train_before_year:
-            test.append(rec)
-        else:
-            train.append(rec)
+        splits[genre in holdout or year >= train_before_year].append(
+            (f"u{uid}", f"m{movie_id}", genre, rating, ts, genre))
+    train, test = map(table, splits)
 
     item_attrs = {
         f"m{mid}": {"year": str(year), "genre": genre}
         for mid, (genre, year) in movies.items()
     }
-    out.mkdir(parents=True, exist_ok=True)
     save_interactions(out / "train.csv", train)
     save_interactions(out / "test.csv", test)
     save_attributes(out / "user_attrs.csv", users, "user_id")

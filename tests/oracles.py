@@ -19,8 +19,8 @@ bit for bit, and the *_tree functions are the forward, backward and
 loss-and-gradient passes that walk a parameter tree's attributes (a stack's
 leaves carry a leading task axis), which the kernels reading leaf views of
 one (..., P) vector must reproduce bit for bit. InteractionRecordPostInit is
-the unslotted record whose field-by-field checks the slotted record's one
-fast check must reproduce error for error, generate_synthetic_per_element
+the unslotted record whose field-by-field checks the slotted record must
+reproduce error for error, generate_synthetic_per_element
 builds the synthetic world one scalar-indexed record at a time, and
 build_tasks_set_split splits each group by set probes; the list-converted
 generator and the mask split must reproduce both record for record, and

@@ -98,6 +98,15 @@ def manifest_without_timing(path: Path) -> dict:
     return entries
 
 
+def assert_cannot_write(capsys, path: Path, root: Path) -> None:
+    """stderr names ``path`` as a config error, with no traceback, and no
+    ``.<name>.<hex>`` temp file is left under ``root``."""
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {path}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not list(root.rglob(".*"))
+
+
 @pytest.fixture(scope="module")
 def trained_run(tmp_path_factory):
     """A base_config run after gen-data, train and evaluate; copy it to edit it."""
@@ -1141,6 +1150,13 @@ class TestGenData:
             for name in ("train.csv", "test.csv", "latents.csv", "gen-data.manifest"):
                 assert (out / name).stat().st_mode & 0o777 == mode, (umask, name)
 
+    def test_an_output_dir_under_a_file_is_one(self, tmp_path, capsys):
+        (tmp_path / "afile").write_text("x\n")
+        out = tmp_path / "afile" / "sub"
+        path = write_config(tmp_path / "run.yaml", base_config(out))
+        assert main(["gen-data", "--config", str(path)]) == 1
+        assert_cannot_write(capsys, out / "train.csv", tmp_path)
+
     def test_failed_write_keeps_the_old_file(self, tmp_path):
         target = tmp_path / "tables.txt"
         atomic_write_text(target, "old\n")
@@ -1810,6 +1826,16 @@ class TestReportCommand:
         ) == 0
         assert target.read_bytes() == (out / "tables.txt").read_bytes()
 
+    def test_an_out_path_that_is_a_directory_is_one(self, trained_run, tmp_path, capsys):
+        target = tmp_path / "adir"
+        target.mkdir()
+        capsys.readouterr()
+        assert main(
+            ["report", "--report", str(trained_run / "report.json"), "--out", str(target)]
+        ) == 1
+        assert_cannot_write(capsys, target, tmp_path)
+        assert not list(target.iterdir())
+
     def test_missing_report_is_two(self, tmp_path):
         assert main(["report", "--report", str(tmp_path / "gone.json")]) == 2
 
@@ -2231,11 +2257,19 @@ class TestPrepMl1m:
                 "line 3: rating 9.0 outside [1, 5]",
             ),
             ("ratings.dat", None, None, "[Errno 21] Is a directory: '{path}'"),
+            (
+                "movies.dat", 2, "1::Heat (1999)::Drama",
+                "line 2: duplicate of {path} line 1 (movie 1)",
+            ),
+            (
+                "users.dat", 3, "1::M::56::16::70072",
+                "line 3: duplicate of {path} line 1 (user 1)",
+            ),
         ],
         ids=[
             "short_movie", "no_genre", "short_user", "short_rating",
             "rating_not_a_number", "timestamp_not_an_integer", "rating_out_of_range",
-            "directory",
+            "directory", "repeated_movie", "repeated_user",
         ],
     )
     def test_malformed_dump_is_two(
@@ -2250,7 +2284,7 @@ class TestPrepMl1m:
             lines = path.read_text(encoding="latin-1").splitlines()
             lines[line - 1] = text
             path.write_text("\n".join(lines) + "\n", encoding="latin-1")
-            expected = f"{path} {message}"
+            expected = f"{path} {message.format(path=path)}"
         out = tmp_path / "converted"
         assert main(["prep-ml1m", "--source", str(fake_dump), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"data error: {expected}\n"
@@ -2269,6 +2303,13 @@ class TestPrepMl1m:
             f"data error: {path} line 6: duplicate of {path} line 3 (user 2, movie 2)\n"
         )
         assert not out.exists()
+
+    def test_an_out_path_that_is_a_file_is_one(self, fake_dump, tmp_path, capsys):
+        out = tmp_path / "afile"
+        out.write_text("x\n")
+        assert main(["prep-ml1m", "--source", str(fake_dump), "--out", str(out)]) == 1
+        assert_cannot_write(capsys, out / "train.csv", tmp_path)
+        assert out.read_text() == "x\n"
 
     def test_missing_source_is_two(self, tmp_path):
         code = main(

@@ -796,6 +796,29 @@ class TestMl1mConversion:
         items = load_attributes(out / "item_attrs.csv")
         assert items["m5"]["year"] == "2000"
 
+    @pytest.mark.parametrize("year,train,test", [
+        (1998,
+         "u1,m1,Animation,5.0,978300760,Animation\nu2,m2,Drama,3.0,978300762,Drama\n",
+         "u1,m3,Drama,4.0,978300761,Drama\nu2,m5,Western,2.0,978300763,Western\n"),
+        (1990, None,
+         "u1,m1,Animation,5.0,978300760,Animation\nu1,m3,Drama,4.0,978300761,Drama\n"
+         "u2,m2,Drama,3.0,978300762,Drama\nu2,m5,Western,2.0,978300763,Western\n"),
+    ], ids=["both_periods", "all_in_test_period"])
+    def test_written_bytes(self, tmp_path, year, train, test):
+        """Every byte of the four files; an empty split is its bare header."""
+        src = tmp_path / "ml-1m"
+        self.write_fake(src)
+        convert_ml1m(src, tmp_path / "out", train_before_year=year)
+        full = "user_id,item_id,shop_id,label,timestamp,genre_l3\n"
+        assert {p.name: p.read_text() for p in (tmp_path / "out").iterdir()} == {
+            "train.csv": full + train if train else "user_id,item_id,shop_id,label\n",
+            "test.csv": full + test,
+            "user_attrs.csv": "user_id,age,gender,occupation,zip_region\n"
+                              "u1,25,F,10,5\nu2,35,M,7,0\n",
+            "item_attrs.csv": "item_id,genre,year\n"
+                              "m1,Animation,1995\nm2,Drama,1990\nm3,Drama,1999\nm5,Western,2000\n",
+        }
+
     def test_explicit_holdout(self, tmp_path):
         src = tmp_path / "ml-1m"
         out = tmp_path / "out"

@@ -47,7 +47,7 @@ FIELDS = [f.name for f in dataclasses.fields(InteractionRecord)]
 
 
 class Id(str):
-    """A str subclass: the fast check's ``type(x) is str`` misses it."""
+    """A str subclass, which a ``type(x) is str`` check would miss."""
 
 
 texts = st.text("ab_", max_size=3)
