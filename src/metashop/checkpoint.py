@@ -61,7 +61,9 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         if fh is not None:  # the temp file is this call's own
             tmp.unlink(missing_ok=True)
         if isinstance(exc, OSError):
-            raise ConfigError(f"cannot write {path}: {exc}") from exc
+            # os.replace's text names the temp file, which is gone by now
+            reason = exc if exc.filename2 is None else exc.strerror
+            raise ConfigError(f"cannot write {path}: {reason}") from exc
         raise
 
 

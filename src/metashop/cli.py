@@ -254,6 +254,9 @@ class EvalConfig(EvalOptions):
     adapt: bool = False
 
 
+_GAMMA_ROW = "gamma={:g}"  # a debias_gamma row's label, which also names its report
+
+
 @dataclass
 class AblationConfig:
     # empty until a config names one
@@ -263,6 +266,13 @@ class AblationConfig:
 
     def __post_init__(self) -> None:
         check_at_least("ablation.n_shops", self.n_shops, 1)
+        labels = list(map(_GAMMA_ROW.format, self.gammas))
+        for i, label in enumerate(labels):
+            if label in labels[:i]:
+                raise ConfigError(
+                    f"ablation.gammas {self.gammas[labels.index(label)]!r} and "
+                    f"{self.gammas[i]!r} would share the row and report {label}"
+                )
 
 
 @dataclass
@@ -272,6 +282,8 @@ class AdaptConfig:
     shops: list[str] | None = None
 
     def __post_init__(self) -> None:
+        if self.shops == []:
+            raise ConfigError("adapt.shops is empty; leave the key out to adapt every shop")
         for i, shop in enumerate(self.shops or ()):
             if shop in self.shops[:i]:
                 raise ConfigError(f"adapt.shops lists {shop!r} twice")
@@ -807,7 +819,7 @@ def _study_settings(cfg: RunConfig, study: str) -> list[tuple[str, str, RunConfi
 
     if study == "debias_gamma":
         return [
-            row(f"gamma={g:g}", train={"trainer": "fmst", "gamma": g})
+            row(_GAMMA_ROW.format(g), train={"trainer": "fmst", "gamma": g})
             for g in cfg.ablation.gammas
         ]
     if study == "negative_sampling":

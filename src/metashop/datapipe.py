@@ -14,11 +14,12 @@ Each loader parses a file once; its column checks name the rows that fail.
 tables: a label column and int32 code columns into each field's values, so a
 missing timestamp or genre (None) stays apart from a real -1; ``load_latents``
 maps each id to a row of one float matrix. ``build_tasks``, ``classify_shops``,
-``save_interactions`` and ``models.prepare_batch`` read columns, viewing a
-record list as columns that keep its records. A table checks its columns
-once (ids non-empty strings, labels finite and >= 0), so the records it
-builds skip the constructor check; it builds them only where something
-reads records: task support and query sets, and the shops a caller picks.
+``save_interactions`` and ``models.prepare_batch`` read columns, coding a
+record sequence into a table first (``prepare_batch`` reads a record
+sequence's three fields directly). A table checks its columns once (ids
+non-empty strings, labels finite and >= 0), so the records it builds skip
+the constructor check; it builds them only where something reads records:
+task support and query sets, and the shops a caller picks.
 
 Determinism: every random choice goes through ``np.random.default_rng``
 seeded from (seed, purpose tag) or (seed, stable hash of the entity id), so
@@ -38,7 +39,6 @@ from collections import deque
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, fields, replace
 from itertools import accumulate, chain, repeat
-from operator import attrgetter
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -111,11 +111,6 @@ class InteractionRecord:
             raise DataError(f"label must be finite and >= 0, got {self.label}")
 
 
-def _record_sort_key(r: InteractionRecord):
-    ts = r.timestamp if r.timestamp is not None else -1
-    return (r.shop_id, ts, r.user_id, r.item_id, r.label)
-
-
 @dataclass(frozen=True)
 class ShopTask:
     """One adaptation task: a support set to adapt on, a query set to judge on.
@@ -148,16 +143,14 @@ _SETTERS = [getattr(InteractionRecord, f).__set__ for f in _FIELDS]
 class Interactions(Sequence[InteractionRecord]):
     """Interactions as columns (Spotlight's ``Interactions``), read as records.
 
-    ``label`` is a float64 column. In a table every other field is an int32
-    code column into an array of that field's values (LightFM-style id
-    mappings), checked once as the record constructor would check each
-    record. ``of`` views a record list as columns, coding a field in order of
-    first appearance when it is first read, and keeps the records. Only
+    ``label`` is a float64 column. Every other field is an int32 code column
+    into an array of that field's values (LightFM-style id mappings), checked
+    once as the record constructor would check each record. Only
     ``records_at`` builds records.
     """
 
     def __init__(self, label: np.ndarray, columns: Mapping[str, tuple]) -> None:
-        self.label, self._records, self._columns = np.asarray(label, np.float64), None, {}
+        self.label, self._columns = np.asarray(label, np.float64), {}
         for name in _CODED:
             codes, values = np.asarray(columns[name][0]), columns[name][1]
             if not isinstance(values, np.ndarray):
@@ -176,13 +169,13 @@ class Interactions(Sequence[InteractionRecord]):
 
     @classmethod
     def of(cls, records: Sequence[InteractionRecord]) -> Interactions:
-        """A table as it is, anything else as a view of its records."""
+        """A table as it is; a record sequence coded field by field in order of
+        first appearance."""
         if isinstance(records, Interactions):
             return records
-        view = cls.__new__(cls)
-        view._records, view._columns = list(records), {}
-        view.label = np.array([float(r.label) for r in view._records])
-        return view
+        columns = {name: _first_appearance_codes([getattr(r, name) for r in records])
+                   for name in _CODED}
+        return cls([float(r.label) for r in records], columns)
 
     def __len__(self) -> int:
         return len(self.label)
@@ -195,23 +188,17 @@ class Interactions(Sequence[InteractionRecord]):
         return iter(self.records_at(np.arange(len(self))))
 
     def column(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        """A field's codes and the array of values they index: a table's, or a
-        view's in order of first appearance (``label`` is its own)."""
+        """A field's codes and the array of values they index (``label`` is its own)."""
         if name == "label":
             return np.arange(len(self)), self.label
-        if name not in self._columns:
-            codes, values = _first_appearance_codes(list(map(attrgetter(name), self._records)))
-            self._columns[name] = (codes, np.fromiter(values, object, len(values)))
         return self._columns[name]
 
     def distinct(self, name: str) -> tuple[list, np.ndarray]:
         """A field's values in order of first appearance, and each row's index there."""
         codes, values = self.column(name)
-        if self._records is None:  # a view's codes count in that order already
-            used, first, codes = np.unique(codes, return_index=True, return_inverse=True)
-            order = np.argsort(first)
-            values, codes = values[used[order]], np.argsort(order)[codes]
-        return values.tolist(), codes
+        used, first, codes = np.unique(codes, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        return values[used[order]].tolist(), np.argsort(order)[codes]
 
     def values(self, name: str) -> list:
         """Each row's value of a field."""
@@ -219,7 +206,7 @@ class Interactions(Sequence[InteractionRecord]):
         return values[codes].tolist()
 
     def ranks(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's dense rank in ``_record_sort_key`` order (None as -1), in
+        """Each row's dense rank in the field's sort order (None as -1), in
         the smallest unsigned type (``lexsort`` is fastest on those), and the
         sorted distinct keys."""
         codes, keys = self.column(name)
@@ -230,10 +217,20 @@ class Interactions(Sequence[InteractionRecord]):
         distinct, rank = np.unique(keys, return_inverse=True)
         return rank.astype(np.min_scalar_type(len(distinct)))[codes], distinct
 
+    def order(self, *lead: np.ndarray) -> np.ndarray:
+        """The rows stably sorted by a per-row key ``lead``, if given, then in
+        record order: shop, timestamp (None as -1), user, item, label. The
+        minor keys are ranked only when the major ones tie."""
+        major = [self.ranks("timestamp")[0], self.ranks("shop_id")[0], *lead]
+        order = np.lexsort(major)
+        ordered = np.array([k[order] for k in major])
+        if (ordered[:, 1:] == ordered[:, :-1]).all(axis=0).any():  # ties need the minor keys
+            minor = [self.ranks(name)[0] for name in ("label", "item_id", "user_id")]
+            order = np.lexsort(minor + major)
+        return order
+
     def records_at(self, rows: np.ndarray) -> list[InteractionRecord]:
-        """The records at ``rows``: a view's own, or built from the columns."""
-        if self._records is not None:
-            return [self._records[k] for k in rows.tolist()]
+        """The records at ``rows``, built from the columns."""
         out = list(map(object.__new__, repeat(InteractionRecord, len(rows))))
         for put, name in zip(_SETTERS, _FIELDS):
             codes, values = self.column(name)
@@ -425,18 +422,13 @@ def build_tasks(
     Groups below ``min_interactions`` are dropped. The support set is drawn
     without replacement by a per-group seeded permutation, so the split for
     one group is independent of every other group and of record file order.
-    Each group is ordered by ``_record_sort_key`` (one stable ``lexsort`` on
-    ranked columns); only the records of the tasks returned are built.
+    Each group is in record order (``Interactions.order``); only the
+    records of the tasks returned are built.
     """
     check_task_sizes(min_interactions, support_size)
     table = Interactions.of(records)
     group, keys = table.ranks(f"{task_unit.value}_id")
-    major = [table.ranks("timestamp")[0], table.ranks("shop_id")[0], group]
-    order = np.lexsort(major)
-    ordered = np.array([k[order] for k in major])
-    if (ordered[:, 1:] == ordered[:, :-1]).all(axis=0).any():  # ties need the minor keys
-        minor = [table.ranks(name)[0] for name in ("label", "item_id", "user_id")]
-        order = np.lexsort(minor + major)
+    order = table.order(group)
     names, sides = [], []
     for rows in np.split(order, np.flatnonzero(np.diff(group[order])) + 1):
         if len(rows) < min_interactions:
@@ -627,7 +619,8 @@ def negative_sample(
                 return u
         raise SamplingError(f"candidate pool exhausted for item {item_id!r}")
 
-    ordered = sorted(positives, key=_record_sort_key)
+    table = Interactions.of(positives)
+    ordered = table.records_at(table.order())
     total = int(round(ratio * len(ordered)))
     rng = np.random.default_rng([seed, _TAG_NEGATIVES])
     taken: set[tuple[str, str]] = set()

@@ -373,20 +373,26 @@ def prepare_batch(
     """Resolve record ids into a Batch via the feature source and encoders.
 
     ``records`` is a ``datapipe.Interactions`` table, whose columns are read
-    as they are, or anything with ``user_id``, ``item_id`` and ``label``
-    attributes. Each distinct id is looked up and resolved once; errors come
-    in a per-record pass's order: user lookups, item lookups, user rows,
-    item rows.
+    as they are, or records whose ``label``, ``user_id`` and ``item_id`` are
+    read directly. Each distinct id is looked up and resolved once; errors
+    come in a per-record pass's order: user lookups, item lookups, user rows, item rows.
     """
-    from .datapipe import Interactions  # datapipe -> checkpoint -> models
+    from .datapipe import Interactions, _first_appearance_codes  # datapipe -> checkpoint -> models
 
-    table = Interactions.of(records)
-    if not len(table):
+    if isinstance(records, Interactions):
+        labels, distinct = np.array(records.label), records.distinct
+    else:
+        records = list(records)
+        labels = np.array([float(r.label) for r in records])
+
+        def distinct(name: str) -> tuple[list, np.ndarray]:
+            codes, values = _first_appearance_codes([getattr(r, name) for r in records])
+            return values, codes
+    if not len(labels):
         raise EmptyBatchError("prepare_batch on zero records")
-    labels = np.array(table.label)
-    user_ids, user_codes = table.distinct("user_id")
+    user_ids, user_codes = distinct("user_id")
     users = [features.user_raw(u) for u in user_ids]
-    item_ids, item_codes = table.distinct("item_id")
+    item_ids, item_codes = distinct("item_id")
     items = [features.item_raw(i) for i in item_ids]
     return Batch(
         labels,

@@ -27,7 +27,9 @@ generator and the mask split must reproduce both record for record, and
 build_tasks must reproduce the set split on record lists and on
 ``Interactions`` tables alike. classify_shops_per_record counts sales record
 by record, as classify_shops' column pass must reproduce, and table_of turns
-records into a table whose codes differ from a record list's view.
+records into a table whose codes differ from ``Interactions.of``'s, and
+_record_sort_key is the record order that ``Interactions.order`` must
+reproduce row for row.
 ndcg_columns_full_sort takes the ideal gains from a full sort of each
 column, as ndcg_columns' partition must reproduce bit for bit.
 load_interactions_per_row and load_latents_per_line read a file one row
@@ -71,7 +73,6 @@ from metashop.datapipe import (
     _apportion,
     _check_unique_columns,
     _id_list,
-    _record_sort_key,
     stable_hash64,
 )
 from metashop.metaopt import (
@@ -655,6 +656,12 @@ def generate_synthetic_per_element(spec) -> SyntheticData:
     )
 
 
+def _record_sort_key(r: InteractionRecord):
+    """The record order: shop, timestamp (None as -1), user, item, label."""
+    ts = r.timestamp if r.timestamp is not None else -1
+    return (r.shop_id, ts, r.user_id, r.item_id, r.label)
+
+
 def build_tasks_set_split(
     records, min_interactions=13, support_size=10, seed=0, task_unit=TaskUnit.SHOP
 ) -> list[ShopTask]:
@@ -689,7 +696,7 @@ def build_tasks_set_split(
 def table_of(records, shop="s") -> Interactions:
     """``records`` as an Interactions table. Each field's values start with
     an unused entry and then run in reverse order of first appearance, so
-    the codes differ from a record list's view. A field a record lacks reads
+    the codes differ from ``Interactions.of``'s. A field a record lacks reads
     as ``shop`` (shop_id) or None."""
     columns = {}
     for name in _CODED:

@@ -98,12 +98,11 @@ def manifest_without_timing(path: Path) -> dict:
     return entries
 
 
-def assert_cannot_write(capsys, path: Path, root: Path) -> None:
-    """stderr names ``path`` as a config error, with no traceback, and no
-    ``.<name>.<hex>`` temp file is left under ``root``."""
+def assert_cannot_write(capsys, path: Path, root: Path, reason: str) -> None:
+    """stderr is the one line naming ``path`` as a config error for
+    ``reason``, and no ``.<name>.<hex>`` temp file is left under ``root``."""
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: cannot write {path}: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    assert err == f"config error: cannot write {path}: {reason}\n"
     assert not list(root.rglob(".*"))
 
 
@@ -411,6 +410,7 @@ EDGE_CASES = [
         10,
         "min_interactions (10) must exceed support_size (10) so queries are never empty",
     ),
+    ("adapt.shops", [], "adapt.shops is empty; leave the key out to adapt every shop"),
 ]
 
 
@@ -1155,7 +1155,9 @@ class TestGenData:
         out = tmp_path / "afile" / "sub"
         path = write_config(tmp_path / "run.yaml", base_config(out))
         assert main(["gen-data", "--config", str(path)]) == 1
-        assert_cannot_write(capsys, out / "train.csv", tmp_path)
+        # the mkdir failure's text names the file that blocks the directory
+        assert_cannot_write(capsys, out / "train.csv", tmp_path,
+                            f"[Errno 20] Not a directory: '{out}'")
 
     def test_failed_write_keeps_the_old_file(self, tmp_path):
         target = tmp_path / "tables.txt"
@@ -1833,7 +1835,8 @@ class TestReportCommand:
         assert main(
             ["report", "--report", str(trained_run / "report.json"), "--out", str(target)]
         ) == 1
-        assert_cannot_write(capsys, target, tmp_path)
+        # not the rename's text, which names the temp file already removed
+        assert_cannot_write(capsys, target, tmp_path, "Is a directory")
         assert not list(target.iterdir())
 
     def test_missing_report_is_two(self, tmp_path):
@@ -2049,6 +2052,25 @@ class TestAblation:
             (out / "ablation_task_unit.tsv").read_text(encoding="utf-8").splitlines()
         )
         assert [l.split("\t")[0] for l in lines[1:]] == ["shop", "item", "user"]
+
+    @pytest.mark.parametrize(
+        "gammas, message",
+        [
+            ("[0.01, 0.0100000001]", "0.01 and 0.0100000001 would share the row and "
+             "report gamma=0.01"),
+            ("[0.0, 0.8, 0.0]", "0.0 and 0.0 would share the row and report gamma=0"),
+        ],
+        ids=["print_alike", "repeated"],
+    )
+    def test_gammas_that_print_alike_write_nothing(self, workspace, capsys, gammas, message):
+        cfg_path, out = workspace
+        before = sorted(out.iterdir())
+        argv = ["ablation", "--config", str(cfg_path), "--set", "ablation.study=debias_gamma",
+                "--set", f"ablation.gammas={gammas}"]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"config error: ablation.gammas {message}\n"
+        assert sorted(out.iterdir()) == before
 
     def test_taskless_unit_writes_no_row(self, workspace, capsys):
         # at min_interactions 13 the shop and item rows train, the user row not
@@ -2308,7 +2330,8 @@ class TestPrepMl1m:
         out = tmp_path / "afile"
         out.write_text("x\n")
         assert main(["prep-ml1m", "--source", str(fake_dump), "--out", str(out)]) == 1
-        assert_cannot_write(capsys, out / "train.csv", tmp_path)
+        assert_cannot_write(capsys, out / "train.csv", tmp_path,
+                            f"[Errno 17] File exists: '{out}'")
         assert out.read_text() == "x\n"
 
     def test_missing_source_is_two(self, tmp_path):

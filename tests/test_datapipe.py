@@ -4,6 +4,7 @@ synthetic generator."""
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import math
 import re
@@ -903,14 +904,20 @@ class TestInteractionsTable:
         assert text == (tmp_path / "b.csv").read_text()
         assert text.splitlines()[2:] == ["u0,i0,s0,0.0,,", "u1,i0,s0,2.5,-1,g"]
 
-    def test_a_view_keeps_its_records(self):
-        records = [rec("u", "i", "s", 1), rec("v", "i", "s", 0)]
-        view = Interactions.of(records)
-        assert view[0] is records[0] and [r for r in view] == records
-        assert all(a is b for a, b in zip(view, records))
-        assert Interactions.of(view) is view
+    def test_of_codes_a_record_list(self):
+        """A record list becomes a checked table of equal records, coded in
+        order of first appearance; a table is returned as it is."""
+        records = [rec("v", "i", "s", 1), rec("u", "i", "s", 0), rec("v", "j", "s", 2)]
+        table = Interactions.of(records)
+        assert list(table) == records
+        assert table.column("user_id")[0].tolist() == [0, 1, 0]
+        assert Interactions.of(table) is table
         table = small_table()
         assert Interactions.of(table) is table
+        bad = dataclasses.replace(records[0])
+        object.__setattr__(bad, "item_id", 7)  # past the record's own check
+        with pytest.raises(DataError, match="^item_id must be a non-empty string, got 7$"):
+            Interactions.of([records[0], bad])
 
     @pytest.mark.parametrize(
         "field, part, at, value, message",

@@ -16,6 +16,8 @@ from metashop import models
 from metashop.datapipe import (
     AttributeTable,
     FeatureTable,
+    InteractionRecord,
+    Interactions,
     SyntheticSpec,
     attribute_fields,
     generate_synthetic,
@@ -409,6 +411,41 @@ class TestPrepareBatch:
         assert got == raised(prepare_batch_per_record, recs, feats, enc_u, enc_i)
         assert got == raised(prepare_batch, table_of(recs), feats, enc_u, enc_i)
         assert got[0] is expected
+
+
+# record (user, item) pairs every feature setup resolves, ids repeated
+GOOD_PAIRS = [("u0", "i0"), ("u1", "i1"), ("u0", "i1"), ("u2", "i0"), ("u1", "i1")]
+
+
+def batch_or_error(records, feats, enc_u, enc_i):
+    """(dtype, shape, bytes) of each Batch array, or the (type, message) raised."""
+    try:
+        batch = prepare_batch(records, feats, enc_u, enc_i)
+    except Exception as err:
+        return type(err), str(err)
+    return [(a.dtype, a.shape, a.tobytes())
+            for a in (batch.labels, batch.user_rows, batch.item_rows)]
+
+
+class TestPrepareBatchOnRecordsAndTheirTable:
+    """A record tuple's fields, read directly, give the batch and the first
+    error of ``Interactions.of`` the same records."""
+
+    @pytest.mark.parametrize(
+        "kind, pairs, change",
+        [(kind, GOOD_PAIRS, None) for kind in ("pretrained", "mapping", "indices")]
+        + [c[1:4] for c in BAD_BATCHES],
+        ids=["pretrained", "mapping", "indices"] + [c[0] for c in BAD_BATCHES],
+    )
+    def test_same_batch_bytes_or_same_error(self, kind, pairs, change):
+        feats, enc_u, enc_i = feature_setup(kind, 3, 2, 5)
+        if change is not None:
+            feats = change(feats)
+        recs = tuple(InteractionRecord(u, i, "s", (0.0, 1.0, 0.25)[k % 3], k)
+                     for k, (u, i) in enumerate(pairs))
+        got = batch_or_error(recs, feats, enc_u, enc_i)
+        assert got == batch_or_error(Interactions.of(recs), feats, enc_u, enc_i)
+        assert isinstance(got, list) == (change is None and pairs is GOOD_PAIRS)
 
 
 def outcome(fn, *args):

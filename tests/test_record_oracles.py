@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from metashop.datapipe import (
     InteractionRecord,
+    Interactions,
     ShopTask,
     SyntheticSpec,
     TaskUnit,
@@ -35,6 +36,7 @@ from metashop.datapipe import (
 from metashop.errors import DataError
 from oracles import (
     InteractionRecordPostInit,
+    _record_sort_key,
     build_tasks_set_split,
     classify_shops_per_record,
     generate_synthetic_per_element,
@@ -215,7 +217,7 @@ labels = st.sampled_from([0.0, 1.0, 3.5, 0, 1, 2, True, False])
 
 
 @st.composite
-def mixed_records(draw, min_size=0):
+def mixed_records(draw, min_size=0, labels=labels):
     """Records over a few ids, stamps and labels, some repeated as equal records."""
     records = draw(
         st.lists(
@@ -236,6 +238,22 @@ def mixed_records(draw, min_size=0):
 class TestColumnsMatchTheRecordOracles:
     @settings(derandomize=True, max_examples=400, deadline=None)
     @given(
+        mixed_records(labels=labels | st.just(-0.0)),
+        st.sampled_from([None, *TaskUnit]),
+        st.booleans(),
+    )
+    def test_order_is_a_stable_sort_by_the_record_key(self, records, unit, coded_apart):
+        """Ties keep row order, a missing timestamp sorts as a real -1 and
+        -0.0 as 0.0; a task unit's id, when given, leads."""
+        table = table_of(records) if coded_apart else Interactions.of(records)
+        lead = None if unit is None else f"{unit.value}_id"
+        got = table.order() if lead is None else table.order(table.ranks(lead)[0])
+        want = sorted(range(len(records)), key=lambda k: (
+            getattr(records[k], lead) if lead else "", _record_sort_key(records[k])))
+        assert got.tolist() == want
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(
         mixed_records(min_size=12),
         st.sampled_from(list(TaskUnit)),
         st.integers(1, 3),
@@ -248,9 +266,8 @@ class TestColumnsMatchTheRecordOracles:
         got = outcome(build_tasks, (records, *args))
         assert got == want
         assert outcome(build_tasks, (table_of(records), *args)) == want
-        if isinstance(got, list):  # a record list's tasks hold its own objects
-            ids = {id(r) for r in records}
-            assert all(id(r) in ids for t in got for r in t.support + t.query)
+        if isinstance(got, list):  # a record list's tasks hold equal records
+            assert all(r in records for t in got for r in t.support + t.query)
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(mixed_records(), mixed_records(), st.booleans(), st.booleans())
