@@ -104,12 +104,13 @@ non-finite loss, gradient or parameter update).
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 import time
 import types
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import (
     Any,
@@ -964,7 +965,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _keep_heap_mapped() -> None:
+    """Pin glibc's mmap and trim thresholds at 32 and 64 MiB, the ceilings its
+    sliding rule reaches on 64-bit, so that freed heap stays mapped (README,
+    Commands). Setting either turns the rule off. A no-op without ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    _keep_heap_mapped()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

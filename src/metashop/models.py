@@ -9,13 +9,14 @@ or loaded. ``loss_and_grad_at`` reads the parameters as leaf views of a
 (P,) vector or a (T, P) stack and hands them, last, to ``encode_rows`` and
 numcore's kernels, which read a tree's own leaves when given none; its
 gradient is a zeroed vector of the same layout, into whose leaves backprop
-writes the dense-layer gradients and ``np.add.at`` scatters the table
-gradients, checked for finiteness once. A BaselineModel is laid out the
-same way (item tables, then the mapper's layers). prepare_batch looks up
-and resolves each distinct user and item id of a batch once, then gathers
-one feature row per record. feature_rows converts a whole side in one copy
-(flat float rows, plain attribute dicts) and falls back to a per-row pass
-for other forms and for errors.
+writes the dense-layer gradients (and a side's feature gradient only if it
+has tables) and ``np.bincount`` the table gradients, checked for finiteness
+once. A BaselineModel is laid out the same way (item tables, then the
+mapper's layers). prepare_batch looks up and resolves each distinct user
+and item id of a batch once, then gathers one feature row per record.
+feature_rows converts a whole side in one copy (flat float rows, plain
+attribute dicts) and falls back to a per-row pass for other forms and for
+errors.
 
 Model kinds:
   * MESH: two MLP towers joined by a dot product of their outputs.
@@ -401,16 +402,19 @@ def prepare_batch(
     )
 
 
-def _encoder_grad(idx: np.ndarray, d_feats: np.ndarray, tables: Sequence) -> None:
+def _encoder_grad(idx: np.ndarray, d_feats: np.ndarray | None, tables: Sequence) -> None:
     """Scatter-add ``d_feats`` into the zeroed gradient ``tables``, field by field.
 
-    A pretrained encoder has no tables, so there is nothing to write.
+    One ``np.bincount`` per field adds each element's rows from 0.0 in row
+    order, as ``np.add.at`` would. With no tables (pretrained), ``d_feats`` may be None.
     """
     offset = 0
+    task = np.arange(len(idx))[:, None] if idx.ndim == 3 else 0  # task t adds to table t
     for j, table in enumerate(tables):
-        width = table.shape[-1]
-        at = (*_task_index(idx), idx[..., j])
-        np.add.at(table, at, d_feats[..., offset : offset + width])
+        rows, width = table.shape[-2:]
+        flat = ((task * rows + idx[..., j]) * width)[..., None] + np.arange(width)
+        weights = d_feats[..., offset : offset + width].ravel()
+        table[...] = np.bincount(flat.ravel(), weights, table.size).reshape(table.shape)
         offset += width
 
 
@@ -434,7 +438,7 @@ def loss_and_grad_at(
     v = encode_rows(model.item_encoder, batch.item_rows, p[nu:n])
     loss, d_u, d_v = numcore.loss_backward(
         model.scorer, u, v, batch.labels, loss_kind, model.sigmoid_output,
-        pred_penalty, g[n:], p[n:],
+        pred_penalty, g[n:], p[n:], (nu > 0, n > nu),
     )
     _encoder_grad(batch.user_rows, d_u, g[:nu])
     _encoder_grad(batch.item_rows, d_v, g[nu:n])
@@ -614,7 +618,8 @@ def baseline_loss_and_grad(
             d_reps[row_of[i]] += share
     grads = model.layout.zeros()
     d_feats = numcore.mlp_backward(
-        model.item_mapper, caches, d_reps, numcore.tree_leaves(grads.item_mapper)
+        model.item_mapper, caches, d_reps, numcore.tree_leaves(grads.item_mapper),
+        input_grad=bool(model.item_encoder.fields),
     )
     _encoder_grad(rows, d_feats, numcore.tree_leaves(grads.item_encoder))
     numcore.tree_check_finite(grads, "baseline_loss_and_grad")

@@ -445,12 +445,14 @@ def mlp_backward(
     d_out: np.ndarray,
     grads: Sequence,
     leaves: Sequence | None = None,
-) -> np.ndarray:
+    input_grad: bool = True,
+) -> np.ndarray | None:
     """Backpropagate ``d_out`` (n, out_dim) through the trace of a forward pass.
 
     Writes each layer's gradient into ``grads``, the leaves of a zeroed
     gradient laid out like ``params``, and returns the gradient w.r.t. the
-    input.
+    input; with ``input_grad`` False it stops after the first layer's weight
+    and bias gradients and returns None.
     """
     leaves = tree_leaves(params) if leaves is None else leaves
     d = d_out
@@ -463,7 +465,7 @@ def mlp_backward(
         np.matmul(d.swapaxes(-1, -2), x_in, out=grads[w])
         if b is not None:
             d.sum(axis=-2, out=grads[b])
-        d = d @ leaves[w]
+        d = d @ leaves[w] if input_grad or w != params.plan[0][0] else None
     return d
 
 
@@ -522,25 +524,30 @@ def model_forward_trace(
 
 def model_backward(
     params: ModelParameters, trace: ModelTrace, d_raw: np.ndarray, grads: Sequence,
-    leaves: Sequence | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+    leaves: Sequence | None = None, input_grads: tuple[bool, bool] = (True, True),
+) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Backpropagate d(loss)/d(raw score) through the scoring network.
 
     Writes the parameter gradients into ``grads``, the leaves of a zeroed
     gradient laid out like ``params``, and returns (d_user_x, d_item_x),
-    shaped like the feature matrices; they feed embedding-table updates.
+    shaped like the feature matrices; they feed embedding-table updates. A
+    side ``input_grads`` does not ask for is None, and not computed (JOINT:
+    unless the other side is asked for).
     """
     first, second = _split(params, tree_leaves(params) if leaves is None else leaves)
     g_first, g_second = _split(params, grads)
+    want_u, want_i = input_grads
     if params.variant is ModelVariant.TWO_TOWER:
         d_hu = d_raw[..., None] * trace.hi
         d_hi = d_raw[..., None] * trace.hu
-        dxu = mlp_backward(params.user_tower, trace.user_caches, d_hu, g_first, first)
-        dxi = mlp_backward(params.item_tower, trace.item_caches, d_hi, g_second, second)
+        dxu = mlp_backward(params.user_tower, trace.user_caches, d_hu, g_first, first, want_u)
+        dxi = mlp_backward(params.item_tower, trace.item_caches, d_hi, g_second, second, want_i)
         return dxu, dxi
-    dx = mlp_backward(params.joint, trace.joint_caches, d_raw[..., None], g_first, first)
+    dx = mlp_backward(
+        params.joint, trace.joint_caches, d_raw[..., None], g_first, first, want_u or want_i
+    )
     du = trace.user_x.shape[-1]
-    return dx[..., :du], dx[..., du:]
+    return (dx[..., :du] if want_u else None), (dx[..., du:] if want_i else None)
 
 
 # ---------------------------------------------------------------------------
@@ -582,15 +589,15 @@ def loss_backward(
     params: ModelParameters, user_x: np.ndarray, item_x: np.ndarray,
     labels: np.ndarray, loss_kind: LossKind, sigmoid_output: bool,
     pred_penalty: tuple[float, float] | None, grads: Sequence,
-    leaves: Sequence | None = None,
-) -> tuple[float, np.ndarray, np.ndarray]:
+    leaves: Sequence | None = None, input_grads: tuple[bool, bool] = (True, True),
+) -> tuple[float, np.ndarray | None, np.ndarray | None]:
     """Forward a batch, take its loss and backpropagate it.
 
     ``sigmoid_output`` squashes raw scores before the loss; ``pred_penalty``
     (a, c) adds ``a * mean(pred) + c`` to the objective (the fairness
     regularizers). ``grads`` are the leaves of a zeroed gradient laid out
     like ``params``. Returns (objective, d_user_x, d_item_x), one objective
-    per task of a stack.
+    per task of a stack; ``input_grads`` is model_backward's.
     """
     raw, trace = model_forward_trace(params, user_x, item_x, leaves)
     pred = sigmoid(raw) if sigmoid_output else raw
@@ -601,7 +608,7 @@ def loss_backward(
         loss = _per_task(loss + (a * (pred.sum(axis=-1) / n) + c))
         d_pred = d_pred + a / n
     d_raw = d_pred * pred * (1.0 - pred) if sigmoid_output else d_pred
-    d_user_x, d_item_x = model_backward(params, trace, d_raw, grads, leaves)
+    d_user_x, d_item_x = model_backward(params, trace, d_raw, grads, leaves, input_grads)
     return loss, d_user_x, d_item_x
 
 
@@ -621,7 +628,9 @@ def loss_gradient(
         raise EmptyBatchError("gradient on an empty batch")
     grads = params.layout.zeros()
     g = tree_leaves(grads)
-    loss, _, _ = loss_backward(params, u, v, y, loss_kind, sigmoid_output, None, g)
+    loss, _, _ = loss_backward(
+        params, u, v, y, loss_kind, sigmoid_output, None, g, input_grads=(False, False)
+    )
     if not np.isfinite(loss):
         raise NumericError(f"non-finite loss from {loss_kind.value}")
     tree_check_finite(grads, "loss_gradient")

@@ -8,6 +8,7 @@ pipeline: synthetic data in, checkpoints and reports out.
 from __future__ import annotations
 
 import csv
+import ctypes
 import hashlib
 import json
 import os
@@ -2423,3 +2424,41 @@ class TestOverrideProperties:
             for item in overrides:
                 argv += ["--set", item]
             assert main(argv) in (0, 1, 2)
+
+
+FAULT_PROBE = """
+import resource
+import sys
+import numpy as np
+from metashop.cli import main
+from metashop.models import Batch, ModelKind, build_model, loss_and_grad_at, pretrained_encoder
+from metashop.numcore import LossKind
+
+assert main(["report", "--report", sys.argv[1]]) == 2  # any command sets the heap up
+n, rng = 2255, np.random.default_rng(0)  # the README world's largest query set
+model = build_model(ModelKind.MESH, pretrained_encoder(8), pretrained_encoder(8), [16], 0)
+batch = Batch(rng.random(n), rng.normal(size=(n, 8)), rng.normal(size=(n, 8)))
+for _ in range(3):  # the heap grows to its high-water mark
+    loss_and_grad_at(model, model.vector, batch, LossKind.SQUARED)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    loss_and_grad_at(model, model.vector, batch, LossKind.SQUARED)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_the_heap_setting_keeps_a_big_query_gradient_from_faulting(tmp_path):
+    """Left to glibc's sliding thresholds, each such call faults its freed
+    temporaries back in, about 250-300 minor faults."""
+    try:
+        ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        pytest.skip("the C library has no mallopt")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", FAULT_PROBE, str(tmp_path / "gone.json")],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) / 20 <= 5

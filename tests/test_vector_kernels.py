@@ -11,7 +11,9 @@ both on a tree and on another tree's structure reading the first one's
 leaves. They also count the RecModel trees the meta steps and
 ``local_adapt`` build, and check that every gradient of a meta step,
 ``local_adapt`` and a pooled epoch runs one ``numcore.model_forward_trace``
-and one ``numcore.model_backward``, the names the bench trace times.
+and one ``numcore.model_backward``, the names the bench trace times; that
+the table scatter matches ``np.add.at``; and that a side whose input
+gradient is not asked for gets None and leaves every parameter byte as is.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from metashop import metaopt, numcore
 from metashop.metaopt import (
@@ -34,7 +37,11 @@ from metashop.metaopt import (
 )
 from metashop.models import (
     Batch,
+    EncoderMode,
+    FeatureEncoder,
+    FieldSpec,
     ModelKind,
+    _encoder_grad,
     build_model,
     encode_rows,
     feature_rows,
@@ -45,6 +52,7 @@ from metashop.numcore import (
     Activation,
     LossKind,
     init_mlp,
+    loss_backward,
     mlp_backward,
     mlp_forward_trace,
     model_backward,
@@ -53,6 +61,7 @@ from metashop.numcore import (
 )
 
 from oracles import (
+    _encoder_grad_tree,
     encode_rows_tree,
     mlp_backward_tree,
     mlp_forward_trace_tree,
@@ -175,6 +184,67 @@ def test_public_tree_functions_equal_the_tree_oracles(
     structure = model.scorer.user_tower or model.scorer.joint
     x = trace.user_x if tree.scorer.user_tower else np.concatenate([u, v], axis=-1)
     check_mlp_kernels(mlp, structure, x, np.ones(x.shape[:-1] + (mlp.out_dim,)))
+
+
+@pytest.mark.parametrize("kind", [ModelKind.MESH, ModelKind.MESH_I])
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("input_grads", [(False, False), (True, False), (False, True)])
+@SETTINGS
+@given(data=st.data())
+def test_an_input_gradient_not_asked_for_is_none(kind, stacked, input_grads, data):
+    """Skipping a side's feature gradient leaves every parameter byte as is."""
+    problem = problems(kind, False, False, None).filter(lambda p: (p[1].ndim == 2) == stacked)
+    model, vector, batch, loss_kind, _ = data.draw(problem)
+    tree = model.layout.build(vector)
+    u = encode_rows(tree.user_encoder, batch.user_rows)
+    v = encode_rows(tree.item_encoder, batch.item_rows)
+    full, part = zeroed(tree.scorer), zeroed(tree.scorer)
+    args = (tree.scorer, u, v, batch.labels, loss_kind, False, None)
+    want = loss_backward(*args, tree_leaves(full))
+    got = loss_backward(*args, tree_leaves(part), input_grads=input_grads)
+    assert same_loss(got[0], want[0])
+    for asked, d_x, want_d_x in zip(input_grads, got[1:], want[1:]):
+        assert same_arrays([d_x], [want_d_x]) if asked else d_x is None
+    assert part.vector.tobytes() == full.vector.tobytes()
+
+
+GRADIENT_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_the_table_scatter_equals_add_at_byte_for_byte(data):
+    """models._encoder_grad against the ``np.add.at`` oracle, on (n,) and
+    (T, n) index arrays of 1-3 fields with repeated rows and signed zeros,
+    NaNs and infinities in the feature gradient.
+
+    Every entry but a NaN matches byte for byte. A NaN matches as a NaN:
+    where NaNs of both signs meet, ``np.add.at`` keeps one sign or the other
+    depending on the strides of its input, and a NaN gradient never leaves
+    the finiteness check.
+    """
+    vocab = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    widths = data.draw(st.lists(st.integers(1, 3), min_size=len(vocab), max_size=len(vocab)))
+    fields = tuple(FieldSpec(f"f{j}", tuple(map(str, range(v)))) for j, v in enumerate(vocab))
+    tables = {f.name: np.zeros((f.vocab_size, w)) for f, w in zip(fields, widths)}
+    encoder = FeatureEncoder(EncoderMode.CATEGORICAL, sum(widths), fields, tables)
+    lead = data.draw(st.sampled_from([(), (1,), (3,)])) + (data.draw(st.integers(1, 6)),)
+    idx = np.stack(
+        [data.draw(arrays(np.int64, lead, elements=st.integers(0, v - 1))) for v in vocab],
+        axis=-1,
+    )
+    d_feats = data.draw(arrays(np.float64, lead + (sum(widths),), elements=GRADIENT_ENTRIES))
+    got, want = (encoder.layout.build(np.zeros(lead[:-1] + (encoder.layout.size,)))
+                 for _ in "ab")
+    _encoder_grad(idx, d_feats, tree_leaves(got))
+    with np.errstate(over="ignore", invalid="ignore"):  # drawn on purpose
+        _encoder_grad_tree(encoder, idx, d_feats, want)
+    nan = np.isnan(want.vector)
+    assert np.array_equal(np.isnan(got.vector), nan)
+    assert got.vector[~nan].tobytes() == want.vector[~nan].tobytes()
 
 
 @pytest.mark.parametrize("bias", [False, True])
