@@ -163,7 +163,7 @@ from .errors import (
     ShapeError,
     check_at_least,
 )
-from .evaluation import EvalOptions, evaluate_tasks
+from .evaluation import EvalOptions, evaluate_tasks, infer_query_mode
 from .metaopt import (
     MetaConfig,
     TrainParams,
@@ -730,7 +730,7 @@ def _evaluation_pieces(cfg: RunConfig):
     return train, features, stats, tasks, pool
 
 
-def _evaluate_model(cfg, model, tasks, features, stats, pool, train_records):
+def _evaluate_model(cfg, model, tasks, features, stats, pool, train_records, mode):
     models: Any = model
     if isinstance(model, BaselineModel):
         # bind the baseline once: one user representation per pool user
@@ -743,7 +743,7 @@ def _evaluate_model(cfg, model, tasks, features, stats, pool, train_records):
         models,
         tasks,
         features,
-        cfg.eval,
+        replace(cfg.eval, query_mode=mode),
         shop_classes=stats.taxonomy,
         user_pool=pool,
     )
@@ -753,7 +753,8 @@ def cmd_evaluate(cfg: RunConfig, out: Path) -> tuple[str, list, str]:
     ckpt_path = _require_path(cfg.eval.checkpoint, "eval.checkpoint")
     model, _ = load_checkpoint(ckpt_path)
     train_records, features, stats, tasks, pool = _evaluation_pieces(cfg)
-    report = _evaluate_model(cfg, model, tasks, features, stats, pool, train_records)
+    mode = cfg.eval.query_mode or infer_query_mode(tasks)
+    report = _evaluate_model(cfg, model, tasks, features, stats, pool, train_records, mode)
     save_report(out / "report.json", report)
     atomic_write_text(out / "tables.txt", report_tables(report))
     entries = [("checkpoint", str(ckpt_path))]
@@ -850,6 +851,7 @@ def cmd_ablation(cfg: RunConfig, out: Path) -> tuple[str, list, str]:
             eligible[i] for i in rng.choice(len(eligible), n_sample, replace=False)
         )
         tasks = [t for t in tasks if t.shop_id in picked]
+    mode = cfg.eval.query_mode or infer_query_mode(tasks)  # one label walk for every row
 
     # (row label, report file, report); nothing is written until every row has one
     reports: list[tuple[str, str, Any]] = []
@@ -859,7 +861,7 @@ def cmd_ablation(cfg: RunConfig, out: Path) -> tuple[str, list, str]:
             setting, training, features, [cfg.seed, _TAG_MODEL_INIT]
         )
         report = _evaluate_model(
-            setting, model, tasks, features, stats, pool, train_records
+            setting, model, tasks, features, stats, pool, train_records, mode
         )
         reports.append((label, report_name, report))
     if study == "one_shop":
@@ -873,7 +875,7 @@ def cmd_ablation(cfg: RunConfig, out: Path) -> tuple[str, list, str]:
                 [cfg.seed, _TAG_ONE_SHOP_INIT, stable_hash64(shop)],
             )
         report = _evaluate_model(
-            arm, models, tasks, features, stats, pool, train_records
+            arm, models, tasks, features, stats, pool, train_records, mode
         )
         reports.append(("one_shop", "report_one_shop.json", report))
 

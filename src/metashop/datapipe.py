@@ -37,7 +37,7 @@ import re
 import statistics
 from collections import deque
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import accumulate, chain, repeat
 from pathlib import Path
 from typing import Any, Mapping
@@ -117,12 +117,15 @@ class ShopTask:
 
     ``shop_id`` is the task key; with non-shop task units it holds the item
     or user id instead. Support and query must be disjoint and non-empty.
+    ``split`` (set by ``build_tasks``) is the table split and the support and query rows.
     """
 
     shop_id: str
     support: tuple[InteractionRecord, ...]
     query: tuple[InteractionRecord, ...]
     size_class: SizeClass | None = None
+    split: tuple[Interactions, np.ndarray, np.ndarray] | None = field(
+        default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "support", tuple(self.support))
@@ -440,8 +443,9 @@ def build_tasks(
         sides += [rows[in_support], rows[~in_support]]
     recs = table.records_at(np.concatenate(sides)) if sides else []
     ends = np.cumsum([len(rows) for rows in sides]).tolist()
-    return [ShopTask(name, recs[a:b], recs[b:c]) for name, a, b, c in
-            zip(names, [0, *ends[1::2]], ends[::2], ends[1::2])]
+    return [ShopTask(name, recs[a:b], recs[b:c], split=(table, support, query))
+            for name, support, query, a, b, c in zip(
+                names, sides[::2], sides[1::2], [0, *ends[1::2]], ends[::2], ends[1::2])]
 
 
 def binary_labels(records: Iterable[InteractionRecord]) -> bool:

@@ -23,11 +23,12 @@ down). The same term appears in a task's local update and its query-set
 gradient. With gamma == 0 the regularizer code path is skipped entirely, so
 the step is bit-identical to meta_train_step.
 
-meta_train resolves each task's support and query records into batches once
-per call, the first time the task is drawn, and hands the resolved tasks to
-the step functions; a per-step query subsample is a seeded pick of rows from
-the resolved query batch. The step functions also accept plain ShopTasks,
-which they resolve through the same helper.
+Each call of meta_train, meta_inference or a step function resolves every
+user and item of a task that build_tasks split from a table once, through
+one ``models.TableRows`` per table; hand-built tasks go through
+prepare_batch. meta_train resolves a task when it is first drawn and hands
+the resolved tasks to the step functions; a per-step query subsample is a
+seeded pick of rows from the resolved query batch.
 
 The non-meta trainers share one seeded mini-batch SGD loop on the parameter
 vector, ``_sgd_epochs``, and differ only in the per-batch loss and gradient.
@@ -62,6 +63,7 @@ from .models import (
     FeatureSource,
     ModelKind,
     RecModel,
+    TableRows,
     baseline_loss_and_grad,
     loss_and_grad_at,
     model_loss_and_grad,  # noqa: F401  (unused here; bench/tracing.py wraps this name)
@@ -225,26 +227,27 @@ class _ResolvedTask:
     shop_id: str
     size_class: SizeClass | None
     support: Batch
-    query: Batch
+    query: Batch | None  # None when only the support was asked for
 
 
 def _resolve(
-    task: ShopTask | _ResolvedTask, features: FeatureSource, model: RecModel
+    task: ShopTask | _ResolvedTask, features: FeatureSource, model: RecModel, tables: dict,
+    query: bool = True,
 ) -> _ResolvedTask:
-    """Resolve a task's records; an already resolved task comes back as is.
-
-    The batches depend only on the encoders' modes and vocabularies, which
-    training never changes, so they stay valid for every later step.
-    """
+    """Resolve a task's support and (if ``query``) query records into batches,
+    a table's through the call's ``TableRows`` for it in ``tables``; a
+    resolved task comes back as is. The batches depend only on the encoders'
+    modes and vocabularies, which training never changes."""
     if isinstance(task, _ResolvedTask):
         return task
     enc = (model.user_encoder, model.item_encoder)
-    return _ResolvedTask(
-        task.shop_id,
-        task.size_class,
-        prepare_batch(task.support, features, *enc),
-        prepare_batch(task.query, features, *enc),
-    )
+    sides, batch = (task.support, task.query), lambda s: prepare_batch(s, features, *enc)
+    if task.split is not None:
+        table, *sides = task.split
+        tables[id(table)] = tables.get(id(table)) or TableRows(table, features, *enc)
+        batch = tables[id(table)].batch
+    return _ResolvedTask(task.shop_id, task.size_class, batch(sides[0]),
+                         batch(sides[1]) if query else None)
 
 
 def _meta_step(
@@ -257,8 +260,8 @@ def _meta_step(
 ) -> tuple[RecModel, numcore.AdamState | None, float]:
     if not tasks:
         raise EmptyBatchError("meta step with no tasks")
-    ordered = sorted(tasks, key=lambda t: t.shop_id)
-    ordered = [_resolve(t, features, model) for t in ordered]
+    ordered, tables = sorted(tasks, key=lambda t: t.shop_id), {}
+    ordered = [_resolve(t, features, model, tables) for t in ordered]
     penalties = [_penalty_for(t, cfg) if regularized else None for t in ordered]
     adapted = _adapt_stacked(model, [t.support for t in ordered], penalties, cfg)
     total = None
@@ -321,13 +324,14 @@ def meta_inference(
     cfg: MetaConfig,
 ) -> dict[str, RecModel]:
     """Adapt the shared model to each task (no regularizer), in stacks of
-    up to ``cfg.shop_batch_size`` tasks taken in ascending id order."""
+    up to ``cfg.shop_batch_size`` tasks taken in ascending id order; only
+    supports are resolved (see the module docstring)."""
     ordered = sorted(tasks, key=lambda t: t.shop_id)
-    enc = (model.user_encoder, model.item_encoder)
+    tables: dict = {}
     out = {}
     for start in range(0, len(ordered), cfg.shop_batch_size):
         chunk = ordered[start : start + cfg.shop_batch_size]
-        batches = [prepare_batch(t.support, features, *enc) for t in chunk]
+        batches = [_resolve(t, features, model, tables, query=False).support for t in chunk]
         adapted = _adapt_stacked(model, batches, [None] * len(chunk), cfg)
         out.update((t.shop_id, model.at(v)) for t, v in zip(chunk, adapted))
     return out
@@ -359,10 +363,11 @@ def meta_train(
 
     Task batches are drawn without replacement within an epoch and the order
     is reshuffled (seeded) at each epoch boundary; the final batch of an
-    epoch may be smaller. Each task's support and query records are resolved
-    into batches the first time the task is drawn and reused for the rest of
-    the call. ``query_batch_size`` subsamples each task's query set per step
-    as a seeded pick of rows from its resolved query batch.
+    epoch may be smaller. A task is resolved into batches the first time it
+    is drawn, each user and item once per call (see the module docstring),
+    and reused for the rest of the call. ``query_batch_size`` subsamples
+    each task's query set per step as a seeded pick of rows from its
+    resolved query batch.
     ``early_stop_patience`` stops when the best mean query loss has not
     improved for that many steps.
     """
@@ -373,6 +378,7 @@ def meta_train(
     rng = np.random.default_rng([cfg.seed, _TAG_META_BATCHES])
     queue: list[int] = []
     resolved: dict[int, _ResolvedTask] = {}
+    tables: dict = {}
     history = TrainHistory()
     state: numcore.AdamState | None = None
     best = math.inf
@@ -385,7 +391,7 @@ def meta_train(
         queue = queue[cfg.shop_batch_size :]
         for i in sorted(take, key=lambda j: tasks[j].shop_id):
             if i not in resolved:
-                resolved[i] = _resolve(tasks[i], features, model)
+                resolved[i] = _resolve(tasks[i], features, model, tables)
         batch_tasks = [resolved[i] for i in take]
         if cfg.query_batch_size is not None:
             batch_tasks = [

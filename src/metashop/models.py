@@ -10,10 +10,11 @@ or loaded. ``loss_and_grad_at`` reads the parameters as leaf views of a
 numcore's kernels, which read a tree's own leaves when given none; its
 gradient is a zeroed vector of the same layout, into whose leaves backprop
 writes the dense-layer gradients (and a side's feature gradient only if it
-has tables) and ``np.bincount`` the table gradients, checked for finiteness
-once. A BaselineModel is laid out the same way (item tables, then the
-mapper's layers). prepare_batch looks up and resolves each distinct user
-and item id of a batch once, then gathers one feature row per record.
+has tables) and one ``np.add.at`` per encoder the table gradients, checked
+for finiteness once. A BaselineModel is laid out the same way (item tables,
+then the mapper's layers). prepare_batch looks up and resolves each distinct
+user and item id of a batch once, then gathers one feature row per record;
+TableRows does so once over many batches of one table.
 feature_rows converts a whole side in one copy (flat float rows, plain
 attribute dicts) and falls back to a per-row pass for other forms and for
 errors.
@@ -373,27 +374,23 @@ def prepare_batch(
 ) -> Batch:
     """Resolve record ids into a Batch via the feature source and encoders.
 
-    ``records`` is a ``datapipe.Interactions`` table, whose columns are read
-    as they are, or records whose ``label``, ``user_id`` and ``item_id`` are
+    ``records`` is a ``datapipe.Interactions`` table, whose rows ``TableRows``
+    gathers, or records whose ``label``, ``user_id`` and ``item_id`` are
     read directly. Each distinct id is looked up and resolved once; errors
     come in a per-record pass's order: user lookups, item lookups, user rows, item rows.
     """
     from .datapipe import Interactions, _first_appearance_codes  # datapipe -> checkpoint -> models
 
     if isinstance(records, Interactions):
-        labels, distinct = np.array(records.label), records.distinct
-    else:
-        records = list(records)
-        labels = np.array([float(r.label) for r in records])
-
-        def distinct(name: str) -> tuple[list, np.ndarray]:
-            codes, values = _first_appearance_codes([getattr(r, name) for r in records])
-            return values, codes
+        table = TableRows(records, features, user_encoder, item_encoder)
+        return table.batch(np.arange(len(records)))
+    records = list(records)
+    labels = np.array([float(r.label) for r in records])
     if not len(labels):
         raise EmptyBatchError("prepare_batch on zero records")
-    user_ids, user_codes = distinct("user_id")
+    user_codes, user_ids = _first_appearance_codes([r.user_id for r in records])
     users = [features.user_raw(u) for u in user_ids]
-    item_ids, item_codes = distinct("item_id")
+    item_codes, item_ids = _first_appearance_codes([r.item_id for r in records])
     items = [features.item_raw(i) for i in item_ids]
     return Batch(
         labels,
@@ -402,20 +399,54 @@ def prepare_batch(
     )
 
 
-def _encoder_grad(idx: np.ndarray, d_feats: np.ndarray | None, tables: Sequence) -> None:
-    """Scatter-add ``d_feats`` into the zeroed gradient ``tables``, field by field.
+class TableRows:
+    """Batches of rows of one ``datapipe.Interactions`` table. Each user and
+    item code is looked up and resolved once, by the first batch holding it,
+    in that batch's order of first appearance and ``prepare_batch``'s error
+    order; a batch gathers its rows by code, copies of the same floats."""
 
-    One ``np.bincount`` per field adds each element's rows from 0.0 in row
-    order, as ``np.add.at`` would. With no tables (pretrained), ``d_feats`` may be None.
+    def __init__(self, table: Any, features: FeatureSource,
+                 user_encoder: FeatureEncoder, item_encoder: FeatureEncoder) -> None:
+        self.label = table.label
+        self.sides = [  # per side: codes, values, lookup, encoder, name
+            (*table.column(f"{name}_id"), lookup, encoder, name) for name, lookup, encoder in
+            (("user", features.user_raw, user_encoder), ("item", features.item_raw, item_encoder))]
+        self.known = [np.zeros(len(values), bool) for _, values, *_ in self.sides]
+        self.rows = [  # each side's feature rows by code: table-row indices or floats
+            np.empty((len(values), len(enc.fields) or enc.dim), "i8" if enc.fields else "f8")
+            for _, values, _, enc, _ in self.sides]
+
+    def batch(self, rows: np.ndarray) -> Batch:
+        if not len(rows):
+            raise EmptyBatchError("prepare_batch on zero records")
+        codes = [side_codes[rows] for side_codes, *_ in self.sides]
+        new = [np.fromiter(dict.fromkeys(c[~known[c]].tolist()), np.intp)  # first appearances
+               for c, known in zip(codes, self.known)]
+        raws = [list(map(lookup, values[n].tolist()))
+                for (_, values, lookup, *_), n in zip(self.sides, new)]
+        for (*_, enc, side), n, raw, known, by_code in zip(
+                self.sides, new, raws, self.known, self.rows):
+            if len(n):
+                by_code[n], known[n] = feature_rows(enc, raw, side), True
+        return Batch(self.label[rows], *(r[c] for r, c in zip(self.rows, codes)))
+
+
+def _encoder_grad(idx: np.ndarray, d_feats: np.ndarray | None, grad: np.ndarray,
+                  layout: numcore.Layout, leaves: range) -> None:
+    """Scatter-add ``d_feats`` into the tables (``layout``'s ``leaves``) of the
+    zeroed gradient vector ``grad``, (P,) or (T, P) for (T, n) ``idx``.
+
+    One ``np.add.at`` over flat indices into ``grad`` adds each element's rows
+    from 0.0 in row order. With no tables (pretrained), ``d_feats`` may be None.
     """
-    offset = 0
-    task = np.arange(len(idx))[:, None] if idx.ndim == 3 else 0  # task t adds to table t
-    for j, table in enumerate(tables):
-        rows, width = table.shape[-2:]
-        flat = ((task * rows + idx[..., j]) * width)[..., None] + np.arange(width)
-        weights = d_feats[..., offset : offset + width].ravel()
-        table[...] = np.bincount(flat.ravel(), weights, table.size).reshape(table.shape)
-        offset += width
+    if not leaves:
+        return
+    spans = [(layout.offsets[k], layout.shapes[k][1]) for k in leaves]  # (start, width)
+    flat = np.concatenate([idx[..., j, None] * width + np.arange(start, start + width)
+                           for j, (start, width) in enumerate(spans)], axis=-1)
+    if grad.ndim == 2:  # task t adds to row t
+        flat += grad.shape[1] * np.arange(len(grad))[:, None, None]
+    np.add.at(grad.reshape(-1), flat.ravel(), d_feats.ravel())
 
 
 def loss_and_grad_at(
@@ -440,8 +471,8 @@ def loss_and_grad_at(
         model.scorer, u, v, batch.labels, loss_kind, model.sigmoid_output,
         pred_penalty, g[n:], p[n:], (nu > 0, n > nu),
     )
-    _encoder_grad(batch.user_rows, d_u, g[:nu])
-    _encoder_grad(batch.item_rows, d_v, g[nu:n])
+    _encoder_grad(batch.user_rows, d_u, grad, model.layout, range(nu))
+    _encoder_grad(batch.item_rows, d_v, grad, model.layout, range(nu, n))
     model.layout.check_finite(grad, "model_loss_and_grad")
     return loss, grad
 
@@ -621,6 +652,7 @@ def baseline_loss_and_grad(
         model.item_mapper, caches, d_reps, numcore.tree_leaves(grads.item_mapper),
         input_grad=bool(model.item_encoder.fields),
     )
-    _encoder_grad(rows, d_feats, numcore.tree_leaves(grads.item_encoder))
+    _encoder_grad(rows, d_feats, grads.vector, model.layout,
+                  range(len(model.item_encoder.layout.paths)))
     numcore.tree_check_finite(grads, "baseline_loss_and_grad")
     return loss, grads

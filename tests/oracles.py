@@ -468,7 +468,7 @@ def meta_step_per_task(
     total = None
     loss_sum = 0.0
     for task in ordered:
-        task = _resolve(task, features, model)
+        task = _resolve(task, features, model, {})
         penalty = _penalty_for(task, cfg) if regularized else None
         adapted = adapt_alone(model, task.support, cfg, penalty)
         loss, grads = model_loss_and_grad_tree(

@@ -25,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import metashop.cli as cli
+import metashop.evaluation as evaluation
 from metashop.checkpoint import (
     atomic_write_text,
     canonical_json,
@@ -1910,6 +1911,25 @@ class TestReportCommand:
 
 
 class TestAblation:
+    @pytest.mark.parametrize("command, sets", [
+        ("evaluate", []),
+        ("ablation", ["ablation.study=debias_gamma", "ablation.gammas=[0.0, 0.8]"]),
+        ("ablation", ["ablation.study=one_shop", "ablation.n_shops=3", "train.epochs=2"]),
+    ], ids=["evaluate", "debias_gamma", "one_shop"])
+    def test_one_label_walk_per_command(self, workspace, monkeypatch, command, sets):
+        """The query mode is inferred once per command, however many reports it
+        makes, and not at all when ``eval.query_mode`` is set."""
+        cfg_path, _ = workspace
+        walks = []
+        real = evaluation.binary_labels
+        monkeypatch.setattr(evaluation, "binary_labels", lambda r: walks.append(1) or real(r))
+        if command == "evaluate":
+            _run(cfg_path, "train", ["train.steps=4"])
+        for query_mode, want in ([], 1), (["eval.query_mode=item"], 0):
+            walks.clear()
+            _run(cfg_path, command, ["train.steps=4", *sets, *query_mode])
+            assert len(walks) == want
+
     def test_debias_gamma_grid(self, workspace):
         cfg_path, out = workspace
         code = main(

@@ -239,8 +239,8 @@ def test_the_table_scatter_equals_add_at_byte_for_byte(data):
     d_feats = data.draw(arrays(np.float64, lead + (sum(widths),), elements=GRADIENT_ENTRIES))
     got, want = (encoder.layout.build(np.zeros(lead[:-1] + (encoder.layout.size,)))
                  for _ in "ab")
-    _encoder_grad(idx, d_feats, tree_leaves(got))
     with np.errstate(over="ignore", invalid="ignore"):  # drawn on purpose
+        _encoder_grad(idx, d_feats, got.vector, encoder.layout, range(len(vocab)))
         _encoder_grad_tree(encoder, idx, d_feats, want)
     nan = np.isnan(want.vector)
     assert np.array_equal(np.isnan(got.vector), nan)
