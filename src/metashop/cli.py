@@ -158,7 +158,6 @@ from .datapipe import (
 from .errors import (
     ConfigError,
     DataError,
-    MetaShopError,
     NumericError,
     ShapeError,
     check_at_least,
@@ -1020,9 +1019,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (NumericError, ShapeError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
-    except MetaShopError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -19,7 +19,9 @@ record sequence into a table first (``prepare_batch`` reads a record
 sequence's three fields directly). A table checks its columns once (ids
 non-empty strings, labels finite and >= 0), so the records it builds skip
 the constructor check; it builds them only where something reads records:
-task support and query sets, and the shops a caller picks.
+task support and query sets, on the first read of any task of a
+``build_tasks`` call (the trainers read the table split instead), and the
+shops a caller picks.
 
 Determinism: every random choice goes through ``np.random.default_rng``
 seeded from (seed, purpose tag) or (seed, stable hash of the entity id), so
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import functools
 import hashlib
 import io
 import math
@@ -118,6 +121,9 @@ class ShopTask:
     ``shop_id`` is the task key; with non-shop task units it holds the item
     or user id instead. Support and query must be disjoint and non-empty.
     ``split`` (set by ``build_tasks``) is the table split and the support and query rows.
+    A task ``build_tasks`` returns builds its support and query tuples on
+    first read (see there); from then on it holds them as a hand-built task
+    does, so equality, hash, repr, pickling and ``replace`` see the records.
     """
 
     shop_id: str
@@ -135,6 +141,21 @@ class ShopTask:
         users = {r.user_id for r in self.support}  # equal records share a user
         if not set(self.support).isdisjoint(r for r in self.query if r.user_id in users):
             raise DataError(f"task {self.shop_id!r} has overlapping support/query")
+
+    def __getattr__(self, name: str):
+        # reached only while a build_tasks task's support and query are unread
+        pending = self.__dict__.get("_records") if name in ("support", "query") else None
+        if pending is None:
+            raise AttributeError(f"'ShopTask' object has no attribute {name!r}")
+        build, a, b, c = pending
+        recs = build()
+        self.__dict__.update(support=tuple(recs[a:b]), query=tuple(recs[b:c]))
+        del self.__dict__["_records"]
+        return self.__dict__[name]
+
+    def __getstate__(self) -> dict:
+        self.support  # pickles and copies hold the records, not the call's builder
+        return self.__dict__
 
 
 _FIELDS = tuple(f.name for f in fields(InteractionRecord))
@@ -220,17 +241,23 @@ class Interactions(Sequence[InteractionRecord]):
         distinct, rank = np.unique(keys, return_inverse=True)
         return rank.astype(np.min_scalar_type(len(distinct)))[codes], distinct
 
-    def order(self, *lead: np.ndarray) -> np.ndarray:
+    def order(self, *lead: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The rows stably sorted by a per-row key ``lead``, if given, then in
-        record order: shop, timestamp (None as -1), user, item, label. The
-        minor keys are ranked only when the major ones tie."""
+        record order: shop, timestamp (None as -1), user, item, label; and a
+        mask of the rows that tie another row on every one of those keys, the
+        only rows whose records can be equal. The minor keys are ranked only
+        when the major ones tie."""
         major = [self.ranks("timestamp")[0], self.ranks("shop_id")[0], *lead]
         order = np.lexsort(major)
         ordered = np.array([k[order] for k in major])
+        tied = np.zeros(len(self), dtype=bool)
         if (ordered[:, 1:] == ordered[:, :-1]).all(axis=0).any():  # ties need the minor keys
-            minor = [self.ranks(name)[0] for name in ("label", "item_id", "user_id")]
-            order = np.lexsort(minor + major)
-        return order
+            keys = [self.ranks(name)[0] for name in ("label", "item_id", "user_id")] + major
+            order = np.lexsort(keys)
+            ordered = np.array([k[order] for k in keys])
+            same = (ordered[:, 1:] == ordered[:, :-1]).all(axis=0)
+            tied[order[1:][same]] = tied[order[:-1][same]] = True
+        return order, tied
 
     def records_at(self, rows: np.ndarray) -> list[InteractionRecord]:
         """The records at ``rows``, built from the columns."""
@@ -425,13 +452,17 @@ def build_tasks(
     Groups below ``min_interactions`` are dropped. The support set is drawn
     without replacement by a per-group seeded permutation, so the split for
     one group is independent of every other group and of record file order.
-    Each group is in record order (``Interactions.order``); only the
-    records of the tasks returned are built.
+    Each group is in record order (``Interactions.order``). No record is
+    built here: the first read of any returned task's support or query
+    builds this call's records in one ``records_at`` call, and readers of
+    ``split`` (the trainers) build none. Support/query overlap fails here, at
+    the task a hand-built one would; only rows that tie on every sort key
+    are built to check it.
     """
     check_task_sizes(min_interactions, support_size)
     table = Interactions.of(records)
     group, keys = table.ranks(f"{task_unit.value}_id")
-    order = table.order(group)
+    order, tied = table.order(group)
     names, sides = [], []
     for rows in np.split(order, np.flatnonzero(np.diff(group[order])) + 1):
         if len(rows) < min_interactions:
@@ -441,11 +472,21 @@ def build_tasks(
         in_support = np.zeros(len(rows), dtype=bool)
         in_support[rng.permutation(len(rows))[:support_size]] = True
         sides += [rows[in_support], rows[~in_support]]
-    recs = table.records_at(np.concatenate(sides)) if sides else []
+    if tied.any():  # only rows that tie on every sort key can hold equal records
+        for name, *pair in zip(names, sides[::2], sides[1::2]):
+            support, query = (set(table.records_at(rows[tied[rows]])) for rows in pair)
+            if not support.isdisjoint(query):
+                raise DataError(f"task {name!r} has overlapping support/query")
+    build = functools.cache(lambda: table.records_at(np.concatenate(sides)))
     ends = np.cumsum([len(rows) for rows in sides]).tolist()
-    return [ShopTask(name, recs[a:b], recs[b:c], split=(table, support, query))
-            for name, support, query, a, b, c in zip(
-                names, sides[::2], sides[1::2], [0, *ends[1::2]], ends[::2], ends[1::2])]
+    tasks = []
+    for name, support, query, a, b, c in zip(
+            names, sides[::2], sides[1::2], [0, *ends[1::2]], ends[::2], ends[1::2]):
+        task = object.__new__(ShopTask)  # support and query are built on first read
+        task.__dict__.update(shop_id=name, size_class=None, split=(table, support, query),
+                             _records=(build, a, b, c))
+        tasks.append(task)
+    return tasks
 
 
 def binary_labels(records: Iterable[InteractionRecord]) -> bool:
@@ -530,7 +571,9 @@ def attach_size_classes(
     """Return tasks with size_class filled in.
 
     Training tasks use the median sampling rule (never NEW); evaluation
-    tasks use the test-shop taxonomy.
+    tasks use the test-shop taxonomy. Each task is copied by ``replace``,
+    which reads its support and query, so a ``build_tasks`` call's records
+    are built here.
     """
     out = []
     for t in tasks:
@@ -624,7 +667,7 @@ def negative_sample(
         raise SamplingError(f"candidate pool exhausted for item {item_id!r}")
 
     table = Interactions.of(positives)
-    ordered = table.records_at(table.order())
+    ordered = table.records_at(table.order()[0])
     total = int(round(ratio * len(ordered)))
     rng = np.random.default_rng([seed, _TAG_NEGATIVES])
     taken: set[tuple[str, str]] = set()

@@ -25,10 +25,12 @@ the step is bit-identical to meta_train_step.
 
 Each call of meta_train, meta_inference or a step function resolves every
 user and item of a task that build_tasks split from a table once, through
-one ``models.TableRows`` per table; hand-built tasks go through
-prepare_batch. meta_train resolves a task when it is first drawn and hands
-the resolved tasks to the step functions; a per-step query subsample is a
-seeded pick of rows from the resolved query batch.
+one ``models.TableRows`` per table and never reads the task's support or
+query, so no record is built (build_tasks builds them on first read);
+hand-built tasks go through prepare_batch on their records. meta_train
+resolves a task when it is first drawn and hands the resolved tasks to the
+step functions; a per-step query subsample is a seeded pick of rows from
+the resolved query batch.
 
 The non-meta trainers share one seeded mini-batch SGD loop on the parameter
 vector, ``_sgd_epochs``, and differ only in the per-batch loss and gradient.
@@ -241,11 +243,12 @@ def _resolve(
     if isinstance(task, _ResolvedTask):
         return task
     enc = (model.user_encoder, model.item_encoder)
-    sides, batch = (task.support, task.query), lambda s: prepare_batch(s, features, *enc)
-    if task.split is not None:
+    if task.split is not None:  # before support or query, which would build records
         table, *sides = task.split
         tables[id(table)] = tables.get(id(table)) or TableRows(table, features, *enc)
         batch = tables[id(table)].batch
+    else:
+        sides, batch = (task.support, task.query), lambda s: prepare_batch(s, features, *enc)
     return _ResolvedTask(task.shop_id, task.size_class, batch(sides[0]),
                          batch(sides[1]) if query else None)
 

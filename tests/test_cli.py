@@ -203,6 +203,21 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="mapping"):
             load_config(path)
 
+    def test_a_list_config_file_is_one(self, tmp_path, capsys):
+        path = tmp_path / "c.yaml"
+        path.write_text("- seed: 3\n- output_dir: run\n", encoding="utf-8")
+        assert main(["train", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: config {path} must hold a mapping at the top level\n"
+        )
+
+    def test_parse_config_needs_a_mapping(self):
+        """load_config rejects a non-mapping file first, so only a library
+        caller reaches this check."""
+        with pytest.raises(ConfigError) as err:
+            parse_config([1])
+        assert str(err.value) == "config file must hold a mapping at the top level"
+
     def test_defaults_fill_untouched_sections(self):
         cfg = parse_config({"seed": 5})
         assert cfg.data.min_interactions == 13
@@ -1100,6 +1115,7 @@ class TestInputErrors:
                 "min_interactions (5) must exceed support_size (10) "
                 "so queries are never empty",
             ),
+            ("synthetic.pareto_exponent=0", "pareto_exponent must be positive"),
         ],
     )
     def test_gen_data_checks_the_trainer_ranges(self, tmp_path, capsys, override, message):

@@ -3,10 +3,12 @@ synthetic generator."""
 
 from __future__ import annotations
 
+import copy
 import csv
 import dataclasses
 import io
 import math
+import pickle
 import re
 from collections import Counter
 
@@ -39,7 +41,12 @@ from metashop.datapipe import (
     save_latents,
 )
 from metashop.errors import ConfigError, DataError, SamplingError
-from oracles import load_interactions_per_row, load_latents_per_line
+from oracles import (
+    build_tasks_set_split,
+    load_interactions_per_row,
+    load_latents_per_line,
+    table_of,
+)
 
 
 def rec(u, i, s, y, ts=None, g=None):
@@ -832,6 +839,36 @@ class TestMl1mConversion:
         with pytest.raises(DataError, match="ratings.dat"):
             convert_ml1m(tmp_path, tmp_path / "out")
 
+    def test_fallback_holdout_takes_the_three_least_rated_new_genres(self, tmp_path):
+        """Every genre has a movie before 1998, so the holdout falls back to
+        the three genres with the fewest ratings of later movies: Comedy and
+        Horror (1 each), then Drama over Western (2 each, by name). Musical,
+        with no later rating, is not counted at all."""
+        src = tmp_path / "ml-1m"
+        src.mkdir()
+        genres = ["Action", "Comedy", "Drama", "Horror", "Western"]
+        movies = [f"{2 * k + 1}::Old (199{k})::{g}\n{2 * k + 2}::New (1999)::{g}|Drama\n"
+                  for k, g in enumerate(genres)]
+        (src / "movies.dat").write_text("".join(movies) + "11::Old (1995)::Musical\n",
+                                        encoding="latin-1")
+        (src / "users.dat").write_text(
+            "".join(f"{u}::F::25::10::55117\n" for u in (1, 2, 3)), encoding="latin-1")
+        # movie: its ratings (by users 1, 2, ...), Western's first in time
+        later = {10: 2, 8: 1, 6: 2, 4: 1, 2: 3}
+        ratings = [(u, m) for m, n in later.items() for u in range(1, n + 1)]
+        ratings += [(1, m) for m in (1, 3, 5, 7, 9, 11)]
+        (src / "ratings.dat").write_text(
+            "".join(f"{u}::{m}::4::{978300000 + k}\n" for k, (u, m) in enumerate(ratings)),
+            encoding="latin-1")
+        counts = convert_ml1m(src, tmp_path / "out", train_before_year=1998)
+        assert counts["holdout_shops"] == 3
+        train = load_interactions(tmp_path / "out" / "train.csv")
+        test = load_interactions(tmp_path / "out" / "test.csv")
+        assert {r.shop_id for r in train} == {"Action", "Musical", "Western"}
+        assert Counter(r.shop_id for r in test) == {
+            "Action": 3, "Comedy": 2, "Drama": 3, "Horror": 2, "Western": 2}
+        assert counts["train_records"] + counts["test_records"] == len(ratings)
+
     @pytest.mark.parametrize("title", ["Caf\x85 (1995)", "Form\x0cfeed (1995)",
                                        "Odd\x0b\x1c\x1d\x1e (1995)"])
     def test_a_title_may_hold_what_splitlines_breaks_at(self, tmp_path, title):
@@ -880,6 +917,24 @@ def small_table() -> Interactions:
         "timestamp": (np.arange(3), [3, None, -1]),
         "genre_l3": (np.array([0, 1, 0]), ["g", None]),
     })
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """What builds records, in order: each ``records_at`` call's row count,
+    and "init" for each record made through the constructor."""
+    built = []
+    records_at = Interactions.records_at
+    monkeypatch.setattr(
+        Interactions, "records_at",
+        lambda self, rows: built.append(len(rows)) or records_at(self, rows),
+    )
+    init = InteractionRecord.__init__
+    monkeypatch.setattr(
+        InteractionRecord, "__init__",
+        lambda self, *a, **k: built.append("init") or init(self, *a, **k),
+    )
+    return built
 
 
 class TestInteractionsTable:
@@ -960,22 +1015,11 @@ class TestInteractionsTable:
         with pytest.raises(DataError, match=f"^{re.escape(message)}"):
             Interactions(label, columns)
 
-    def test_pooled_training_builds_no_record(self, monkeypatch):
+    def test_pooled_training_builds_no_record(self, built):
         """generate_synthetic -> classify_shops -> nonmeta_train reads columns only."""
         from metashop.metaopt import MetaConfig, nonmeta_train
         from metashop.models import ModelKind, build_model, pretrained_encoder
 
-        built = []
-        records_at = Interactions.records_at
-        monkeypatch.setattr(
-            Interactions, "records_at",
-            lambda self, rows: built.append(len(rows)) or records_at(self, rows),
-        )
-        init = InteractionRecord.__init__
-        monkeypatch.setattr(
-            InteractionRecord, "__init__",
-            lambda self, *a, **k: built.append("init") or init(self, *a, **k),
-        )
         spec = SyntheticSpec(seed=1, n_users=40, n_items=30, n_shops=5,
                              interactions_per_shop=40, n_new_shops=1)
         data = generate_synthetic(spec)
@@ -988,3 +1032,103 @@ class TestInteractionsTable:
         # the counters see records built on demand
         assert data.test[0] == list(data.test)[0]
         assert built == [1, len(data.test)]
+
+
+# each way of reading a build_tasks task, which must build its call's records
+FIRST_READS = {
+    "support": lambda t: t.support,
+    "query": lambda t: t.query,
+    "eq": lambda t: t == t,
+    "hash": hash,
+    "repr": repr,
+    "pickle": pickle.dumps,
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "replace": lambda t: dataclasses.replace(t, size_class=SizeClass.SMALL),
+}
+
+
+class TestTaskRecordsOnFirstRead:
+    def test_meta_training_builds_no_record(self, built):
+        """generate_synthetic -> build_tasks -> meta_train and meta_inference
+        resolve tasks from their table split, never from records."""
+        from metashop.metaopt import MetaConfig, meta_inference, meta_train
+        from metashop.models import ModelKind, build_model, pretrained_encoder
+
+        spec = SyntheticSpec(seed=1, n_users=40, n_items=30, n_shops=5,
+                             interactions_per_shop=40, n_new_shops=1)
+        data = generate_synthetic(spec)
+        train, test = (build_tasks(split, min_interactions=6, support_size=3, seed=2)
+                       for split in (data.train, data.test))
+        enc = pretrained_encoder(spec.latent_dim)
+        model = build_model(ModelKind.MESH, enc, enc, [4], 0, sigmoid_output=True)
+        cfg = MetaConfig(alpha=0.05, beta=0.1, local_steps=1, shop_batch_size=2,
+                         query_batch_size=4, support_size=3)
+        trained, history = meta_train(model, train, data.features, cfg, 6)
+        adapted = meta_inference(trained, test, data.features, cfg)
+        assert built == [] and len(history.losses) == 6 and len(adapted) == len(test) > 1
+
+    @pytest.mark.parametrize("which", [0, -1], ids=["first_task", "last_task"])
+    @pytest.mark.parametrize("read", FIRST_READS.values(), ids=FIRST_READS)
+    def test_the_first_read_builds_the_whole_call_at_once(self, built, read, which):
+        records = spread_records()
+        built.clear()
+        tasks = build_tasks(records, min_interactions=13, support_size=10)
+        assert built == [] and len(tasks) == 4
+        read(tasks[which])
+        sides = [(t.support, t.query) for t in tasks]
+        assert built == [sum(len(t.split[1]) + len(t.split[2]) for t in tasks)]
+        for (support, query), t in zip(sides, tasks):
+            table, support_rows, query_rows = t.split
+            assert type(support) is type(query) is tuple
+            assert (support, query) == (
+                tuple(table.records_at(support_rows)), tuple(table.records_at(query_rows)))
+
+    def test_built_tasks_act_as_hand_built_ones(self):
+        """Equality, hash, repr, pickling, copies and replace, each on tasks
+        no one has read yet, match build_tasks_set_split's ShopTask(...) ones."""
+        records = spread_records(seed=6)
+        hand = build_tasks_set_split(records, 13, 10, 3)
+        assert all(t.split is None for t in hand)
+
+        def fresh():
+            return build_tasks(records, 13, 10, 3)
+
+        assert fresh() == hand and hand == fresh()
+        assert list(map(hash, fresh())) == list(map(hash, hand))
+        assert list(map(repr, fresh())) == list(map(repr, hand))
+        tasks = fresh()
+        copies = [pickle.loads(pickle.dumps(fresh())), copy.deepcopy(fresh()),
+                  list(map(copy.copy, fresh()))]
+        for copied in copies:
+            assert copied == hand
+            for t, original in zip(copied, tasks):
+                assert type(t.support) is type(t.query) is tuple
+                assert "_records" not in vars(t)
+                assert [rows.tolist() for rows in t.split[1:]] == [
+                    rows.tolist() for rows in original.split[1:]]
+        for t, h in zip(fresh(), hand):
+            assert dataclasses.replace(t, size_class=SizeClass.LARGE) == dataclasses.replace(
+                h, size_class=SizeClass.LARGE)
+        stats = classify_shops(records, [])
+        assert attach_size_classes(fresh(), stats, False) == attach_size_classes(
+            hand, stats, False)
+
+    def test_a_table_with_equal_records_fails_at_the_same_task(self):
+        """Shops b and c each hold one record 13 times; b fails first, on a
+        table as on a record list. Shop a's rows tie on every sort key in
+        pairs (another genre, or a missing timestamp against a real -1) but
+        hold no equal records, so it builds as by hand."""
+        shop_a = [rec(f"u{k}", "i", "a", 1.0, -1, g) for k in range(6) for g in ("g", None)]
+        shop_a += [rec("v", "i", "a", 2.0, None), rec("v", "i", "a", 2.0, -1)]
+        records = shop_a + [rec("u", "i", "c", 1.0, 5, "g")] * 13
+        records += [rec("u", "i", "b", 1.0, 5, "g")] * 13
+        want = "task 'b' has overlapping support/query"
+        for given_ in (records, Interactions.of(records), table_of(records)):
+            with pytest.raises(DataError) as err:
+                build_tasks(given_, 13, 10, 0)
+            assert str(err.value) == want
+        with pytest.raises(DataError, match=f"^{want}$"):
+            build_tasks_set_split(records, 13, 10, 0)
+        for given_ in (shop_a, table_of(shop_a)):
+            assert build_tasks(given_, 13, 10, 0) == build_tasks_set_split(shop_a, 13, 10, 0)

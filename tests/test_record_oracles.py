@@ -244,13 +244,14 @@ class TestColumnsMatchTheRecordOracles:
     )
     def test_order_is_a_stable_sort_by_the_record_key(self, records, unit, coded_apart):
         """Ties keep row order, a missing timestamp sorts as a real -1 and
-        -0.0 as 0.0; a task unit's id, when given, leads."""
+        -0.0 as 0.0; a task unit's id, when given, leads. The mask marks
+        each row whose whole key another row shares."""
         table = table_of(records) if coded_apart else Interactions.of(records)
         lead = None if unit is None else f"{unit.value}_id"
-        got = table.order() if lead is None else table.order(table.ranks(lead)[0])
-        want = sorted(range(len(records)), key=lambda k: (
-            getattr(records[k], lead) if lead else "", _record_sort_key(records[k])))
-        assert got.tolist() == want
+        got, tied = table.order() if lead is None else table.order(table.ranks(lead)[0])
+        keys = [(getattr(r, lead) if lead else "", _record_sort_key(r)) for r in records]
+        assert got.tolist() == sorted(range(len(records)), key=keys.__getitem__)
+        assert tied.tolist() == [keys.count(key) > 1 for key in keys]
 
     @settings(derandomize=True, max_examples=400, deadline=None)
     @given(
