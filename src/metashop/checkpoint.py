@@ -102,8 +102,6 @@ def to_json(value: Any) -> Any:
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, (list, tuple)):
-        if all(isinstance(v, _SCALARS) for v in value):
-            return list(value)  # vocabularies: one copy, not one call per string
         return [to_json(v) for v in value]
     if isinstance(value, Mapping):
         return {k: to_json(v) for k, v in value.items()}
@@ -129,8 +127,6 @@ def from_json(tp: Any, obj: Any) -> Any:
         return from_json(tp, obj)
     if origin is tuple:
         item = get_args(tp)[0]
-        if item is str and all(type(v) is str for v in obj):
-            return tuple(obj)  # vocabularies: one copy, not one call per string
         return tuple(from_json(item, v) for v in obj)
     if origin is dict:
         item = get_args(tp)[1]

@@ -416,11 +416,9 @@ def load_config(path: str | Path, overrides: Sequence[str] = ()) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must hold a mapping at the top level")
     for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        dotted, _, text_value = item.partition("=")
+        dotted, equals, text_value = item.partition("=")
         keys = [k for k in dotted.split(".") if k]
-        if not keys:
+        if not equals or not keys:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         try:
             value = yaml.safe_load(text_value)

@@ -120,7 +120,9 @@ class ShopTask:
 
     ``shop_id`` is the task key; with non-shop task units it holds the item
     or user id instead. Support and query must be disjoint and non-empty.
-    ``split`` (set by ``build_tasks``) is the table split and the support and query rows.
+    ``split``, the table and the support and query rows, is set by ``build_tasks``
+    and kept by ``attach_size_classes``; it is no constructor argument, so a
+    hand-built task or another ``replace`` copy (its records may differ) has None.
     A task ``build_tasks`` returns builds its support and query tuples on
     first read (see there); from then on it holds them as a hand-built task
     does, so equality, hash, repr, pickling and ``replace`` see the records.
@@ -131,7 +133,7 @@ class ShopTask:
     query: tuple[InteractionRecord, ...]
     size_class: SizeClass | None = None
     split: tuple[Interactions, np.ndarray, np.ndarray] | None = field(
-        default=None, compare=False, repr=False)
+        default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "support", tuple(self.support))
@@ -452,12 +454,12 @@ def build_tasks(
     Groups below ``min_interactions`` are dropped. The support set is drawn
     without replacement by a per-group seeded permutation, so the split for
     one group is independent of every other group and of record file order.
-    Each group is in record order (``Interactions.order``). No record is
-    built here: the first read of any returned task's support or query
-    builds this call's records in one ``records_at`` call, and readers of
-    ``split`` (the trainers) build none. Support/query overlap fails here, at
-    the task a hand-built one would; only rows that tie on every sort key
-    are built to check it.
+    Each group is in record order (``Interactions.order``). Each task's
+    ``split`` is set here. No record is built: the first read of any
+    returned task's support or query builds this call's records in one
+    ``records_at`` call, and readers of ``split`` (the trainers) build none.
+    Support/query overlap fails here, at the task a hand-built one would;
+    only rows that tie on every sort key are built to check it.
     """
     check_task_sizes(min_interactions, support_size)
     table = Interactions.of(records)
@@ -573,7 +575,7 @@ def attach_size_classes(
     Training tasks use the median sampling rule (never NEW); evaluation
     tasks use the test-shop taxonomy. Each task is copied by ``replace``,
     which reads its support and query, so a ``build_tasks`` call's records
-    are built here.
+    are built here; each copy keeps its task's ``split``.
     """
     out = []
     for t in tasks:
@@ -584,6 +586,7 @@ def attach_size_classes(
         else:
             cls = stats.sampling_class(t.shop_id)
         out.append(replace(t, size_class=cls))
+        object.__setattr__(out[-1], "split", t.split)  # the same records, so the same rows
     return out
 
 
@@ -879,8 +882,7 @@ class SyntheticSpec:
             raise ConfigError("test_fraction must be in (0, 1)")
         if self.n_genres < 2:
             raise ConfigError("need at least two genres")
-        if self.min_shop_size < 2:
-            raise ConfigError("min_shop_size must be >= 2")
+        check_at_least("min_shop_size", self.min_shop_size, 2)
         check_at_least("seed", self.seed, 0)
 
 

@@ -24,10 +24,10 @@ gradient. With gamma == 0 the regularizer code path is skipped entirely, so
 the step is bit-identical to meta_train_step.
 
 Each call of meta_train, meta_inference or a step function resolves every
-user and item of a task that build_tasks split from a table once, through
+user and item of a task with a ``split`` (set by build_tasks) once, through
 one ``models.TableRows`` per table and never reads the task's support or
-query, so no record is built (build_tasks builds them on first read);
-hand-built tasks go through prepare_batch on their records. meta_train
+query, so no record is built (build_tasks builds them on first read); a task
+without one (hand-built, or a caller's replace copy) goes through prepare_batch. meta_train
 resolves a task when it is first drawn and hands the resolved tasks to the
 step functions; a per-step query subsample is a seeded pick of rows from
 the resolved query batch.
@@ -137,10 +137,7 @@ class MetaConfig(TrainParams):
 
 def regularizer_option1(scores: np.ndarray) -> float:
     """1 - mean(scores): small when the scores are already high."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.size == 0:
-        raise EmptyBatchError("regularizer on an empty score set")
-    return 1.0 - float(np.mean(scores))
+    return 1.0 - regularizer_option2(scores)
 
 
 def regularizer_option2(scores: np.ndarray) -> float:
@@ -467,8 +464,6 @@ def nonmeta_train(
     Each epoch visits the records in a seeded shuffle, so runs are
     bit-reproducible. With ``epochs == 0`` the model comes back unchanged.
     """
-    if not records:
-        raise EmptyBatchError("nonmeta_train with no records")
     full = prepare_batch(records, features, model.user_encoder, model.item_encoder)
 
     def batch_loss(vector: np.ndarray, rows: np.ndarray) -> tuple[float, np.ndarray]:

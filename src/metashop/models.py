@@ -32,6 +32,7 @@ Model kinds:
 from __future__ import annotations
 
 import enum
+import operator
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any, Protocol
@@ -168,12 +169,14 @@ def build_categorical_encoder(
     )
 
 
-def resolve_indices(encoder: FeatureEncoder, raw: Any) -> np.ndarray:
+def resolve_indices(encoder: FeatureEncoder, raw: Any, side: str) -> np.ndarray:
     """Turn raw categorical data into one table row index per field.
 
     ``raw`` is either a mapping {field name: category value} or a sequence of
     integer indices in field order. Unknown categories and out-of-range
-    indices raise OutOfVocabularyError.
+    indices raise OutOfVocabularyError; a raw of another form (float
+    features, say) or with another number of indices is a DataError naming
+    ``side``.
     """
     if encoder.mode is not EncoderMode.CATEGORICAL:
         raise ShapeError("resolve_indices needs a categorical encoder")
@@ -190,13 +193,18 @@ def resolve_indices(encoder: FeatureEncoder, raw: Any) -> np.ndarray:
                     f"unknown category {value!r} for field {f.name!r}"
                 ) from None
         return idx
-    values = list(raw)
+    try:
+        values = [operator.index(v) for v in raw]
+    except TypeError:
+        raise DataError(
+            f"{side} features must be a field mapping or integer indices for a "
+            f"categorical encoder, got {type(raw).__name__}"
+        ) from None
     if len(values) != len(encoder.fields):
-        raise ShapeError(
-            f"{len(values)} indices for {len(encoder.fields)} fields"
+        raise DataError(
+            f"{side} features have {len(values)} indices, expected {len(encoder.fields)}"
         )
     for j, (f, v) in enumerate(zip(encoder.fields, values)):
-        v = int(v)
         if not 0 <= v < f.vocab_size:
             raise OutOfVocabularyError(
                 f"index {v} out of range for field {f.name!r} "
@@ -209,13 +217,14 @@ def resolve_indices(encoder: FeatureEncoder, raw: Any) -> np.ndarray:
 def feature_rows(encoder: FeatureEncoder, raws: Iterable[Any], side: str) -> np.ndarray:
     """Stack raw per-id features into one row per id.
 
-    A pretrained encoder gets float rows, checked against its width (a
-    mismatch is a DataError naming ``side``); a categorical encoder gets
-    table-row indices, one column per field. Each side is converted in one
-    copy: one ``np.array`` call over float rows that numpy reads as
-    (n, width), one lookup pass per field over plain dicts (a dict subclass
-    may answer a missing field with a default). Other forms, and a copy that
-    raises, go through ``_rows_one_by_one``, which raises in row order.
+    A pretrained encoder gets float rows, checked against its width; a
+    categorical encoder gets table-row indices, one column per field. A raw
+    of the wrong form or width is a DataError naming ``side``. Each side is
+    converted in one copy: one ``np.array`` call over float rows that numpy
+    reads as (n, width), one lookup pass per field over plain dicts (a dict
+    subclass may answer a missing field with a default). Other forms, and a
+    copy that raises, go through ``_rows_one_by_one``, which raises in row
+    order.
     """
     rows = list(raws)
     try:
@@ -236,14 +245,22 @@ def feature_rows(encoder: FeatureEncoder, raws: Iterable[Any], side: str) -> np.
 def _rows_one_by_one(encoder: FeatureEncoder, rows: list, side: str) -> np.ndarray:
     """feature_rows one row at a time, for any raw form and in error order."""
     if encoder.mode is EncoderMode.PRETRAINED:
-        flat = [np.asarray(r, dtype=np.float64).ravel() for r in rows]
+        flat = []
+        for r in rows:
+            try:
+                flat.append(np.asarray(r, dtype=np.float64).ravel())
+            except (TypeError, ValueError):
+                raise DataError(
+                    f"{side} features must be numbers for a pretrained encoder, "
+                    f"got {type(r).__name__}"
+                ) from None
         for r in flat:
             if r.size != encoder.dim:
                 raise DataError(
                     f"{side} features have {r.size} dims, expected {encoder.dim}"
                 )
         return np.stack(flat)
-    return np.stack([resolve_indices(encoder, r) for r in rows])
+    return np.stack([resolve_indices(encoder, r, side) for r in rows])
 
 
 def _task_index(rows: np.ndarray) -> tuple:
@@ -459,8 +476,6 @@ def loss_and_grad_at(
     Returns (objective, gradient vector shaped like ``vector``), one
     objective per task for a stack.
     """
-    if batch.size == 0:
-        raise EmptyBatchError("gradient on an empty batch")
     grad = np.zeros(vector.shape)
     p, g = model.layout.leaves(vector), model.layout.leaves(grad)
     nu = len(model.user_encoder.layout.paths)

@@ -11,7 +11,7 @@ tree derived from it, gradients included:
     and finiteness, then copy the arrays into a new vector;
   * an update (sgd_update, adam_update) is a numpy expression over (..., P)
     vectors and a finiteness check; trainers build a tree only for a model
-    they hand back, and sgd_step, adam_step and tree_map wrap the result
+    they hand back, and sgd_step and tree_map wrap the result
     with ``Layout.build``, which runs no constructor check;
   * a gradient is a zeroed (..., P) vector that backprop fills in place
     through its ``Layout.leaves`` views, checked for finiteness once.
@@ -394,8 +394,6 @@ def init_two_tower(
 
 def init_joint(dims: Sequence[int], rng: np.random.Generator | int) -> ModelParameters:
     """One MLP on [user; item] ending in a single output unit."""
-    if dims[-1] != 1:
-        raise ShapeError("joint MLP must end in one unit")
     rng = np.random.default_rng(rng)
     return ModelParameters(ModelVariant.JOINT, joint=init_mlp(dims, rng))
 
@@ -706,15 +704,6 @@ def adam_update(
     new = vector - stepsize * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     layout.check_finite(new, "adam_step")
     return new, AdamState(t, m, v)
-
-
-def adam_step(
-    state: AdamState, params: ParamTree, grads: ParamTree, stepsize: float
-) -> tuple[Any, AdamState]:
-    """``adam_update`` over the parameter vector; returns (new tree, state)."""
-    g = _vector_like(params, grads)
-    new, state = adam_update(params.layout, state, params.vector, g, stepsize)
-    return params.at(new), state
 
 
 # ---------------------------------------------------------------------------

@@ -99,7 +99,7 @@ from metashop.numcore import (
     ModelTrace,
     ModelVariant,
     adam_init,
-    adam_step,
+    adam_update,
     loss_and_pred_grad,
     model_forward_trace,
     sgd_step,
@@ -243,6 +243,13 @@ def tree_add_per_leaf(a, b) -> list[np.ndarray]:
     return [x + y for x, y in zip(tree_leaves(a), tree_leaves(b))]
 
 
+def adam_step(state, params, grads, stepsize: float):
+    """One Adam step on a tree: ``adam_update`` on the parameter and gradient
+    vectors. Returns (new tree, new state)."""
+    new, state = adam_update(params.layout, state, params.vector, grads.vector, stepsize)
+    return params.at(new), state
+
+
 def adam_step_per_leaf(first, second, step_count: int, params, grads, stepsize: float):
     """One Adam step leaf by leaf from per-leaf moments.
 
@@ -272,14 +279,22 @@ def predict_scores(model: RecModel, batch: Batch) -> np.ndarray:
 def feature_rows_per_row(encoder, raws, side: str) -> np.ndarray:
     """feature_rows with one conversion and one width check per raw."""
     if encoder.mode is EncoderMode.PRETRAINED:
-        rows = [np.asarray(r, dtype=np.float64).ravel() for r in raws]
+        rows = []
+        for r in raws:
+            try:
+                rows.append(np.asarray(r, dtype=np.float64).ravel())
+            except (TypeError, ValueError):
+                raise DataError(
+                    f"{side} features must be numbers for a pretrained encoder, "
+                    f"got {type(r).__name__}"
+                ) from None
         for r in rows:
             if r.shape[0] != encoder.dim:
                 raise DataError(
                     f"{side} features have {r.shape[0]} dims, expected {encoder.dim}"
                 )
         return np.stack(rows)
-    return np.stack([resolve_indices(encoder, r) for r in raws])
+    return np.stack([resolve_indices(encoder, r, side) for r in raws])
 
 
 def prepare_batch_per_record(records, features, user_encoder, item_encoder) -> Batch:

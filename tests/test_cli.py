@@ -1061,6 +1061,70 @@ INPUT_ERRORS = {
         "data error: {path}: unknown model_class 'foo'",
         2,
     ),
+    "negatives_for_an_item_of_two_genres": (
+        "train.csv",
+        lambda t: t + "u000,ix,s000,1.0,9998,g001\nu001,ix,s000,1.0,9999,g002\n",
+        "train",
+        ["data.negative_strategy=n0"],
+        "data error: item 'ix' has conflicting genres",
+        2,
+    ),
+    "negatives_for_an_item_of_two_shops": (
+        "train.csv",
+        lambda t: t + "u000,ix,s000,1.0,9998,g001\nu001,ix,s001,1.0,9999,g001\n",
+        "train",
+        ["data.negative_strategy=n0"],
+        "data error: item 'ix' appears in multiple shops",
+        2,
+    ),
+    "negatives_without_positives": (
+        "train.csv",
+        lambda t: t.replace(",1.0,", ",0.0,"),
+        "train",
+        ["data.negative_strategy=n0"],
+        "data error: no positives to sample negatives for",
+        2,
+    ),
+    "baseline_without_positives": (
+        "train.csv",
+        lambda t: t.replace(",1.0,", ",0.0,"),
+        "train",
+        ["train.trainer=baseline", "model.kind=baseline"],
+        "data error: no trainable pairs (every user is cold)",
+        2,
+    ),
+    "set_without_equals": (
+        "../run.yaml",
+        lambda t: t,
+        "train",
+        ["foo"],
+        "config error: --set expects key=value, got 'foo'",
+        1,
+    ),
+    "set_without_key": (
+        "../run.yaml",
+        lambda t: t,
+        "train",
+        ["=1"],
+        "config error: --set expects key=value, got '=1'",
+        1,
+    ),
+    "rate_too_large_for_a_float": (
+        "../run.yaml",
+        lambda t: t,
+        "train",
+        ["train.alpha=1" + "0" * 400],
+        "config error: train.alpha is too large for a number",
+        1,
+    ),
+    "one_shop_study_without_a_shop_in_both_splits": (
+        "test.csv",
+        lambda t: t.replace(",s0", ",x0"),
+        "ablation",
+        ["ablation.study=one_shop"],
+        "data error: one_shop study needs shops present in train and test",
+        2,
+    ),
 }
 
 
@@ -1116,6 +1180,7 @@ class TestInputErrors:
                 "so queries are never empty",
             ),
             ("synthetic.pareto_exponent=0", "pareto_exponent must be positive"),
+            ("synthetic.min_shop_size=1", "min_shop_size must be >= 2, got 1"),
         ],
     )
     def test_gen_data_checks_the_trainer_ranges(self, tmp_path, capsys, override, message):
@@ -1515,28 +1580,37 @@ class TestAdapt:
         assert "cannot name a file" in capsys.readouterr().err
 
 
+def _attribute_files(out: Path) -> list[str]:
+    """Write users.csv (field age) and items.csv (field color) for every id
+    of train.csv and test.csv; returns the --set values that read them in
+    place of the latents."""
+    ids: dict[str, set] = {"user_id": set(), "item_id": set()}
+    for name in ("train.csv", "test.csv"):
+        with open(out / name, newline="", encoding="utf-8") as fh:
+            for row in csv.DictReader(fh):
+                for column, seen in ids.items():
+                    seen.add(row[column])
+    for name, column, field in (
+        ("users.csv", "user_id", "age"),
+        ("items.csv", "item_id", "color"),
+    ):
+        rows = [f"{v},{field}{i % 3}" for i, v in enumerate(sorted(ids[column]))]
+        text = "\n".join([f"{column},{field}", *rows]) + "\n"
+        (out / name).write_text(text, encoding="utf-8")
+    return [
+        "data.latents=null",
+        f"data.user_attrs={out / 'users.csv'}",
+        f"data.item_attrs={out / 'items.csv'}",
+    ]
+
+
 class TestCategoricalFeatures:
     """train, evaluate and adapt on attribute tables instead of latents."""
 
     def test_train_evaluate_and_adapt(self, workspace):
         cfg_path, out = workspace
-        ids: dict[str, set] = {"user_id": set(), "item_id": set()}
-        for name in ("train.csv", "test.csv"):
-            with open(out / name, newline="", encoding="utf-8") as fh:
-                for row in csv.DictReader(fh):
-                    for column, seen in ids.items():
-                        seen.add(row[column])
-        for name, column, field in (
-            ("users.csv", "user_id", "age"),
-            ("items.csv", "item_id", "color"),
-        ):
-            rows = [f"{v},{field}{i % 3}" for i, v in enumerate(sorted(ids[column]))]
-            text = "\n".join([f"{column},{field}", *rows]) + "\n"
-            (out / name).write_text(text, encoding="utf-8")
         attrs = [
-            "data.latents=null",
-            f"data.user_attrs={out / 'users.csv'}",
-            f"data.item_attrs={out / 'items.csv'}",
+            *_attribute_files(out),
             f"adapt.checkpoint={out / 'checkpoint.json'}",
             f"adapt.support={out / 'train.csv'}",
         ]
@@ -1559,6 +1633,38 @@ class TestCategoricalFeatures:
             for encoder, field in (("user_encoder", "age"), ("item_encoder", "color")):
                 assert model[encoder]["mode"] == "categorical"
                 assert list(model[encoder]["tables"]) == [field]
+
+    @pytest.mark.parametrize("width", [1, 6])
+    def test_a_categorical_checkpoint_on_latents_is_two(self, workspace, capsys, width):
+        """Float latents are not indices, whether or not their width matches
+        the encoder's one field."""
+        cfg_path, out = workspace
+        _run(cfg_path, "train", _attribute_files(out))
+        latents = out / "latents.csv"
+        lines = latents.read_text(encoding="utf-8").splitlines()
+        latents.write_text(
+            "".join(",".join(line.split(",")[: 2 + width]) + "\n" for line in lines),
+            encoding="utf-8",
+        )
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            "data error: user features must be a field mapping or integer indices "
+            "for a categorical encoder, got ndarray\n"
+        )
+
+    def test_a_pretrained_checkpoint_on_attributes_is_two(self, workspace, capsys):
+        cfg_path, out = workspace
+        _run(cfg_path, "train")
+        sets = _attribute_files(out)
+        capsys.readouterr()
+        argv = ["evaluate", "--config", str(cfg_path)]
+        for value in sets:
+            argv += ["--set", value]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "data error: user features must be numbers for a pretrained encoder, got dict\n"
+        )
 
 
 class TestEvaluate:

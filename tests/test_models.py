@@ -540,10 +540,16 @@ class TestFeatureRows:
             (CAT_ENCODER, [{"age": "a", "region": "x"}, (0, 2)]),
             # a default for a missing field must not stand in for the field
             (CAT_ENCODER, [defaultdict(lambda: "x", age="a")]),
+            (CAT_ENCODER, [(0, 1), (0, 1, 0)]),
+            (CAT_ENCODER, [(0, 1), np.array([1.0, 0.0])]),
+            (CAT_ENCODER, [(0, 1), 1]),
+            (pretrained_encoder(3), [np.zeros(3), {"age": "a"}]),
+            (pretrained_encoder(3), [np.zeros(3), ["a", "b", "c"]]),
         ],
         ids=["empty_floats", "short_row", "long_before_short", "empty_dicts",
              "missing_before_unknown", "unhashable", "index_out_of_range",
-             "defaultdict_missing_field"],
+             "defaultdict_missing_field", "index_count", "float_indices",
+             "not_a_sequence", "mapping_for_floats", "strings_for_floats"],
     )
     def test_errors_match_per_row_oracle(self, encoder, raws):
         got = outcome(feature_rows, encoder, raws, "user")
@@ -554,6 +560,10 @@ class TestFeatureRows:
         raws = [np.zeros(3), np.zeros(4)]
         with pytest.raises(DataError, match=r"^item features have 4 dims, expected 3$"):
             feature_rows(pretrained_encoder(3), raws, "item")
+
+    def test_index_rows_name_the_side_and_both_counts(self):
+        with pytest.raises(DataError, match=r"^user features have 3 indices, expected 2$"):
+            feature_rows(CAT_ENCODER, [(0, 1), (0, 1, 0)], "user")
 
     @pytest.fixture
     def per_row_calls(self, monkeypatch):

@@ -40,13 +40,12 @@ from metashop.numcore import (
     LossKind,
     MlpParams,
     adam_init,
-    adam_step,
     sgd_step,
     tree_leaves,
     tree_map,
 )
 
-from oracles import adam_step_per_leaf, sgd_step_per_leaf, tree_add_per_leaf
+from oracles import adam_step, adam_step_per_leaf, sgd_step_per_leaf, tree_add_per_leaf
 
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
 REC_KINDS = (ModelKind.MESH, ModelKind.MESH_I, ModelKind.WIDE_DEEP)

@@ -9,7 +9,7 @@ errors in the same order, and count the feature lookups of a call.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
@@ -248,7 +248,7 @@ def test_hand_built_tasks_equal_and_train_as_built_ones():
     assert [t.split for t in sized] == [t.split for t in tasks]
     assert sized == attach_size_classes(hand, classify_shops(
         [r for t in hand for r in t.support + t.query], []), use_taxonomy=False)
-    assert replace(tasks[0], shop_id="x").split is tasks[0].split
+    assert replace(tasks[0], shop_id="x").split is None
     for cfg_ in (cfg, replace(cfg, query_batch_size=3)):
         got, got_history = meta_train(model, tasks, features, cfg_, 5)
         want, want_history = meta_train(model, hand, features, cfg_, 5)
@@ -259,3 +259,17 @@ def test_hand_built_tasks_equal_and_train_as_built_ones():
     adapted = meta_inference(model, tasks, features, cfg)
     adapted_by_hand = meta_inference(model, hand, features, cfg)
     assert all(same_model(adapted[s], adapted_by_hand[s]) for s in adapted_by_hand)
+
+
+def test_a_copy_with_other_records_trains_on_its_records():
+    """A ``replace`` copy of a built task has no ``split``, so it trains on
+    the records it holds, as the hand-built task holding them does."""
+    tasks, features, model, cfg = lonely_world()
+    trimmed = [replace(t, query=t.query[:3]) for t in tasks]
+    hand = [ShopTask(t.shop_id, t.support, t.query[:3]) for t in tasks]
+    got, got_history = meta_train(model, trimmed, features, cfg, 5)
+    want, want_history = meta_train(model, hand, features, cfg, 5)
+    assert same_model(got, want) and got_history.losses == want_history.losses
+    assert all(t.split is None for t in trimmed)
+    assert [f.name for f in fields(ShopTask) if f.init] == [
+        "shop_id", "support", "query", "size_class"]
