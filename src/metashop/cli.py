@@ -475,7 +475,7 @@ def _feature_source(cfg: RunConfig):
 def _resolve_sigmoid(cfg: RunConfig, records: Interactions) -> bool:
     """model.sigmoid_output, where auto means: the labels are all 0 or 1."""
     s = cfg.model.sigmoid_output
-    return binary_labels(records) if s == "auto" else bool(s)
+    return binary_labels(records.label) if s == "auto" else bool(s)
 
 
 def _from_section(cls, section, **more: Any):

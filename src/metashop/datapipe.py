@@ -30,6 +30,7 @@ outputs are reproducible byte-for-byte across runs and platforms.
 
 from __future__ import annotations
 
+import copy
 import csv
 import enum
 import functools
@@ -39,8 +40,8 @@ import math
 import re
 import statistics
 from collections import deque
-from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field, fields, replace
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, field, fields
 from itertools import accumulate, chain, repeat
 from pathlib import Path
 from typing import Any, Mapping
@@ -120,9 +121,9 @@ class ShopTask:
 
     ``shop_id`` is the task key; with non-shop task units it holds the item
     or user id instead. Support and query must be disjoint and non-empty.
-    ``split``, the table and the support and query rows, is set by ``build_tasks``
-    and kept by ``attach_size_classes``; it is no constructor argument, so a
-    hand-built task or another ``replace`` copy (its records may differ) has None.
+    ``split``, the table and the support and query rows, is set on every task:
+    ``build_tasks``' tasks share their call's table, and any other (hand-built,
+    or a ``replace`` copy) codes its support, then query, into a table of its own.
     A task ``build_tasks`` returns builds its support and query tuples on
     first read (see there); from then on it holds them as a hand-built task
     does, so equality, hash, repr, pickling and ``replace`` see the records.
@@ -132,8 +133,8 @@ class ShopTask:
     support: tuple[InteractionRecord, ...]
     query: tuple[InteractionRecord, ...]
     size_class: SizeClass | None = None
-    split: tuple[Interactions, np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, compare=False, repr=False)
+    split: tuple[Interactions, np.ndarray, np.ndarray] = field(
+        init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "support", tuple(self.support))
@@ -143,6 +144,8 @@ class ShopTask:
         users = {r.user_id for r in self.support}  # equal records share a user
         if not set(self.support).isdisjoint(r for r in self.query if r.user_id in users):
             raise DataError(f"task {self.shop_id!r} has overlapping support/query")
+        n, table = len(self.support), Interactions.of(self.support + self.query)
+        object.__setattr__(self, "split", (table, np.arange(n), np.arange(n, len(table))))
 
     def __getattr__(self, name: str):
         # reached only while a build_tasks task's support and query are unread
@@ -455,7 +458,7 @@ def build_tasks(
     without replacement by a per-group seeded permutation, so the split for
     one group is independent of every other group and of record file order.
     Each group is in record order (``Interactions.order``). Each task's
-    ``split`` is set here. No record is built: the first read of any
+    ``split`` reads the call's one table. No record is built: the first read of any
     returned task's support or query builds this call's records in one
     ``records_at`` call, and readers of ``split`` (the trainers) build none.
     Support/query overlap fails here, at the task a hand-built one would;
@@ -491,11 +494,9 @@ def build_tasks(
     return tasks
 
 
-def binary_labels(records: Iterable[InteractionRecord]) -> bool:
-    """Whether every label is 0 or 1: a table's column at once, records one by one."""
-    if isinstance(records, Interactions):
-        return bool(np.isin(records.label, (0.0, 1.0)).all())
-    return all(r.label in (0.0, 1.0) for r in records)
+def binary_labels(labels: np.ndarray) -> bool:
+    """Whether every label of a label column is 0 or 1."""
+    return bool(np.isin(labels, (0.0, 1.0)).all())
 
 
 def purchase_histories(records: Sequence[InteractionRecord]) -> dict[str, tuple[str, ...]]:
@@ -573,9 +574,9 @@ def attach_size_classes(
     """Return tasks with size_class filled in.
 
     Training tasks use the median sampling rule (never NEW); evaluation
-    tasks use the test-shop taxonomy. Each task is copied by ``replace``,
-    which reads its support and query, so a ``build_tasks`` call's records
-    are built here; each copy keeps its task's ``split``.
+    tasks use the test-shop taxonomy. Each copy (``copy.copy``) shares its
+    task's ``split`` and reads its support and query (``__getstate__``), so a
+    ``build_tasks`` call's records are built here.
     """
     out = []
     for t in tasks:
@@ -585,8 +586,8 @@ def attach_size_classes(
             cls = stats.taxonomy[t.shop_id]
         else:
             cls = stats.sampling_class(t.shop_id)
-        out.append(replace(t, size_class=cls))
-        object.__setattr__(out[-1], "split", t.split)  # the same records, so the same rows
+        out.append(copy.copy(t))
+        object.__setattr__(out[-1], "size_class", cls)
     return out
 
 

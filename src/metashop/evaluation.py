@@ -107,8 +107,9 @@ def recall_name(k: float) -> str:
 
 
 def infer_query_mode(tasks: Sequence[ShopTask]) -> QueryMode:
-    """Binary labels mean item queries; anything else is a rating log."""
-    binary = binary_labels(r for t in tasks for r in t.query)
+    """Binary query labels mean item queries; anything else is a rating log."""
+    queries = [table.label[rows] for table, _, rows in (t.split for t in tasks)]
+    binary = binary_labels(np.concatenate([np.empty(0), *queries]))
     return QueryMode.ITEM if binary else QueryMode.USER_SHOP
 
 

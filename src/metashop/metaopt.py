@@ -24,10 +24,9 @@ gradient. With gamma == 0 the regularizer code path is skipped entirely, so
 the step is bit-identical to meta_train_step.
 
 Each call of meta_train, meta_inference or a step function resolves every
-user and item of a task with a ``split`` (set by build_tasks) once, through
-one ``models.TableRows`` per table and never reads the task's support or
-query, so no record is built (build_tasks builds them on first read); a task
-without one (hand-built, or a caller's replace copy) goes through prepare_batch. meta_train
+user and item of a task's ``split`` once, through one ``models.TableRows``
+per table, and never reads the task's support or query, so no record is
+built (build_tasks builds them on first read). meta_train
 resolves a task when it is first drawn and hands the resolved tasks to the
 step functions; a per-step query subsample is a seeded pick of rows from
 the resolved query batch.
@@ -117,7 +116,8 @@ class TrainParams:
 
 @dataclass(frozen=True)
 class MetaConfig(TrainParams):
-    """TrainParams plus the settings the trainers take from other config sections."""
+    """TrainParams plus other sections' settings. No trainer reads ``support_size``
+    or ``model_kind``: they are range-checked and recorded in manifests only."""
 
     support_size: int = 10
     loss_kind: numcore.LossKind = numcore.LossKind.SQUARED
@@ -233,19 +233,16 @@ def _resolve(
     task: ShopTask | _ResolvedTask, features: FeatureSource, model: RecModel, tables: dict,
     query: bool = True,
 ) -> _ResolvedTask:
-    """Resolve a task's support and (if ``query``) query records into batches,
-    a table's through the call's ``TableRows`` for it in ``tables``; a
-    resolved task comes back as is. The batches depend only on the encoders'
-    modes and vocabularies, which training never changes."""
+    """Resolve a task's support and (if ``query``) query rows of its ``split``
+    into batches, through the call's ``TableRows`` for the split's table in
+    ``tables``; a resolved task comes back as is. The batches depend only on
+    the encoders' modes and vocabularies, which training never changes."""
     if isinstance(task, _ResolvedTask):
         return task
     enc = (model.user_encoder, model.item_encoder)
-    if task.split is not None:  # before support or query, which would build records
-        table, *sides = task.split
-        tables[id(table)] = tables.get(id(table)) or TableRows(table, features, *enc)
-        batch = tables[id(table)].batch
-    else:
-        sides, batch = (task.support, task.query), lambda s: prepare_batch(s, features, *enc)
+    table, *sides = task.split  # not support or query, which would build records
+    tables[id(table)] = tables.get(id(table)) or TableRows(table, features, *enc)
+    batch = tables[id(table)].batch
     return _ResolvedTask(task.shop_id, task.size_class, batch(sides[0]),
                          batch(sides[1]) if query else None)
 

@@ -229,7 +229,8 @@ def feature_rows(encoder: FeatureEncoder, raws: Iterable[Any], side: str) -> np.
     rows = list(raws)
     try:
         if encoder.mode is EncoderMode.PRETRAINED:
-            mat = np.array(rows, dtype=np.float64)
+            # numbers only: np.array(rows, np.float64) would read None or "0.5"
+            mat = np.array(rows).astype(np.float64, casting="same_kind", copy=False)
             if mat.shape == (len(rows), encoder.dim):
                 return mat
         elif rows and all(type(r) is dict for r in rows):
@@ -248,7 +249,7 @@ def _rows_one_by_one(encoder: FeatureEncoder, rows: list, side: str) -> np.ndarr
         flat = []
         for r in rows:
             try:
-                flat.append(np.asarray(r, dtype=np.float64).ravel())
+                flat.append(np.asarray(r).astype(np.float64, casting="same_kind").ravel())
             except (TypeError, ValueError):
                 raise DataError(
                     f"{side} features must be numbers for a pretrained encoder, "
@@ -286,7 +287,7 @@ def encode_rows(
 
 def encode(encoder: FeatureEncoder, raw: Any) -> np.ndarray:
     """Encode one user or item into its float feature vector."""
-    return encode_rows(encoder, feature_rows(encoder, [raw], "pretrained"))[0]
+    return encode_rows(encoder, feature_rows(encoder, [raw], "raw"))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -282,12 +282,15 @@ def feature_rows_per_row(encoder, raws, side: str) -> np.ndarray:
         rows = []
         for r in raws:
             try:
-                rows.append(np.asarray(r, dtype=np.float64).ravel())
+                row = np.asarray(r)
+                if row.dtype.kind not in "biuf":  # float64 would read None or "0.5"
+                    raise TypeError
             except (TypeError, ValueError):
                 raise DataError(
                     f"{side} features must be numbers for a pretrained encoder, "
                     f"got {type(r).__name__}"
                 ) from None
+            rows.append(row.astype(np.float64).ravel())
         for r in rows:
             if r.shape[0] != encoder.dim:
                 raise DataError(

@@ -1048,6 +1048,18 @@ FIRST_READS = {
 }
 
 
+# every way a task comes to be, from build_tasks' tasks and the shop stats
+TASK_FORMS = {
+    "built": lambda tasks, stats: tasks,
+    "hand_built": lambda tasks, stats: [ShopTask(t.shop_id, t.support, t.query) for t in tasks],
+    "replaced": lambda tasks, stats: [dataclasses.replace(t, query=t.query[1:]) for t in tasks],
+    "copied": lambda tasks, stats: list(map(copy.copy, tasks)),
+    "deep_copied": lambda tasks, stats: copy.deepcopy(tasks),
+    "pickled": lambda tasks, stats: pickle.loads(pickle.dumps(tasks)),
+    "sized": lambda tasks, stats: attach_size_classes(tasks, stats, False),
+}
+
+
 class TestTaskRecordsOnFirstRead:
     def test_meta_training_builds_no_record(self, built):
         """generate_synthetic -> build_tasks -> meta_train and meta_inference
@@ -1089,7 +1101,7 @@ class TestTaskRecordsOnFirstRead:
         no one has read yet, match build_tasks_set_split's ShopTask(...) ones."""
         records = spread_records(seed=6)
         hand = build_tasks_set_split(records, 13, 10, 3)
-        assert all(t.split is None for t in hand)
+        assert all(len(t.split[0]) == len(t.support) + len(t.query) for t in hand)
 
         def fresh():
             return build_tasks(records, 13, 10, 3)
@@ -1113,6 +1125,24 @@ class TestTaskRecordsOnFirstRead:
         stats = classify_shops(records, [])
         assert attach_size_classes(fresh(), stats, False) == attach_size_classes(
             hand, stats, False)
+
+    @pytest.mark.parametrize("make", TASK_FORMS.values(), ids=TASK_FORMS)
+    def test_every_task_holds_a_split_of_its_records(self, make):
+        records = spread_records(seed=6)
+        tasks = make(build_tasks(records, 13, 10, 3), classify_shops(records, []))
+        assert len(tasks) == 4
+        for t in tasks:
+            table, support_rows, query_rows = t.split
+            assert (tuple(table.records_at(support_rows)),
+                    tuple(table.records_at(query_rows))) == (t.support, t.query)
+
+    def test_sized_copies_share_the_table(self):
+        records = spread_records(seed=6)
+        tasks = build_tasks(records, 13, 10, 3)
+        for t, sized in zip(tasks, attach_size_classes(tasks, classify_shops(records, []), False)):
+            want = dataclasses.replace(t, size_class=sized.size_class)
+            assert sized.split[0] is t.split[0] and sized.size_class is not None
+            assert sized == want and hash(sized) == hash(want)
 
     def test_a_table_with_equal_records_fails_at_the_same_task(self):
         """Shops b and c each hold one record 13 times; b fails first, on a

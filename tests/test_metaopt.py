@@ -39,6 +39,7 @@ from metashop.metaopt import (
 from metashop.models import (
     ModelKind,
     RecModel,
+    TableRows,
     build_baseline,
     build_model,
     model_loss_and_grad,
@@ -131,6 +132,25 @@ def resolved(monkeypatch):
         return prepare_batch(records, *args)
 
     monkeypatch.setattr(metaopt, "prepare_batch", counting)
+    return calls
+
+
+@pytest.fixture
+def batched(monkeypatch):
+    """The records of each ``TableRows.batch`` call: the meta trainers'
+    one way to resolve a task's split."""
+    calls, init, batch = [], TableRows.__init__, TableRows.batch
+
+    def keeping(self, table, *args):
+        self.table = table
+        init(self, table, *args)
+
+    def counting(self, rows):
+        calls.append(self.table.records_at(rows))
+        return batch(self, rows)
+
+    monkeypatch.setattr(TableRows, "__init__", keeping)
+    monkeypatch.setattr(TableRows, "batch", counting)
     return calls
 
 
@@ -397,14 +417,14 @@ class TestDrivers:
         assert hist.losses[0] == hist.losses[1]
 
     @pytest.mark.parametrize("steps, drawn", [(0, 0), (1, 2), (2, 4), (7, 5)])
-    def test_each_drawn_task_is_resolved_once(self, resolved, steps, drawn):
+    def test_each_drawn_task_is_resolved_once(self, resolved, batched, steps, drawn):
         feats, tasks = small_world(seed=39, n_shops=5)
         cfg = MetaConfig(
             alpha=0.05, beta=0.1, local_steps=2, shop_batch_size=2,
             query_batch_size=3,
         )
         meta_train(tiny_model(seed=40), tasks, feats, cfg, steps=steps)
-        assert len(resolved) == 2 * drawn
+        assert (len(batched), resolved) == (2 * drawn, [])
 
     def test_pooled_trainers_resolve_their_records_once(self, resolved):
         feats, tasks = small_world(seed=44)
@@ -422,11 +442,11 @@ class TestDrivers:
             local_adapt(tiny_model(seed=48), task.support, feats, cfg)
         assert resolved == [list(t.support) for t in tasks]
 
-    def test_meta_inference_resolves_once_per_task(self, resolved):
+    def test_meta_inference_resolves_once_per_task(self, resolved, batched):
         feats, tasks = small_world(seed=49, n_shops=4)
         cfg = MetaConfig(alpha=0.05, beta=0.1, local_steps=2)
         meta_inference(tiny_model(seed=50), list(reversed(tasks)), feats, cfg)
-        assert resolved == [list(t.support) for t in tasks]
+        assert (batched, resolved) == ([list(t.support) for t in tasks], [])
 
     @pytest.mark.parametrize("query_batch_size", [None, 3])
     @pytest.mark.parametrize("outer", list(OuterOptimizer))

@@ -129,6 +129,15 @@ class TestEncoders:
         with pytest.raises(DataError, match="2 dims, expected 3"):
             encode(enc, [1.0, 2.0])
 
+    @pytest.mark.parametrize("encoder, raw, problem", [
+        (build_categorical_encoder([("a", ["x", "y"])], 2, 0), np.array([0.5]),
+         "a field mapping or integer indices for a categorical encoder, got ndarray"),
+        (pretrained_encoder(1), None, "numbers for a pretrained encoder, got NoneType"),
+    ], ids=["categorical", "pretrained"])
+    def test_a_bad_raw_is_named_raw(self, encoder, raw, problem):
+        with pytest.raises(DataError, match=f"^raw features must be {problem}$"):
+            encode(encoder, raw)
+
     def test_zero_dim_side_is_allowed(self):
         enc = pretrained_encoder(0)
         assert encode(enc, np.zeros(0)).shape == (0,)
@@ -545,11 +554,19 @@ class TestFeatureRows:
             (CAT_ENCODER, [(0, 1), 1]),
             (pretrained_encoder(3), [np.zeros(3), {"age": "a"}]),
             (pretrained_encoder(3), [np.zeros(3), ["a", "b", "c"]]),
+            # float64 would read None as nan and "0.5" as 0.5
+            (pretrained_encoder(1), [None]),
+            (pretrained_encoder(1), ["0.5"]),
+            (pretrained_encoder(2), [None, np.ones(2)]),
+            (pretrained_encoder(2), [np.zeros(2), [0.5, None]]),
+            (pretrained_encoder(1), [["0.5"]]),
         ],
         ids=["empty_floats", "short_row", "long_before_short", "empty_dicts",
              "missing_before_unknown", "unhashable", "index_out_of_range",
              "defaultdict_missing_field", "index_count", "float_indices",
-             "not_a_sequence", "mapping_for_floats", "strings_for_floats"],
+             "not_a_sequence", "mapping_for_floats", "strings_for_floats",
+             "none_for_floats", "numeral_for_floats", "none_before_floats",
+             "none_in_a_row", "numeral_in_a_row"],
     )
     def test_errors_match_per_row_oracle(self, encoder, raws):
         got = outcome(feature_rows, encoder, raws, "user")

@@ -1,8 +1,9 @@
 """Each rule has one owner: the train hyperparameters are declared once, the
 at-least check, the negative ratio, the binary-label predicate and each
-loader check are stated once, only one helper reads CSV text, and every rng
-purpose tag lives in datapipe's registry. A bad value gets the same message
-whether a config carries it or a library call does."""
+loader check are stated once, only one helper reads CSV text, only datapipe
+sets a task's split, and every rng purpose tag lives in datapipe's registry.
+A bad value gets the same message whether a config carries it or a library
+call does."""
 
 from __future__ import annotations
 
@@ -256,16 +257,15 @@ class TestSourceGuards:
         assert text.count("negative ratio must be positive") == 1
 
     def test_one_binary_label_predicate(self):
-        """Only ``binary_labels`` asks whether a record's label is 0 or 1."""
+        """Only ``binary_labels`` asks whether labels are 0 or 1."""
         owners = {}
         for name, tree in _modules():
             for func in ast.walk(tree):
                 if not isinstance(func, ast.FunctionDef):
                     continue
                 for node in ast.walk(func):
-                    if (isinstance(node, ast.Compare)
-                            and ast.unparse(node.left).endswith(".label")
-                            and ast.unparse(node.comparators[0]) == "(0.0, 1.0)"):
+                    if (isinstance(node, ast.Call) and ast.unparse(node.func) == "np.isin"
+                            and ast.unparse(node.args[1]) == "(0.0, 1.0)"):
                         owners[func.name] = name
                     if isinstance(node, ast.Name) and node.id == "binary_labels":
                         owners.setdefault(f"{func.name} calls", name)
@@ -274,3 +274,27 @@ class TestSourceGuards:
             "_resolve_sigmoid calls": "cli.py",
             "infer_query_mode calls": "evaluation.py",
         }
+
+    def test_only_datapipe_sets_a_task_split(self):
+        """``ShopTask.split`` is set in datapipe alone, through
+        ``object.__setattr__`` or ``__dict__``, and no module tests it for None."""
+        sets, none_checks = [], []
+        for name, tree in _modules():
+            for node in ast.walk(tree):
+                targets = node.targets if isinstance(node, ast.Assign) else []
+                if isinstance(node, ast.Call):
+                    func, args = ast.unparse(node.func), [ast.unparse(a) for a in node.args]
+                    if (func == "object.__setattr__" and args[1:2] == ["'split'"]
+                            or func.endswith("__dict__.update")
+                            and any(k.arg == "split" for k in node.keywords)):
+                        sets.append(f"{name}: {func}")
+                elif any(re.search(r"(\.split|\['split'\])$", ast.unparse(t)) for t in targets):
+                    sets.append(f"{name}: {ast.unparse(node)}")
+                elif isinstance(node, ast.Compare):
+                    sides = [node.left, *node.comparators]
+                    if (any(ast.unparse(s).endswith(".split") for s in sides)
+                            and any(isinstance(s, ast.Constant) and s.value is None
+                                    for s in sides)):
+                        none_checks.append(f"{name}:{node.lineno}")
+        assert (sorted(sets), none_checks) == (
+            ["datapipe.py: object.__setattr__", "datapipe.py: task.__dict__.update"], [])

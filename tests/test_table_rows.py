@@ -242,13 +242,13 @@ def test_hand_built_tasks_equal_and_train_as_built_ones():
     hand = by_hand(tasks)
     assert hand == tasks and list(map(hash, hand)) == list(map(hash, tasks))
     assert [repr(t) for t in hand] == [repr(t) for t in tasks]
-    assert all(t.split is None for t in hand)
+    assert len({id(t.split[0]) for t in [*hand, tasks[0]]}) == len(hand) + 1  # one table each
     sized = attach_size_classes(tasks, classify_shops(
         [r for t in tasks for r in t.support + t.query], []), use_taxonomy=False)
     assert [t.split for t in sized] == [t.split for t in tasks]
     assert sized == attach_size_classes(hand, classify_shops(
         [r for t in hand for r in t.support + t.query], []), use_taxonomy=False)
-    assert replace(tasks[0], shop_id="x").split is None
+    assert replace(tasks[0], shop_id="x").split[0] is not tasks[0].split[0]
     for cfg_ in (cfg, replace(cfg, query_batch_size=3)):
         got, got_history = meta_train(model, tasks, features, cfg_, 5)
         want, want_history = meta_train(model, hand, features, cfg_, 5)
@@ -262,14 +262,14 @@ def test_hand_built_tasks_equal_and_train_as_built_ones():
 
 
 def test_a_copy_with_other_records_trains_on_its_records():
-    """A ``replace`` copy of a built task has no ``split``, so it trains on
-    the records it holds, as the hand-built task holding them does."""
+    """A ``replace`` copy of a built task codes its own ``split``, so it
+    trains on the records it holds, as the hand-built task holding them does."""
     tasks, features, model, cfg = lonely_world()
     trimmed = [replace(t, query=t.query[:3]) for t in tasks]
     hand = [ShopTask(t.shop_id, t.support, t.query[:3]) for t in tasks]
     got, got_history = meta_train(model, trimmed, features, cfg, 5)
     want, want_history = meta_train(model, hand, features, cfg, 5)
     assert same_model(got, want) and got_history.losses == want_history.losses
-    assert all(t.split is None for t in trimmed)
+    assert [len(t.split[0]) for t in trimmed] == [len(t.support) + 3 for t in tasks]
     assert [f.name for f in fields(ShopTask) if f.init] == [
         "shop_id", "support", "query", "size_class"]
